@@ -140,7 +140,7 @@ impl Kernel {
         let now = self.q.now();
         match out {
             BreadOutcome::Miss(_) => {
-                self.stats.bump("splice.reads_issued");
+                self.ctr.splice.reads_issued += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                 self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
@@ -149,7 +149,7 @@ impl Kernel {
             BreadOutcome::Hit(buf) => {
                 // Already cached: the handler runs straight away.
                 self.iodone_map.remove(&tag);
-                self.stats.bump("splice.read_hits");
+                self.ctr.splice.read_hits += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                 self.span_note(id, |s, now, pr, pw| s.note_read_hit(now, pr, pw));
@@ -173,7 +173,7 @@ impl Kernel {
                 }
                 d.pending_reads -= 1;
                 d.issued_at.remove(&lblk);
-                self.stats.bump("splice.read_backoff");
+                self.ctr.splice.read_backoffs += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc: id, lblk });
                 self.span_note(id, |s, _, _, _| s.note_backoff());
@@ -211,7 +211,7 @@ impl Kernel {
             .alloc_shared_header(dev, dst_pblk, data, bs, sref)
         {
             Some(hdr) => {
-                self.stats.bump("splice.shared_writes");
+                self.ctr.splice.shared_writes += 1;
                 let now = self.q.now();
                 self.trace
                     .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
@@ -224,7 +224,7 @@ impl Kernel {
             }
             None => {
                 // Destination block busy: retry next tick.
-                self.stats.bump("splice.write_backoff");
+                self.ctr.splice.write_backoffs += 1;
                 let now = self.q.now();
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
@@ -293,7 +293,7 @@ impl Kernel {
             // Transient cache shortage: the offsets are preassigned and
             // block rewrites are idempotent, so retry the same chunk at
             // the next tick.
-            self.stats.bump("splice.append_backoff");
+            self.ctr.splice.append_backoffs += 1;
             self.trace
                 .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
             self.span_note(desc, |s, _, _, _| s.note_backoff());
@@ -327,7 +327,7 @@ impl Kernel {
             let Ok(pblk) = self.disks[disk].fs.bmap_alloc(ino, lblk) else {
                 // Out of space: drop the rest (UDP semantics for a
                 // receive-to-file splice).
-                self.stats.bump("splice.append_enospc");
+                self.ctr.splice.append_enospc += 1;
                 return true;
             };
             let mut fx = Vec::new();

@@ -81,7 +81,7 @@ pub use khw::{FaultOp, FaultPlan};
 pub use ksim::{BlockSpan, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};
 pub use metrics::{
     CacheMetrics, CopyMetrics, CpuMetrics, IoMetrics, LatencyMetrics, MetricsSnapshot, NetMetrics,
-    SchedMetrics, SpliceMetrics,
+    SchedMetrics, SpliceMetrics, SpliceTotals,
 };
 pub use objects::{DiskUnitKind, FileId, FileObj};
 pub use profile::{

@@ -1,14 +1,12 @@
 //! The typed metrics surface: [`MetricsSnapshot`] and its sub-structs.
 //!
-//! Historically the kernel exposed its raw [`ksim::Stats`] counter bag
-//! (`kernel.stats().get("copy.copyout_bytes")`) — stringly-typed, easy
-//! to typo, and invisible to the compiler when a counter was renamed.
-//! The counter bag still exists internally (it is the cheapest possible
-//! emission path for the hot code), but the public surface is now
-//! [`Kernel::metrics`], which folds the counters, the structured
-//! [`ksim::Kstat`] block (splice spans, latency histograms), the buffer
-//! cache, the CPU engine, and the network stack into one typed,
-//! self-describing snapshot:
+//! Every counter is a typed struct field, incremented in place by the
+//! code that does the work (`self.ctr.copy.copyout_bytes += n`). The
+//! kernel keeps its own groups in one counters struct; the buffer cache
+//! ([`kbuf::CacheStats`]), the network stack ([`knet::NetStats`]) and the
+//! CPU engine ([`CpuMetrics`]) keep theirs. [`Kernel::metrics`] copies
+//! them, together with the structured [`ksim::Kstat`] block (splice
+//! spans, latency histograms), into one typed, self-describing snapshot:
 //!
 //! ```
 //! use khw::DiskProfile;
@@ -34,102 +32,191 @@
 //! dependency-free [`ksim::Json`] writer; the bench binaries persist
 //! them as `BENCH_*.json`.
 
-use std::ops::Index;
+use std::ops::{Deref, Index};
 
-use ksim::{Dur, HistSummary, Json, SimTime, SpliceSpan, SpliceSpans};
+use ksim::{HistSummary, Json, SimTime, SpliceSpan, SpliceSpans};
 
 use crate::kernel::Kernel;
 
-/// Bytes moved by each copy path (the paper's central accounting:
-/// splice exists to drive the first two to zero).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CopyMetrics {
-    /// `copyin` traffic: user → kernel (write(2), send(2)).
-    pub copyin_bytes: u64,
-    /// `copyout` traffic: kernel → user (read(2), recv(2)).
-    pub copyout_bytes: u64,
-    /// Driver/pseudo-DMA traffic at the device boundary.
-    pub driver_bytes: u64,
-    /// Cache-to-cache copies (zero when the shared-header path works).
-    pub cache_bytes: u64,
-    /// Socket-buffer copies on the network path.
-    pub net_bytes: u64,
+pub use kproc::CpuMetrics;
+
+/// Declares counter groups. Each `Name { field, … }` entry becomes a
+/// `Copy` struct of `u64` counters plus a `to_json` whose keys are the
+/// field names in declaration order, so a counter is named exactly once:
+/// the code that counts, the snapshot, and the JSON key all use the same
+/// field, and a rename is a compile error rather than a silent zero.
+macro_rules! counter_groups {
+    ($(
+        $(#[$doc:meta])*
+        $name:ident {
+            $($(#[$fdoc:meta])* $field:ident,)*
+        }
+    )*) => {$(
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct $name {
+            $($(#[$fdoc])* pub $field: u64,)*
+        }
+
+        impl $name {
+            /// The counters as a JSON object, one key per field, in
+            /// declaration order.
+            pub fn to_json(&self) -> Json {
+                Json::obj()$(.with(stringify!($field), Json::Num(self.$field as f64)))*
+            }
+        }
+    )*};
 }
 
-/// Block-I/O volume at the device layer.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IoMetrics {
-    /// Bytes read from block devices.
-    pub read_bytes: u64,
-    /// Bytes written to block devices.
-    pub write_bytes: u64,
-    /// Sequential read-aheads triggered by `read(2)`.
-    pub readaheads: u64,
-    /// Block transfers that completed with `B_ERROR` (injected faults).
-    pub errors: u64,
-}
+counter_groups! {
+    /// Bytes moved by each copy path (the paper's central accounting:
+    /// splice exists to drive the first two to zero).
+    CopyMetrics {
+        /// `copyin` traffic: user → kernel (write(2), send(2)).
+        copyin_bytes,
+        /// `copyout` traffic: kernel → user (read(2), recv(2)).
+        copyout_bytes,
+        /// Driver/pseudo-DMA traffic at the device boundary.
+        driver_bytes,
+        /// Cache-to-cache copies (zero when the shared-header path works).
+        cache_bytes,
+        /// Socket-buffer copies on the network path.
+        net_bytes,
+    }
 
-/// Buffer-cache behavior (kbuf's own counters plus the kernel's
-/// truncation bookkeeping).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheMetrics {
-    /// `bread` served from cache.
-    pub hits: u64,
-    /// `bread` that went to the device.
-    pub misses: u64,
-    /// Delayed-write buffers flushed to reclaim space.
-    pub reclaim_flushes: u64,
-    /// Read-ahead transfers started by the cache.
-    pub readaheads: u64,
-    /// Valid blocks evicted to recycle their buffer.
-    pub evictions: u64,
-    /// `biodone` completions routed to `B_CALL` handlers.
-    pub bcall_completions: u64,
-    /// Cached blocks purged by truncation.
-    pub trunc_purged: u64,
-    /// Busy blocks detached (orphaned) by truncation.
-    pub trunc_detached: u64,
+    /// Block-I/O volume at the device layer.
+    IoMetrics {
+        /// Bytes read from block devices.
+        read_bytes,
+        /// Bytes written to block devices.
+        write_bytes,
+        /// Sequential read-aheads triggered by `read(2)`.
+        readaheads,
+        /// Block transfers that completed with `B_ERROR` (injected faults).
+        errors,
+    }
+
+    /// Buffer-cache behavior (kbuf's own counters plus the kernel's
+    /// truncation bookkeeping).
+    CacheMetrics {
+        /// `bread` served from cache.
+        hits,
+        /// `bread` that went to the device.
+        misses,
+        /// Delayed-write buffers flushed to reclaim space.
+        reclaim_flushes,
+        /// Read-ahead transfers started by the cache.
+        readaheads,
+        /// Valid blocks evicted to recycle their buffer.
+        evictions,
+        /// `biodone` completions routed to `B_CALL` handlers.
+        bcall_completions,
+        /// Cached blocks purged by truncation.
+        trunc_purged,
+        /// Busy blocks detached (orphaned) by truncation.
+        trunc_detached,
+    }
+
+    /// Splice engine totals across all descriptors.
+    SpliceTotals {
+        /// Descriptors created.
+        started,
+        /// Transfers completed (SIGIO posted or sleeper woken).
+        completed,
+        /// `splice(2)` calls refused before a descriptor was built (bad fds,
+        /// missing endpoint capability, alignment, unconnected socket, …) —
+        /// every rejection funnels through the one helper that counts this.
+        rejected,
+        /// Source reads issued across all splices: device block reads plus
+        /// stream pulls (datagrams, framebuffer chunks).
+        reads_issued,
+        /// Reads satisfied from the buffer cache.
+        read_hits,
+        /// Read-side retries after a busy buffer or cache exhaustion.
+        read_backoffs,
+        /// Shared-header writes (the §5.2.2 no-copy write side).
+        shared_writes,
+        /// Write-side retries (destination block busy).
+        write_backoffs,
+        /// Device-sink pacing stalls (DAC back-pressure).
+        dev_backpressure,
+        /// Socket-sink send failures.
+        sock_send_errs,
+        /// Append-path retries on transient cache shortage.
+        append_backoffs,
+        /// Append-path bytes dropped for lack of disk space.
+        append_enospc,
+        /// Block retries after a device error (read or write side).
+        retries,
+        /// Splices aborted with a typed errno after retries were exhausted.
+        aborted,
+    }
+
+    /// Scheduler events.
+    SchedMetrics {
+        /// Context-switch dispatches.
+        ctx_switches,
+        /// Wakeup preemptions of user-mode chunks.
+        preemptions,
+        /// Lost-wakeup races closed by the retry path.
+        wakeup_races,
+        /// Dispatches that found the CPU re-occupied.
+        dispatch_races,
+        /// Processes that exited.
+        exits,
+    }
+
+    /// Network stack counters.
+    NetMetrics {
+        /// Datagrams sent.
+        sent,
+        /// Datagrams delivered to a socket.
+        delivered,
+        /// Datagrams dropped in the network (all buckets).
+        dropped,
+        /// Drops with no receiver (unbound destination or closed socket).
+        dropped_no_listener,
+        /// Drops at a full receive buffer.
+        dropped_rcv_full,
+        /// Connection requests refused by a full accept backlog.
+        dropped_backlog,
+        /// Datagrams lost to the link model's loss draw.
+        lost_link,
+        /// Sends bounced by send-buffer backpressure (retried, not lost).
+        snd_blocked,
+        /// Delivered-but-unread datagrams thrown away when their socket
+        /// closed.
+        discarded_close,
+        /// Connection sockets carved off listeners.
+        conns_opened,
+        /// Payload bytes delivered.
+        bytes_delivered,
+        /// Datagrams dropped at a full receive queue.
+        rx_dropped,
+        /// Deepest pending-connection queue any listener reached.
+        backlog_peak,
+    }
 }
 
 /// The splice engine: totals plus per-descriptor lifecycle spans.
 ///
-/// Indexable by descriptor id — `snapshot.splice[desc].reads_issued` —
-/// matching how tests reason about a single transfer.
+/// The totals read straight through (`snapshot.splice.completed`), and
+/// the snapshot is indexable by descriptor id —
+/// `snapshot.splice[desc].reads_issued` — matching how tests reason
+/// about a single transfer.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceMetrics {
-    /// Descriptors created.
-    pub started: u64,
-    /// Transfers completed (SIGIO posted or sleeper woken).
-    pub completed: u64,
-    /// `splice(2)` calls refused before a descriptor was built (bad fds,
-    /// missing endpoint capability, alignment, unconnected socket, …) —
-    /// every rejection funnels through the one helper that counts this.
-    pub rejected: u64,
-    /// Source reads issued across all splices: device block reads plus
-    /// stream pulls (datagrams, framebuffer chunks).
-    pub reads_issued: u64,
-    /// Reads satisfied from the buffer cache.
-    pub read_hits: u64,
-    /// Read-side retries after a busy buffer or cache exhaustion.
-    pub read_backoffs: u64,
-    /// Shared-header writes (the §5.2.2 no-copy write side).
-    pub shared_writes: u64,
-    /// Write-side retries (destination block busy).
-    pub write_backoffs: u64,
-    /// Device-sink pacing stalls (DAC back-pressure).
-    pub dev_backpressure: u64,
-    /// Socket-sink send failures.
-    pub sock_send_errs: u64,
-    /// Append-path retries on transient cache shortage.
-    pub append_backoffs: u64,
-    /// Append-path bytes dropped for lack of disk space.
-    pub append_enospc: u64,
-    /// Block retries after a device error (read or write side).
-    pub retries: u64,
-    /// Splices aborted with a typed errno after retries were exhausted.
-    pub aborted: u64,
+    /// Engine-wide totals.
+    pub totals: SpliceTotals,
     /// Per-descriptor lifecycle spans (timestamps, gauges, samples).
     pub spans: SpliceSpans,
+}
+
+impl Deref for SpliceMetrics {
+    type Target = SpliceTotals;
+    fn deref(&self) -> &SpliceTotals {
+        &self.totals
+    }
 }
 
 impl Index<u64> for SpliceMetrics {
@@ -139,70 +226,21 @@ impl Index<u64> for SpliceMetrics {
     }
 }
 
-/// Scheduler events.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SchedMetrics {
-    /// Context-switch dispatches.
-    pub ctx_switches: u64,
-    /// Wakeup preemptions of user-mode chunks.
-    pub preemptions: u64,
-    /// Lost-wakeup races closed by the retry path.
-    pub wakeup_races: u64,
-    /// Dispatches that found the CPU re-occupied.
-    pub dispatch_races: u64,
-    /// Processes that exited.
-    pub exits: u64,
-}
-
-/// Kernel CPU time by work class (the availability accounting).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CpuMetrics {
-    /// Interrupt-class kernel time.
-    pub intr_time: Dur,
-    /// Softclock-class kernel time run within tick budgets.
-    pub soft_time: Dur,
-    /// Softclock-class kernel time run in idle cycles.
-    pub idle_soft_time: Dur,
-    /// Interrupt-class work items admitted.
-    pub intr_items: u64,
-    /// Soft-class work items admitted within budget.
-    pub soft_items: u64,
-    /// Soft-class work items pushed past their tick budget.
-    pub soft_deferred: u64,
-    /// Soft-class work items run during idle.
-    pub idle_soft_items: u64,
-}
-
-/// Network stack counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NetMetrics {
-    /// Datagrams sent.
-    pub sent: u64,
-    /// Datagrams delivered to a socket.
-    pub delivered: u64,
-    /// Datagrams dropped in the network (all buckets).
-    pub dropped: u64,
-    /// Drops with no receiver (unbound destination or closed socket).
-    pub dropped_no_listener: u64,
-    /// Drops at a full receive buffer.
-    pub dropped_rcv_full: u64,
-    /// Connection requests refused by a full accept backlog.
-    pub dropped_backlog: u64,
-    /// Datagrams lost to the link model's loss draw.
-    pub lost_link: u64,
-    /// Sends bounced by send-buffer backpressure (retried, not lost).
-    pub snd_blocked: u64,
-    /// Delivered-but-unread datagrams thrown away when their socket
-    /// closed.
-    pub discarded_close: u64,
-    /// Connection sockets carved off listeners.
-    pub conns_opened: u64,
-    /// Payload bytes delivered.
-    pub bytes_delivered: u64,
-    /// Datagrams dropped at a full receive queue.
+/// The counters the kernel itself keeps, bumped in place by the code
+/// that does the work (`self.ctr.copy.copyout_bytes += n`). Subsystems
+/// with their own typed counters (kbuf, knet, the CPU engine) keep them;
+/// [`Kernel::metrics`] merges both into one snapshot.
+#[derive(Default)]
+pub(crate) struct KernelCounters {
+    pub copy: CopyMetrics,
+    pub io: IoMetrics,
+    pub sched: SchedMetrics,
+    pub splice: SpliceTotals,
+    pub trunc_purged: u64,
+    pub trunc_detached: u64,
     pub rx_dropped: u64,
-    /// Deepest pending-connection queue any listener reached.
-    pub backlog_peak: u64,
+    pub update_flushes: u64,
+    pub cold_caches: u64,
 }
 
 /// The resident request-observability pipeline: trace-loss visibility
@@ -291,52 +329,10 @@ impl MetricsSnapshot {
     /// Serializes the snapshot (including per-splice span summaries,
     /// excluding raw flow samples) as a JSON object.
     pub fn to_json(&self) -> Json {
-        let c = &self.copy;
-        let copy = Json::obj()
-            .with("copyin_bytes", Json::Num(c.copyin_bytes as f64))
-            .with("copyout_bytes", Json::Num(c.copyout_bytes as f64))
-            .with("driver_bytes", Json::Num(c.driver_bytes as f64))
-            .with("cache_bytes", Json::Num(c.cache_bytes as f64))
-            .with("net_bytes", Json::Num(c.net_bytes as f64));
-        let io = Json::obj()
-            .with("read_bytes", Json::Num(self.io.read_bytes as f64))
-            .with("write_bytes", Json::Num(self.io.write_bytes as f64))
-            .with("readaheads", Json::Num(self.io.readaheads as f64))
-            .with("errors", Json::Num(self.io.errors as f64));
-        let ca = &self.cache;
-        let cache = Json::obj()
-            .with("hits", Json::Num(ca.hits as f64))
-            .with("misses", Json::Num(ca.misses as f64))
-            .with("reclaim_flushes", Json::Num(ca.reclaim_flushes as f64))
-            .with("readaheads", Json::Num(ca.readaheads as f64))
-            .with("evictions", Json::Num(ca.evictions as f64))
-            .with("bcall_completions", Json::Num(ca.bcall_completions as f64))
-            .with("trunc_purged", Json::Num(ca.trunc_purged as f64))
-            .with("trunc_detached", Json::Num(ca.trunc_detached as f64));
-        let s = &self.splice;
-        let splice = Json::obj()
-            .with("started", Json::Num(s.started as f64))
-            .with("completed", Json::Num(s.completed as f64))
-            .with("rejected", Json::Num(s.rejected as f64))
-            .with("reads_issued", Json::Num(s.reads_issued as f64))
-            .with("read_hits", Json::Num(s.read_hits as f64))
-            .with("read_backoffs", Json::Num(s.read_backoffs as f64))
-            .with("shared_writes", Json::Num(s.shared_writes as f64))
-            .with("write_backoffs", Json::Num(s.write_backoffs as f64))
-            .with("dev_backpressure", Json::Num(s.dev_backpressure as f64))
-            .with("sock_send_errs", Json::Num(s.sock_send_errs as f64))
-            .with("append_backoffs", Json::Num(s.append_backoffs as f64))
-            .with("append_enospc", Json::Num(s.append_enospc as f64))
-            .with("retries", Json::Num(s.retries as f64))
-            .with("aborted", Json::Num(s.aborted as f64))
-            .with("spans", Json::Arr(s.spans.iter().map(span_json).collect()));
-        let sc = &self.sched;
-        let sched = Json::obj()
-            .with("ctx_switches", Json::Num(sc.ctx_switches as f64))
-            .with("preemptions", Json::Num(sc.preemptions as f64))
-            .with("wakeup_races", Json::Num(sc.wakeup_races as f64))
-            .with("dispatch_races", Json::Num(sc.dispatch_races as f64))
-            .with("exits", Json::Num(sc.exits as f64));
+        let splice = self.splice.totals.to_json().with(
+            "spans",
+            Json::Arr(self.splice.spans.iter().map(span_json).collect()),
+        );
         let cp = &self.cpu;
         let cpu = Json::obj()
             .with("intr_ns", Json::Num(cp.intr_time.as_ns() as f64))
@@ -346,24 +342,6 @@ impl MetricsSnapshot {
             .with("soft_items", Json::Num(cp.soft_items as f64))
             .with("soft_deferred", Json::Num(cp.soft_deferred as f64))
             .with("idle_soft_items", Json::Num(cp.idle_soft_items as f64));
-        let n = &self.net;
-        let net = Json::obj()
-            .with("sent", Json::Num(n.sent as f64))
-            .with("delivered", Json::Num(n.delivered as f64))
-            .with("dropped", Json::Num(n.dropped as f64))
-            .with(
-                "dropped_no_listener",
-                Json::Num(n.dropped_no_listener as f64),
-            )
-            .with("dropped_rcv_full", Json::Num(n.dropped_rcv_full as f64))
-            .with("dropped_backlog", Json::Num(n.dropped_backlog as f64))
-            .with("lost_link", Json::Num(n.lost_link as f64))
-            .with("snd_blocked", Json::Num(n.snd_blocked as f64))
-            .with("discarded_close", Json::Num(n.discarded_close as f64))
-            .with("conns_opened", Json::Num(n.conns_opened as f64))
-            .with("bytes_delivered", Json::Num(n.bytes_delivered as f64))
-            .with("rx_dropped", Json::Num(n.rx_dropped as f64))
-            .with("backlog_peak", Json::Num(n.backlog_peak as f64));
         let o = &self.obs;
         let obs = Json::obj()
             .with("trace.emitted", Json::Num(o.trace_emitted as f64))
@@ -381,7 +359,7 @@ impl MetricsSnapshot {
                 Json::Num(o.spans_tail_retained as f64),
             )
             .with("spans.dropped", Json::Num(o.spans_dropped as f64))
-            .with("request_latency", hist_json(&o.request_latency))
+            .with("request_latency", o.request_latency.to_json())
             .with(
                 "p999_exemplar",
                 match o.p999_exemplar {
@@ -392,19 +370,19 @@ impl MetricsSnapshot {
                 },
             );
         let latency = Json::obj()
-            .with("read_wait", hist_json(&self.latency.read_wait))
-            .with("bread", hist_json(&self.latency.bread))
-            .with("bwrite", hist_json(&self.latency.bwrite))
-            .with("splice_block", hist_json(&self.latency.splice_block));
+            .with("read_wait", self.latency.read_wait.to_json())
+            .with("bread", self.latency.bread.to_json())
+            .with("bwrite", self.latency.bwrite.to_json())
+            .with("splice_block", self.latency.splice_block.to_json());
         Json::obj()
             .with("at_ns", Json::Num(self.at.as_ns() as f64))
-            .with("copy", copy)
-            .with("io", io)
-            .with("cache", cache)
+            .with("copy", self.copy.to_json())
+            .with("io", self.io.to_json())
+            .with("cache", self.cache.to_json())
             .with("splice", splice)
-            .with("sched", sched)
+            .with("sched", self.sched.to_json())
             .with("cpu", cpu)
-            .with("net", net)
+            .with("net", self.net.to_json())
             .with("latency", latency)
             .with("obs", obs)
             .with("update_flushes", Json::Num(self.update_flushes as f64))
@@ -440,34 +418,18 @@ fn span_json(s: &SpliceSpan) -> Json {
         .with("samples_truncated", Json::Bool(s.samples_truncated))
 }
 
-fn hist_json(h: &HistSummary) -> Json {
-    h.to_json()
-}
-
 impl Kernel {
     /// Takes a typed snapshot of every kernel metric: copy-path bytes,
     /// cache and scheduler behavior, CPU time by class, per-splice
     /// lifecycle spans, and latency digests.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let st = &self.stats;
+        let c = &self.ctr;
         let cs = self.cache.stats();
         let ns = self.net.stats();
-        let cpu = self.cpu.stats();
         MetricsSnapshot {
             at: self.now(),
-            copy: CopyMetrics {
-                copyin_bytes: st.get("copy.copyin_bytes"),
-                copyout_bytes: st.get("copy.copyout_bytes"),
-                driver_bytes: st.get("copy.driver_bytes"),
-                cache_bytes: st.get("copy.cache_bytes"),
-                net_bytes: st.get("copy.net_bytes"),
-            },
-            io: IoMetrics {
-                read_bytes: st.get("io.read_bytes"),
-                write_bytes: st.get("io.write_bytes"),
-                readaheads: st.get("read.readahead"),
-                errors: st.get("io.errors"),
-            },
+            copy: c.copy,
+            io: c.io,
             cache: CacheMetrics {
                 hits: cs.hits,
                 misses: cs.misses,
@@ -475,42 +437,15 @@ impl Kernel {
                 readaheads: cs.readaheads,
                 evictions: cs.evictions,
                 bcall_completions: cs.bcall_completions,
-                trunc_purged: st.get("cache.trunc_purged"),
-                trunc_detached: st.get("cache.trunc_detached"),
+                trunc_purged: c.trunc_purged,
+                trunc_detached: c.trunc_detached,
             },
             splice: SpliceMetrics {
-                started: st.get("splice.started"),
-                completed: st.get("splice.completed"),
-                rejected: st.get("splice.rejected"),
-                reads_issued: st.get("splice.reads_issued"),
-                read_hits: st.get("splice.read_hits"),
-                read_backoffs: st.get("splice.read_backoff"),
-                shared_writes: st.get("splice.shared_writes"),
-                write_backoffs: st.get("splice.write_backoff"),
-                dev_backpressure: st.get("splice.dev_backpressure"),
-                sock_send_errs: st.get("splice.sock_send_err"),
-                append_backoffs: st.get("splice.append_backoff"),
-                append_enospc: st.get("splice.append_enospc"),
-                retries: st.get("splice.retries"),
-                aborted: st.get("splice.aborted"),
+                totals: c.splice,
                 spans: self.kstat.spans.clone(),
             },
-            sched: SchedMetrics {
-                ctx_switches: st.get("sched.ctx_switches"),
-                preemptions: st.get("sched.preemptions"),
-                wakeup_races: st.get("sched.wakeup_races"),
-                dispatch_races: st.get("sched.dispatch_races"),
-                exits: st.get("proc.exits"),
-            },
-            cpu: CpuMetrics {
-                intr_time: cpu.get_dur("cpu.intr"),
-                soft_time: cpu.get_dur("cpu.soft"),
-                idle_soft_time: cpu.get_dur("cpu.idle_soft"),
-                intr_items: cpu.get("cpu.intr_items"),
-                soft_items: cpu.get("cpu.soft_items"),
-                soft_deferred: cpu.get("cpu.soft_deferred"),
-                idle_soft_items: cpu.get("cpu.idle_soft_items"),
-            },
+            sched: c.sched,
+            cpu: self.cpu.metrics(),
             net: NetMetrics {
                 sent: ns.sent,
                 delivered: ns.delivered,
@@ -523,7 +458,7 @@ impl Kernel {
                 discarded_close: ns.discarded_close,
                 conns_opened: ns.conns_opened,
                 bytes_delivered: ns.bytes_delivered,
-                rx_dropped: st.get("net.rx_dropped"),
+                rx_dropped: c.rx_dropped,
                 backlog_peak: ns.backlog_peak,
             },
             latency: LatencyMetrics {
@@ -555,8 +490,8 @@ impl Kernel {
                         .map(|e| (e.conn, e.trace_seq)),
                 }
             },
-            update_flushes: st.get("update.flushed"),
-            cold_caches: st.get("harness.cold_cache"),
+            update_flushes: c.update_flushes,
+            cold_caches: c.cold_caches,
         }
     }
 
@@ -577,6 +512,125 @@ mod tests {
         let doc = snap.to_json();
         let parsed = Json::parse(&doc.render()).unwrap();
         assert_eq!(parsed, doc);
+        // Field declaration order drives the artifact bytes, and benchdiff
+        // compares flattened paths, so only this pins a reorder.
+        let keys = |j: &Json| match j {
+            Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("not an object: {other:?}"),
+        };
+        let sections: [(&str, &[&str]); 9] = [
+            (
+                "copy",
+                &[
+                    "copyin_bytes",
+                    "copyout_bytes",
+                    "driver_bytes",
+                    "cache_bytes",
+                    "net_bytes",
+                ],
+            ),
+            ("io", &["read_bytes", "write_bytes", "readaheads", "errors"]),
+            (
+                "cache",
+                &[
+                    "hits",
+                    "misses",
+                    "reclaim_flushes",
+                    "readaheads",
+                    "evictions",
+                    "bcall_completions",
+                    "trunc_purged",
+                    "trunc_detached",
+                ],
+            ),
+            (
+                "splice",
+                &[
+                    "started",
+                    "completed",
+                    "rejected",
+                    "reads_issued",
+                    "read_hits",
+                    "read_backoffs",
+                    "shared_writes",
+                    "write_backoffs",
+                    "dev_backpressure",
+                    "sock_send_errs",
+                    "append_backoffs",
+                    "append_enospc",
+                    "retries",
+                    "aborted",
+                    "spans",
+                ],
+            ),
+            (
+                "sched",
+                &[
+                    "ctx_switches",
+                    "preemptions",
+                    "wakeup_races",
+                    "dispatch_races",
+                    "exits",
+                ],
+            ),
+            (
+                "cpu",
+                &[
+                    "intr_ns",
+                    "soft_ns",
+                    "idle_soft_ns",
+                    "intr_items",
+                    "soft_items",
+                    "soft_deferred",
+                    "idle_soft_items",
+                ],
+            ),
+            (
+                "net",
+                &[
+                    "sent",
+                    "delivered",
+                    "dropped",
+                    "dropped_no_listener",
+                    "dropped_rcv_full",
+                    "dropped_backlog",
+                    "lost_link",
+                    "snd_blocked",
+                    "discarded_close",
+                    "conns_opened",
+                    "bytes_delivered",
+                    "rx_dropped",
+                    "backlog_peak",
+                ],
+            ),
+            ("latency", &["read_wait", "bread", "bwrite", "splice_block"]),
+            (
+                "obs",
+                &[
+                    "trace.emitted",
+                    "trace.dropped",
+                    "sampler.dropped",
+                    "slo.requests",
+                    "slo.violations",
+                    "slo.errors",
+                    "slo.alerts",
+                    "spans.staged_peak",
+                    "spans.committed",
+                    "spans.head_sampled",
+                    "spans.tail_retained",
+                    "spans.dropped",
+                    "request_latency",
+                    "p999_exemplar",
+                ],
+            ),
+        ];
+        let mut top = vec!["at_ns"];
+        top.extend(sections.iter().map(|(name, _)| *name));
+        top.extend(["update_flushes", "cold_caches"]);
+        assert_eq!(keys(&doc), top);
+        for (name, want) in sections {
+            assert_eq!(keys(doc.get(name).unwrap()), want, "{name} key order");
+        }
         assert_eq!(
             parsed
                 .get("copy")

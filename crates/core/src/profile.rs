@@ -418,7 +418,7 @@ impl Kernel {
 
     /// Takes a resource-accounting snapshot (see [`ProfileSnapshot`]).
     pub fn profile(&self) -> ProfileSnapshot {
-        let (intr, soft, idle_soft) = self.cpu.kernel_time_by_class();
+        let cpu = self.cpu.metrics();
         ProfileSnapshot {
             at: self.now(),
             procs: self
@@ -436,9 +436,9 @@ impl Kernel {
                 })
                 .collect(),
             kernel_cpu: CpuClassProfile {
-                intr,
-                soft,
-                idle_soft,
+                intr: cpu.intr_time,
+                soft: cpu.soft_time,
+                idle_soft: cpu.idle_soft_time,
             },
             devices: self
                 .disks

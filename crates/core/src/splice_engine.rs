@@ -317,7 +317,7 @@ impl Kernel {
                 ..route
             },
         );
-        self.stats.bump("splice.started");
+        self.ctr.splice.started += 1;
         let now = self.q.now();
         self.kstat.spans.start(id, now);
         self.trace.emit(now, || TraceEvent::SpliceStart {
@@ -388,7 +388,7 @@ impl Kernel {
     /// return (`splice(2)`, ring syscalls) or an error CQE (per-entry
     /// ring submission failures). Returns the errno for convenience.
     pub(crate) fn splice_reject_note(&mut self, e: Errno) -> Errno {
-        self.stats.bump("splice.rejected");
+        self.ctr.splice.rejected += 1;
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SpliceReject {
             errno: errno_name(e),
@@ -521,7 +521,7 @@ impl Kernel {
                     d.next_read += 1;
                     d.pending_reads += 1;
                     d.issued_at.insert(lblk, now);
-                    self.stats.bump("splice.reads_issued");
+                    self.ctr.splice.reads_issued += 1;
                     self.trace
                         .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
                     self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
@@ -853,7 +853,7 @@ impl Kernel {
             self.splice_abort(desc, Errno::Eio);
             return;
         }
-        self.stats.bump("splice.retries");
+        self.ctr.splice.retries += 1;
         self.trace.emit(now, || TraceEvent::SpliceRetry {
             desc,
             lblk,
@@ -945,7 +945,7 @@ impl Kernel {
             d.write_issued_at.remove(&lblk);
             return;
         };
-        self.stats.bump("splice.retries");
+        self.ctr.splice.retries += 1;
         self.trace.emit(now, || TraceEvent::SpliceRetry {
             desc,
             lblk,
@@ -1015,7 +1015,7 @@ impl Kernel {
             return;
         }
         d.error = Some(e);
-        self.stats.bump("splice.aborted");
+        self.ctr.splice.aborted += 1;
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SpliceAbort {
             desc,
@@ -1109,7 +1109,7 @@ impl Kernel {
             self.rings.unbind_sock(sock);
         }
         if outcome.error.is_none() {
-            self.stats.bump("splice.completed");
+            self.ctr.splice.completed += 1;
         }
         if let Some(span) = self.kstat.spans.get_mut(desc) {
             span.note_completed(now);

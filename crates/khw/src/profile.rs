@@ -283,17 +283,6 @@ impl MachineProfile {
         }
         cost
     }
-
-    /// Stats key for bytes moved under each copy category.
-    pub fn copy_stat_key(kind: CopyKind) -> &'static str {
-        match kind {
-            CopyKind::Copyout => "copy.copyout_bytes",
-            CopyKind::Copyin => "copy.copyin_bytes",
-            CopyKind::Driver => "copy.driver_bytes",
-            CopyKind::CacheToCache => "copy.cache_bytes",
-            CopyKind::Net => "copy.net_bytes",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -349,21 +338,5 @@ mod tests {
         let ram = DiskProfile::ramdisk();
         assert_eq!(ram.bytes(), 16 * 1024 * 1024);
         assert_eq!(ram.kind, DiskKind::Ram);
-    }
-
-    #[test]
-    fn copy_stat_keys_distinct() {
-        use std::collections::HashSet;
-        let keys: HashSet<_> = [
-            CopyKind::Copyin,
-            CopyKind::Copyout,
-            CopyKind::Driver,
-            CopyKind::CacheToCache,
-            CopyKind::Net,
-        ]
-        .iter()
-        .map(|k| MachineProfile::copy_stat_key(*k))
-        .collect();
-        assert_eq!(keys.len(), 5);
     }
 }

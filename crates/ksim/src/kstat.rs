@@ -1,9 +1,9 @@
 //! Structured kernel statistics (`kstat`): typed spans, gauges, and
 //! latency distributions.
 //!
-//! [`Stats`](crate::Stats) is a bag of named counters — cheap to bump
-//! but stringly-typed and flat. The paper's evaluation, however, is
-//! about the *shape* of a splice over time: when the first read was
+//! Plain counters live as typed struct fields in the subsystem that
+//! counts them. The paper's evaluation, however, is also about the
+//! *shape* of a splice over time: when the first read was
 //! issued, how far the write side lagged, how the watermark flow
 //! control held pending work inside its bands, how long each `bread` /
 //! `bwrite` took to come back through `biodone`. This module adds the

@@ -6,9 +6,8 @@
 //! on: a virtual clock ([`SimTime`], [`Dur`]), a cancellable event queue
 //! ([`EventQueue`]), a BSD-style callout list ([`Callout`]) matching the
 //! mechanism the paper uses to decouple the read and write sides of a
-//! splice, cheap named counters ([`Stats`]), structured spans/gauges and
-//! latency digests ([`kstat`]), a dependency-free JSON value ([`Json`])
-//! for the bench emitters, a typed trace ring ([`Trace`]) with
+//! splice, structured spans/gauges and latency digests ([`kstat`]), a
+//! dependency-free JSON value ([`Json`]) for the bench emitters, a typed trace ring ([`Trace`]) with
 //! structured tracepoints ([`TraceEvent`]), causal per-block splice
 //! spans ([`trace::BlockSpan`]), and Chrome trace-event export, and a
 //! resident request-observability pipeline ([`obs`]): head-sampled
@@ -26,7 +25,6 @@ pub mod hist;
 pub mod json;
 pub mod kstat;
 pub mod obs;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
@@ -39,6 +37,5 @@ pub use obs::{
     CloseOutcome, FlightDump, ObsConfig, ObsCounters, Observability, ReqSpan, SloAlertInfo,
     SloConfig,
 };
-pub use stats::Stats;
 pub use time::{Dur, SimTime};
 pub use trace::{BlockSpan, CounterId, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};

@@ -164,11 +164,6 @@ pub struct SloAlertInfo {
 pub struct CloseOutcome {
     /// Simulated CPU to charge the closing syscall.
     pub cost: Dur,
-    /// True when the conn had a staged span (false for never-staged
-    /// sockets: clients, listeners, disabled pipelines).
-    pub observed: bool,
-    /// True when the request errored or ran over the SLO target.
-    pub violation: bool,
     /// Set when this close pushed the burn rate over the alert
     /// threshold (first crossing only; re-arms when the burn subsides).
     pub alert: Option<SloAlertInfo>,
@@ -391,8 +386,6 @@ impl Observability {
 
         CloseOutcome {
             cost,
-            observed: true,
-            violation,
             alert: self.monitor(now, violation),
         }
     }

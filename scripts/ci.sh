@@ -13,6 +13,9 @@ cargo build --release
 echo "== tier-1: tests =="
 cargo test -q
 
+echo "== crate test suites (whole workspace) =="
+cargo test --workspace -q
+
 echo "== rustfmt (check only) =="
 cargo fmt --all -- --check
 
@@ -45,66 +48,47 @@ echo "-- SERVER_SEED=$SERVER_SEED"
 SERVER_SEED="$SERVER_SEED" cargo test -q --test server server_scenario_replays_identically_under_seed ||
     { echo "server suite FAILED with SERVER_SEED=$SERVER_SEED (export it to reproduce)"; exit 1; }
 
-echo "== table1 smoke run =="
-rm -f BENCH_table1.json
-cargo run --release -p bench --bin table1
-test -s BENCH_table1.json
-
-echo "== table2 smoke run =="
-rm -f BENCH_table2.json
-cargo run --release -p bench --bin table2
-test -s BENCH_table2.json
-
-echo "== endpoint matrix smoke run =="
-rm -f BENCH_endpoints.json
-cargo run --release -p bench --bin endpoint_matrix
-test -s BENCH_endpoints.json
-
-echo "== fault sweep smoke run =="
-rm -f BENCH_faults.json
-cargo run --release -p bench --bin faults
-test -s BENCH_faults.json
-
-echo "== splice ring smoke run =="
-rm -f BENCH_ring.json
-cargo run --release -p bench --bin ring
-test -s BENCH_ring.json
-
-echo "== server SLO determinism gate: two identical 10k-connection runs =="
-SERVER_CONNS=10000 cargo run --release -p bench --bin server
-BENCH_A=$(mktemp)
-mv BENCH_server.json "$BENCH_A"
-SERVER_CONNS=10000 cargo run --release -p bench --bin server
-cmp "$BENCH_A" BENCH_server.json ||
-    { echo "determinism gate FAILED: BENCH_server.json differs between identical seeded runs"; exit 1; }
-rm -f "$BENCH_A"
-echo "-- server bench bytes identical across runs"
+echo "== bench artifacts: every seeded producer, run twice, emits identical bytes =="
+# Each entry: producer command | artifacts it writes. The server row runs
+# at 10k connections only; the full sweep below runs once.
+BENCH="cargo run --release -p bench --bin"
+PRODUCERS=(
+    "$BENCH table1|BENCH_table1.json"
+    "$BENCH table2|BENCH_table2.json"
+    "$BENCH endpoint_matrix|BENCH_endpoints.json"
+    "$BENCH faults|BENCH_faults.json"
+    "$BENCH ring|BENCH_ring.json"
+    "env SERVER_CONNS=10000 $BENCH server|BENCH_server.json"
+    "$BENCH obs|BENCH_obs.json FLIGHT_server.json"
+    "$BENCH tracedump -- scp_ram|TRACE_scp_ram.json"
+    "$BENCH tracedump -- server|TRACE_server.json"
+    "$BENCH profile|BENCH_profile.json TS_scp_ram.json TS_spool.json TS_movie.json TS_ring.json TS_server.json"
+    "$BENCH analyze|REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_ring.json REPORT_server.json"
+)
+FIRST=$(mktemp -d)
+for entry in "${PRODUCERS[@]}"; do
+    cmd=${entry%%|*}
+    artifacts=${entry#*|}
+    echo "-- $cmd"
+    rm -f $artifacts
+    $cmd
+    for a in $artifacts; do
+        test -s "$a"
+        mv "$a" "$FIRST/$a"
+    done
+    $cmd
+    for a in $artifacts; do
+        cmp "$FIRST/$a" "$a" ||
+            { echo "determinism gate FAILED: $a differs between identical seeded runs"; exit 1; }
+    done
+done
+rm -rf "$FIRST"
+echo "-- all producer artifacts identical across runs"
 
 echo "== server SLO sweep smoke run (scaled connection counts) =="
 rm -f BENCH_server.json
 cargo run --release -p bench --bin server
 test -s BENCH_server.json
-
-echo "== observability overhead bench + flight determinism gate =="
-rm -f BENCH_obs.json FLIGHT_server.json
-cargo run --release -p bench --bin obs
-test -s BENCH_obs.json
-test -s FLIGHT_server.json
-OBS_A=$(mktemp); FLIGHT_A=$(mktemp)
-mv BENCH_obs.json "$OBS_A"
-mv FLIGHT_server.json "$FLIGHT_A"
-cargo run --release -p bench --bin obs
-cmp "$OBS_A" BENCH_obs.json ||
-    { echo "determinism gate FAILED: BENCH_obs.json differs between identical seeded runs"; exit 1; }
-cmp "$FLIGHT_A" FLIGHT_server.json ||
-    { echo "determinism gate FAILED: FLIGHT_server.json differs between identical seeded runs"; exit 1; }
-rm -f "$OBS_A" "$FLIGHT_A"
-echo "-- obs bench and flight recorder bytes identical across runs"
-
-echo "== tracedump smoke run =="
-rm -f TRACE_scp_ram.json
-cargo run --release -p bench --bin tracedump -- scp_ram
-test -s TRACE_scp_ram.json
 
 echo "== property suites (differential models, props feature) =="
 cargo test -q -p ksim --features props --test props
@@ -115,43 +99,6 @@ echo "== simspeed smoke run =="
 rm -f BENCH_simspeed.json
 cargo run --release -p bench --bin simspeed
 test -s BENCH_simspeed.json
-
-echo "== determinism gate: two seeded runs must emit identical trace bytes =="
-cargo run --release -p bench --bin tracedump -- scp_ram
-TRACE_A=$(mktemp)
-mv TRACE_scp_ram.json "$TRACE_A"
-cargo run --release -p bench --bin tracedump -- scp_ram
-cmp "$TRACE_A" TRACE_scp_ram.json ||
-    { echo "determinism gate FAILED: TRACE_scp_ram.json differs between identical seeded runs"; exit 1; }
-rm -f "$TRACE_A"
-echo "-- trace bytes identical across runs"
-
-echo "== tracedump server determinism gate =="
-rm -f TRACE_server.json
-cargo run --release -p bench --bin tracedump -- server
-test -s TRACE_server.json
-TRACE_B=$(mktemp)
-mv TRACE_server.json "$TRACE_B"
-cargo run --release -p bench --bin tracedump -- server
-cmp "$TRACE_B" TRACE_server.json ||
-    { echo "determinism gate FAILED: TRACE_server.json differs between identical seeded runs"; exit 1; }
-rm -f "$TRACE_B"
-echo "-- server trace bytes identical across runs"
-
-echo "== profiler smoke run =="
-rm -f BENCH_profile.json TS_scp_ram.json TS_spool.json TS_movie.json TS_ring.json TS_server.json
-cargo run --release -p bench --bin profile
-test -s BENCH_profile.json
-test -s TS_scp_ram.json
-test -s TS_ring.json
-test -s TS_server.json
-
-echo "== analysis engine: decomposition + queueing-law audits =="
-rm -f REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_ring.json REPORT_server.json
-cargo run --release -p bench --bin analyze
-for wl in scp_ram spool movie ring server; do
-    test -s "REPORT_$wl.json"
-done
 
 # Parse the artifacts with the same in-tree parser the snapshot uses.
 cargo test -q --test observability snapshot_json_round_trips
