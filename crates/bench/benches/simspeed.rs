@@ -3,9 +3,9 @@
 //! These wrap the measurement loops in [`bench::simspeed`] — the same
 //! ones the `simspeed` binary uses to write `BENCH_simspeed.json` — so
 //! criterion's statistics and the pinned artifact always describe the
-//! same workloads: callout churn at a 100k-pending population (timing
-//! wheel and the retained `BTreeMap` reference), event-queue churn, and
-//! an end-to-end cold-cache `scp` over the RAM-disk machine.
+//! same workloads: timing-wheel callout churn at a 100k-pending
+//! population, event-queue churn, and an end-to-end cold-cache `scp`
+//! over the RAM-disk machine.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -17,9 +17,6 @@ const PENDING: usize = 100_000;
 fn bench_callout_churn(c: &mut Criterion) {
     c.bench_function("sim_events_per_sec/callout_churn_100k_wheel", |b| {
         b.iter(|| black_box(simspeed::callout_churn_wheel(PENDING, 10_000).ops))
-    });
-    c.bench_function("sim_events_per_sec/callout_churn_100k_btree_ref", |b| {
-        b.iter(|| black_box(simspeed::callout_churn_btree(PENDING, 1_000).ops))
     });
 }
 

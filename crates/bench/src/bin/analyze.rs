@@ -16,8 +16,8 @@
 //!
 //! Artifact: `REPORT_<workload>.json` per workload, carrying the shared
 //! `schema_version` envelope and the workload's seed/byte provenance.
-//! The process exits nonzero if any closure check or auditor fails, so
-//! `scripts/ci.sh` can use it as a hard gate.
+//! The process exits nonzero if any closure check or auditor fails or
+//! any block span is left incomplete, so it is a hard gate on its own.
 
 use bench::{bench_doc, workload_meta, workloads, write_bench_json};
 use kanalyze::{
@@ -182,6 +182,12 @@ fn analyze_one(name: &str) -> bool {
         .with("stages", k.kstat().stages.to_json());
     write_bench_json(&format!("REPORT_{name}.json"), &doc);
 
+    if d.phases.partial_spans != 0 {
+        eprintln!(
+            "{name}: {} block spans never completed",
+            d.phases.partial_spans
+        );
+    }
     if !d.closure_pass {
         eprintln!(
             "{name}: decomposition closure FAILED: components {} ns vs end-to-end {} ns (rel {:.4} > {CLOSURE_TOL})",
@@ -194,7 +200,7 @@ fn analyze_one(name: &str) -> bool {
             o.law, o.measured, o.predicted, o.detail
         );
     }
-    d.closure_pass && audits.pass()
+    d.phases.partial_spans == 0 && d.closure_pass && audits.pass()
 }
 
 fn main() {

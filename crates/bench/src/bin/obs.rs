@@ -16,15 +16,16 @@
 //! run under an impossible SLO drives the burn-rate monitor into an
 //! alert, freezing the flight recorder into `FLIGHT_server.json`.
 //!
-//! Artifacts: `BENCH_obs.json` and `FLIGHT_server.json`, both
-//! schema-checked and tolerance-gated by `scripts/ci.sh`.
+//! Artifacts: `BENCH_obs.json` and `FLIGHT_server.json`. This binary
+//! asserts the claims above; `benchdiff` gates their values against
+//! `baselines/`.
 
 use bench::{bench_doc, json_rows, print_table, test_program, write_bench_json, write_table};
 use kanalyze::{request_sampling, AuditReport, Tolerance};
 use knet::LinkModel;
 use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
 use kproc::{ProcState, SockAddr};
-use ksim::{Dur, Json, ObsConfig, SloConfig};
+use ksim::{Dur, Json, ObsConfig, SloConfig, TraceEvent};
 use splice::{Kernel, KernelBuilder};
 use std::rc::Rc;
 
@@ -213,7 +214,18 @@ fn flight_run(conns: usize) -> Json {
         m.obs.violations, m.obs.requests,
         "1 µs target: every request must violate"
     );
-    k.flight_json("server").expect("alert froze no flight dump")
+    let dump = k.obs().flight().expect("alert froze no flight dump");
+    assert!(
+        dump.records.windows(2).all(|w| w[0].seq <= w[1].seq),
+        "flight records out of seq order"
+    );
+    assert!(
+        dump.records
+            .iter()
+            .any(|r| matches!(r.ev, TraceEvent::SloAlert { .. })),
+        "the alert itself must be inside its own flight window"
+    );
+    dump.to_json("server")
 }
 
 fn main() {
@@ -296,6 +308,11 @@ fn main() {
         "sampled mode committed {} of {} spans — not sampling",
         sampled.spans_committed,
         sampled.requests
+    );
+    let full = rows.iter().find(|r| r.mode == "full").unwrap();
+    assert_eq!(
+        full.spans_committed, full.requests,
+        "full mode must commit every request's span"
     );
 
     // Cross-examine the sampled population against the full histogram.

@@ -11,8 +11,8 @@
 //! the compute PID's accounted CPU share over its own lifetime (§6.2
 //! style): every cycle the copy path burns delays the compute exit.
 //!
-//! Artifact: `BENCH_ring.json` — one row per mode, schema-checked and
-//! tolerance-checked by `scripts/ci.sh`.
+//! Artifact: `BENCH_ring.json` — one row per mode. The batching claims
+//! are asserted below; `benchdiff` gates the values.
 
 use bench::{bench_doc, json_rows, print_table, test_program, write_table};
 use kproc::programs::RingScp;

@@ -17,7 +17,7 @@
 //! determinism gate double-runs one row and byte-compares).
 //!
 //! Artifact: `BENCH_server.json`, schema-checked and tolerance-gated by
-//! `scripts/ci.sh` via `benchdiff`.
+//! `benchdiff`.
 
 use bench::{bench_doc, json_rows, print_table, test_program, write_table};
 use knet::LinkModel;

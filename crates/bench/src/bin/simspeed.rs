@@ -4,9 +4,7 @@
 //! Three rows land in `BENCH_simspeed.json`:
 //!
 //! * `callout_churn` — schedule/cancel/expire mix against 100k pending
-//!   callouts, measured on the hierarchical timing wheel *and* on the
-//!   retained `BTreeMap` reference implementation, with the live
-//!   speedup ratio. CI gates on `speedup_vs_btree >= 10`.
+//!   callouts on the hierarchical timing wheel.
 //! * `event_churn` — schedule/cancel/pop mix against 100k live events
 //!   in the slab-backed [`ksim::EventQueue`].
 //! * `scp_ram_e2e` — wall-clock blocks/sec of repeated cold-cache
@@ -35,16 +33,8 @@ fn rate_row(name: &str, pending: usize, r: &simspeed::Rate) -> Json {
 }
 
 fn main() {
-    // Callout churn: wheel vs the retained BTreeMap reference, both
-    // measured live on this host so the ratio is apples-to-apples.
     let wheel = simspeed::callout_churn_wheel(PENDING, 100_000);
-    let btree = simspeed::callout_churn_btree(PENDING, 3_000);
-    let speedup = wheel.ops_per_sec() / btree.ops_per_sec();
-    println!(
-        "callout_churn: wheel {:.0} ops/sec, btree reference {:.0} ops/sec ({speedup:.1}x)",
-        wheel.ops_per_sec(),
-        btree.ops_per_sec()
-    );
+    println!("callout_churn: {:.0} ops/sec", wheel.ops_per_sec());
 
     let event = simspeed::event_churn(PENDING, 300_000);
     println!("event_churn: {:.0} ops/sec", event.ops_per_sec());
@@ -60,9 +50,7 @@ fn main() {
     );
 
     let rows = Json::Arr(vec![
-        rate_row("callout_churn", PENDING, &wheel)
-            .with("reference_ops_per_sec", Json::Num(btree.ops_per_sec()))
-            .with("speedup_vs_btree", Json::Num(speedup)),
+        rate_row("callout_churn", PENDING, &wheel),
         rate_row("event_churn", PENDING, &event),
         Json::obj()
             .with("bench", Json::Str("scp_ram_e2e".into()))

@@ -39,6 +39,18 @@ fn main() {
     println!("paper:  RZ56  1.67 1.43  (test at 60% / 70%)");
     println!("paper:  RZ58  1.67 1.25  (test at 60% / 80%)");
 
+    // The paper's availability ordering: splice leaves the test program
+    // at least as much CPU as the copying environment on every disk.
+    for r in &results {
+        assert!(
+            r.scp.slowdown <= r.cp.slowdown,
+            "{}: F_scp {:.3} above F_cp {:.3}",
+            r.disk.label(),
+            r.scp.slowdown,
+            r.cp.slowdown
+        );
+    }
+
     let doc = bench_doc("table1")
         .with("file_bytes", Json::Num((8u64 * 1024 * 1024) as f64))
         .with("rows", json_rows(&results, Table1Row::to_json));

@@ -30,6 +30,20 @@ fn main() {
     println!("paper:  RAM   3343 vs 1884  (+77%)");
     println!("paper:  RZ56/RZ58: media-dominated, minor improvement");
 
+    // The paper's zero-copy claim: SCP moves no byte through user space
+    // and runs as splices; CP copies the file in through read/write.
+    for r in &results {
+        let (scp, cp) = (&r.scp.snapshot, &r.cp.snapshot);
+        let disk = r.disk.label();
+        assert_eq!(scp.copy.copyin_bytes, 0, "{disk}: SCP copied bytes in");
+        assert_eq!(scp.copy.copyout_bytes, 0, "{disk}: SCP copied bytes out");
+        assert!(
+            !scp.splice.spans.is_empty(),
+            "{disk}: SCP recorded no splice span"
+        );
+        assert!(cp.copy.copyin_bytes > 0, "{disk}: CP copied no bytes in");
+    }
+
     let doc = bench_doc("table2")
         .with("file_bytes", Json::Num((8u64 * 1024 * 1024) as f64))
         .with("rows", json_rows(&results, Table2Row::to_json));

@@ -17,7 +17,7 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Document skeleton: `{"schema_version": N, "table": <name>, …}`.
 /// Every `BENCH_*`/`REPORT_*` artifact starts with this envelope so
-/// downstream consumers (ci.sh, `benchdiff`) can dispatch on the
+/// downstream consumers (`benchdiff`) can dispatch on the
 /// producer and validate the version without parsing the filename.
 pub fn bench_doc(table: &str) -> Json {
     Json::obj()

@@ -8,14 +8,14 @@
 //! benches can never drift apart.
 //!
 //! The churn loops keep a large pending population (the regime where the
-//! old `BTreeMap` callout degraded) and then drive a steady
+//! pre-wheel `BTreeMap` callout degraded) and then drive a steady
 //! schedule/cancel/expire mix through it. Rates count every mutation
-//! (schedule, cancel, and the amortised expire) so the numbers are
-//! comparable across implementations with different per-op costs.
+//! (schedule, cancel, and the amortised expire) so the numbers compare
+//! directly with the recorded pre-refactor baseline.
 
 use std::time::Instant;
 
-use ksim::{BTreeCallout, Callout, CalloutId, Dur, EventQueue, SimTime};
+use ksim::{Callout, Dur, EventQueue, SimTime};
 
 /// One measured loop: mutation count over wall-clock seconds.
 #[derive(Clone, Copy, Debug)]
@@ -33,44 +33,13 @@ impl Rate {
     }
 }
 
-/// The callout surface the churn loop exercises — implemented by both
-/// the timing wheel and the retained `BTreeMap` reference so the same
-/// loop measures both.
-trait CalloutImpl<C> {
-    fn schedule(&mut self, current_tick: u64, delay_ticks: u64, payload: C) -> CalloutId;
-    fn cancel(&mut self, id: CalloutId) -> Option<C>;
-    fn expire(&mut self, current_tick: u64) -> Vec<C>;
-}
-
-impl<C> CalloutImpl<C> for Callout<C> {
-    fn schedule(&mut self, current_tick: u64, delay_ticks: u64, payload: C) -> CalloutId {
-        Callout::schedule(self, current_tick, delay_ticks, payload)
-    }
-    fn cancel(&mut self, id: CalloutId) -> Option<C> {
-        Callout::cancel(self, id)
-    }
-    fn expire(&mut self, current_tick: u64) -> Vec<C> {
-        Callout::expire(self, current_tick)
-    }
-}
-
-impl<C> CalloutImpl<C> for BTreeCallout<C> {
-    fn schedule(&mut self, current_tick: u64, delay_ticks: u64, payload: C) -> CalloutId {
-        BTreeCallout::schedule(self, current_tick, delay_ticks, payload)
-    }
-    fn cancel(&mut self, id: CalloutId) -> Option<C> {
-        BTreeCallout::cancel(self, id)
-    }
-    fn expire(&mut self, current_tick: u64) -> Vec<C> {
-        BTreeCallout::expire(self, current_tick)
-    }
-}
-
-/// Schedule/cancel/expire churn against a standing population of
-/// `pending` callouts with delays spread over 512 ticks. Each iteration
-/// schedules one callout, cancels a pseudo-random standing one, and
-/// every 64 iterations advances the clock one tick and expires it.
-fn callout_churn(co: &mut impl CalloutImpl<u64>, pending: usize, ops: u64) -> Rate {
+/// Churn rate of the hierarchical timing wheel: schedule/cancel/expire
+/// against a standing population of `pending` callouts with delays
+/// spread over 512 ticks. Each iteration schedules one callout, cancels
+/// a pseudo-random standing one, and every 64 iterations advances the
+/// clock one tick and expires it.
+pub fn callout_churn_wheel(pending: usize, ops: u64) -> Rate {
+    let mut co = Callout::new();
     let mut ids = Vec::with_capacity(pending);
     for i in 0..pending as u64 {
         ids.push(co.schedule(0, 1 + i % 512, i));
@@ -91,18 +60,6 @@ fn callout_churn(co: &mut impl CalloutImpl<u64>, pending: usize, ops: u64) -> Ra
         ops: 3 * ops,
         secs: start.elapsed().as_secs_f64(),
     }
-}
-
-/// Churn rate of the hierarchical timing wheel.
-pub fn callout_churn_wheel(pending: usize, ops: u64) -> Rate {
-    callout_churn(&mut Callout::new(), pending, ops)
-}
-
-/// Churn rate of the retained `BTreeMap` reference implementation —
-/// the pre-refactor baseline, measured live so the speedup ratio in
-/// `BENCH_simspeed.json` reflects the host it ran on.
-pub fn callout_churn_btree(pending: usize, ops: u64) -> Rate {
-    callout_churn(&mut BTreeCallout::new(), pending, ops)
 }
 
 /// Schedule/cancel/pop churn against a standing population of `pending`

@@ -30,7 +30,8 @@
 //! # Semantics (unchanged)
 //!
 //! Delivery order is identical to the original `BTreeMap` implementation,
-//! which [`BTreeCallout`] preserves as an executable reference model:
+//! which `BTreeCallout` preserves as an executable reference model (built
+//! only for tests and the `props` feature):
 //! every entry carries a signed order key (`schedule` counts up from 1,
 //! `schedule_head` counts down from -1) and `expire` hands back *all* due
 //! entries — across caught-up ticks — sorted by that key. Head entries
@@ -39,6 +40,7 @@
 //! and `next_due_tick` still reports the earliest pending tick so the
 //! kernel can skip idle ticks.
 
+#[cfg(any(test, feature = "props"))]
 use std::collections::BTreeMap;
 
 /// Handle to a pending callout, usable with [`Callout::cancel`].
@@ -412,10 +414,10 @@ impl<C> Callout<C> {
 }
 
 /// The original `BTreeMap`-backed callout list, kept as the executable
-/// reference model: the differential property suite drives [`Callout`] and
-/// `BTreeCallout` through identical operation sequences and asserts
-/// identical delivery, and the `simspeed` bench measures the wheel's
-/// speedup against it. Not used on the simulator hot path.
+/// reference model: the differential tests drive [`Callout`] and
+/// `BTreeCallout` through identical operation sequences and assert
+/// identical delivery. Built only for tests and the `props` feature.
+#[cfg(any(test, feature = "props"))]
 pub struct BTreeCallout<C> {
     // Tick → entries due at that tick.
     table: BTreeMap<u64, Vec<(CalloutId, i64, C)>>,
@@ -425,12 +427,14 @@ pub struct BTreeCallout<C> {
     pending: usize,
 }
 
+#[cfg(any(test, feature = "props"))]
 impl<C> Default for BTreeCallout<C> {
     fn default() -> Self {
         Self::new()
     }
 }
 
+#[cfg(any(test, feature = "props"))]
 impl<C> BTreeCallout<C> {
     /// Creates an empty reference callout table.
     pub fn new() -> Self {

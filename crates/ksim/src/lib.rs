@@ -28,7 +28,9 @@ pub mod obs;
 pub mod time;
 pub mod trace;
 
-pub use callout::{BTreeCallout, Callout, CalloutId};
+#[cfg(any(test, feature = "props"))]
+pub use callout::BTreeCallout;
+pub use callout::{Callout, CalloutId};
 pub use event::{EventId, EventQueue};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
