@@ -407,14 +407,11 @@ impl Kernel {
     }
 
     pub(crate) fn make_runnable(&mut self, pid: Pid) {
-        let p = self.procs.must_mut(pid);
-        if matches!(p.state, ProcState::Exited(_)) {
+        // Only a sleeper wakes: exited, queued or running processes stay put.
+        if !matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
             return;
         }
-        if matches!(p.state, ProcState::Runnable | ProcState::Running) {
-            return;
-        }
-        let woken_cpu = p.recent_cpu;
+        let woken_cpu = self.procs.recent_cpu(pid);
         self.procs.set_state(pid, ProcState::Runnable);
         let now = self.q.now();
         self.trace
@@ -427,7 +424,7 @@ impl Kernel {
         // reschedule at kernel exit.
         if let Some(cur) = self.sched.current() {
             let kind = cur.kind;
-            let incumbent_cpu = self.procs.must(cur.pid).recent_cpu;
+            let incumbent_cpu = self.procs.recent_cpu(cur.pid);
             // Hysteresis: preempt only from a clearly better priority
             // band (half the incumbent's decayed usage), the effect of
             // BSD's quantised priority levels.
@@ -455,11 +452,11 @@ impl Kernel {
         // The chunk was charged in full when it started; refund what did
         // not run.
         p.acct.user_time = p.acct.user_time.saturating_sub(left_in_chunk);
-        p.recent_cpu = p.recent_cpu.saturating_sub(left_in_chunk);
         p.acct.icsw += 1;
         if !total.is_zero() {
             p.pending_compute = Some(total);
         }
+        self.procs.refund_cpu(cur.pid, left_in_chunk);
         self.procs.set_state(cur.pid, ProcState::Runnable);
         self.sched.enqueue(cur.pid);
         self.ctr.sched.preemptions += 1;
@@ -813,9 +810,8 @@ impl Kernel {
         // Compute left over from a quantum preemption?
         if let Some(rem) = self.procs.must_mut(pid).pending_compute.take() {
             let chunk = rem.min(quantum_left);
-            let p = self.procs.must_mut(pid);
-            p.acct.user_time += chunk;
-            p.recent_cpu += chunk;
+            self.procs.must_mut(pid).acct.user_time += chunk;
+            self.procs.charge_cpu(pid, chunk);
             self.start_chunk(
                 pid,
                 RunKind::Compute {
@@ -849,9 +845,8 @@ impl Kernel {
         match step {
             Step::Compute(d) => {
                 let chunk = d.min(quantum_left);
-                let p = self.procs.must_mut(pid);
-                p.acct.user_time += chunk;
-                p.recent_cpu += chunk;
+                self.procs.must_mut(pid).acct.user_time += chunk;
+                self.procs.charge_cpu(pid, chunk);
                 self.start_chunk(
                     pid,
                     RunKind::Compute {
@@ -884,9 +879,8 @@ impl Kernel {
             }
         };
         self.pending_after.insert(pid, after);
-        let p = self.procs.must_mut(pid);
-        p.acct.sys_time += cpu;
-        p.recent_cpu += cpu;
+        self.procs.must_mut(pid).acct.sys_time += cpu;
+        self.procs.charge_cpu(pid, cpu);
         // System-call time consumes quantum too (it is still this
         // process's CPU); kernel mode is just not *preempted* mid-chunk.
         let quantum_left = quantum_left.saturating_sub(cpu);
@@ -939,9 +933,8 @@ impl Kernel {
                     // Nobody waiting: keep computing on a fresh quantum.
                     let q = self.sched.quantum();
                     let chunk = remaining.min(q);
-                    let p = self.procs.must_mut(pid);
-                    p.acct.user_time += chunk;
-                    p.recent_cpu += chunk;
+                    self.procs.must_mut(pid).acct.user_time += chunk;
+                    self.procs.charge_cpu(pid, chunk);
                     self.start_chunk(
                         pid,
                         RunKind::Compute {

@@ -7,7 +7,7 @@
 //! bytes through the buffer cache, charging `copyin`/`copyout` at the
 //! machine profile's rates — the costs splice exists to remove.
 
-use kbuf::{BreadOutcome, BufId, GetblkOutcome};
+use kbuf::{BreadOutcome, BufFlags, BufId, GetblkOutcome};
 #[allow(unused_imports)]
 use kfs as _kfs_reexport_guard;
 use kfs::{FileKind, FsError, Ino};
@@ -640,6 +640,9 @@ impl Kernel {
             if let Some(at) = c.issued_at.take() {
                 self.kstat.read_wait.record(self.q.now().since(at).as_ns());
             }
+            if self.cache.flags(buf).contains(BufFlags::ERROR) {
+                return self.read_failed(buf, cpu);
+            }
             let data = self.cache.data(buf);
             c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
             cpu += m.copy_cost(CopyKind::Copyout, take);
@@ -721,6 +724,9 @@ impl Kernel {
                     self.files.get_mut(c.fid).unwrap().last_lblk = Some(lblk);
                     if self.cache.io_done(buf) {
                         // RAM disk completed synchronously; use it now.
+                        if self.cache.flags(buf).contains(BufFlags::ERROR) {
+                            return self.read_failed(buf, cpu);
+                        }
                         let data = self.cache.data(buf);
                         c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
                         drop(data);
@@ -753,6 +759,19 @@ impl Kernel {
                     };
                 }
             }
+        }
+    }
+
+    /// A block read completed with `B_ERROR`: release the buffer (brelse
+    /// discards it, so the next read re-reads the device) and fail the
+    /// call with EIO, as BSD `biowait` does.
+    fn read_failed(&mut self, buf: BufId, mut cpu: Dur) -> SyscallOutcome {
+        let mut fx = Vec::new();
+        self.cache.brelse(buf, &mut fx);
+        cpu += self.apply_cache_effects(fx, IoCtx::Process);
+        SyscallOutcome::Done {
+            cpu,
+            ret: SyscallRet::Err(Errno::Eio),
         }
     }
 

@@ -7,8 +7,20 @@
 //! processes exist. A connection-scale scenario (tens of thousands of
 //! client processes) calls all three on hot paths; scanning the table
 //! there would make the whole simulation quadratic.
+//!
+//! Priority decay is lazy for the same reason. The table keeps a decay
+//! epoch that [`ProcTable::decay_recent_cpu`] bumps in O(1); each
+//! process stores its recent CPU together with the epoch it was last
+//! settled at, and is brought up to date only when next charged,
+//! refunded or read (the 4.4BSD `updatepri`/`p_slptime` idiom). Halving
+//! a nanosecond count `k` times with floor division is exactly `ns >> k`,
+//! so the lazy value equals the one an eager quarter-second pass over
+//! every process would produce.
+//!
+//! Pids are handed out densely from 1 and never removed, so the table is
+//! a `Vec` indexed by `pid - 1`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use ksim::{Dur, SimTime};
 
@@ -71,9 +83,12 @@ pub struct Process {
     /// User compute left over after a quantum preemption; resumed before
     /// the program is stepped again.
     pub pending_compute: Option<Dur>,
-    /// Recently consumed CPU, decayed periodically (the 4.3BSD `p_cpu`
-    /// analogue): lower means better scheduling priority.
-    pub recent_cpu: Dur,
+    /// Recently consumed CPU as of decay epoch `cpu_epoch` (the 4.3BSD
+    /// `p_cpu` analogue): lower means better scheduling priority. Read it
+    /// through [`ProcTable::recent_cpu`].
+    recent_cpu: Dur,
+    /// The decay epoch `recent_cpu` was last settled at.
+    cpu_epoch: u64,
     /// Accounting.
     pub acct: ProcAccounting,
     /// When the process was created.
@@ -92,13 +107,30 @@ impl Process {
     pub fn exited(&self) -> bool {
         matches!(self.state, ProcState::Exited(_))
     }
+
+    /// `recent_cpu` at decay epoch `epoch`: `epoch - cpu_epoch`
+    /// floor-halvings, which is a right shift.
+    fn decayed_cpu(&self, epoch: u64) -> Dur {
+        let halvings = epoch - self.cpu_epoch;
+        let ns = self.recent_cpu.as_ns();
+        Dur::from_ns(if halvings >= 64 { 0 } else { ns >> halvings })
+    }
+
+    /// Brings `recent_cpu` up to `epoch` and returns it for update.
+    fn settle_cpu(&mut self, epoch: u64) -> &mut Dur {
+        self.recent_cpu = self.decayed_cpu(epoch);
+        self.cpu_epoch = epoch;
+        &mut self.recent_cpu
+    }
 }
 
 /// The process table: owns every process, allocates pids.
 #[derive(Default)]
 pub struct ProcTable {
-    procs: BTreeMap<Pid, Process>,
-    next_pid: u32,
+    /// Pid `p` at index `p - 1`.
+    procs: Vec<Process>,
+    /// Quarter-second decays so far.
+    decay_epoch: u64,
     /// Processes not yet exited.
     live: usize,
     /// Processes runnable or running.
@@ -110,36 +142,27 @@ pub struct ProcTable {
 impl ProcTable {
     /// An empty table. Pid 0 is never handed out (it is the "kernel").
     pub fn new() -> ProcTable {
-        ProcTable {
-            procs: BTreeMap::new(),
-            next_pid: 1,
-            live: 0,
-            demand: 0,
-            sleep_index: HashMap::new(),
-        }
+        ProcTable::default()
     }
 
     /// Creates a process running `program`, initially runnable.
     pub fn spawn(&mut self, program: Box<dyn Program>, now: SimTime) -> Pid {
-        let pid = Pid(self.next_pid);
-        self.next_pid += 1;
-        self.procs.insert(
+        let pid = Pid(u32::try_from(self.procs.len() + 1).expect("pid space exhausted"));
+        self.procs.push(Process {
             pid,
-            Process {
-                pid,
-                state: ProcState::Runnable,
-                program,
-                ctx: UserCtx::default(),
-                catches: Vec::new(),
-                pending_sigs: Vec::new(),
-                itimer: None,
-                pending_compute: None,
-                recent_cpu: Dur::ZERO,
-                acct: ProcAccounting::default(),
-                started: now,
-                ended: None,
-            },
-        );
+            state: ProcState::Runnable,
+            program,
+            ctx: UserCtx::default(),
+            catches: Vec::new(),
+            pending_sigs: Vec::new(),
+            itimer: None,
+            pending_compute: None,
+            recent_cpu: Dur::ZERO,
+            cpu_epoch: self.decay_epoch,
+            acct: ProcAccounting::default(),
+            started: now,
+            ended: None,
+        });
         self.live += 1;
         self.demand += 1;
         pid
@@ -152,10 +175,7 @@ impl ProcTable {
     ///
     /// Panics if the pid is unknown.
     pub fn set_state(&mut self, pid: Pid, state: ProcState) {
-        let p = self
-            .procs
-            .get_mut(&pid)
-            .unwrap_or_else(|| panic!("no {pid:?}"));
+        let p = self.must_mut(pid);
         let old = p.state;
         if old == state {
             return;
@@ -179,12 +199,12 @@ impl ProcTable {
 
     /// Looks up a process.
     pub fn get(&self, pid: Pid) -> Option<&Process> {
-        self.procs.get(&pid)
+        self.procs.get(pid.0.checked_sub(1)? as usize)
     }
 
     /// Looks up a process mutably.
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
-        self.procs.get_mut(&pid)
+        self.procs.get_mut(pid.0.checked_sub(1)? as usize)
     }
 
     /// Indexes a process that must exist.
@@ -193,7 +213,7 @@ impl ProcTable {
     ///
     /// Panics if the pid is unknown.
     pub fn must(&self, pid: Pid) -> &Process {
-        self.procs.get(&pid).unwrap_or_else(|| panic!("no {pid:?}"))
+        self.get(pid).unwrap_or_else(|| panic!("no {pid:?}"))
     }
 
     /// Mutable [`ProcTable::must`].
@@ -202,25 +222,50 @@ impl ProcTable {
     ///
     /// Panics if the pid is unknown.
     pub fn must_mut(&mut self, pid: Pid) -> &mut Process {
-        self.procs
-            .get_mut(&pid)
-            .unwrap_or_else(|| panic!("no {pid:?}"))
+        self.get_mut(pid).unwrap_or_else(|| panic!("no {pid:?}"))
     }
 
     /// Iterates all processes in pid order.
     pub fn iter(&self) -> impl Iterator<Item = &Process> + '_ {
-        self.procs.values()
+        self.procs.iter()
     }
 
-    /// Halves every live process's decayed CPU usage (the 4.3BSD
-    /// `schedcpu` analogue), in place — no per-pid lookups, so the
-    /// quarter-second decay stays cheap with huge process counts.
+    /// Halves every process's decayed CPU usage (the 4.3BSD `schedcpu`
+    /// analogue). O(1): it only advances the decay epoch, and each
+    /// process catches up when next touched.
     pub fn decay_recent_cpu(&mut self) {
-        for p in self.procs.values_mut() {
-            if !p.recent_cpu.is_zero() && !p.exited() {
-                p.recent_cpu = p.recent_cpu / 2;
-            }
-        }
+        self.decay_epoch += 1;
+    }
+
+    /// `pid`'s decayed CPU usage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pid is unknown.
+    pub fn recent_cpu(&self, pid: Pid) -> Dur {
+        self.must(pid).decayed_cpu(self.decay_epoch)
+    }
+
+    /// Adds `d` of consumed CPU to `pid`'s decayed usage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pid is unknown.
+    pub fn charge_cpu(&mut self, pid: Pid, d: Dur) {
+        let epoch = self.decay_epoch;
+        *self.must_mut(pid).settle_cpu(epoch) += d;
+    }
+
+    /// Takes back `d` of CPU charged but not consumed (a preempted chunk),
+    /// stopping at zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pid is unknown.
+    pub fn refund_cpu(&mut self, pid: Pid, d: Dur) {
+        let epoch = self.decay_epoch;
+        let cpu = self.must_mut(pid).settle_cpu(epoch);
+        *cpu = cpu.saturating_sub(d);
     }
 
     /// Every process sleeping on `chan`, in pid order (the order the
@@ -314,5 +359,57 @@ mod tests {
         assert!(!t.all_exited());
         t.set_state(b, ProcState::Exited(0));
         assert!(t.all_exited());
+    }
+
+    #[test]
+    fn lookup_rejects_pid_zero_and_unknown_pids() {
+        let mut t = ProcTable::new();
+        let a = t.spawn(Box::new(Nop), SimTime::ZERO);
+        assert_eq!(a, Pid(1));
+        assert!(t.get(Pid(0)).is_none());
+        assert!(t.get(Pid(2)).is_none());
+        assert!(t.get_mut(Pid(0)).is_none());
+        assert!(t.get_mut(Pid(u32::MAX)).is_none());
+        assert_eq!(t.get(a).map(|p| p.pid), Some(a));
+    }
+
+    #[test]
+    #[should_panic(expected = "no Pid(")]
+    fn must_panics_on_unknown_pid() {
+        let mut t = ProcTable::new();
+        t.spawn(Box::new(Nop), SimTime::ZERO);
+        t.must(Pid(7));
+    }
+
+    #[test]
+    fn iter_is_in_pid_order_across_spawns_and_exits() {
+        let mut t = ProcTable::new();
+        let a = t.spawn(Box::new(Nop), SimTime::ZERO);
+        let b = t.spawn(Box::new(Nop), SimTime::ZERO);
+        t.set_state(a, ProcState::Exited(0));
+        let c = t.spawn(Box::new(Nop), SimTime::ZERO);
+        t.set_state(c, ProcState::Exited(0));
+        let d = t.spawn(Box::new(Nop), SimTime::ZERO);
+        let pids: Vec<Pid> = t.iter().map(|p| p.pid).collect();
+        assert_eq!(pids, vec![a, b, c, d]);
+    }
+
+    #[test]
+    fn recent_cpu_halves_per_decay_and_settles_on_charge() {
+        let mut t = ProcTable::new();
+        let a = t.spawn(Box::new(Nop), SimTime::ZERO);
+        t.charge_cpu(a, Dur::from_ns(1001));
+        t.decay_recent_cpu();
+        assert_eq!(t.recent_cpu(a), Dur::from_ns(500));
+        t.decay_recent_cpu();
+        t.charge_cpu(a, Dur::from_ns(10));
+        assert_eq!(t.recent_cpu(a), Dur::from_ns(260));
+        t.refund_cpu(a, Dur::from_ns(1000));
+        assert_eq!(t.recent_cpu(a), Dur::ZERO);
+        t.charge_cpu(a, Dur::from_ns(u64::MAX));
+        for _ in 0..64 {
+            t.decay_recent_cpu();
+        }
+        assert_eq!(t.recent_cpu(a), Dur::ZERO);
     }
 }

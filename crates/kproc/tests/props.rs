@@ -6,11 +6,109 @@
 
 use proptest::prelude::*;
 
-use kproc::{Admit, CpuEngine, CurrentRun, Pid, RunKind, Scheduler, WorkClass};
+use kproc::{
+    Admit, Chan, ChanSpace, CpuEngine, CurrentRun, Pid, ProcState, ProcTable, Program, RunKind,
+    Scheduler, Step, UserCtx, WorkClass,
+};
 use ksim::{Dur, SimTime};
+
+struct Nop;
+impl Program for Nop {
+    fn step(&mut self, _ctx: &mut UserCtx) -> Step {
+        Step::Exit(0)
+    }
+}
+
+/// One step of the lazy-decay differential test; indices pick a pid
+/// modulo the processes spawned so far.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    Spawn,
+    Charge(usize, u64),
+    Refund(usize, u64),
+    Decay(u32),
+    Sleep(usize),
+    Wake(usize),
+    Exit(usize),
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        2 => Just(Op::Spawn),
+        4 => (any::<usize>(), 0u64..1 << 40).prop_map(|(i, ns)| Op::Charge(i, ns)),
+        2 => (any::<usize>(), 0u64..1 << 40).prop_map(|(i, ns)| Op::Refund(i, ns)),
+        3 => Just(Op::Decay(1)),
+        1 => (65u32..200).prop_map(Op::Decay),
+        1 => any::<usize>().prop_map(Op::Sleep),
+        1 => any::<usize>().prop_map(Op::Wake),
+        1 => any::<usize>().prop_map(Op::Exit),
+    ]
+}
+
+/// The reference model: eager decay, one halving pass over every live
+/// process per quarter second, as the scheduler once did. `None` marks
+/// an exited process.
+#[derive(Default)]
+struct EagerDecay {
+    cpu: Vec<Option<Dur>>,
+}
+
+impl EagerDecay {
+    fn decay(&mut self) {
+        for d in self.cpu.iter_mut().flatten() {
+            *d = *d / 2;
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn lazy_decay_matches_eager_halving(ops in prop::collection::vec(op(), 1..200)) {
+        let mut table = ProcTable::new();
+        let mut model = EagerDecay::default();
+        let chan = Chan::new(ChanSpace::Buf, 1);
+        for op in ops {
+            let n = model.cpu.len();
+            // The live pid an index names, if any process exists.
+            let pick = |i: usize| (n > 0 && model.cpu[i % n].is_some()).then(|| i % n);
+            match op {
+                Op::Spawn => {
+                    let pid = table.spawn(Box::new(Nop), SimTime::ZERO);
+                    prop_assert_eq!(pid, Pid(n as u32 + 1));
+                    model.cpu.push(Some(Dur::ZERO));
+                }
+                Op::Charge(i, ns) => if let Some(i) = pick(i) {
+                    table.charge_cpu(Pid(i as u32 + 1), Dur::from_ns(ns));
+                    model.cpu[i] = model.cpu[i].map(|d| d + Dur::from_ns(ns));
+                },
+                Op::Refund(i, ns) => if let Some(i) = pick(i) {
+                    table.refund_cpu(Pid(i as u32 + 1), Dur::from_ns(ns));
+                    model.cpu[i] = model.cpu[i].map(|d| d.saturating_sub(Dur::from_ns(ns)));
+                },
+                Op::Decay(k) => for _ in 0..k {
+                    table.decay_recent_cpu();
+                    model.decay();
+                },
+                Op::Sleep(i) => if let Some(i) = pick(i) {
+                    table.set_state(Pid(i as u32 + 1), ProcState::Sleeping(chan));
+                },
+                Op::Wake(i) => if let Some(i) = pick(i) {
+                    table.set_state(Pid(i as u32 + 1), ProcState::Runnable);
+                },
+                Op::Exit(i) => if let Some(i) = pick(i) {
+                    table.set_state(Pid(i as u32 + 1), ProcState::Exited(0));
+                    model.cpu[i] = None;
+                },
+            }
+            for (i, cpu) in model.cpu.iter().enumerate() {
+                if let Some(cpu) = cpu {
+                    prop_assert_eq!(table.recent_cpu(Pid(i as u32 + 1)), *cpu, "pid {}", i + 1);
+                }
+            }
+        }
+    }
 
     #[test]
     fn kernel_work_windows_never_overlap(

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 gate, run exactly as CI does: hermetic build + tests, formatting
 # and lints as errors, every example binary, randomized-seed replays,
-# every property suite, and every seeded bench producer run twice with
-# byte-identical output. Each producer asserts its own paper claims and
-# panics when one fails; benchdiff then gates every artifact value
-# against the committed copies under baselines/.
+# every property suite, the end-to-end benchmark's contract tests, and
+# every seeded bench producer run twice with byte-identical output.
+# Each producer asserts its own paper claims and panics when one fails;
+# benchdiff then gates every artifact value against the committed
+# copies under baselines/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -46,6 +47,9 @@ echo "== property suites (differential models, props feature) =="
 cargo test -q -p splice-repro -p ksim -p kbuf -p kfs -p khw -p kdev -p kproc \
     --features splice-repro/props,ksim/props,kbuf/props,kfs/props,khw/props,kdev/props,kproc/props \
     --test props --test props_kernel
+
+echo "== end-to-end benchmark contract (perfbench, its own package) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== bench artifacts: every seeded producer, run twice, emits identical bytes =="
 # Each entry: producer command | artifacts it writes. The server row runs

@@ -6,7 +6,7 @@
 //! buffers or callouts afterwards.
 
 use khw::{DiskProfile, FaultOp, FaultPlan, SECTOR_SIZE};
-use kproc::programs::{EndSpec, EndpointPair, Scp, ScpMode};
+use kproc::programs::{Cp, EndSpec, EndpointPair, Scp, ScpMode};
 use kproc::{Errno, ProcState, SpliceLen, SyscallRet};
 use ksim::Dur;
 use splice::{Kernel, KernelBuilder, MAX_SPLICE_RETRIES};
@@ -143,6 +143,35 @@ fn permanent_bad_block_aborts_with_typed_errno_and_exact_partial_count() {
     assert_eq!(k.pending_callouts(), 0);
     k.cache().check_invariants();
     assert!(k.fsck_all().is_empty());
+}
+
+#[test]
+fn cp_over_bad_block_exits_nonzero_without_leaks() {
+    // RAM disk: the failed read completes synchronously inside `bread`.
+    // RZ56: the reader sleeps in biowait and resumes on the failed buffer.
+    for profile in [DiskProfile::ramdisk(), DiskProfile::rz56()] {
+        let len = 16 * 8192;
+        let mut k = KernelBuilder::paper_machine(profile)
+            .tune(|cfg| cfg.update_interval = None)
+            .build();
+        k.setup_file("/d0/src", len, 5);
+        k.cold_cache();
+        let free_baseline = k.cache().free_count();
+        let sector = sector_of(&k, 0, "/src", 4);
+        k.set_fault_plan(0, FaultPlan::new(1).bad_block(FaultOp::Read, sector));
+
+        let pid = k.spawn(Box::new(Cp::new("/d0/src", "/d1/dst")));
+        let horizon = k.horizon(600);
+        k.run_to_exit(horizon);
+        settle(&mut k);
+
+        // read(2) returns EIO instead of copying out the failed buffer.
+        assert!(matches!(k.procs().must(pid).state, ProcState::Exited(1)));
+        assert!(k.metrics().io.errors > 0);
+        assert_eq!(k.cache().free_count(), free_baseline);
+        k.cache().check_invariants();
+        assert!(k.fsck_all().is_empty());
+    }
 }
 
 #[test]
