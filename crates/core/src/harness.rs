@@ -2,12 +2,16 @@
 //! helpers that bypass timing (clearly separated from the measured paths).
 
 use kdev::{AudioDac, Framebuffer, VideoDac};
+use kfs::Ino;
 use khw::DiskProfile;
-use kproc::programs::util::pattern_bytes;
+use kproc::programs::util::{pattern_check, pattern_fill};
 use ksim::{Dur, ObsConfig, SimTime};
 
 use crate::kernel::{Kernel, KernelConfig};
-use crate::objects::CharDev;
+use crate::objects::{CharDev, DiskUnit};
+
+/// Setup and verification move file contents in chunks of this size.
+const FILE_CHUNK: u64 = 1 << 20;
 
 /// Builds a [`Kernel`] with disks and character devices.
 pub struct KernelBuilder {
@@ -164,16 +168,17 @@ impl Kernel {
             }
             Err(_) => unit.fs.create(&sub).expect("creatable path"),
         };
-        // Chunked writes keep memory flat for big files.
-        let chunk = 1 << 20;
+        // Chunked writes through one reused buffer keep memory flat for
+        // big files.
+        let mut buf = vec![0u8; FILE_CHUNK.min(len) as usize];
         let mut off = 0u64;
         while off < len {
-            let n = chunk.min((len - off) as usize);
-            let data = pattern_bytes(seed, off, n);
+            let data = &mut buf[..FILE_CHUNK.min(len - off) as usize];
+            pattern_fill(seed, off, data);
             let (kind, fs) = (&mut unit.kind, &mut unit.fs);
-            fs.write_direct(kind.store_mut(), ino, off, &data)
+            fs.write_direct(kind.store_mut(), ino, off, data)
                 .expect("setup write");
-            off += n as u64;
+            off += data.len() as u64;
         }
         let (kind, fs) = (&mut unit.kind, &mut unit.fs);
         fs.sync(kind.store_mut());
@@ -185,24 +190,38 @@ impl Kernel {
     ///
     /// Panics if the path does not resolve.
     pub fn dump_file(&self, path: &str) -> Vec<u8> {
-        let (disk, sub) = self
-            .resolve_disk_path(path)
-            .unwrap_or_else(|| panic!("bad path {path}"));
-        let unit = &self.disks[disk];
-        let ino = unit.fs.lookup(&sub).expect("file exists");
+        let (unit, ino) = self.disk_file(path).expect("file exists");
         let size = unit.fs.size(ino);
         unit.fs
             .read_direct(unit.kind.store(), ino, 0, size as usize)
     }
 
     /// Verifies that a file holds exactly `len` bytes of pattern `seed`.
-    /// Returns the first mismatching offset, if any.
+    /// Returns the first mismatching offset, if any: `0` for a missing
+    /// file and `min(size, len)` for one of the wrong size. The file is
+    /// checked in place, one chunk at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path does not name a disk.
     pub fn verify_pattern_file(&self, path: &str, len: u64, seed: u64) -> Option<u64> {
-        let data = self.dump_file(path);
-        if data.len() as u64 != len {
-            return Some(data.len().min(len as usize) as u64);
+        let Some((unit, ino)) = self.disk_file(path) else {
+            return Some(0);
+        };
+        let size = unit.fs.size(ino);
+        if size != len {
+            return Some(size.min(len));
         }
-        kproc::programs::util::pattern_check(seed, 0, &data).map(|i| i as u64)
+        let mut off = 0u64;
+        while off < size {
+            let n = FILE_CHUNK.min(size - off) as usize;
+            let data = unit.fs.read_direct(unit.kind.store(), ino, off, n);
+            if let Some(i) = pattern_check(seed, off, &data) {
+                return Some(off + i as u64);
+            }
+            off += n as u64;
+        }
+        None
     }
 
     /// File size straight from the filesystem.
@@ -211,12 +230,22 @@ impl Kernel {
     ///
     /// Panics if the path does not resolve.
     pub fn file_size(&self, path: &str) -> u64 {
+        let (unit, ino) = self.disk_file(path).expect("file exists");
+        unit.fs.size(ino)
+    }
+
+    /// The disk and inode of the file at `path`, or `None` if no such
+    /// file exists.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the path does not name a disk.
+    fn disk_file(&self, path: &str) -> Option<(&DiskUnit, Ino)> {
         let (disk, sub) = self
             .resolve_disk_path(path)
             .unwrap_or_else(|| panic!("bad path {path}"));
         let unit = &self.disks[disk];
-        let ino = unit.fs.lookup(&sub).expect("file exists");
-        unit.fs.size(ino)
+        unit.fs.lookup(&sub).ok().map(|ino| (unit, ino))
     }
 
     /// Flushes all dirty blocks and metadata, waits for the devices to

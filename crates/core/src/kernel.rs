@@ -16,7 +16,7 @@
 //! `deferred` and runs either in later ticks' budgets or — without any
 //! budget — whenever no user process wants the CPU ([`Kernel::maybe_pump`]).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use kbuf::{BufId, Cache, DevId, IoDir, IodoneTag};
 use kfs::{Fs, FsIo};
@@ -26,7 +26,7 @@ use kproc::{
     Admit, Chan, ChanSpace, CpuEngine, Pid, ProcState, ProcTable, Program, RunKind, Scheduler, Sig,
     Step, WorkClass,
 };
-use ksim::{Callout, Dur, EventQueue, SimTime, Trace, TraceEvent};
+use ksim::{Callout, Dur, EventQueue, IdMap, IdSet, SimTime, Trace, TraceEvent};
 
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
@@ -89,19 +89,19 @@ pub struct Kernel {
     pub(crate) procs: ProcTable,
     pub(crate) cache: Cache,
     pub(crate) disks: Vec<DiskUnit>,
-    pub(crate) devmap: HashMap<DevId, usize>,
+    pub(crate) devmap: IdMap<DevId, usize>,
     pub(crate) net: Net,
     pub(crate) cdevs: Vec<CharDevUnit>,
     pub(crate) files: FileTable,
-    pub(crate) splices: HashMap<u64, SpliceDesc>,
+    pub(crate) splices: IdMap<u64, SpliceDesc>,
     /// How finished splices ended (bytes moved + errno), kept after the
     /// descriptor is torn down for partial-transfer audits.
-    pub(crate) splice_outcomes: HashMap<u64, crate::splice_engine::SpliceOutcome>,
+    pub(crate) splice_outcomes: IdMap<u64, crate::splice_engine::SpliceOutcome>,
     pub(crate) next_splice: u64,
-    pub(crate) conts: HashMap<Pid, Cont>,
-    pub(crate) pending_after: HashMap<Pid, AfterCpu>,
-    pub(crate) timed_actions: HashMap<Pid, WakeAction>,
-    pub(crate) iodone_map: HashMap<IodoneTag, KWork>,
+    pub(crate) conts: IdMap<Pid, Cont>,
+    pub(crate) pending_after: IdMap<Pid, AfterCpu>,
+    pub(crate) timed_actions: IdMap<Pid, WakeAction>,
+    pub(crate) iodone_map: IdMap<IodoneTag, KWork>,
     pub(crate) next_tag: u64,
     /// Splice rings plus the unified in-flight routing table (every
     /// splice entry path) and the socket→descriptor index.
@@ -111,20 +111,20 @@ pub struct Kernel {
     /// A wakeup boosted a process while a syscall chunk was on the CPU;
     /// reschedule at the next kernel exit.
     pub(crate) resched: bool,
-    pub(crate) itimer_callouts: HashMap<Pid, ksim::CalloutId>,
+    pub(crate) itimer_callouts: IdMap<Pid, ksim::CalloutId>,
     /// In-flight SCSI requests: (disk, token) → (buffer, direction).
-    pub(crate) io_tokens: HashMap<(usize, u64), (BufId, IoDir)>,
+    pub(crate) io_tokens: IdMap<(usize, u64), (BufId, IoDir)>,
     pub(crate) next_io_token: u64,
     /// Splice payloads waiting for a destination host's link backlog to
     /// drain below the send-buffer limit, FIFO per host. At most one
     /// [`KWork::SpliceSockDrain`] callout is in flight per host (its
     /// presence in `park_drains`), so a thousand parked connections cost
     /// one timer, not a retry herd.
-    pub(crate) parked_sends: HashMap<u32, VecDeque<crate::endpoint::ParkedSend>>,
+    pub(crate) parked_sends: IdMap<u32, VecDeque<crate::endpoint::ParkedSend>>,
     /// Hosts with a parked-queue drain callout already scheduled.
-    pub(crate) park_drains: std::collections::HashSet<u32>,
+    pub(crate) park_drains: IdSet<u32>,
     /// [PCM91] baseline: kernel-held data handles.
-    pub(crate) handles: HashMap<i64, Vec<u8>>,
+    pub(crate) handles: IdMap<i64, Vec<u8>>,
     pub(crate) next_handle: i64,
     /// The kernel's own typed counters (read through [`Kernel::metrics`]).
     /// Boxed: held inline, its 33 words cost about 10% more host time
@@ -135,7 +135,7 @@ pub struct Kernel {
     pub(crate) kstat: ksim::Kstat,
     /// Issue times of in-flight buffer transfers, for the bread/bwrite
     /// completion histograms.
-    pub(crate) io_issued: HashMap<BufId, SimTime>,
+    pub(crate) io_issued: IdMap<BufId, SimTime>,
     pub(crate) trace: Trace,
     /// The resource-accounting sampler, when enabled via
     /// [`KernelBuilder::sample`](crate::KernelBuilder::sample).
@@ -167,32 +167,32 @@ impl Kernel {
             tick: 0,
             procs: ProcTable::new(),
             disks: Vec::new(),
-            devmap: HashMap::new(),
+            devmap: IdMap::default(),
             net: Net::new(),
             cdevs: Vec::new(),
             files: FileTable::new(),
-            splices: HashMap::new(),
-            splice_outcomes: HashMap::new(),
+            splices: IdMap::default(),
+            splice_outcomes: IdMap::default(),
             next_splice: 1,
-            conts: HashMap::new(),
-            pending_after: HashMap::new(),
-            timed_actions: HashMap::new(),
-            iodone_map: HashMap::new(),
+            conts: IdMap::default(),
+            pending_after: IdMap::default(),
+            timed_actions: IdMap::default(),
+            iodone_map: IdMap::default(),
             next_tag: 1,
             rings: crate::splice_ring::RingTable::new(),
             deferred: VecDeque::new(),
             dispatch_pending: false,
             resched: false,
-            itimer_callouts: HashMap::new(),
-            io_tokens: HashMap::new(),
+            itimer_callouts: IdMap::default(),
+            io_tokens: IdMap::default(),
             next_io_token: 1,
-            parked_sends: HashMap::new(),
-            park_drains: std::collections::HashSet::new(),
-            handles: HashMap::new(),
+            parked_sends: IdMap::default(),
+            park_drains: IdSet::default(),
+            handles: IdMap::default(),
             next_handle: 1,
             ctr: Default::default(),
             kstat: ksim::Kstat::new(),
-            io_issued: HashMap::new(),
+            io_issued: IdMap::default(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
             sampler: None,
             obs: ksim::Observability::new(ksim::ObsConfig::on()),

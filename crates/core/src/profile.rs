@@ -25,9 +25,9 @@
 //! sample stream is deterministic: identical runs produce identical
 //! `TS_*.json` bytes.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use ksim::{CounterId, Dur, HistSummary, Json, SimTime, StageHists, Trace, TraceEvent};
+use ksim::{CounterId, Dur, HistSummary, IdMap, Json, SimTime, StageHists, Trace, TraceEvent};
 
 use crate::event::KWork;
 use crate::kernel::Kernel;
@@ -267,7 +267,7 @@ pub(crate) struct SamplerSeries {
     /// Per-PID `pid{pid}.cpu_share` series, interned when the pid is
     /// first sampled (pid-order iteration keeps registration, and thus
     /// Chrome track numbering, deterministic).
-    pid_shares: HashMap<u32, CounterId>,
+    pid_shares: IdMap<u32, CounterId>,
 }
 
 impl SamplerSeries {
@@ -280,7 +280,7 @@ impl SamplerSeries {
                 .collect(),
             cache_resident: trace.counter_id("cache.resident"),
             cache_dirty: trace.counter_id("cache.dirty"),
-            pid_shares: HashMap::new(),
+            pid_shares: IdMap::default(),
         }
     }
 }
@@ -296,7 +296,7 @@ pub(crate) struct Sampler {
     /// The bounded sample ring.
     pub(crate) samples: VecDeque<ProfileSample>,
     /// Cumulative CPU per pid at the previous sample (for deltas).
-    pub(crate) last_cpu: HashMap<u32, Dur>,
+    pub(crate) last_cpu: IdMap<u32, Dur>,
     /// When the previous sample was taken.
     pub(crate) last_at: SimTime,
     /// Samples dropped at capacity.
@@ -316,7 +316,7 @@ impl Kernel {
             period,
             capacity,
             samples: VecDeque::new(),
-            last_cpu: HashMap::new(),
+            last_cpu: IdMap::default(),
             last_at: self.q.now(),
             dropped: 0,
             series: None,

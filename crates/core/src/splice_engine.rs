@@ -34,12 +34,10 @@
 //! lifecycle, gauge samples, and latency digests describe every splice,
 //! including the stream-sourced ones that historically bypassed them.
 
-use std::collections::HashMap;
-
 use kbuf::BufId;
 use khw::CopyKind;
 use kproc::{Chan, ChanSpace, Errno, Pid, SpliceLen, SyscallRet, WorkClass};
-use ksim::{Dur, TraceEvent};
+use ksim::{Dur, IdMap, TraceEvent};
 
 use crate::endpoint::{Block, DstEndpoint, ReadPlan, SrcEndpoint};
 use crate::event::KWork;
@@ -126,19 +124,19 @@ pub(crate) struct SpliceDesc {
     /// Bytes pulled from a stream source so far.
     pub stream_taken: u64,
     /// Read-side buffers awaiting their write, by logical block.
-    pub src_bufs: HashMap<u64, BufId>,
+    pub src_bufs: IdMap<u64, BufId>,
     /// Issue instants of in-flight blocks (latency accounting).
-    pub issued_at: HashMap<u64, ksim::SimTime>,
+    pub issued_at: IdMap<u64, ksim::SimTime>,
     /// When each block's read side finished (stage accounting: the
     /// read-done → write-issue gap).
-    pub read_done_at: HashMap<u64, ksim::SimTime>,
+    pub read_done_at: IdMap<u64, ksim::SimTime>,
     /// When each block's write was (last) issued to its sink backend
     /// (stage accounting: write service time).
-    pub write_issued_at: HashMap<u64, ksim::SimTime>,
+    pub write_issued_at: IdMap<u64, ksim::SimTime>,
     /// Append cursor for a byte-stream file sink.
     pub dst_off: u64,
     /// Device-error retry attempts per logical block.
-    pub retries: HashMap<u64, u32>,
+    pub retries: IdMap<u64, u32>,
     /// Per-request retry budget (see [`MAX_SPLICE_RETRIES`]).
     pub retry_limit: u32,
     /// Set when the splice is aborting: no new work is issued and
@@ -296,12 +294,12 @@ impl Kernel {
             pending_writes: 0,
             blocks_done: 0,
             stream_taken: 0,
-            src_bufs: HashMap::new(),
-            issued_at: HashMap::new(),
-            read_done_at: HashMap::new(),
-            write_issued_at: HashMap::new(),
+            src_bufs: IdMap::default(),
+            issued_at: IdMap::default(),
+            read_done_at: IdMap::default(),
+            write_issued_at: IdMap::default(),
             dst_off,
-            retries: HashMap::new(),
+            retries: IdMap::default(),
             retry_limit,
             error: None,
             done: false,

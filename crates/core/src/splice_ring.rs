@@ -27,11 +27,11 @@
 //! batch: they are counted through the funnel and surfaced as error CQEs
 //! carrying the typed errno.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use knet::SockId;
 use kproc::{Chan, ChanSpace, Errno, Pid, SpliceCqe, SpliceSqe, SyscallRet};
-use ksim::{Dur, TraceEvent};
+use ksim::{Dur, IdMap, TraceEvent};
 
 use crate::kernel::Kernel;
 use crate::splice_engine::SpliceBegin;
@@ -94,25 +94,25 @@ impl SpliceRing {
 /// all splice descriptors (whatever their entry path), and the
 /// socket→descriptor index for stream sources.
 pub(crate) struct RingTable {
-    rings: HashMap<u64, SpliceRing>,
+    rings: IdMap<u64, SpliceRing>,
     next_ring: u64,
     /// Implicit per-process rings backing the legacy entry points.
-    legacy: HashMap<Pid, u64>,
+    legacy: IdMap<Pid, u64>,
     /// Splice descriptor id → completion routing.
-    inflight: HashMap<u64, RingRoute>,
+    inflight: IdMap<u64, RingRoute>,
     /// Socket-sourced splices: src socket → descriptor (formerly the
     /// kernel's ad-hoc `sock_splices` map).
-    socks: HashMap<SockId, u64>,
+    socks: IdMap<SockId, u64>,
 }
 
 impl RingTable {
     pub fn new() -> RingTable {
         RingTable {
-            rings: HashMap::new(),
+            rings: IdMap::default(),
             next_ring: 1,
-            legacy: HashMap::new(),
-            inflight: HashMap::new(),
-            socks: HashMap::new(),
+            legacy: IdMap::default(),
+            inflight: IdMap::default(),
+            socks: IdMap::default(),
         }
     }
 

@@ -2,8 +2,9 @@
 //! data integrity and basic sanity of the measurements.
 
 use khw::DiskProfile;
+use kproc::programs::util::pattern_bytes;
 use kproc::programs::{Cp, Scp};
-use kproc::ProcState;
+use kproc::{Fd, OpenFlags, ProcState, Program, Step, SyscallReq, UserCtx};
 use splice::KernelBuilder;
 
 const MB: u64 = 1024 * 1024;
@@ -95,4 +96,65 @@ fn splice_is_faster_than_cp_on_the_ram_disk() {
         t_scp < t_cp * 0.8,
         "splice ({t_scp:.3}s) should clearly beat cp ({t_cp:.3}s) on the RAM disk"
     );
+}
+
+/// Overwrites one byte of a file through the write system call.
+struct Poke {
+    path: &'static str,
+    at: u64,
+    byte: u8,
+    calls: usize,
+}
+
+impl Program for Poke {
+    fn step(&mut self, _ctx: &mut UserCtx) -> Step {
+        self.calls += 1;
+        Step::Syscall(match self.calls {
+            1 => SyscallReq::Open {
+                path: self.path.into(),
+                flags: OpenFlags::WRONLY,
+            },
+            2 => SyscallReq::Lseek {
+                fd: Fd(3),
+                pos: self.at,
+            },
+            3 => SyscallReq::Write {
+                fd: Fd(3),
+                data: vec![self.byte],
+            },
+            4 => SyscallReq::Close(Fd(3)),
+            _ => return Step::Exit(0),
+        })
+    }
+}
+
+#[test]
+fn verify_pattern_file_reports_missing_short_and_flipped_files() {
+    let mut k = KernelBuilder::new()
+        .disk("ram", DiskProfile::ramdisk())
+        .build();
+    assert_eq!(k.verify_pattern_file("/ram/missing", MB, 1), Some(0));
+
+    k.setup_file("/ram/short", 1000, 1);
+    assert_eq!(k.verify_pattern_file("/ram/short", MB, 1), Some(1000));
+    assert_eq!(k.verify_pattern_file("/ram/short", 10, 1), Some(10));
+    assert_eq!(k.verify_pattern_file("/ram/short", 1000, 1), None);
+
+    // A single flipped byte past several verification chunks is found
+    // at its exact offset.
+    let at = 5 * MB + 3;
+    k.setup_file("/ram/f", 8 * MB, 2);
+    assert_eq!(k.verify_pattern_file("/ram/f", 8 * MB, 2), None);
+    let byte = !pattern_bytes(2, at, 1)[0];
+    let pid = k.spawn(Box::new(Poke {
+        path: "/ram/f",
+        at,
+        byte,
+        calls: 0,
+    }));
+    let horizon = k.horizon(120);
+    k.run_to_exit(horizon);
+    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+    k.cold_cache();
+    assert_eq!(k.verify_pattern_file("/ram/f", 8 * MB, 2), Some(at));
 }

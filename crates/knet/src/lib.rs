@@ -42,9 +42,9 @@
 //! datagram ends in exactly one of `delivered` or these, so byte
 //! conservation holds exactly.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use ksim::{Dur, SimTime};
+use ksim::{Dur, IdMap, SimTime};
 
 /// Socket identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -200,7 +200,7 @@ struct Listener {
     /// Carved, not-yet-accepted connections, oldest first.
     pending: VecDeque<SockId>,
     /// Demultiplexer: source socket → connection socket.
-    conns: HashMap<SockId, SockId>,
+    conns: IdMap<SockId, SockId>,
 }
 
 struct Socket {
@@ -280,9 +280,9 @@ impl NetStats {
 /// The network stack state.
 pub struct Net {
     socks: Vec<Socket>,
-    ports: HashMap<NetAddr, SockId>,
+    ports: IdMap<NetAddr, SockId>,
     /// Per-host modelled links (destination host → link).
-    links: HashMap<u32, LinkState>,
+    links: IdMap<u32, LinkState>,
     /// Legacy off-host link: serialised bandwidth + propagation delay,
     /// used for destination hosts without a [`LinkModel`].
     link_bps: u64,
@@ -302,8 +302,8 @@ impl Net {
     pub fn new() -> Net {
         Net {
             socks: Vec::new(),
-            ports: HashMap::new(),
-            links: HashMap::new(),
+            ports: IdMap::default(),
+            links: IdMap::default(),
             link_bps: 1_250_000,
             link_latency: Dur::from_us(1000),
             link_busy_until: SimTime::ZERO,
@@ -468,7 +468,7 @@ impl Net {
                 s.listener = Some(Listener {
                     backlog: backlog as usize,
                     pending: VecDeque::new(),
-                    conns: HashMap::new(),
+                    conns: IdMap::default(),
                 })
             }
         }

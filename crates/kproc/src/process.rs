@@ -20,9 +20,7 @@
 //! Pids are handed out densely from 1 and never removed, so the table is
 //! a `Vec` indexed by `pid - 1`.
 
-use std::collections::HashMap;
-
-use ksim::{Dur, SimTime};
+use ksim::{Dur, IdMap, SimTime};
 
 use crate::program::{Program, UserCtx};
 use crate::types::{Chan, Pid, Sig};
@@ -136,7 +134,7 @@ pub struct ProcTable {
     /// Processes runnable or running.
     demand: usize,
     /// Pids sleeping on each channel, insertion order.
-    sleep_index: HashMap<Chan, Vec<Pid>>,
+    sleep_index: IdMap<Chan, Vec<Pid>>,
 }
 
 impl ProcTable {

@@ -1,28 +1,66 @@
 //! Deterministic test-data generation shared by programs and harnesses.
 
-/// Produces `len` bytes of a position-dependent pattern: byte at absolute
-/// offset `o` of stream `seed` is a mix of `o` and `seed`. Any slice of
-/// the stream can be regenerated independently, which lets integrity
-/// checks verify huge copies without holding both sides in memory.
-pub fn pattern_bytes(seed: u64, offset: u64, len: usize) -> Vec<u8> {
-    (0..len as u64)
-        .map(|i| {
-            let o = offset + i;
-            // A cheap mix with full-byte diffusion; not a PRNG, just a
-            // position-dependent fingerprint.
-            let x = o
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
-            (x >> 56) as u8
-        })
-        .collect()
+// Byte `o` of stream `seed` is the top byte of `o·K1 + seed·K2`
+// (wrapping): a cheap mix with full-byte diffusion, not a PRNG, just a
+// position-dependent fingerprint. Since `(o + 1)·K1 = o·K1 + K1` in
+// wrapping arithmetic, consecutive bytes advance one 64-bit state by
+// `K1`, exactly, for every offset including those that wrap past
+// `u64::MAX`.
+const K1: u64 = 0x9E37_79B9_7F4A_7C15;
+const K2: u64 = 0xD1B5_4A32_D192_ED03;
+
+/// Verification compares this many bytes before testing for a mismatch.
+const CHECK_CHUNK: usize = 64;
+
+fn state(seed: u64, offset: u64) -> u64 {
+    offset.wrapping_mul(K1).wrapping_add(seed.wrapping_mul(K2))
 }
 
-/// Verifies that `data` equals the pattern stream `seed` at `offset`.
-/// Returns the index of the first mismatch, if any.
+/// Writes the pattern stream `seed` from absolute offset `offset` into
+/// `out`. Any slice of the stream can be regenerated independently,
+/// which lets integrity checks verify huge copies without holding both
+/// sides in memory.
+pub fn pattern_fill(seed: u64, offset: u64, out: &mut [u8]) {
+    let mut x = state(seed, offset);
+    for b in out {
+        *b = (x >> 56) as u8;
+        x = x.wrapping_add(K1);
+    }
+}
+
+/// Produces `len` bytes of the pattern stream `seed` at `offset`
+/// (see [`pattern_fill`]).
+pub fn pattern_bytes(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+    let mut out = vec![0; len];
+    pattern_fill(seed, offset, &mut out);
+    out
+}
+
+/// Verifies that `data` equals the pattern stream `seed` at `offset`,
+/// in place. Returns the index of the first mismatch, if any.
 pub fn pattern_check(seed: u64, offset: u64, data: &[u8]) -> Option<usize> {
-    let expect = pattern_bytes(seed, offset, data.len());
-    data.iter().zip(&expect).position(|(a, b)| a != b)
+    // Differences are OR-accumulated over a whole chunk, which keeps the
+    // loop branch-free; only a chunk that differs is searched for its
+    // first mismatching byte.
+    let mut x = state(seed, offset);
+    for (c, chunk) in data.chunks(CHECK_CHUNK).enumerate() {
+        let start = x;
+        let mut diff = 0u8;
+        for &b in chunk {
+            diff |= b ^ (x >> 56) as u8;
+            x = x.wrapping_add(K1);
+        }
+        if diff != 0 {
+            let mut x = start;
+            let i = chunk.iter().position(|&b| {
+                let want = (x >> 56) as u8;
+                x = x.wrapping_add(K1);
+                b != want
+            });
+            return i.map(|i| c * CHECK_CHUNK + i);
+        }
+    }
+    None
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 //! steal cycles from whoever is running", which is exactly the effect the
 //! paper's CPU-availability experiment measures.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use ksim::{Dur, SimTime};
+use ksim::{Dur, IdSet, SimTime};
 
 use crate::types::Pid;
 
@@ -84,7 +84,7 @@ pub struct Scheduler {
     /// Mirror of `runq` membership, so the never-queued-twice invariant
     /// is O(1) to check however long the queue grows (tens of thousands
     /// of runnable clients in the connection-scale scenarios).
-    queued_set: HashSet<Pid>,
+    queued_set: IdSet<Pid>,
     current: Option<CurrentRun>,
     quantum: Dur,
     next_gen: u64,
@@ -95,7 +95,7 @@ impl Scheduler {
     pub fn new(quantum: Dur) -> Scheduler {
         Scheduler {
             runq: VecDeque::new(),
-            queued_set: HashSet::new(),
+            queued_set: IdSet::default(),
             current: None,
             quantum,
             next_gen: 0,

@@ -6,6 +6,7 @@
 
 use proptest::prelude::*;
 
+use kproc::programs::util::{pattern_bytes, pattern_check, pattern_fill};
 use kproc::{
     Admit, Chan, ChanSpace, CpuEngine, CurrentRun, Pid, ProcState, ProcTable, Program, RunKind,
     Scheduler, Step, UserCtx, WorkClass,
@@ -195,6 +196,63 @@ proptest! {
             // Total stolen time is what was folded in by rearm.
             prop_assert_eq!(run.stolen, Dur::from_us(penalty_us));
             now = run.chunk_end;
+        }
+    }
+}
+
+/// The reference model for the pattern stream: byte `i` of a slice at
+/// `offset` is the top byte of `(offset + i)·K1 + seed·K2`, computed
+/// independently for every byte.
+fn model_pattern(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+    (0..len as u64)
+        .map(|i| {
+            let x = offset
+                .wrapping_add(i)
+                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                .wrapping_add(seed.wrapping_mul(0xD1B5_4A32_D192_ED03));
+            (x >> 56) as u8
+        })
+        .collect()
+}
+
+/// Offsets anywhere in the stream, or within 4 KB of `u64::MAX` so that
+/// a slice wraps past the end of the offset space.
+fn pattern_offset() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        any::<u64>(),
+        (0u64..4096).prop_map(|d| u64::MAX - d),
+        0u64..1 << 20,
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn pattern_functions_match_the_per_byte_model(
+        seed in any::<u64>(),
+        offset in pattern_offset(),
+        len in 0usize..301,
+        flip in (1u16..256).prop_map(|f| f as u8),
+    ) {
+        let want = model_pattern(seed, offset, len);
+        let mut filled = vec![0u8; len];
+        pattern_fill(seed, offset, &mut filled);
+        prop_assert_eq!(&filled, &want);
+        prop_assert_eq!(&pattern_bytes(seed, offset, len), &want);
+        prop_assert_eq!(pattern_check(seed, offset, &want), None);
+        // One corrupted byte at every position is found at that index.
+        let mut data = want.clone();
+        for i in 0..len {
+            data[i] ^= flip;
+            prop_assert_eq!(pattern_check(seed, offset, &data), Some(i), "flip at {}", i);
+            data[i] ^= flip;
+        }
+        // Only the first of several mismatches is reported.
+        if len > 1 {
+            data[len - 1] ^= flip;
+            data[len / 2] ^= flip;
+            prop_assert_eq!(pattern_check(seed, offset, &data), Some(len / 2));
         }
     }
 }

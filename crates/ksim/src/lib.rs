@@ -7,9 +7,11 @@
 //! ([`EventQueue`]), a BSD-style callout list ([`Callout`]) matching the
 //! mechanism the paper uses to decouple the read and write sides of a
 //! splice, structured spans/gauges and latency digests ([`kstat`]), a
-//! dependency-free JSON value ([`Json`]) for the bench emitters, a typed trace ring ([`Trace`]) with
-//! structured tracepoints ([`TraceEvent`]), causal per-block splice
-//! spans ([`trace::BlockSpan`]), and Chrome trace-event export, and a
+//! dependency-free JSON value ([`Json`]) for the bench emitters, a
+//! deterministic hasher for id-keyed maps ([`IdMap`], [`IdSet`]), a typed
+//! trace ring ([`Trace`]) with structured tracepoints ([`TraceEvent`]),
+//! causal per-block splice spans ([`trace::BlockSpan`]), and Chrome
+//! trace-event export, and a
 //! resident request-observability pipeline ([`obs`]): head-sampled
 //! request spans with tail retention, an SLO burn-rate monitor, and a
 //! flight recorder.
@@ -21,6 +23,7 @@
 
 pub mod callout;
 pub mod event;
+pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod kstat;
@@ -32,6 +35,7 @@ pub mod trace;
 pub use callout::BTreeCallout;
 pub use callout::{Callout, CalloutId};
 pub use event::{EventId, EventQueue};
+pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
 pub use kstat::{FlowSample, HistSummary, Kstat, SpliceSpan, SpliceSpans, StageHists};

@@ -27,8 +27,9 @@
 //! functions of the run's inputs, so committed-span sets, alerts, and
 //! flight dumps replay byte-identically under a fixed seed.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::hash::IdMap;
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::time::{Dur, SimTime};
@@ -249,7 +250,7 @@ struct Staged {
 /// from its accept / transfer-completion / close paths.
 pub struct Observability {
     cfg: ObsConfig,
-    staged: HashMap<u32, Staged>,
+    staged: IdMap<u32, Staged>,
     committed: VecDeque<ReqSpan>,
     /// End-to-end request latency over *all* requests (the ground truth
     /// the sampled spans are audited against), with per-bucket
@@ -276,7 +277,7 @@ impl Observability {
     pub fn new(cfg: ObsConfig) -> Self {
         Observability {
             cfg,
-            staged: HashMap::new(),
+            staged: IdMap::default(),
             committed: VecDeque::new(),
             latency: Hist::new(),
             window: VecDeque::new(),
