@@ -1,4 +1,4 @@
-//! Related-work baselines (§7): [PCM91] ioctl handle passing and the
+//! Related-work baselines (§7): \[PCM91\] ioctl handle passing and the
 //! memory-mapped copy, against CP and SCP, on all three disks.
 
 use bench::{print_table, throughput, DiskRow, Experiment, Method};

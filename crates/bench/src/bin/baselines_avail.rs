@@ -1,7 +1,7 @@
 //! Extension: CPU availability for the §7 baselines.
 //!
 //! Table 1 compared only CP and SCP; this extends the same procedure to
-//! the ioctl-handle and mmap baselines on the RAM disk. [PCM91]'s scheme
+//! the ioctl-handle and mmap baselines on the RAM disk. \[PCM91\]'s scheme
 //! "requires user process execution to effect a data transfer", so its
 //! availability should look like CP's even though it copies nothing —
 //! which is the paper's §7 argument for splice in one number.

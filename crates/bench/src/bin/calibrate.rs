@@ -1,5 +1,5 @@
 //! Calibration helper: run a single cell of a table with diagnostics.
-//! Usage: calibrate <ram|rz56|rz58> <cp|scp|scpsync|handle|mmap|idle|avail-cp|avail-scp> [mb]
+//! Usage: `calibrate <ram|rz56|rz58> <cp|scp|scpsync|handle|mmap|idle|avail-cp|avail-scp> [mb]`
 
 use bench::{availability, idle_baseline, throughput, DiskRow, Experiment, Method};
 

@@ -214,10 +214,11 @@ fn main() {
         for mode in MODES {
             let t = std::time::Instant::now();
             rows.push(run(nominal, conns, mode));
+            let host_s = t.elapsed().as_secs_f64();
             eprintln!(
-                "[server] {} @ {nominal} ({conns} conns): {:.1}s host",
+                "[server] {} @ {nominal} ({conns} conns): {host_s:.1}s host, {:.1} µs/conn",
                 mode.name,
-                t.elapsed().as_secs_f64()
+                host_s * 1e6 / conns as f64
             );
         }
     }

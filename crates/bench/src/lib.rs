@@ -42,7 +42,7 @@ pub enum Method {
     Scp,
     /// `scp` with a synchronous splice (ablation).
     ScpSync,
-    /// [PCM91] ioctl handle passing (related-work baseline).
+    /// \[PCM91\] ioctl handle passing (related-work baseline).
     Handle,
     /// Memory-mapped copy (related-work baseline).
     Mmap,

@@ -1,6 +1,6 @@
 //! Related-work baselines (§7 of the paper), for comparison benches.
 //!
-//! * **[PCM91] ioctl handle passing** — "Pasieka et al. suggest the UNIX
+//! * **\[PCM91\] ioctl handle passing** — "Pasieka et al. suggest the UNIX
 //!   ioctl be used to pass handles between source and destination devices,
 //!   referring to kernel-level data objects. Their scheme decouples data
 //!   movement from the application but requires user process execution to
@@ -345,7 +345,7 @@ impl Kernel {
 // Baseline user programs.
 // --------------------------------------------------------------------------
 
-/// The [PCM91] handle-passing copy program: user-driven, copy-free.
+/// The \[PCM91\] handle-passing copy program: user-driven, copy-free.
 pub struct HandleCopy {
     src: String,
     dst: String,

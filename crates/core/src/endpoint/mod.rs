@@ -4,7 +4,7 @@
 //! of the paper lists files, sockets, and framebuffer/device endpoints).
 //! Rather than hard-coding one engine per pair, the kernel resolves each
 //! file descriptor **once**, at `sys_splice` time, into an endpoint
-//! descriptor ([`SrcEndpoint`] / [`DstEndpoint`]) whose
+//! descriptor (`SrcEndpoint` / `DstEndpoint`) whose
 //! [capabilities](EndpointCaps) say how it can participate:
 //!
 //! | object       | block src | stream src | block sink | stream sink | EOF |
@@ -19,16 +19,16 @@
 //!   paper's whole-block sharing constraint.
 //!
 //! A **block source** yields a physical block table up front
-//! ([`ReadPlan::Mapped`], the §5.2 `bmap` walk) and is read with
+//! (`ReadPlan::Mapped`, the §5.2 `bmap` walk) and is read with
 //! `bread_call`; a **stream source** is pulled chunk-by-chunk
-//! ([`ReadPlan::Stream`]). Either way every arriving [`Block`] flows
+//! (`ReadPlan::Stream`). Either way every arriving [`Block`] flows
 //! through the same engine loop in [`crate::splice_engine`]: the same
 //! pending-read/pending-write gauges, the same §5.2.3 watermark flow
 //! control, the same `SpliceSpan` lifecycle instrumentation.
 //!
 //! The per-backend glue lives in the submodules: [`file`] (kfs block
-//! tables, shared-header writes, the append path), [`sock`] (knet
-//! datagram pulls and sends), and [`dev`] (kdev framebuffer pulls and
+//! tables, shared-header writes, the append path), `sock` (knet
+//! datagram pulls and sends), and `dev` (kdev framebuffer pulls and
 //! paced DAC delivery).
 
 use kbuf::BufId;

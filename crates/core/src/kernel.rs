@@ -14,7 +14,7 @@
 //!
 //! Deferrable (softclock-class) work beyond the per-tick budget queues in
 //! `deferred` and runs either in later ticks' budgets or — without any
-//! budget — whenever no user process wants the CPU ([`Kernel::maybe_pump`]).
+//! budget — whenever no user process wants the CPU (`Kernel::maybe_pump`).
 
 use std::collections::VecDeque;
 

@@ -22,7 +22,7 @@
 //!   file-to-socket splices (§5.1 plus the natural extension).
 //!
 //! The related-work baselines of §7 ([`baselines`]) are implemented for
-//! comparison benches: the [PCM91] ioctl handle-passing scheme and an
+//! comparison benches: the \[PCM91\] ioctl handle-passing scheme and an
 //! mmap-style copy.
 //!
 //! See `DESIGN.md` at the repository root for the substitution argument

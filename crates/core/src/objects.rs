@@ -1,7 +1,8 @@
 //! Kernel object tables: mounted disks, character devices, the system
 //! open-file table and per-process descriptor tables.
 
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use kbuf::DevId;
 use kdev::{AudioDac, Framebuffer, VideoDac};
@@ -161,10 +162,21 @@ pub struct OpenFile {
 }
 
 /// The open-file table plus per-process descriptor tables.
+///
+/// Every per-connection operation is O(1) or O(descriptors of one
+/// process), never O(open files): freed open-file slots wait on a
+/// min-heap, so `open` takes the lowest free slot without a scan, and
+/// descriptor tables are indexed by pid (pids are dense) and then by fd.
 #[derive(Default)]
 pub struct FileTable {
     files: Vec<Option<OpenFile>>,
-    fds: BTreeMap<Pid, BTreeMap<Fd, FileId>>,
+    /// Exactly the `None` slots of `files`: a slot empties only in
+    /// `close`, which pushes it here, and `open` pops the lowest.
+    free: BinaryHeap<Reverse<u32>>,
+    /// Descriptor table of pid `p` at index `p`, each indexed by fd.
+    /// Trailing empty entries are trimmed, so a process with no open
+    /// descriptors holds no allocation.
+    fds: Vec<Vec<Option<FileId>>>,
 }
 
 impl FileTable {
@@ -176,25 +188,36 @@ impl FileTable {
     /// Installs an open file and assigns the lowest free descriptor ≥ 3
     /// for `pid` (0-2 are reserved as in UNIX).
     pub fn open(&mut self, pid: Pid, file: OpenFile) -> (Fd, FileId) {
-        let fid = if let Some(i) = self.files.iter().position(Option::is_none) {
-            self.files[i] = Some(file);
-            FileId(i as u32)
-        } else {
-            self.files.push(Some(file));
-            FileId((self.files.len() - 1) as u32)
+        let fid = match self.free.pop() {
+            Some(Reverse(i)) => {
+                self.files[i as usize] = Some(file);
+                FileId(i)
+            }
+            None => {
+                self.files.push(Some(file));
+                FileId((self.files.len() - 1) as u32)
+            }
         };
-        let table = self.fds.entry(pid).or_default();
-        let mut fd = 3;
-        while table.contains_key(&Fd(fd)) {
-            fd += 1;
+        let p = pid.0 as usize;
+        if self.fds.len() <= p {
+            self.fds.resize_with(p + 1, Vec::new);
         }
-        table.insert(Fd(fd), fid);
-        (Fd(fd), fid)
+        let table = &mut self.fds[p];
+        let fd = match table.iter().skip(3).position(Option::is_none) {
+            Some(i) => i + 3,
+            None => table.len().max(3),
+        };
+        if fd >= table.len() {
+            table.resize(fd + 1, None);
+        }
+        table[fd] = Some(fid);
+        (Fd(fd as i32), fid)
     }
 
     /// Resolves a descriptor for `pid`.
     pub fn resolve(&self, pid: Pid, fd: Fd) -> Option<FileId> {
-        self.fds.get(&pid)?.get(&fd).copied()
+        let table = self.fds.get(pid.0 as usize)?;
+        *table.get(usize::try_from(fd.0).ok()?)?
     }
 
     /// The open file behind `fid`.
@@ -210,11 +233,19 @@ impl FileTable {
     /// Closes `fd` for `pid`; returns the open file if this was the last
     /// reference (so the kernel can release the underlying object).
     pub fn close(&mut self, pid: Pid, fd: Fd) -> Option<Option<OpenFile>> {
-        let fid = self.fds.get_mut(&pid)?.remove(&fd)?;
+        let table = self.fds.get_mut(pid.0 as usize)?;
+        let fid = table.get_mut(usize::try_from(fd.0).ok()?)?.take()?;
+        while table.last() == Some(&None) {
+            table.pop();
+        }
+        if table.is_empty() {
+            *table = Vec::new();
+        }
         let slot = self.files.get_mut(fid.0 as usize)?;
         let f = slot.as_mut()?;
         f.refs -= 1;
         if f.refs == 0 {
+            self.free.push(Reverse(fid.0));
             Some(slot.take())
         } else {
             Some(None)
@@ -224,20 +255,80 @@ impl FileTable {
     /// Every descriptor of `pid` (for exit cleanup), in order.
     pub fn fds_of(&self, pid: Pid) -> Vec<Fd> {
         self.fds
-            .get(&pid)
-            .map(|t| t.keys().copied().collect())
+            .get(pid.0 as usize)
+            .map(|t| {
+                t.iter()
+                    .enumerate()
+                    .filter_map(|(fd, fid)| fid.map(|_| Fd(fd as i32)))
+                    .collect()
+            })
             .unwrap_or_default()
     }
 
     /// Number of live open-file entries.
     pub fn live(&self) -> usize {
-        self.files.iter().filter(|f| f.is_some()).count()
+        self.files.len() - self.free.len()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// The original table, kept as the reference model: a linear scan
+    /// for the lowest free slot and nested ordered maps for descriptors.
+    #[derive(Default)]
+    struct RefTable {
+        files: Vec<Option<OpenFile>>,
+        fds: BTreeMap<Pid, BTreeMap<Fd, FileId>>,
+    }
+
+    impl RefTable {
+        fn open(&mut self, pid: Pid, file: OpenFile) -> (Fd, FileId) {
+            let fid = if let Some(i) = self.files.iter().position(Option::is_none) {
+                self.files[i] = Some(file);
+                FileId(i as u32)
+            } else {
+                self.files.push(Some(file));
+                FileId((self.files.len() - 1) as u32)
+            };
+            let table = self.fds.entry(pid).or_default();
+            let mut fd = 3;
+            while table.contains_key(&Fd(fd)) {
+                fd += 1;
+            }
+            table.insert(Fd(fd), fid);
+            (Fd(fd), fid)
+        }
+
+        fn resolve(&self, pid: Pid, fd: Fd) -> Option<FileId> {
+            self.fds.get(&pid)?.get(&fd).copied()
+        }
+
+        fn close(&mut self, pid: Pid, fd: Fd) -> Option<Option<OpenFile>> {
+            let fid = self.fds.get_mut(&pid)?.remove(&fd)?;
+            let slot = self.files.get_mut(fid.0 as usize)?;
+            let f = slot.as_mut()?;
+            f.refs -= 1;
+            if f.refs == 0 {
+                Some(slot.take())
+            } else {
+                Some(None)
+            }
+        }
+
+        fn fds_of(&self, pid: Pid) -> Vec<Fd> {
+            self.fds
+                .get(&pid)
+                .map(|t| t.keys().copied().collect())
+                .unwrap_or_default()
+        }
+
+        fn live(&self) -> usize {
+            self.files.iter().filter(|f| f.is_some()).count()
+        }
+    }
 
     fn file() -> OpenFile {
         OpenFile {
@@ -297,5 +388,72 @@ mod tests {
         t.open(Pid(1), file());
         assert_eq!(t.fds_of(Pid(1)), vec![Fd(3), Fd(4)]);
         assert!(t.fds_of(Pid(9)).is_empty());
+    }
+
+    /// Compares every observable of the two tables for `pids`.
+    fn assert_same(t: &FileTable, r: &RefTable, pids: u32) {
+        assert_eq!(t.live(), r.live());
+        for p in 0..=pids + 1 {
+            let pid = Pid(p);
+            assert_eq!(t.fds_of(pid), r.fds_of(pid), "fds_of({pid:?})");
+            for fd in (-2..40).chain([i32::MAX, i32::MIN]) {
+                assert_eq!(
+                    t.resolve(pid, Fd(fd)),
+                    r.resolve(pid, Fd(fd)),
+                    "{pid:?} {fd}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_model_on_random_sequences() {
+        for seed in 1..=16u64 {
+            let mut rng = seed;
+            let mut next = |bound: u64| {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (rng >> 33) % bound
+            };
+            let pids = 1 + next(50) as u32;
+            let (mut t, mut r) = (FileTable::new(), RefTable::default());
+            for _ in 0..300 {
+                let pid = Pid(1 + next(pids as u64) as u32);
+                match next(10) {
+                    0..=4 => assert_eq!(t.open(pid, file()), r.open(pid, file())),
+                    5..=8 => {
+                        let fd = Fd(next(12) as i32 + 1);
+                        let (a, b) = (t.close(pid, fd), r.close(pid, fd));
+                        assert_eq!(a.map(|f| f.is_some()), b.map(|f| f.is_some()));
+                    }
+                    _ => {
+                        let fds = t.fds_of(pid);
+                        assert_eq!(fds, r.fds_of(pid));
+                        for fd in fds {
+                            let (a, b) = (t.close(pid, fd), r.close(pid, fd));
+                            assert_eq!(a.map(|f| f.is_some()), b.map(|f| f.is_some()));
+                        }
+                    }
+                }
+                assert_same(&t, &r, pids);
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_range_descriptors_and_unknown_pids_resolve_to_none() {
+        let mut t = FileTable::new();
+        t.open(Pid(2), file());
+        for fd in [-1, 0, 2, 5, i32::MAX, i32::MIN] {
+            assert_eq!(t.resolve(Pid(2), Fd(fd)), None, "fd {fd}");
+            assert!(t.close(Pid(2), Fd(fd)).is_none(), "fd {fd}");
+        }
+        for pid in [Pid(0), Pid(1), Pid(3), Pid(u32::MAX)] {
+            assert_eq!(t.resolve(pid, Fd(3)), None);
+            assert!(t.close(pid, Fd(3)).is_none());
+            assert!(t.fds_of(pid).is_empty());
+        }
+        assert_eq!(t.live(), 1);
     }
 }

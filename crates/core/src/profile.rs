@@ -10,7 +10,7 @@
 //!   by admission class, per-device busy time and service-time
 //!   distributions, buffer-cache occupancy, and the per-stage splice
 //!   latency histograms ([`ksim::StageHists`]).
-//! * The [`Sampler`] — opt-in via
+//! * The `Sampler` — opt-in via
 //!   [`KernelBuilder::sample`](crate::KernelBuilder::sample) — a
 //!   callout-driven gauge recorder: every period it snapshots inflight
 //!   splice work, disk queue depths, cache occupancy, and each

@@ -17,7 +17,7 @@
 //! that used to live in an ad-hoc `sock_splices` map on the kernel is
 //! part of the ring table's in-flight bookkeeping. There is exactly one
 //! code path from a [`kproc::SpliceReq`] to a
-//! [`SpliceOutcome`](crate::SpliceOutcome) —
+//! [`SpliceOutcome`] —
 //! [`splice_begin`](crate::splice_engine), reached from here.
 //!
 //! Rejections use the same funnel as `splice(2)` itself

@@ -2,7 +2,7 @@
 //!
 //! Calls run in the calling process's context: their CPU cost becomes a
 //! `SyscallCpu` chunk, and calls that must wait either sleep on a channel
-//! (with a [`Cont`] recording how to resume) or sleep until a known
+//! (with a `Cont` recording how to resume) or sleep until a known
 //! instant (metadata I/O, device pacing). The read/write paths move real
 //! bytes through the buffer cache, charging `copyin`/`copyout` at the
 //! machine profile's rates — the costs splice exists to remove.
@@ -1162,14 +1162,20 @@ impl Kernel {
             return self.err(Errno::Ebadf);
         };
         if self.net.rcv_ready(sock) {
-            let d = self.net.recv(sock).expect("socket exists").unwrap();
-            let n = d.data.len().min(max_len);
+            let mut data = self
+                .net
+                .recv(sock)
+                .expect("socket exists")
+                .expect("rcv_ready means a datagram is queued")
+                .data;
+            let n = data.len().min(max_len);
+            data.truncate(n);
             let cpu =
                 base + self.cfg.machine.udp_packet + self.cfg.machine.copy_cost(CopyKind::Net, n);
             self.ctr.copy.net_bytes += n as u64;
             return SyscallOutcome::Done {
                 cpu,
-                ret: SyscallRet::Data(d.data[..n].to_vec()),
+                ret: SyscallRet::Data(data),
             };
         }
         self.conts.insert(pid, Cont::Recv { fid, max_len });

@@ -4,7 +4,7 @@
 //! gauge samplers, tick-accurate accounting — record *what* happened.
 //! This crate converts those records into *answers*:
 //!
-//! - [`decompose`]: walks every stitched [`ksim::BlockSpan`] into an
+//! - [`decompose()`]: walks every stitched [`ksim::BlockSpan`] into an
 //!   exhaustive, gap-free per-block latency breakdown (read queue, read
 //!   service, read→write handoff, write service, with SQE-admission
 //!   wait and retry backoff as overlapping sub-attributions), aggregates

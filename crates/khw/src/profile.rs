@@ -13,7 +13,7 @@
 //!   harmonic combination of a read and a write stream; streaming through
 //!   a multi-megabyte region defeats the 64 KB data cache, which is why the
 //!   driver-level copy rate sits near the uncached combination.
-//! * RZ56/RZ58 mechanics: §6.1 and [DEC92] — rotational latency, seek, peak
+//! * RZ56/RZ58 mechanics: §6.1 and \[DEC92\] — rotational latency, seek, peak
 //!   media rate, read-ahead cache size and segmentation.
 //! * Kernel path costs (syscall, context switch, interrupt service, buffer
 //!   cache bookkeeping): era-typical values for a 25 MHz R3000 running a

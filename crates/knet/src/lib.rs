@@ -214,6 +214,10 @@ struct Socket {
     listener: Option<Listener>,
     /// Back-pointer for connection sockets: (listener, demux key).
     on_listener: Option<(SockId, SockId)>,
+    /// Carved and still on its listener's backlog: set by `deliver`,
+    /// cleared by `accept`, so `close` scans the backlog only for a
+    /// connection that is actually on it.
+    in_backlog: bool,
     rcv_queue: VecDeque<Datagram>,
     rcv_used: usize,
     rcv_limit: usize,
@@ -371,6 +375,7 @@ impl Net {
             peer_sock: None,
             listener: None,
             on_listener: None,
+            in_backlog: false,
             rcv_queue: VecDeque::new(),
             rcv_used: 0,
             rcv_limit: self.rcv_limit,
@@ -387,7 +392,7 @@ impl Net {
     /// unwired from the dead listener). Closing a **connection** removes
     /// it from its listener's demultiplexer so the remote may reconnect.
     pub fn close(&mut self, id: SockId) -> Result<(), NetErr> {
-        let (host, port, on_listener, listener, thrown, thrown_bytes) = {
+        let (host, port, on_listener, in_backlog, listener, thrown, thrown_bytes) = {
             let s = self.sock_mut(id)?;
             s.open = false;
             let thrown = s.rcv_queue.len() as u64;
@@ -398,6 +403,7 @@ impl Net {
                 s.host,
                 s.local_port,
                 s.on_listener.take(),
+                std::mem::take(&mut s.in_backlog),
                 s.listener.take(),
                 thrown,
                 thrown_bytes,
@@ -429,7 +435,9 @@ impl Net {
             if let Ok(l) = self.sock_mut(lst) {
                 if let Some(listener) = l.listener.as_mut() {
                     listener.conns.remove(&key);
-                    listener.pending.retain(|c| *c != id);
+                    if in_backlog {
+                        listener.pending.retain(|c| *c != id);
+                    }
                 }
             }
         }
@@ -483,7 +491,11 @@ impl Net {
         let Some(l) = s.listener.as_mut() else {
             return Err(NetErr::NotBound);
         };
-        Ok(l.pending.pop_front())
+        let conn = l.pending.pop_front();
+        if let Some(c) = conn {
+            self.socks[c.0 as usize].in_backlog = false;
+        }
+        Ok(conn)
     }
 
     /// True if the socket is a listener.
@@ -760,6 +772,7 @@ impl Net {
             peer_sock: Some(key),
             listener: None,
             on_listener: Some((dst, key)),
+            in_backlog: true,
             rcv_queue: VecDeque::new(),
             rcv_used: 0,
             rcv_limit,
@@ -1126,6 +1139,46 @@ mod tests {
             net.deliver(l, dgram(&net, c, 0)),
             DeliverOutcome::NewConn { .. }
         ));
+    }
+
+    /// Carves a connection off `l` from a fresh client.
+    fn carve(net: &mut Net, l: SockId) -> SockId {
+        let c = client(net, net.local_port(l).unwrap());
+        let DeliverOutcome::NewConn { sock } = net.deliver(l, dgram(net, c, 0)) else {
+            panic!("expected a new connection");
+        };
+        sock
+    }
+
+    #[test]
+    fn closing_pending_connection_removes_it_from_the_backlog() {
+        let mut net = Net::new();
+        let l = listener(&mut net, 80, 4);
+        let conns: Vec<SockId> = (0..3).map(|_| carve(&mut net, l)).collect();
+        net.close(conns[1]).unwrap();
+        assert_eq!(net.pending_conns(l), 2);
+        assert_eq!(net.conn_count(l), 2, "demux entry freed");
+        assert_eq!(net.accept(l).unwrap(), Some(conns[0]));
+        assert_eq!(net.accept(l).unwrap(), Some(conns[2]));
+        assert_eq!(
+            net.accept(l).unwrap(),
+            None,
+            "the closed one is never accepted"
+        );
+    }
+
+    #[test]
+    fn closing_accepted_connection_keeps_backlog_order() {
+        let mut net = Net::new();
+        let l = listener(&mut net, 80, 8);
+        let conns: Vec<SockId> = (0..4).map(|_| carve(&mut net, l)).collect();
+        assert_eq!(net.accept(l).unwrap(), Some(conns[0]));
+        net.close(conns[0]).unwrap();
+        assert_eq!(net.pending_conns(l), 3);
+        for &conn in &conns[1..] {
+            assert_eq!(net.accept(l).unwrap(), Some(conn));
+        }
+        assert_eq!(net.accept(l).unwrap(), None);
     }
 
     #[test]

@@ -406,14 +406,14 @@ pub enum SyscallReq {
     },
     /// File size query (`fstat`, size field only).
     Fstat(Fd),
-    /// [PCM91] ioctl-handle baseline (§7): read the next block at the
+    /// \[PCM91\] ioctl-handle baseline (§7): read the next block at the
     /// descriptor's offset into a kernel-held handle — data stays in the
     /// kernel, no `copyout`. Returns the handle.
     HandleRead {
         /// Source descriptor.
         fd: Fd,
     },
-    /// [PCM91] ioctl-handle baseline: write a kernel handle's data at the
+    /// \[PCM91\] ioctl-handle baseline: write a kernel handle's data at the
     /// descriptor's offset — no `copyin`. Consumes the handle.
     HandleWrite {
         /// Destination descriptor.

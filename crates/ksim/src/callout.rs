@@ -14,7 +14,7 @@
 //! Entries live in a slab indexed by [`CalloutId`] (slot index plus a
 //! generation tag, so a stale handle can never cancel a recycled slot).
 //! Pending entries hang off a BSD `callwheel`-style hierarchical wheel:
-//! [`LEVELS`] levels of [`BUCKETS`] buckets each, level `l` covering
+//! `LEVELS` levels of `BUCKETS` buckets each, level `l` covering
 //! `BUCKETS^(l+1)` ticks ahead of the wheel base, with entries past the
 //! wheel horizon parked on a far list that is re-homed when the base
 //! crosses a horizon boundary. Each bucket is an intrusive doubly-linked

@@ -1,6 +1,6 @@
 //! Minimal hand-rolled JSON value, writer, and parser.
 //!
-//! The bench binaries serialize [`MetricsSnapshot`] summaries to
+//! The bench binaries serialize `MetricsSnapshot` summaries to
 //! `BENCH_*.json` so the perf trajectory is machine-checkable across
 //! PRs, and the CI smoke test parses them back. The workspace builds
 //! with no network access, so this is a small self-contained

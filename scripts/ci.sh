@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate, run exactly as CI does: hermetic build + tests, formatting
-# and lints (every target, props suites and the benchmark package too) as
-# errors, every example binary, randomized-seed replays,
+# and lints (every target, props suites and the benchmark package too) and
+# rustdoc links as errors, every example binary, randomized-seed replays,
 # every property suite, the end-to-end benchmark's contract tests, and
 # every seeded bench producer run twice with byte-identical output.
 # Each producer asserts its own paper claims and panics when one fails;
@@ -27,6 +27,9 @@ cargo clippy --all-targets -p splice-repro -p ksim -p kbuf -p kfs -p khw -p kdev
     --features splice-repro/props,ksim/props,kbuf/props,kfs/props,khw/props,kdev/props,kproc/props \
     -- -D warnings
 cargo clippy --offline --all-targets --manifest-path perfbench/Cargo.toml -- -D warnings
+
+echo "== rustdoc (every package, broken or private intra-doc links are errors) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --keep-going
 
 echo "== examples =="
 for ex in quickstart movie_player network_relay framebuffer_stream cpu_availability; do
