@@ -21,11 +21,11 @@
 
 use bench::{bench_doc, workload_meta, workloads, write_bench_json};
 use kanalyze::{
-    byte_conservation, decompose, littles_law, utilization_law, AuditReport, DescBytes,
-    DeviceAccounting, Tolerance,
+    byte_conservation, decompose, littles_law, utilization_law, AuditReport, DeviceAccounting,
+    Tolerance,
 };
 use ksim::{Dur, Json};
-use splice::{Kernel, OutcomeStatus};
+use splice::Kernel;
 
 /// Gauge-sampler period: one scheduler tick on the paper machine, the
 /// finest granularity the callout wheel can deliver.
@@ -132,29 +132,11 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
     }
 
     // Byte conservation: kstat spans vs engine outcomes vs the
-    // workload's own expected byte count, exact.
-    let descs: Vec<DescBytes> = k
-        .kstat()
-        .spans
-        .iter()
-        .map(|s| DescBytes {
-            desc: s.id,
-            span_bytes: s.bytes_moved,
-            outcome_bytes: match k.splice_outcome(s.id) {
-                OutcomeStatus::Done(o) => o.bytes_moved,
-                // A splice that never finished conserves nothing; the
-                // zero fails the audit loudly below.
-                OutcomeStatus::Pending | OutcomeStatus::Unknown => 0,
-            },
-            blocks_done: s.blocks_done,
-            reads_issued: s.reads_issued,
-            read_hits: s.read_hits,
-            writes_issued: s.writes_issued,
-        })
-        .collect();
+    // workload's own expected byte count, exact. A splice that never
+    // finished conserves nothing, so it fails the audit loudly.
     report
         .outcomes
-        .push(byte_conservation(&descs, expected_bytes));
+        .push(byte_conservation(&k.kstat().spans.tally(), expected_bytes));
     report
 }
 

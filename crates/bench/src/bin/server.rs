@@ -23,7 +23,7 @@ use bench::{bench_doc, json_rows, print_table, test_program, write_table};
 use knet::LinkModel;
 use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
 use kproc::{ProcState, SockAddr};
-use ksim::{Dur, Json};
+use ksim::{Dur, Json, RECENT_SPANS};
 use splice::KernelBuilder;
 use std::rc::Rc;
 
@@ -85,6 +85,11 @@ struct Row {
     snd_blocked: u64,
     compute_share: f64,
     elapsed_s: f64,
+    /// Sockets still open after the drain (must be 0).
+    open_socks: usize,
+    /// Splice spans still kept in full after the drain (at most
+    /// [`RECENT_SPANS`]).
+    spans_kept: usize,
 }
 
 impl Row {
@@ -167,6 +172,21 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
         mode.name
     );
     assert_eq!(s.mismatches, 0, "{} @ {nominal}: corruption", mode.name);
+    // Kernel memory follows open connections: the drained fleet leaves
+    // no socket behind, and of its splices only the recent ring is
+    // kept in full.
+    let open_socks = k.net().open_socks();
+    let spans_kept = k.kstat().spans.len();
+    assert_eq!(
+        open_socks, 0,
+        "{} @ {nominal}: sockets left open",
+        mode.name
+    );
+    assert!(
+        spans_kept <= RECENT_SPANS,
+        "{} @ {nominal}: {spans_kept} splice spans kept",
+        mode.name
+    );
 
     let profile = k.profile();
     let cp = profile.proc(compute.0).expect("compute program in profile");
@@ -188,6 +208,8 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
         snd_blocked: m.net.snd_blocked,
         compute_share,
         elapsed_s: elapsed.as_secs_f64(),
+        open_socks,
+        spans_kept,
     }
 }
 
@@ -213,13 +235,17 @@ fn main() {
     for &(nominal, conns) in &sweep {
         for mode in MODES {
             let t = std::time::Instant::now();
-            rows.push(run(nominal, conns, mode));
+            let row = run(nominal, conns, mode);
             let host_s = t.elapsed().as_secs_f64();
             eprintln!(
-                "[server] {} @ {nominal} ({conns} conns): {host_s:.1}s host, {:.1} µs/conn",
+                "[server] {} @ {nominal} ({conns} conns): {host_s:.1}s host, {:.1} µs/conn, \
+                 {} sockets open, {} spans kept",
                 mode.name,
-                host_s * 1e6 / conns as f64
+                host_s * 1e6 / conns as f64,
+                row.open_socks,
+                row.spans_kept
             );
+            rows.push(row);
         }
     }
 

@@ -979,7 +979,7 @@ impl Kernel {
                         self.procs.must_mut(pid).acct.vcsw += 1;
                         self.procs.set_state(
                             pid,
-                            ProcState::Sleeping(Chan::new(ChanSpace::Dev, u64::MAX)),
+                            ProcState::Sleeping(Chan::new(ChanSpace::Timed, pid.0 as u64)),
                         );
                         self.timed_actions.insert(pid, then);
                         let at = until.max(self.q.now());

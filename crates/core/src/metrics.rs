@@ -203,7 +203,9 @@ counter_groups! {
 /// The totals read straight through (`snapshot.splice.completed`), and
 /// the snapshot is indexable by descriptor id —
 /// `snapshot.splice[desc].reads_issued` — matching how tests reason
-/// about a single transfer.
+/// about a single transfer. Indexing is guaranteed only for live and
+/// recently finished splices (the last [`ksim::RECENT_SPANS`]); older
+/// ones are folded into `spans.retired()`.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceMetrics {
     /// Engine-wide totals.
@@ -296,7 +298,8 @@ pub struct LatencyMetrics {
 /// One coherent, typed view of everything the kernel measured.
 ///
 /// Built by [`Kernel::metrics`]; cheap enough to take repeatedly (the
-/// spans are cloned, everything else is `Copy`).
+/// live and recent spans and the retired tally are cloned, everything
+/// else is `Copy`), however many splices the kernel has run.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Simulated time the snapshot was taken.

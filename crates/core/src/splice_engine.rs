@@ -1109,9 +1109,7 @@ impl Kernel {
         if outcome.error.is_none() {
             self.ctr.splice.completed += 1;
         }
-        if let Some(span) = self.kstat.spans.get_mut(desc) {
-            span.note_completed(now);
-        }
+        self.kstat.spans.retire(desc, now, outcome.bytes_moved);
         self.trace.emit(now, || TraceEvent::SpliceComplete { desc });
         self.splices.remove(&desc);
         self.ring_deliver(desc, outcome);

@@ -21,9 +21,10 @@
 //! - **Byte conservation**: exact — every descriptor's span byte count,
 //!   its engine outcome, and the workload's expected total must agree
 //!   to the byte, and blocks cannot complete more often than they were
-//!   read or written.
+//!   read or written. The per-descriptor checks run once, as the kernel
+//!   folds each finished span into its fixed-size `ksim::SpanTally`.
 
-use ksim::Json;
+use ksim::{Json, SpanTally};
 
 /// Tolerance for one audit comparison: pass when
 /// `|measured − predicted| ≤ max(abs, rel × |predicted|)`.
@@ -221,60 +222,34 @@ pub fn utilization_law(dev: &DeviceAccounting, tol: Tolerance) -> AuditOutcome {
     o
 }
 
-/// Per-descriptor byte accounting, extracted by the caller from the
-/// kstat span table and the engine outcome table.
-#[derive(Clone, Copy, Debug)]
-pub struct DescBytes {
-    /// Splice descriptor id.
-    pub desc: u64,
-    /// Bytes the kstat span accumulated block-by-block.
-    pub span_bytes: u64,
-    /// Bytes the engine's final `SpliceOutcome` reported.
-    pub outcome_bytes: u64,
-    /// Blocks the span completed.
-    pub blocks_done: u64,
-    /// Reads the span issued to a device.
-    pub reads_issued: u64,
-    /// Reads satisfied from the buffer cache (a cache-hot source block
-    /// completes without issuing a device read).
-    pub read_hits: u64,
-    /// Writes the span issued.
-    pub writes_issued: u64,
-}
-
-/// Byte conservation: every descriptor's two byte counters agree
-/// exactly, the total matches the workload's expected byte count, and
-/// no descriptor completed more blocks than it read or wrote.
-pub fn byte_conservation(descs: &[DescBytes], expected_total: u64) -> AuditOutcome {
-    let mut total: u64 = 0;
-    let mut bad = Vec::new();
-    for d in descs {
-        total += d.outcome_bytes;
-        if d.span_bytes != d.outcome_bytes {
-            bad.push(format!(
-                "desc {}: span {} ≠ outcome {}",
-                d.desc, d.span_bytes, d.outcome_bytes
-            ));
+/// Byte conservation over a kernel's [`SpanTally`]
+/// (`kstat().spans.tally()`): the bytes every descriptor's outcome
+/// reported must sum exactly to the workload's expected count, and no
+/// descriptor may have failed a per-span check — its span and outcome
+/// byte counts agree, it completed no more blocks than it read or
+/// wrote, and its lifecycle timestamps are in order.
+pub fn byte_conservation(tally: &SpanTally, expected_total: u64) -> AuditOutcome {
+    let detail = if tally.violations == 0 {
+        format!(
+            "{} descriptors, all span/outcome pairs exact",
+            tally.descriptors
+        )
+    } else {
+        let unlisted = tally.violations - tally.details.len() as u64;
+        let mut d = tally.details.join("; ");
+        if unlisted > 0 {
+            d += &format!("; {unlisted} more");
         }
-        if d.reads_issued + d.read_hits < d.blocks_done || d.writes_issued < d.blocks_done {
-            bad.push(format!(
-                "desc {}: {} blocks done from {} reads + {} hits / {} writes",
-                d.desc, d.blocks_done, d.reads_issued, d.read_hits, d.writes_issued
-            ));
-        }
-    }
+        d
+    };
     let mut o = AuditOutcome::judge(
         "byte_conservation".into(),
-        total as f64,
+        tally.bytes_moved as f64,
         expected_total as f64,
         Tolerance::EXACT,
-        if bad.is_empty() {
-            format!("{} descriptors, all span/outcome pairs exact", descs.len())
-        } else {
-            bad.join("; ")
-        },
+        detail,
     );
-    if !bad.is_empty() {
+    if tally.violations > 0 {
         o.pass = false;
     }
     o
@@ -366,6 +341,7 @@ pub fn request_sampling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ksim::SpliceSpan;
 
     #[test]
     fn littles_law_passes_on_consistent_inputs() {
@@ -434,35 +410,50 @@ mod tests {
 
     #[test]
     fn byte_conservation_is_exact() {
-        let d = DescBytes {
-            desc: 1,
-            span_bytes: 1 << 20,
-            outcome_bytes: 1 << 20,
+        let d = SpliceSpan {
+            id: 1,
+            bytes_moved: 1 << 20,
             blocks_done: 128,
             reads_issued: 128,
-            read_hits: 0,
             writes_issued: 128,
+            ..SpliceSpan::default()
         };
-        assert!(byte_conservation(&[d], 1 << 20).pass);
-        assert!(!byte_conservation(&[d], (1 << 20) + 1).pass, "off by one");
-        let torn = DescBytes {
-            outcome_bytes: (1 << 20) - 1,
-            ..d
+        let tally = |s: &SpliceSpan, outcome_bytes: u64| {
+            let mut t = SpanTally::default();
+            t.fold(s, outcome_bytes);
+            t
         };
-        assert!(!byte_conservation(&[torn], 1 << 20).pass);
-        let impossible = DescBytes {
+        let exact = byte_conservation(&tally(&d, 1 << 20), 1 << 20);
+        assert!(exact.pass);
+        assert_eq!(exact.detail, "1 descriptors, all span/outcome pairs exact");
+        assert!(
+            !byte_conservation(&tally(&d, 1 << 20), (1 << 20) + 1).pass,
+            "off by one"
+        );
+        let torn = byte_conservation(&tally(&d, (1 << 20) - 1), (1 << 20) - 1);
+        assert!(!torn.pass, "totals agree but the pair does not");
+        assert_eq!(torn.detail, "desc 1: span 1048576 ≠ outcome 1048575");
+        let impossible = SpliceSpan {
             reads_issued: 127,
-            ..d
+            ..d.clone()
         };
-        assert!(!byte_conservation(&[impossible], 1 << 20).pass);
+        assert!(!byte_conservation(&tally(&impossible, 1 << 20), 1 << 20).pass);
         // A cache hit is a legitimate block source: hits make up for
         // reads that never reached the device.
-        let hot = DescBytes {
+        let hot = SpliceSpan {
             reads_issued: 0,
             read_hits: 128,
-            ..d
+            ..d.clone()
         };
-        assert!(byte_conservation(&[hot], 1 << 20).pass);
+        assert!(byte_conservation(&tally(&hot, 1 << 20), 1 << 20).pass);
+        // Failures past the kept details are still counted.
+        let mut many = SpanTally::default();
+        for _ in 0..ksim::kstat::MAX_VIOLATION_DETAILS + 2 {
+            many.fold(&d, 0);
+        }
+        let o = byte_conservation(&many, 0);
+        assert!(!o.pass);
+        assert!(o.detail.ends_with("; 2 more"), "{}", o.detail);
     }
 
     #[test]
@@ -535,7 +526,7 @@ mod tests {
             Tolerance::EXACT,
         ));
         assert!(r.pass());
-        r.outcomes.push(byte_conservation(&[], 1));
+        r.outcomes.push(byte_conservation(&SpanTally::default(), 1));
         assert!(!r.pass());
         let j = r.to_json();
         assert_eq!(j.get("pass").and_then(Json::as_f64), None); // bool, not num

@@ -35,7 +35,7 @@ pub mod diff;
 
 pub use audit::{
     byte_conservation, littles_law, request_sampling, utilization_law, AuditOutcome, AuditReport,
-    DescBytes, DeviceAccounting, Tolerance,
+    DeviceAccounting, Tolerance,
 };
 pub use decompose::{decompose, Decomposition, PhaseBreakdown, StageRow};
 pub use diff::{compare, render_table, DeltaRow, DeltaStatus, DiffResult, DiffRules};

@@ -222,7 +222,6 @@ struct Socket {
     rcv_used: usize,
     rcv_limit: usize,
     snd_limit: usize,
-    open: bool,
 }
 
 /// Cumulative network counters. Datagram counts and payload-byte counts
@@ -283,7 +282,10 @@ impl NetStats {
 
 /// The network stack state.
 pub struct Net {
-    socks: Vec<Socket>,
+    /// Indexed by socket id. `close` empties a slot, freeing the socket
+    /// and its buffers; ids are never reused, so a closed id costs one
+    /// `None` for the life of the stack.
+    socks: Vec<Option<Box<Socket>>>,
     ports: IdMap<NetAddr, SockId>,
     /// Per-host modelled links (destination host → link).
     links: IdMap<u32, LinkState>,
@@ -354,21 +356,27 @@ impl Net {
     fn sock(&self, id: SockId) -> Result<&Socket, NetErr> {
         self.socks
             .get(id.0 as usize)
-            .filter(|s| s.open)
+            .and_then(|s| s.as_deref())
             .ok_or(NetErr::BadSocket)
     }
 
     fn sock_mut(&mut self, id: SockId) -> Result<&mut Socket, NetErr> {
         self.socks
             .get_mut(id.0 as usize)
-            .filter(|s| s.open)
+            .and_then(|s| s.as_deref_mut())
             .ok_or(NetErr::BadSocket)
+    }
+
+    /// Stores `s` under the next id (one past the highest ever issued).
+    fn insert(&mut self, s: Socket) -> SockId {
+        let id = SockId(self.socks.len() as u32);
+        self.socks.push(Some(Box::new(s)));
+        id
     }
 
     /// Creates a UDP socket on `host`.
     pub fn socket(&mut self, host: u32) -> SockId {
-        let id = SockId(self.socks.len() as u32);
-        self.socks.push(Socket {
+        self.insert(Socket {
             host,
             local_port: None,
             peer: None,
@@ -380,46 +388,35 @@ impl Net {
             rcv_used: 0,
             rcv_limit: self.rcv_limit,
             snd_limit: self.snd_limit,
-            open: true,
-        });
-        id
+        })
     }
 
-    /// Closes a socket, releasing its port and dropping queued data.
+    /// Closes a socket, releasing its port and dropping queued data. The
+    /// socket itself, its receive buffer and any listener state are freed
+    /// (BSD `soclose`/`sofree`); the id answers [`NetErr::BadSocket`] from
+    /// then on.
     ///
     /// Closing a **listener** also closes its not-yet-accepted pending
     /// connections and detaches already-accepted ones (they live on,
     /// unwired from the dead listener). Closing a **connection** removes
     /// it from its listener's demultiplexer so the remote may reconnect.
     pub fn close(&mut self, id: SockId) -> Result<(), NetErr> {
-        let (host, port, on_listener, in_backlog, listener, thrown, thrown_bytes) = {
-            let s = self.sock_mut(id)?;
-            s.open = false;
-            let thrown = s.rcv_queue.len() as u64;
-            let thrown_bytes = s.rcv_used as u64;
-            s.rcv_queue.clear();
-            s.rcv_used = 0;
-            (
-                s.host,
-                s.local_port,
-                s.on_listener.take(),
-                std::mem::take(&mut s.in_backlog),
-                s.listener.take(),
-                thrown,
-                thrown_bytes,
-            )
-        };
-        self.stats.discarded_close += thrown;
-        self.stats.bytes_discarded_close += thrown_bytes;
-        if let Some(p) = port {
-            let addr = NetAddr { host, port: p };
+        let s = *self
+            .socks
+            .get_mut(id.0 as usize)
+            .and_then(Option::take)
+            .ok_or(NetErr::BadSocket)?;
+        self.stats.discarded_close += s.rcv_queue.len() as u64;
+        self.stats.bytes_discarded_close += s.rcv_used as u64;
+        if let Some(port) = s.local_port {
+            let addr = NetAddr { host: s.host, port };
             // Connection sockets share the listener's port without owning
             // the namespace entry: only the owner unbinds it.
             if self.ports.get(&addr) == Some(&id) {
                 self.ports.remove(&addr);
             }
         }
-        if let Some(lst) = listener {
+        if let Some(lst) = s.listener {
             for conn in lst.pending {
                 let _ = self.close(conn);
             }
@@ -431,11 +428,11 @@ impl Net {
                 }
             }
         }
-        if let Some((lst, key)) = on_listener {
+        if let Some((lst, key)) = s.on_listener {
             if let Ok(l) = self.sock_mut(lst) {
                 if let Some(listener) = l.listener.as_mut() {
                     listener.conns.remove(&key);
-                    if in_backlog {
+                    if s.in_backlog {
                         listener.pending.retain(|c| *c != id);
                     }
                 }
@@ -493,7 +490,9 @@ impl Net {
         };
         let conn = l.pending.pop_front();
         if let Some(c) = conn {
-            self.socks[c.0 as usize].in_backlog = false;
+            self.sock_mut(c)
+                .expect("a pending connection is open")
+                .in_backlog = false;
         }
         Ok(conn)
     }
@@ -534,17 +533,13 @@ impl Net {
 
     /// Open sockets (leak checks).
     pub fn open_socks(&self) -> usize {
-        self.socks.iter().filter(|s| s.open).count()
+        self.socks.iter().flatten().count()
     }
 
     /// Bytes queued unread across every open socket (exact-accounting
     /// term for receivers that stopped consuming).
     pub fn total_rcv_used(&self) -> usize {
-        self.socks
-            .iter()
-            .filter(|s| s.open)
-            .map(|s| s.rcv_used)
-            .sum()
+        self.socks.iter().flatten().map(|s| s.rcv_used).sum()
     }
 
     /// Serialisation backlog of the modelled link to `host`, in bytes,
@@ -702,7 +697,7 @@ impl Net {
 
     /// Queues `dgram` on `sock`, enforcing the receive-buffer limit.
     fn queue_into(&mut self, sock: SockId, dgram: Datagram) -> DeliverOutcome {
-        let s = &mut self.socks[sock.0 as usize];
+        let s = self.sock_mut(sock).expect("queue_into an open socket");
         if s.rcv_used + dgram.data.len() > s.rcv_limit {
             self.stats.dropped_rcv_full += 1;
             self.stats.bytes_dropped_rcv_full += dgram.data.len() as u64;
@@ -731,15 +726,11 @@ impl Net {
                 reason: DropReason::NoReceiver,
             };
         };
-        if s.listener.is_none() {
+        let Some(l) = s.listener.as_ref() else {
             return self.queue_into(dst, dgram);
-        }
+        };
 
         let key = dgram.src_sock;
-        let l = self.socks[dst.0 as usize]
-            .listener
-            .as_ref()
-            .expect("checked above");
         if let Some(&conn) = l.conns.get(&key) {
             if self.sock(conn).is_ok() {
                 return self.queue_into(conn, dgram);
@@ -760,14 +751,11 @@ impl Net {
 
         // Carve the connection: it shares the listener's port (without
         // owning the namespace entry) and is wired to the source socket.
-        let (host, port, rcv_limit, snd_limit) = {
-            let s = &self.socks[dst.0 as usize];
-            (s.host, s.local_port, s.rcv_limit, s.snd_limit)
-        };
-        let conn = SockId(self.socks.len() as u32);
-        self.socks.push(Socket {
+        let (host, local_port, rcv_limit, snd_limit) =
+            (s.host, s.local_port, s.rcv_limit, s.snd_limit);
+        let conn = self.insert(Socket {
             host,
-            local_port: port,
+            local_port,
             peer: Some(dgram.src),
             peer_sock: Some(key),
             listener: None,
@@ -777,15 +765,17 @@ impl Net {
             rcv_used: 0,
             rcv_limit,
             snd_limit,
-            open: true,
         });
-        let l = self.socks[dst.0 as usize]
+        let l = self
+            .sock_mut(dst)
+            .expect("checked above")
             .listener
             .as_mut()
             .expect("checked above");
         l.pending.push_back(conn);
-        self.stats.backlog_peak = self.stats.backlog_peak.max(l.pending.len() as u64);
         l.conns.insert(key, conn);
+        let pending = l.pending.len() as u64;
+        self.stats.backlog_peak = self.stats.backlog_peak.max(pending);
         self.stats.conns_opened += 1;
         match self.queue_into(conn, dgram) {
             DeliverOutcome::Queued { .. } | DeliverOutcome::NewConn { .. } => {
@@ -1200,6 +1190,63 @@ mod tests {
         // The port is free again.
         let n = net.socket(HOST);
         assert_eq!(net.bind(n, 80), Ok(()));
+    }
+
+    #[test]
+    fn closed_connections_free_their_slots_and_ids_stay_monotonic() {
+        let mut net = Net::new();
+        let l = listener(&mut net, 80, 8);
+        let mut issued = vec![l];
+        for _ in 0..1000 {
+            let c = client(&mut net, 80);
+            let DeliverOutcome::NewConn { sock: conn } = net.deliver(l, dgram(&net, c, 100)) else {
+                panic!("expected a new connection");
+            };
+            assert_eq!(net.accept(l).unwrap(), Some(conn));
+            net.close(conn).unwrap();
+            net.close(c).unwrap();
+            issued.extend([c, conn]);
+        }
+        net.close(l).unwrap();
+        assert!(
+            net.socks.iter().all(Option::is_none),
+            "a closed socket kept its slot"
+        );
+        assert_eq!(net.open_socks(), 0);
+        assert_eq!(net.stats().bytes_discarded_close, 1000 * 100);
+
+        let any = NetAddr {
+            host: HOST,
+            port: 80,
+        };
+        for &id in &issued {
+            assert_eq!(net.close(id), Err(NetErr::BadSocket));
+            assert_eq!(net.bind(id, 81), Err(NetErr::BadSocket));
+            assert_eq!(net.connect(id, any), Err(NetErr::BadSocket));
+            assert_eq!(net.listen(id, 1), Err(NetErr::BadSocket));
+            assert_eq!(net.accept(id), Err(NetErr::BadSocket));
+            assert_eq!(net.send(SimTime::ZERO, id, 1), Err(NetErr::BadSocket));
+            assert_eq!(net.source_addr(id), Err(NetErr::BadSocket));
+            assert_eq!(net.recv(id), Err(NetErr::BadSocket));
+            let d = Datagram {
+                src: any,
+                src_sock: id,
+                data: vec![0; 4],
+            };
+            assert_eq!(net.requeue_front(id, d.clone()), Err(NetErr::BadSocket));
+            assert_eq!(
+                net.deliver(id, d),
+                DeliverOutcome::Dropped {
+                    reason: DropReason::NoReceiver
+                }
+            );
+        }
+        let highest = issued.iter().max().unwrap().0;
+        assert_eq!(
+            net.socket(HOST),
+            SockId(highest + 1),
+            "ids are never reused"
+        );
     }
 
     // ----- link model ------------------------------------------------------

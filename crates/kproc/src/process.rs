@@ -133,7 +133,9 @@ pub struct ProcTable {
     live: usize,
     /// Processes runnable or running.
     demand: usize,
-    /// Pids sleeping on each channel, insertion order.
+    /// Pids sleeping on each channel, insertion order. A channel's
+    /// entry goes when its last sleeper leaves, so the index holds only
+    /// channels someone sleeps on now.
     sleep_index: IdMap<Chan, Vec<Pid>>,
 }
 
@@ -184,6 +186,9 @@ impl ProcTable {
             ProcState::Sleeping(chan) => {
                 if let Some(v) = self.sleep_index.get_mut(&chan) {
                     v.retain(|&q| q != pid);
+                    if v.is_empty() {
+                        self.sleep_index.remove(&chan);
+                    }
                 }
             }
             ProcState::Exited(_) => self.live += 1,
@@ -319,9 +324,13 @@ mod tests {
             ProcState::Sleeping(Chan::new(crate::types::ChanSpace::Buf, 10)),
         );
         assert_eq!(t.sleepers(chan), vec![a]);
-        // Waking detaches from the sleeper index.
+        // Waking detaches from the sleeper index, and the last sleeper
+        // out takes the channel's entry with it.
         t.set_state(a, ProcState::Runnable);
         assert_eq!(t.sleepers(chan), vec![]);
+        assert_eq!(t.sleep_index.len(), 1);
+        t.set_state(b, ProcState::Exited(0));
+        assert!(t.sleep_index.is_empty(), "an empty channel kept its entry");
     }
 
     #[test]

@@ -41,6 +41,9 @@ pub enum ChanSpace {
     Dev,
     /// `pause(2)` — woken only by signal delivery.
     Pause,
+    /// A timed sleep, one channel per pid — woken only by its timer,
+    /// never by `wakeup`.
+    Timed,
     /// Per-process fsync completion.
     Fsync,
     /// A listener's accept backlog (acceptors sleep here; a carved

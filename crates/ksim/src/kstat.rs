@@ -14,12 +14,14 @@
 //!   completion delivered), cumulative counters, watermark gauges, and
 //!   a bounded ring of [`FlowSample`]s for offline analysis.
 //! * [`SpliceSpans`] — the per-kernel collection, indexable by splice
-//!   descriptor id (`kstat.spans[desc]`).
+//!   descriptor id (`kstat.spans[desc]`) for live and recently
+//!   completed splices; older completions are folded into a fixed-size
+//!   [`SpanTally`], so the store stays proportional to live splices.
 //! * [`Kstat`] — the kernel-owned holder combining the spans with
 //!   [`Hist`]-backed latency distributions for block I/O completion.
 //! * [`HistSummary`] — a compact, serializable digest of a [`Hist`].
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Index;
 
 use crate::hist::Hist;
@@ -30,6 +32,14 @@ use crate::time::SimTime;
 /// span keeps updating its scalar gauges but stops appending samples
 /// and sets [`SpliceSpan::samples_truncated`].
 pub const MAX_FLOW_SAMPLES: usize = 4096;
+
+/// Completed spans kept in full once retired, most recent last. Older
+/// completions survive only in [`SpliceSpans::retired`].
+pub const RECENT_SPANS: usize = 64;
+
+/// Failed per-span checks a [`SpanTally`] describes in words; later
+/// failures are only counted.
+pub const MAX_VIOLATION_DETAILS: usize = 8;
 
 /// One flow-control observation, taken whenever the splice engine
 /// issues or retires work on a descriptor.
@@ -187,13 +197,92 @@ impl SpliceSpan {
     }
 }
 
-/// All splice spans recorded by a kernel, keyed by descriptor id.
+/// Fixed-size account of finished splice spans: the totals every
+/// reader of the whole span store needs, and the result of each
+/// per-span check, run once as the span is folded in.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SpanTally {
+    /// Descriptors folded in.
+    pub descriptors: u64,
+    /// Bytes the engine's outcomes reported moved. Each span's own
+    /// block-by-block count must equal its outcome's; a mismatch is a
+    /// violation.
+    pub bytes_moved: u64,
+    /// Blocks (or pump chunks) completed.
+    pub blocks_done: u64,
+    /// Device reads issued.
+    pub reads_issued: u64,
+    /// Reads satisfied from the buffer cache.
+    pub read_hits: u64,
+    /// Writes issued.
+    pub writes_issued: u64,
+    /// Per-span checks that failed.
+    pub violations: u64,
+    /// The first [`MAX_VIOLATION_DETAILS`] failures, in fold order.
+    pub details: Vec<String>,
+}
+
+impl SpanTally {
+    /// Folds in `span`, whose engine outcome reported `outcome_bytes`
+    /// moved, checking that its lifecycle timestamps are in order
+    /// (created ≤ first read ≤ first write ≤ drained ≤ completed, each
+    /// when present), that its byte count equals the outcome's, and
+    /// that no block completed without a read (or cache hit) and a
+    /// write behind it.
+    pub fn fold(&mut self, span: &SpliceSpan, outcome_bytes: u64) {
+        self.descriptors += 1;
+        self.bytes_moved += outcome_bytes;
+        self.blocks_done += span.blocks_done;
+        self.reads_issued += span.reads_issued;
+        self.read_hits += span.read_hits;
+        self.writes_issued += span.writes_issued;
+        let id = span.id;
+        let stamps = [
+            span.created,
+            span.first_read,
+            span.first_write,
+            span.drained,
+            span.completed,
+        ];
+        if !stamps.iter().flatten().is_sorted() {
+            self.violation(format!("desc {id}: lifecycle timestamps out of order"));
+        }
+        if span.bytes_moved != outcome_bytes {
+            self.violation(format!(
+                "desc {id}: span {} ≠ outcome {outcome_bytes}",
+                span.bytes_moved
+            ));
+        }
+        if span.reads_issued + span.read_hits < span.blocks_done
+            || span.writes_issued < span.blocks_done
+        {
+            self.violation(format!(
+                "desc {id}: {} blocks done from {} reads + {} hits / {} writes",
+                span.blocks_done, span.reads_issued, span.read_hits, span.writes_issued
+            ));
+        }
+    }
+
+    fn violation(&mut self, detail: String) {
+        self.violations += 1;
+        if self.details.len() < MAX_VIOLATION_DETAILS {
+            self.details.push(detail);
+        }
+    }
+}
+
+/// The splice spans of one kernel, in memory proportional to the
+/// splices in flight: live spans keyed by descriptor id, the last
+/// [`RECENT_SPANS`] completed ones in full, and a [`SpanTally`] of
+/// every completed one.
 ///
 /// Indexable (`spans[desc]`) for ergonomic assertions; panics on an
-/// unknown id like a slice would.
+/// id that is neither live nor recent, like a slice would.
 #[derive(Clone, Debug, Default)]
 pub struct SpliceSpans {
-    spans: BTreeMap<u64, SpliceSpan>,
+    live: BTreeMap<u64, SpliceSpan>,
+    recent: VecDeque<SpliceSpan>,
+    retired: SpanTally,
 }
 
 impl SpliceSpans {
@@ -202,39 +291,81 @@ impl SpliceSpans {
         SpliceSpans::default()
     }
 
-    /// Starts a span for descriptor `id` at `now`. Replaces any stale
-    /// span under the same id (descriptor ids are never reused by the
-    /// splice engine, so this only matters for defensive callers).
+    /// Starts a span for descriptor `id` at `now`. Keeps a live span
+    /// already started under the same id (descriptor ids are never
+    /// reused by the splice engine, so this only matters for defensive
+    /// callers).
     pub fn start(&mut self, id: u64, now: SimTime) -> &mut SpliceSpan {
-        self.spans
+        self.live
             .entry(id)
             .or_insert_with(|| SpliceSpan::new(id, now))
     }
 
-    /// Mutable access for the instrumentation sites; `None` for ids
-    /// that never started a span.
+    /// Mutable access to a live span for the instrumentation sites;
+    /// `None` for ids that never started a span or already retired.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut SpliceSpan> {
-        self.spans.get_mut(&id)
+        self.live.get_mut(&id)
     }
 
-    /// Shared access by id.
+    /// Marks live span `id` completed at `now`, folds it into the
+    /// [`SpanTally`] against its outcome's `outcome_bytes`, and moves
+    /// it to the recent ring, dropping the oldest entry beyond
+    /// [`RECENT_SPANS`]. A no-op for an id that is not live.
+    pub fn retire(&mut self, id: u64, now: SimTime, outcome_bytes: u64) {
+        let Some(mut span) = self.live.remove(&id) else {
+            return;
+        };
+        span.note_completed(now);
+        self.retired.fold(&span, outcome_bytes);
+        if self.recent.len() == RECENT_SPANS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(span);
+    }
+
+    /// Shared access to a live or recently completed span.
     pub fn get(&self, id: u64) -> Option<&SpliceSpan> {
-        self.spans.get(&id)
+        self.live
+            .get(&id)
+            .or_else(|| self.recent.iter().find(|s| s.id == id))
     }
 
-    /// Number of spans recorded.
+    /// Spans kept in full: live plus recently completed.
     pub fn len(&self) -> usize {
-        self.spans.len()
+        self.live.len() + self.recent.len()
     }
 
-    /// True if no splice has run.
+    /// True if no span is kept in full.
     pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
+        self.len() == 0
     }
 
-    /// Iterates spans in descriptor-id order.
+    /// Iterates the spans kept in full in descriptor-id order.
     pub fn iter(&self) -> impl Iterator<Item = &SpliceSpan> + '_ {
-        self.spans.values()
+        let mut all: Vec<&SpliceSpan> = self.recent.iter().chain(self.live.values()).collect();
+        all.sort_unstable_by_key(|s| s.id);
+        all.into_iter()
+    }
+
+    /// Spans still in flight, in descriptor-id order.
+    pub fn live(&self) -> impl Iterator<Item = &SpliceSpan> + '_ {
+        self.live.values()
+    }
+
+    /// The aggregate of every completed span.
+    pub fn retired(&self) -> &SpanTally {
+        &self.retired
+    }
+
+    /// Every span started, folded into one tally: the retired aggregate
+    /// plus each live span against a zero outcome (an unfinished splice
+    /// has conserved nothing yet, so it fails the byte check loudly).
+    pub fn tally(&self) -> SpanTally {
+        let mut t = self.retired.clone();
+        for s in self.live() {
+            t.fold(s, 0);
+        }
+        t
     }
 }
 
@@ -243,14 +374,6 @@ impl Index<u64> for SpliceSpans {
     fn index(&self, id: u64) -> &SpliceSpan {
         self.get(id)
             .unwrap_or_else(|| panic!("no splice span for descriptor {id}"))
-    }
-}
-
-impl<'a> IntoIterator for &'a SpliceSpans {
-    type Item = &'a SpliceSpan;
-    type IntoIter = std::collections::btree_map::Values<'a, u64, SpliceSpan>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.spans.values()
     }
 }
 
@@ -454,6 +577,83 @@ mod tests {
         assert_eq!(s.samples.len(), MAX_FLOW_SAMPLES);
         assert!(s.samples_truncated);
         assert_eq!(s.reads_issued, MAX_FLOW_SAMPLES as u64 + 10);
+    }
+
+    /// Starts span `id` at `t(id)` and completes one 4 KB block on it.
+    fn one_block(spans: &mut SpliceSpans, id: u64) {
+        let s = spans.start(id, t(id));
+        s.note_read_issued(t(id), 1, 0);
+        s.note_write_issued(t(id), 0, 1);
+        s.note_block_done(t(id), 4096, 0, 0);
+        s.note_drained(t(id));
+    }
+
+    #[test]
+    fn retired_spans_fold_into_the_tally_and_a_bounded_ring() {
+        let mut spans = SpliceSpans::new();
+        let n = RECENT_SPANS as u64 + 10;
+        for id in 1..=n {
+            one_block(&mut spans, id);
+            spans.retire(id, t(id), 4096);
+        }
+        assert_eq!(spans.live().count(), 0);
+        assert_eq!(spans.len(), RECENT_SPANS);
+        assert!(spans.get(10).is_none(), "the oldest completions left");
+        assert_eq!(spans[n].completed, Some(t(n)));
+        let ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, (11..=n).collect::<Vec<_>>());
+        let r = spans.retired();
+        assert_eq!(r.descriptors, n);
+        assert_eq!(r.bytes_moved, n * 4096);
+        assert_eq!((r.blocks_done, r.reads_issued, r.writes_issued), (n, n, n));
+        assert_eq!(r.violations, 0, "{:?}", r.details);
+        // Retiring twice is a no-op.
+        spans.retire(n, t(n), 4096);
+        assert_eq!(spans.retired().descriptors, n);
+    }
+
+    #[test]
+    fn iteration_merges_live_and_recent_in_descriptor_order() {
+        let mut spans = SpliceSpans::new();
+        for id in 1..=3 {
+            one_block(&mut spans, id);
+        }
+        spans.retire(2, t(5), 4096);
+        assert!(spans.get_mut(2).is_none(), "a retired span is read-only");
+        let ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+        assert_eq!(ids, vec![1, 2, 3]);
+        assert_eq!(spans.len(), 3);
+        // The whole-store tally folds live spans against a zero outcome.
+        let all = spans.tally();
+        assert_eq!(all.descriptors, 3);
+        assert_eq!(all.bytes_moved, 4096);
+        assert_eq!(all.violations, 2, "{:?}", all.details);
+        assert_eq!(spans.retired().descriptors, 1);
+    }
+
+    #[test]
+    fn fold_checks_lifecycle_order_bytes_and_block_sources() {
+        let mut spans = SpliceSpans::new();
+        one_block(&mut spans, 1);
+        let s = spans.get_mut(1).unwrap();
+        s.first_read = Some(t(9));
+        s.first_write = Some(t(2));
+        spans.retire(1, t(10), 4096);
+        assert_eq!(
+            spans.retired().details,
+            vec!["desc 1: lifecycle timestamps out of order".to_string()]
+        );
+
+        one_block(&mut spans, 2);
+        spans.get_mut(2).unwrap().writes_issued = 0;
+        spans.retire(2, t(10), 4095);
+        let r = spans.retired();
+        assert_eq!(r.violations, 3);
+        assert_eq!(r.details[1], "desc 2: span 4096 ≠ outcome 4095");
+        assert_eq!(
+            r.details[2],
+            "desc 2: 1 blocks done from 1 reads + 0 hits / 0 writes"
+        );
     }
 
     #[test]

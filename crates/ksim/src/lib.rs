@@ -38,7 +38,9 @@ pub use event::{EventId, EventQueue};
 pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
-pub use kstat::{FlowSample, HistSummary, Kstat, SpliceSpan, SpliceSpans, StageHists};
+pub use kstat::{
+    FlowSample, HistSummary, Kstat, SpanTally, SpliceSpan, SpliceSpans, StageHists, RECENT_SPANS,
+};
 pub use obs::{
     CloseOutcome, FlightDump, ObsConfig, ObsCounters, Observability, ReqSpan, SloAlertInfo,
     SloConfig,

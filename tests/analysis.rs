@@ -8,13 +8,13 @@
 //! perturbed metric in a real report document.
 
 use kanalyze::{
-    byte_conservation, compare, decompose, littles_law, utilization_law, DescBytes,
-    DeviceAccounting, DiffRules, Tolerance,
+    byte_conservation, compare, decompose, littles_law, utilization_law, DeviceAccounting,
+    DiffRules, Tolerance,
 };
 use kproc::programs::{RingScp, Scp};
 use kproc::ProcState;
 use ksim::{Dur, Json};
-use splice::{Kernel, KernelBuilder, OutcomeStatus};
+use splice::{Kernel, KernelBuilder};
 
 const MB: u64 = 1024 * 1024;
 
@@ -160,24 +160,7 @@ fn queueing_laws_hold_on_live_run() {
 
     // Byte conservation, exact: kstat spans vs engine outcomes vs the
     // 2 MB the workload wrote.
-    let descs: Vec<DescBytes> = k
-        .kstat()
-        .spans
-        .iter()
-        .map(|s| DescBytes {
-            desc: s.id,
-            span_bytes: s.bytes_moved,
-            outcome_bytes: match k.splice_outcome(s.id) {
-                OutcomeStatus::Done(o) => o.bytes_moved,
-                OutcomeStatus::Pending | OutcomeStatus::Unknown => 0,
-            },
-            blocks_done: s.blocks_done,
-            reads_issued: s.reads_issued,
-            read_hits: s.read_hits,
-            writes_issued: s.writes_issued,
-        })
-        .collect();
-    let o = byte_conservation(&descs, 2 * MB);
+    let o = byte_conservation(&k.kstat().spans.tally(), 2 * MB);
     assert!(o.pass, "{}: {}", o.law, o.detail);
 }
 

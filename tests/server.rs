@@ -10,7 +10,7 @@ use std::rc::Rc;
 use knet::LinkModel;
 use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
 use kproc::{ProcState, SockAddr};
-use ksim::{Dur, ObsConfig, ReqSpan, SloConfig};
+use ksim::{Dur, ObsConfig, ReqSpan, SloConfig, RECENT_SPANS};
 use splice::{Kernel, KernelBuilder};
 
 const FILE_BYTES: u64 = 8 * 1024;
@@ -116,37 +116,56 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
     assert_eq!(k.net().total_rcv_used(), 0);
 }
 
-/// A full serve-and-close cycle returns the kernel to its baseline:
-/// no sockets, no receive-buffer bytes, and the listening port is
-/// immediately rebindable.
+/// Serving a fleet and closing every connection returns the kernel to
+/// its baseline: no sockets, no receive-buffer bytes, a rebindable
+/// listening port, and of the fleet's splices only the recent ring kept
+/// in full — the rest live on as an exact, check-clean aggregate.
 #[test]
 fn connection_lifecycle_frees_port_and_buffers() {
+    const FLEET: usize = 300;
     let mut k = server_kernel(SEED, 0);
     let stats = scenario_stats();
     let server = k.spawn(Box::new(SpliceServer::new(
         PORT,
         "/d0/file",
         FILE_BYTES,
-        1,
-        4,
+        FLEET,
+        FLEET as u32,
         ServeMode::Splice,
         Rc::clone(&stats),
     )));
-    k.spawn(Box::new(ServerClient::new(
-        addr(),
-        FILE_BYTES,
-        SEED,
-        Dur::from_ms(1),
-        Rc::clone(&stats),
-    )));
+    for delay in open_loop_delays(FLEET, Dur::from_ms(30), SEED) {
+        k.spawn(Box::new(ServerClient::new(
+            addr(),
+            FILE_BYTES,
+            SEED,
+            // Past the server's own socket/bind/listen syscalls.
+            delay + Dur::from_ms(1),
+            Rc::clone(&stats),
+        )));
+    }
     let horizon = k.horizon(600);
     k.run_to_exit(horizon);
 
     assert!(matches!(k.procs().must(server).state, ProcState::Exited(0)));
-    assert_eq!(stats.borrow().completed, 1);
+    assert_eq!(stats.borrow().completed, FLEET as u64);
     assert_eq!(stats.borrow().mismatches, 0);
     assert_eq!(k.net().open_socks(), 0, "lifecycle leaked a socket");
     assert_eq!(k.net().total_rcv_used(), 0, "lifecycle leaked rcv bytes");
+
+    let spans = &k.kstat().spans;
+    assert_eq!(spans.live().count(), 0, "a finished splice stayed live");
+    assert_eq!(
+        spans.len(),
+        RECENT_SPANS,
+        "the kernel keeps only the recent ring of completed spans"
+    );
+    let retired = spans.retired();
+    assert_eq!(retired.descriptors, FLEET as u64);
+    assert_eq!(retired.descriptors, k.metrics().splice.started);
+    assert_eq!(retired.bytes_moved, FLEET as u64 * FILE_BYTES);
+    assert_eq!(retired.violations, 0, "{:?}", retired.details);
+
     // The port is free again: a fresh socket can bind it.
     let again = k.net_mut().socket(1);
     assert!(
