@@ -1,5 +1,5 @@
-//! Experiment library: the measurement procedures behind every table,
-//! sweep, and ablation binary.
+//! Experiment library: the measurement procedures behind the table
+//! binaries and the `sweeps` producer.
 //!
 //! The procedures follow §6 of the paper:
 //!
@@ -29,7 +29,7 @@ pub use json_out::{
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp, ScpMode};
 use kproc::{Pid, ProcState, Program};
-use ksim::{Dur, Json};
+use ksim::{Dur, Json, StageHists};
 use splice::baselines::{HandleCopy, MmapCopy};
 use splice::{Kernel, KernelBuilder, KernelConfig, MetricsSnapshot};
 
@@ -58,17 +58,6 @@ impl Method {
             Method::Handle => "HANDLE",
             Method::Mmap => "MMAP",
         }
-    }
-
-    /// All methods the paper compares plus the related-work baselines.
-    pub fn all() -> [Method; 5] {
-        [
-            Method::Cp,
-            Method::Scp,
-            Method::ScpSync,
-            Method::Handle,
-            Method::Mmap,
-        ]
     }
 }
 
@@ -185,6 +174,8 @@ pub struct ThroughputResult {
     pub elapsed_s: f64,
     /// Kernel metrics at the end of the run (data verified, fsck clean).
     pub snapshot: MetricsSnapshot,
+    /// Per-stage splice pipeline latencies (empty for non-splice copies).
+    pub stages: StageHists,
 }
 
 impl ThroughputResult {
@@ -229,30 +220,12 @@ pub fn throughput(exp: &Experiment, method: Method) -> ThroughputResult {
         method.label()
     );
     let snapshot = k.metrics();
-    if std::env::var("BENCH_STATS").is_ok() {
-        println!(
-            "--- metrics after {} on {} ---",
-            method.label(),
-            exp.disk.label()
-        );
-        println!("{}", snapshot.to_json().render_pretty());
-        for d in k.disks() {
-            if !d.kind.is_ram() {
-                println!(
-                    "  disk {}: requests={} busy={:?}",
-                    d.name,
-                    d.kind.requests(),
-                    d.kind.busy_time()
-                );
-            }
-        }
-        println!("  cache: {:?}", k.cache().stats());
-    }
     let elapsed = t1.since(t0).as_secs_f64();
     ThroughputResult {
         kb_per_s: exp.file_bytes as f64 / 1024.0 / elapsed,
         elapsed_s: elapsed,
         snapshot,
+        stages: k.kstat().stages.clone(),
     }
 }
 
@@ -312,27 +285,6 @@ pub fn availability(exp: &Experiment, method: Method, idle_elapsed: f64) -> Avai
     let copier = exp.copier(method, 10_000);
     let (_, elapsed) = run_test_program(&mut k, Some(copier));
     let snapshot = k.metrics();
-    if std::env::var("BENCH_STATS").is_ok() {
-        println!(
-            "--- availability diagnostics: {} on {} ---",
-            method.label(),
-            exp.disk.label()
-        );
-        for p in k.procs().iter() {
-            println!(
-                "  {:?} {} state={:?} user={} sys={} vcsw={} icsw={} syscalls={}",
-                p.pid,
-                p.program.name(),
-                p.state,
-                p.acct.user_time,
-                p.acct.sys_time,
-                p.acct.vcsw,
-                p.acct.icsw,
-                p.acct.syscalls
-            );
-        }
-        println!("{}", snapshot.to_json().render_pretty());
-    }
     let slowdown = elapsed / idle_elapsed;
     AvailabilityResult {
         slowdown,

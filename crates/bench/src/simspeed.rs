@@ -2,10 +2,8 @@
 //!
 //! These measure *host* events-per-second of the simulator itself — the
 //! quantity the timing-wheel callout, the slab event queue, and the
-//! pooled buffer arena exist to improve. The same loops back both the
-//! `sim_events_per_sec` criterion group and the `simspeed` binary that
-//! pins the numbers into `BENCH_simspeed.json`, so the artifact and the
-//! benches can never drift apart.
+//! pooled buffer arena exist to improve. The `simspeed` binary pins
+//! their numbers into `BENCH_simspeed.json`.
 //!
 //! The churn loops keep a large pending population (the regime where the
 //! pre-wheel `BTreeMap` callout degraded) and then drive a steady
@@ -112,7 +110,7 @@ impl E2eRate {
 /// # Panics
 ///
 /// Panics if the copy fails to exit cleanly.
-pub fn scp_ram_run(bytes: u64) -> u64 {
+fn scp_ram_run(bytes: u64) -> u64 {
     let mut k = splice::KernelBuilder::paper_machine_ram().build();
     k.setup_file("/d0/src", bytes, 5);
     k.cold_cache();

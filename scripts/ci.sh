@@ -66,6 +66,7 @@ BENCH="cargo run --release -p bench --bin"
 PRODUCERS=(
     "$BENCH table1|BENCH_table1.json"
     "$BENCH table2|BENCH_table2.json"
+    "$BENCH sweeps|BENCH_sweeps.json"
     "$BENCH endpoint_matrix|BENCH_endpoints.json"
     "$BENCH faults|BENCH_faults.json"
     "$BENCH ring|BENCH_ring.json"
