@@ -22,22 +22,13 @@
 
 use bench::{bench_doc, json_rows, print_table, test_program, write_bench_json, write_table};
 use kanalyze::{request_sampling, AuditReport, Tolerance};
-use knet::LinkModel;
-use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
-use kproc::{ProcState, SockAddr};
+use kproc::programs::ServeMode;
 use ksim::{Dur, Json, ObsConfig, SloConfig, TraceEvent};
-use splice::{Kernel, KernelBuilder};
-use std::rc::Rc;
+use splice::{Kernel, KernelBuilder, ServeScenario};
 
-/// Bytes of the file every connection fetches (one block).
-const FILE_BYTES: u64 = 8 * 1024;
 /// Pattern + arrival + link seed.
 const SEED: u64 = 0x0b5e12;
-/// Listening port.
-const PORT: u16 = 80;
-/// Offered load: client arrivals per second (open-loop).
-const ARRIVALS_PER_SEC: u64 = 10_000;
-/// Connections per mode (override with `OBS_CONNS=<n>`).
+/// Connections per mode.
 const CONNS: usize = 8_000;
 /// The in-binary gate: head-sampled tracing may cost at most this
 /// fraction of the tracing-off simulated throughput.
@@ -115,48 +106,15 @@ impl Row {
 /// Runs the server workload once under `cfg`; the kernel comes back so
 /// the caller can audit the sampled mode's span population.
 fn run(conns: usize, cfg: ObsConfig) -> (Row, Kernel) {
-    let mut k = KernelBuilder::paper_machine_ram()
-        .trace(TRACE_CAP)
-        .observe(cfg)
-        .build();
-    k.net_mut().set_link_model(
-        1,
-        LinkModel {
-            bps: 125_000_000,
-            base_latency: Dur::from_us(200),
-            jitter: Dur::from_us(100),
-            loss_ppm: 0,
-            seed: SEED,
-        },
+    let sc = ServeScenario::new(conns, ServeMode::Splice, SEED);
+    let mut k = sc.boot(
+        KernelBuilder::paper_machine_ram()
+            .trace(TRACE_CAP)
+            .observe(cfg),
     );
-    k.setup_file("/d0/file", FILE_BYTES, SEED);
-    k.cold_cache();
-
-    let stats = scenario_stats();
     let t0 = k.now();
     let compute = k.spawn(Box::new(test_program()));
-    let server = k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        conns,
-        conns as u32,
-        ServeMode::Splice,
-        Rc::clone(&stats),
-    )));
-    let window = Dur::from_ns(conns as u64 * 1_000_000_000 / ARRIVALS_PER_SEC);
-    for delay in open_loop_delays(conns, window, SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            SockAddr {
-                host: 1,
-                port: PORT,
-            },
-            FILE_BYTES,
-            SEED,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
+    let run = sc.spawn(&mut k);
 
     let horizon = k.horizon(4 * 3600);
     let t_compute = k.run_until_exit_of(compute, horizon);
@@ -164,19 +122,10 @@ fn run(conns: usize, cfg: ObsConfig) -> (Row, Kernel) {
     // pipeline's per-request cost shows up directly in the drain time.
     let t_done = k.run_to_exit(horizon);
     let elapsed = t_done.since(t0);
+    sc.check(&k, &run, format_args!("{cfg:?}"));
 
-    assert!(
-        matches!(k.procs().must(server).state, ProcState::Exited(0)),
-        "{cfg:?}: server failed"
-    );
-    let s = stats.borrow();
-    assert_eq!(s.completed, conns as u64, "{cfg:?}: clients short");
-    assert_eq!(s.mismatches, 0, "{cfg:?}: corruption");
-    drop(s);
-
-    let profile = k.profile();
-    let cp = profile.proc(compute.0).expect("compute program in profile");
-    let compute_share = cp.cpu_time().as_ns() as f64 / t_compute.since(t0).as_ns() as f64;
+    let compute_cpu = k.procs().must(compute).acct.cpu_time();
+    let compute_share = compute_cpu.as_ns() as f64 / t_compute.since(t0).as_ns() as f64;
     let m = k.metrics();
     let requests = m.obs.requests.max(conns as u64);
     let row = Row {
@@ -229,14 +178,10 @@ fn flight_run(conns: usize) -> Json {
 }
 
 fn main() {
-    let conns: usize = std::env::var("OBS_CONNS")
-        .ok()
-        .map(|v| v.parse().expect("OBS_CONNS must be a count"))
-        .unwrap_or(CONNS);
-
     println!(
-        "Observability overhead: {conns} conns, {} B file, {} arrivals/s offered",
-        FILE_BYTES, ARRIVALS_PER_SEC
+        "Observability overhead: {CONNS} conns, {} B file, {} arrivals/s offered",
+        ServeScenario::FILE_BYTES,
+        ServeScenario::ARRIVALS_PER_SEC
     );
     println!();
 
@@ -244,10 +189,10 @@ fn main() {
     let mut sampled_kernel: Option<Kernel> = None;
     for mode in MODES {
         let t = std::time::Instant::now();
-        let (mut row, k) = run(conns, (mode.cfg)());
+        let (mut row, k) = run(CONNS, (mode.cfg)());
         row.mode = mode.name;
         eprintln!(
-            "[obs] {} ({conns} conns): {:.1}s host",
+            "[obs] {} ({CONNS} conns): {:.1}s host",
             mode.name,
             t.elapsed().as_secs_f64()
         );
@@ -332,13 +277,16 @@ fn main() {
     assert!(audit.pass(), "request-sampling audit failed");
 
     // Provoke an alert and write the flight artifact.
-    let flight = flight_run((conns / 16).max(256));
+    let flight = flight_run((CONNS / 16).max(256));
     write_bench_json("FLIGHT_server.json", &flight);
 
     let doc = bench_doc("obs")
-        .with("file_bytes", Json::Num(FILE_BYTES as f64))
-        .with("conns", Json::Num(conns as f64))
-        .with("arrivals_per_sec", Json::Num(ARRIVALS_PER_SEC as f64))
+        .with("file_bytes", Json::Num(ServeScenario::FILE_BYTES as f64))
+        .with("conns", Json::Num(CONNS as f64))
+        .with(
+            "arrivals_per_sec",
+            Json::Num(ServeScenario::ARRIVALS_PER_SEC as f64),
+        )
         .with("overhead_budget_pct", Json::Num(OVERHEAD_BUDGET_PCT))
         .with("rows", json_rows(&rows, Row::to_json))
         .with("audit", audit.to_json());

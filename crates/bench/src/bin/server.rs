@@ -20,24 +20,14 @@
 //! `benchdiff`.
 
 use bench::{bench_doc, json_rows, print_table, test_program, write_table};
-use knet::LinkModel;
-use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
-use kproc::{ProcState, SockAddr};
-use ksim::{Dur, Json, RECENT_SPANS};
-use splice::KernelBuilder;
-use std::rc::Rc;
+use kproc::programs::ServeMode;
+use ksim::{Json, RECENT_SPANS};
+use splice::{KernelBuilder, ServeScenario};
 
-/// Bytes of the file every connection fetches (one block).
-const FILE_BYTES: u64 = 8 * 1024;
-/// Pattern + arrival + link seed.
+/// Pattern seed; the arrival and link seed is `SEED ^ nominal`.
 const SEED: u64 = 0x5e12;
-/// Listening port.
-const PORT: u16 = 80;
 /// Ring depth for the batched mode.
 const DEPTH: u32 = 64;
-/// Offered load: client arrivals per second (open-loop — the window
-/// scales with the count so this rate holds at every size).
-const ARRIVALS_PER_SEC: u64 = 10_000;
 
 /// The sweep: nominal count and the host-speed smoke count it runs at
 /// by default.
@@ -112,45 +102,14 @@ impl Row {
 }
 
 fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
-    let mut k = KernelBuilder::paper_machine_ram().build();
-    k.net_mut().set_link_model(
-        1,
-        LinkModel {
-            bps: 125_000_000,
-            base_latency: Dur::from_us(200),
-            jitter: Dur::from_us(100),
-            loss_ppm: 0,
-            seed: SEED ^ nominal,
-        },
-    );
-    k.setup_file("/d0/file", FILE_BYTES, SEED);
-    k.cold_cache();
-
-    let stats = scenario_stats();
+    let sc = ServeScenario {
+        arrival_seed: SEED ^ nominal,
+        ..ServeScenario::new(conns, mode.mode, SEED)
+    };
+    let mut k = sc.boot(KernelBuilder::paper_machine_ram());
     let t0 = k.now();
     let compute = k.spawn(Box::new(test_program()));
-    let server = k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        conns,
-        conns as u32,
-        mode.mode,
-        Rc::clone(&stats),
-    )));
-    let window = Dur::from_ns(conns as u64 * 1_000_000_000 / ARRIVALS_PER_SEC);
-    for delay in open_loop_delays(conns, window, SEED ^ nominal) {
-        k.spawn(Box::new(ServerClient::new(
-            SockAddr {
-                host: 1,
-                port: PORT,
-            },
-            FILE_BYTES,
-            SEED,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
+    let run = sc.spawn(&mut k);
 
     let horizon = k.horizon(4 * 3600);
     // Availability over the compute program's own lifetime (§6.2): every
@@ -159,19 +118,7 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
     let elapsed = t1.since(t0);
     // Then drain the whole fleet: every client must finish byte-exact.
     k.run_to_exit(horizon);
-
-    assert!(
-        matches!(k.procs().must(server).state, ProcState::Exited(0)),
-        "{} @ {nominal}: server failed",
-        mode.name
-    );
-    let s = stats.borrow();
-    assert_eq!(
-        s.completed, conns as u64,
-        "{} @ {nominal}: clients short",
-        mode.name
-    );
-    assert_eq!(s.mismatches, 0, "{} @ {nominal}: corruption", mode.name);
+    sc.check(&k, &run, format_args!("{} @ {nominal}", mode.name));
     // Kernel memory follows open connections: the drained fleet leaves
     // no socket behind, and of its splices only the recent ring is
     // kept in full.
@@ -188,9 +135,9 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
         mode.name
     );
 
-    let profile = k.profile();
-    let cp = profile.proc(compute.0).expect("compute program in profile");
-    let compute_share = cp.cpu_time().as_ns() as f64 / elapsed.as_ns() as f64;
+    let compute_cpu = k.procs().must(compute).acct.cpu_time();
+    let compute_share = compute_cpu.as_ns() as f64 / elapsed.as_ns() as f64;
+    let s = run.stats.borrow();
     let m = k.metrics();
     let p99_ns = s.latency.p99().unwrap();
     Row {
@@ -227,7 +174,8 @@ fn main() {
 
     println!(
         "Server SLO sweep: {} B file per connection, {} arrivals/s offered",
-        FILE_BYTES, ARRIVALS_PER_SEC
+        ServeScenario::FILE_BYTES,
+        ServeScenario::ARRIVALS_PER_SEC
     );
     println!();
 
@@ -309,8 +257,11 @@ fn main() {
     }
 
     let doc = bench_doc("server")
-        .with("file_bytes", Json::Num(FILE_BYTES as f64))
-        .with("arrivals_per_sec", Json::Num(ARRIVALS_PER_SEC as f64))
+        .with("file_bytes", Json::Num(ServeScenario::FILE_BYTES as f64))
+        .with(
+            "arrivals_per_sec",
+            Json::Num(ServeScenario::ARRIVALS_PER_SEC as f64),
+        )
         .with("full", Json::Bool(full))
         .with("rows", json_rows(&rows, Row::to_json));
     write_table("server", &doc);

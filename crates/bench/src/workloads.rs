@@ -1,4 +1,5 @@
-//! Named, trace-enabled workloads for `tracedump` and the trace tests.
+//! Named, trace-enabled workloads for `tracedump`, `profile`, `analyze`
+//! and the trace tests.
 //!
 //! Each workload boots a kernel with the typed trace ring on
 //! ([`splice::KernelBuilder::trace`]), runs one representative scenario
@@ -7,15 +8,10 @@
 
 use kdev::{AudioDac, VideoDac};
 use khw::DiskProfile;
-use knet::LinkModel;
-use kproc::programs::{
-    open_loop_delays, scenario_stats, EndSpec, EndpointPair, MoviePlayer, RingScp, Scp, ServeMode,
-    ServerClient, SpliceServer, UdpSource,
-};
+use kproc::programs::{EndSpec, EndpointPair, MoviePlayer, RingScp, Scp, ServeMode, UdpSource};
 use kproc::{ProcState, SockAddr, SpliceLen, SyscallRet};
 use ksim::Dur;
-use splice::{Kernel, KernelBuilder};
-use std::rc::Rc;
+use splice::{Kernel, KernelBuilder, ServeScenario};
 
 /// Trace-ring capacity for every workload: ample for the scenarios here.
 const TRACE_CAP: usize = 1 << 20;
@@ -34,14 +30,10 @@ const RING_SEED: u64 = 0x51ce;
 
 /// Connections the `server` workload serves.
 const SERVER_CONNS: usize = 512;
-/// Bytes of the file every `server` connection fetches (one block).
-const SERVER_FILE_BYTES: u64 = 8 * 1024;
 /// Splice-ring depth (wave size) of the `server` workload.
 const SERVER_DEPTH: u32 = 64;
 /// Pattern + arrival + link seed of the `server` workload.
 const SERVER_SEED: u64 = 0x5e12;
-/// Listening port of the `server` workload.
-const SERVER_PORT: u16 = 80;
 /// Arrival window the `server` workload's clients spread over.
 const SERVER_WINDOW: Dur = Dur::from_ms(100);
 
@@ -90,7 +82,7 @@ pub fn meta(name: &str) -> WorkloadMeta {
         "server" => WorkloadMeta {
             name: "server",
             seeds: vec![SERVER_SEED],
-            expected_bytes: SERVER_CONNS as u64 * SERVER_FILE_BYTES,
+            expected_bytes: SERVER_CONNS as u64 * ServeScenario::FILE_BYTES,
         },
         other => panic!("unknown workload `{other}` (known: {})", ALL.join(", ")),
     }
@@ -269,58 +261,16 @@ fn ring(sample: Option<(Dur, usize)>) -> Kernel {
 /// link — the workload behind `bench --bin server`'s SLO sweep, at a
 /// tracedump-friendly size.
 fn server(sample: Option<(Dur, usize)>) -> Kernel {
-    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
-    let mut k = maybe_sample(b, sample).build();
-    k.net_mut().set_link_model(
-        1,
-        LinkModel {
-            bps: 125_000_000,
-            base_latency: Dur::from_us(200),
-            jitter: Dur::from_us(100),
-            loss_ppm: 0,
-            seed: SERVER_SEED,
-        },
-    );
-    k.setup_file("/d0/file", SERVER_FILE_BYTES, SERVER_SEED);
-    k.cold_cache();
-    let stats = scenario_stats();
-    let pid = k.spawn(Box::new(SpliceServer::new(
-        SERVER_PORT,
-        "/d0/file",
-        SERVER_FILE_BYTES,
-        SERVER_CONNS,
-        SERVER_CONNS as u32,
-        ServeMode::Ring {
-            depth: SERVER_DEPTH,
-        },
-        Rc::clone(&stats),
-    )));
-    for delay in open_loop_delays(SERVER_CONNS, SERVER_WINDOW, SERVER_SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            SockAddr {
-                host: 1,
-                port: SERVER_PORT,
+    let sc = ServeScenario {
+        window: SERVER_WINDOW,
+        ..ServeScenario::new(
+            SERVER_CONNS,
+            ServeMode::Ring {
+                depth: SERVER_DEPTH,
             },
-            SERVER_FILE_BYTES,
             SERVER_SEED,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-    assert!(
-        matches!(k.procs().must(pid).state, ProcState::Exited(0)),
-        "server: server failed"
-    );
-    let s = stats.borrow();
-    assert_eq!(s.completed, SERVER_CONNS as u64, "server: clients short");
-    assert_eq!(s.mismatches, 0, "server: corrupted delivery");
-    assert_eq!(
-        s.bytes_received,
-        SERVER_CONNS as u64 * SERVER_FILE_BYTES,
-        "server: byte shortfall"
-    );
-    drop(s);
-    k
+        )
+    };
+    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
+    sc.serve(maybe_sample(b, sample), "server").0
 }

@@ -1,10 +1,20 @@
 //! Experiment scaffolding: kernel construction and setup/verification
-//! helpers that bypass timing (clearly separated from the measured paths).
+//! helpers that bypass timing (clearly separated from the measured paths),
+//! and the connection-scale server scenario every server bench and test
+//! runs.
+
+use std::fmt::Display;
+use std::rc::Rc;
 
 use kdev::{AudioDac, Framebuffer, VideoDac};
 use kfs::Ino;
 use khw::DiskProfile;
+use knet::LinkModel;
 use kproc::programs::util::{pattern_check, pattern_fill};
+use kproc::programs::{
+    open_loop_delays, scenario_stats, ServeMode, ServerClient, SharedScenario, SpliceServer,
+};
+use kproc::{Pid, ProcState, SockAddr};
 use ksim::{Dur, ObsConfig, SimTime};
 
 use crate::kernel::{Kernel, KernelConfig};
@@ -143,6 +153,156 @@ impl KernelBuilder {
     /// here); call `.build()` to get the kernel.
     pub fn paper_machine_ram() -> KernelBuilder {
         Self::paper_machine(DiskProfile::ramdisk())
+    }
+}
+
+/// The connection-scale server scenario — the §6.2 method with a file
+/// server as the contender: a seeded file on `/d0`, a lossless 1 Gb/s
+/// link to the server's host, a [`SpliceServer`], and an open-loop
+/// fleet of [`ServerClient`]s that fetch the file once each. This is the
+/// one place the client fleet is wired; the fields are what callers
+/// vary.
+#[derive(Clone, Copy, Debug)]
+pub struct ServeScenario {
+    /// Client connections, all of which the server serves.
+    pub conns: usize,
+    /// Window the client arrivals are spread over.
+    pub window: Dur,
+    /// How the server moves the file onto each connection.
+    pub mode: ServeMode,
+    /// Bytes of the file every connection fetches.
+    pub file_bytes: u64,
+    /// Pattern seed of the file the clients verify.
+    pub seed: u64,
+    /// Seed of the arrival draw and of the link model.
+    pub arrival_seed: u64,
+    /// Added to every arrival (e.g. to land past the server's own
+    /// `socket`/`bind`/`listen` syscalls).
+    pub offset: Dur,
+}
+
+/// The server and the shared client results of one
+/// [`ServeScenario::spawn`].
+pub struct ServeRun {
+    /// The server process.
+    pub server: Pid,
+    /// Results aggregated by every client.
+    pub stats: SharedScenario,
+}
+
+impl ServeScenario {
+    /// The host the server listens on.
+    pub const HOST: u32 = 1;
+    /// The port the server listens on.
+    pub const PORT: u16 = 80;
+    /// The file the server serves.
+    pub const PATH: &'static str = "/d0/file";
+    /// Offered load of the default arrival window.
+    pub const ARRIVALS_PER_SEC: u64 = 10_000;
+    /// Bytes of the default file (one block).
+    pub const FILE_BYTES: u64 = 8 * 1024;
+
+    /// `conns` clients fetching [`Self::FILE_BYTES`] each, arriving at
+    /// [`Self::ARRIVALS_PER_SEC`] with no offset; `seed` seeds the
+    /// file, the arrivals and the link alike.
+    pub fn new(conns: usize, mode: ServeMode, seed: u64) -> ServeScenario {
+        ServeScenario {
+            conns,
+            window: Dur::from_ns(conns as u64 * 1_000_000_000 / Self::ARRIVALS_PER_SEC),
+            mode,
+            file_bytes: Self::FILE_BYTES,
+            seed,
+            arrival_seed: seed,
+            offset: Dur::ZERO,
+        }
+    }
+
+    /// Builds the kernel from `b` (its trace, sampler and observability
+    /// choices stay the caller's), models the link, seeds the file and
+    /// cold-starts the cache.
+    pub fn boot(&self, b: KernelBuilder) -> Kernel {
+        let mut k = b.build();
+        k.net_mut()
+            .set_link_model(Self::HOST, LinkModel::gigabit(self.arrival_seed));
+        k.setup_file(Self::PATH, self.file_bytes, self.seed);
+        k.cold_cache();
+        k
+    }
+
+    /// Spawns the server, then the client fleet.
+    pub fn spawn(&self, k: &mut Kernel) -> ServeRun {
+        self.spawn_with(k, |stats| {
+            SpliceServer::new(
+                Self::PORT,
+                Self::PATH,
+                self.file_bytes,
+                self.conns,
+                self.conns as u32,
+                self.mode,
+                stats,
+            )
+        })
+    }
+
+    /// [`Self::spawn`] with a caller-built server (a smaller backlog, a
+    /// warmup nap), handed the stats block the fleet reports into.
+    pub fn spawn_with(
+        &self,
+        k: &mut Kernel,
+        server: impl FnOnce(SharedScenario) -> SpliceServer,
+    ) -> ServeRun {
+        let stats = scenario_stats();
+        let server = k.spawn(Box::new(server(Rc::clone(&stats))));
+        let addr = SockAddr {
+            host: Self::HOST,
+            port: Self::PORT,
+        };
+        for delay in open_loop_delays(self.conns, self.window, self.arrival_seed) {
+            k.spawn(Box::new(ServerClient::new(
+                addr,
+                self.file_bytes,
+                self.seed,
+                delay + self.offset,
+                Rc::clone(&stats),
+            )));
+        }
+        ServeRun { server, stats }
+    }
+
+    /// Asserts a finished run served everyone: the server exited 0 and
+    /// every client received the whole file byte-exact. `what` prefixes
+    /// the failure message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any of those does not hold.
+    pub fn check(&self, k: &Kernel, run: &ServeRun, what: impl Display) {
+        assert!(
+            matches!(k.procs().must(run.server).state, ProcState::Exited(0)),
+            "{what}: server failed"
+        );
+        let s = run.stats.borrow();
+        assert_eq!(s.completed, self.conns as u64, "{what}: clients short");
+        assert_eq!(s.mismatches, 0, "{what}: corrupted delivery");
+        assert_eq!(
+            s.bytes_received,
+            self.conns as u64 * self.file_bytes,
+            "{what}: byte shortfall"
+        );
+    }
+
+    /// Boots, spawns, runs every process to exit and checks the run.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::check`], or if the run hangs.
+    pub fn serve(&self, b: KernelBuilder, what: impl Display) -> (Kernel, ServeRun) {
+        let mut k = self.boot(b);
+        let run = self.spawn(&mut k);
+        let horizon = k.horizon(600);
+        k.run_to_exit(horizon);
+        self.check(&k, &run, what);
+        (k, run)
     }
 }
 

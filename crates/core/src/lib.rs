@@ -75,7 +75,7 @@ pub mod splice_ring;
 pub mod syscalls;
 
 pub use endpoint::{caps, EndpointCaps, ObjClass};
-pub use harness::KernelBuilder;
+pub use harness::{KernelBuilder, ServeScenario};
 pub use kernel::{Kernel, KernelConfig};
 pub use khw::{FaultOp, FaultPlan};
 pub use ksim::{BlockSpan, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};

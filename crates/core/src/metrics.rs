@@ -72,15 +72,15 @@ counter_groups! {
     /// Bytes moved by each copy path (the paper's central accounting:
     /// splice exists to drive the first two to zero).
     CopyMetrics {
-        /// `copyin` traffic: user → kernel (write(2), send(2)).
+        /// `copyin` traffic: user → kernel (write(2)).
         copyin_bytes,
-        /// `copyout` traffic: kernel → user (read(2), recv(2)).
+        /// `copyout` traffic: kernel → user (read(2)).
         copyout_bytes,
         /// Driver/pseudo-DMA traffic at the device boundary.
         driver_bytes,
         /// Cache-to-cache copies (zero when the shared-header path works).
         cache_bytes,
-        /// Socket-buffer copies on the network path.
+        /// Socket-buffer copies on the network path (send(2), recv(2)).
         net_bytes,
     }
 

@@ -219,14 +219,6 @@ pub struct ProfileSample {
 }
 
 impl ProfileSample {
-    /// The CPU share recorded for `pid` in this interval.
-    pub fn share_of(&self, pid: u32) -> Option<f64> {
-        self.cpu_share
-            .iter()
-            .find(|(p, _)| *p == pid)
-            .map(|(_, f)| *f)
-    }
-
     /// JSON form. `cpu_share` becomes an object keyed by decimal pid.
     pub fn to_json(&self) -> Json {
         let mut share = Json::obj();

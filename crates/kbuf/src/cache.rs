@@ -369,18 +369,6 @@ impl Cache {
         self.buf(id).splice
     }
 
-    /// Sets the splice descriptor/logical-block fields.
-    pub fn set_splice_ref(&mut self, id: BufId, r: Option<SpliceRef>) {
-        self.buf_mut(id).splice = r;
-    }
-
-    /// Sets the completion handler tag and `B_CALL`.
-    pub fn set_iodone(&mut self, id: BufId, tag: IodoneTag) {
-        let b = self.buf_mut(id);
-        b.iodone = Some(tag);
-        b.flags.insert(BufFlags::CALL);
-    }
-
     /// True if the block is present in the cache with valid contents.
     pub fn incore(&self, dev: DevId, blkno: u64) -> bool {
         self.hash
@@ -751,12 +739,6 @@ impl Cache {
     /// True once the buffer's pending I/O has completed (`biowait` test).
     pub fn io_done(&self, id: BufId) -> bool {
         self.buf(id).flags.contains(BufFlags::DONE)
-    }
-
-    /// Marks a held buffer invalid so its contents are discarded on
-    /// release.
-    pub fn set_invalid(&mut self, id: BufId) {
-        self.buf_mut(id).flags.insert(BufFlags::INVAL);
     }
 
     // ----- splice write headers -------------------------------------------

@@ -67,11 +67,6 @@ impl AudioDac {
         }
     }
 
-    /// The classic Sun `/dev/audio`: 8 kHz µ-law (8 KB/s), 64 KB buffer.
-    pub fn dev_audio() -> AudioDac {
-        AudioDac::new(8_000, 64 * 1024)
-    }
-
     /// Bytes accepted so far.
     pub fn total_accepted(&self) -> u64 {
         self.total_accepted

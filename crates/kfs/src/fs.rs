@@ -226,11 +226,6 @@ impl Fs {
         self.sb.block_size as u64 / khw::SECTOR_SIZE as u64
     }
 
-    /// Converts a physical filesystem block number to a device sector.
-    pub fn block_to_sector(&self, pblk: u64) -> u64 {
-        pblk * self.sectors_per_block()
-    }
-
     /// Free data blocks remaining.
     pub fn free_blocks(&self) -> u64 {
         self.bitmap.free()

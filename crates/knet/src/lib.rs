@@ -179,6 +179,20 @@ pub struct LinkModel {
     pub seed: u64,
 }
 
+impl LinkModel {
+    /// A lossless 1 Gb/s link: 125 MB/s, 200 µs base latency, up to
+    /// 100 µs of jitter — the connection-scale scenarios' wire.
+    pub fn gigabit(seed: u64) -> LinkModel {
+        LinkModel {
+            bps: 125_000_000,
+            base_latency: Dur::from_us(200),
+            jitter: Dur::from_us(100),
+            loss_ppm: 0,
+            seed,
+        }
+    }
+}
+
 struct LinkState {
     model: LinkModel,
     busy_until: SimTime,
@@ -495,11 +509,6 @@ impl Net {
                 .in_backlog = false;
         }
         Ok(conn)
-    }
-
-    /// True if the socket is a listener.
-    pub fn is_listening(&self, id: SockId) -> bool {
-        self.sock(id).map(|s| s.listener.is_some()).unwrap_or(false)
     }
 
     /// Carved-but-unaccepted connections on a listener.

@@ -22,7 +22,7 @@ enum St {
     CloseSrc,
     CloseDst,
     Done,
-    Failed(&'static str),
+    Failed,
 }
 
 /// The read/write copy program.
@@ -79,16 +79,8 @@ impl Cp {
         self.copies_done
     }
 
-    /// Why the program failed, if it did (for test diagnostics).
-    pub fn failed_reason(&self) -> Option<&'static str> {
-        match self.st {
-            St::Failed(why) => Some(why),
-            _ => None,
-        }
-    }
-
-    fn fail(&mut self, what: &'static str) -> Step {
-        self.st = St::Failed(what);
+    fn fail(&mut self) -> Step {
+        self.st = St::Failed;
         Step::Exit(1)
     }
 }
@@ -106,7 +98,7 @@ impl Program for Cp {
             St::OpenSrc => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.src_fd = Some(fd),
-                    _ => return self.fail("open src"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenDst;
                 Step::Syscall(SyscallReq::Open {
@@ -117,7 +109,7 @@ impl Program for Cp {
             St::OpenDst => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.dst_fd = Some(fd),
-                    _ => return self.fail("open dst"),
+                    _ => return self.fail(),
                 }
                 self.st = St::Read;
                 Step::Syscall(SyscallReq::Read {
@@ -144,7 +136,7 @@ impl Program for Cp {
                     // (with `pending` set) issues the write itself.
                     Step::Compute(self.loop_overhead)
                 }
-                _ => self.fail("read"),
+                _ => self.fail(),
             },
             St::Write => {
                 // Entered twice: once after the overhead compute (no ret),
@@ -163,13 +155,13 @@ impl Program for Cp {
                             len: self.bufsize,
                         })
                     }
-                    _ => self.fail("write"),
+                    _ => self.fail(),
                 }
             }
             St::Fsync => {
                 match ctx.take_ret() {
                     SyscallRet::Val(_) => {}
-                    _ => return self.fail("fsync"),
+                    _ => return self.fail(),
                 }
                 self.st = St::CloseSrc;
                 Step::Syscall(SyscallReq::Close(self.src_fd.take().unwrap()))
@@ -192,7 +184,7 @@ impl Program for Cp {
                 }
             }
             St::Done => Step::Exit(0),
-            St::Failed(_) => Step::Exit(1),
+            St::Failed => Step::Exit(1),
         }
     }
 

@@ -27,7 +27,7 @@ enum St {
     SpliceFrame,
     Pause,
     Done,
-    Failed(&'static str),
+    Failed,
 }
 
 /// The movie player program.
@@ -79,16 +79,8 @@ impl MoviePlayer {
         self.frames_played
     }
 
-    /// Why the program failed, if it did (for test diagnostics).
-    pub fn failed_reason(&self) -> Option<&'static str> {
-        match self.st {
-            St::Failed(why) => Some(why),
-            _ => None,
-        }
-    }
-
-    fn fail(&mut self, what: &'static str) -> Step {
-        self.st = St::Failed(what);
+    fn fail(&mut self) -> Step {
+        self.st = St::Failed;
         Step::Exit(1)
     }
 
@@ -110,7 +102,7 @@ impl Program for MoviePlayer {
             St::OpenAudio => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.audiofile = Some(fd),
-                    _ => return self.fail("open audio file"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenVideo;
                 Self::open(&self.video_file.clone(), OpenFlags::RDONLY)
@@ -118,7 +110,7 @@ impl Program for MoviePlayer {
             St::OpenVideo => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.videofile = Some(fd),
-                    _ => return self.fail("open video file"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenAudioDev;
                 Self::open(&self.audio_dev.clone(), OpenFlags::WRONLY)
@@ -126,7 +118,7 @@ impl Program for MoviePlayer {
             St::OpenAudioDev => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.audio_out = Some(fd),
-                    _ => return self.fail("open audio dev"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenVideoDev;
                 Self::open(&self.video_dev.clone(), OpenFlags::WRONLY)
@@ -134,7 +126,7 @@ impl Program for MoviePlayer {
             St::OpenVideoDev => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.video_out = Some(fd),
-                    _ => return self.fail("open video dev"),
+                    _ => return self.fail(),
                 }
                 self.st = St::FcntlAudio;
                 Step::Syscall(SyscallReq::Fcntl {
@@ -154,7 +146,7 @@ impl Program for MoviePlayer {
             St::SpliceAudio => {
                 match ctx.take_ret() {
                     SyscallRet::Val(_) => {}
-                    _ => return self.fail("audio splice"),
+                    _ => return self.fail(),
                 }
                 self.st = St::Sigaction;
                 Step::Syscall(SyscallReq::Sigaction {
@@ -192,7 +184,7 @@ impl Program for MoviePlayer {
                         interval: Dur::ZERO,
                     })
                 }
-                _ => self.fail("video splice"),
+                _ => self.fail(),
             },
             St::Pause => {
                 ctx.take_ret();
@@ -206,7 +198,7 @@ impl Program for MoviePlayer {
                 ctx.ret.take();
                 Step::Exit(0)
             }
-            St::Failed(_) => Step::Exit(1),
+            St::Failed => Step::Exit(1),
         }
     }
 

@@ -29,7 +29,7 @@ enum St {
     LCloseSrc(usize),
     LCloseDst(usize),
     Done,
-    Failed(&'static str),
+    Failed,
 }
 
 /// Batched splice copier: `n` file pairs through one splice ring.
@@ -80,16 +80,8 @@ impl RingScp {
         self.reaped
     }
 
-    /// Why the program failed, if it did (for test diagnostics).
-    pub fn failed_reason(&self) -> Option<&'static str> {
-        match self.st {
-            St::Failed(why) => Some(why),
-            _ => None,
-        }
-    }
-
-    fn fail(&mut self, what: &'static str) -> Step {
-        self.st = St::Failed(what);
+    fn fail(&mut self) -> Step {
+        self.st = St::Failed;
         Step::Exit(1)
     }
 
@@ -136,7 +128,7 @@ impl Program for RingScp {
             St::OpenSrc(i) => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.src_fds.push(fd),
-                    _ => return self.fail("open src"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenDst(i);
                 self.open(false, i)
@@ -144,7 +136,7 @@ impl Program for RingScp {
             St::OpenDst(i) => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.dst_fds.push(fd),
-                    _ => return self.fail("open dst"),
+                    _ => return self.fail(),
                 }
                 if i + 1 < self.n {
                     self.st = St::OpenSrc(i + 1);
@@ -159,7 +151,7 @@ impl Program for RingScp {
             St::CreateRing => {
                 match ctx.take_ret() {
                     SyscallRet::Val(id) if id > 0 => self.ring = id as u64,
-                    _ => return self.fail("ring create"),
+                    _ => return self.fail(),
                 }
                 self.submit_wave()
             }
@@ -168,7 +160,7 @@ impl Program for RingScp {
                     SyscallRet::Val(accepted) if accepted as u32 == self.wave => {
                         self.submitted += accepted as usize;
                     }
-                    _ => return self.fail("ring submit"),
+                    _ => return self.fail(),
                 }
                 self.st = St::Reap;
                 Step::Syscall(SyscallReq::RingReap {
@@ -181,13 +173,13 @@ impl Program for RingScp {
                     SyscallRet::Cqes(cqes) => {
                         for cqe in &cqes {
                             if cqe.outcome.error.is_some() {
-                                return self.fail("splice error in cqe");
+                                return self.fail();
                             }
                             self.bytes_copied += cqe.outcome.bytes_moved;
                         }
                         self.reaped += cqes.len();
                     }
-                    _ => return self.fail("ring reap"),
+                    _ => return self.fail(),
                 }
                 if self.submitted < self.n {
                     return self.submit_wave();
@@ -216,7 +208,7 @@ impl Program for RingScp {
             St::LOpenSrc(i) => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.src_fds.push(fd),
-                    _ => return self.fail("open src"),
+                    _ => return self.fail(),
                 }
                 self.st = St::LOpenDst(i);
                 self.open(false, i)
@@ -224,7 +216,7 @@ impl Program for RingScp {
             St::LOpenDst(i) => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.dst_fds.push(fd),
-                    _ => return self.fail("open dst"),
+                    _ => return self.fail(),
                 }
                 self.st = St::LSplice(i);
                 Step::splice(SpliceReq::new(self.src_fds[i], self.dst_fds[i]))
@@ -232,7 +224,7 @@ impl Program for RingScp {
             St::LSplice(i) => {
                 match ctx.take_ret() {
                     SyscallRet::Val(n) if n >= 0 => self.bytes_copied += n as u64,
-                    _ => return self.fail("splice"),
+                    _ => return self.fail(),
                 }
                 self.st = St::LCloseSrc(i);
                 Step::Syscall(SyscallReq::Close(self.src_fds[i]))
@@ -254,7 +246,7 @@ impl Program for RingScp {
             }
 
             St::Done => Step::Exit(0),
-            St::Failed(_) => Step::Exit(1),
+            St::Failed => Step::Exit(1),
         }
     }
 

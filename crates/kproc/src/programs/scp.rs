@@ -31,7 +31,7 @@ enum St {
     CloseSrc,
     CloseDst,
     Done,
-    Failed(&'static str),
+    Failed,
 }
 
 /// The splice copy program.
@@ -79,16 +79,8 @@ impl Scp {
         self.copies_done
     }
 
-    /// Why the program failed, if it did (for test diagnostics).
-    pub fn failed_reason(&self) -> Option<&'static str> {
-        match self.st {
-            St::Failed(why) => Some(why),
-            _ => None,
-        }
-    }
-
-    fn fail(&mut self, what: &'static str) -> Step {
-        self.st = St::Failed(what);
+    fn fail(&mut self) -> Step {
+        self.st = St::Failed;
         Step::Exit(1)
     }
 }
@@ -106,7 +98,7 @@ impl Program for Scp {
             St::OpenSrc => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.src_fd = Some(fd),
-                    _ => return self.fail("open src"),
+                    _ => return self.fail(),
                 }
                 self.st = St::OpenDst;
                 Step::Syscall(SyscallReq::Open {
@@ -117,7 +109,7 @@ impl Program for Scp {
             St::OpenDst => {
                 match ctx.take_ret() {
                     SyscallRet::NewFd(fd) => self.dst_fd = Some(fd),
-                    _ => return self.fail("open dst"),
+                    _ => return self.fail(),
                 }
                 match self.mode {
                     ScpMode::Sync => {
@@ -164,7 +156,7 @@ impl Program for Scp {
                         Step::Syscall(SyscallReq::Pause)
                     }
                 },
-                _ => self.fail("splice"),
+                _ => self.fail(),
             },
             St::Pause => {
                 ctx.take_ret();
@@ -192,7 +184,7 @@ impl Program for Scp {
                 }
             }
             St::Done => Step::Exit(0),
-            St::Failed(_) => Step::Exit(1),
+            St::Failed => Step::Exit(1),
         }
     }
 

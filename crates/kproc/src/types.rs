@@ -186,12 +186,6 @@ impl SpliceReq {
         self
     }
 
-    /// Runs until end of file (the default).
-    pub fn to_eof(mut self) -> SpliceReq {
-        self.len = SpliceLen::Eof;
-        self
-    }
-
     /// Overrides the per-block retry budget (0 = abort on first error).
     pub fn retries(mut self, n: u32) -> SpliceReq {
         self.retry_limit = n;

@@ -45,10 +45,10 @@ FAULT_SEED="$FAULT_SEED" cargo test -q --test faults any_seed_transient_faults_r
 FAULT_SEED="$FAULT_SEED" cargo test -q --test ring ring_runs_are_deterministic_under_fault_seed ||
     { echo "ring suite FAILED with FAULT_SEED=$FAULT_SEED (export it to reproduce)"; exit 1; }
 
-echo "== server scenario replay, randomized seed =="
+echo "== server scenario replays (scenario and flight dump), randomized seed =="
 SERVER_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "-- SERVER_SEED=$SERVER_SEED"
-SERVER_SEED="$SERVER_SEED" cargo test -q --test server server_scenario_replays_identically_under_seed ||
+SERVER_SEED="$SERVER_SEED" cargo test -q --test server replay ||
     { echo "server suite FAILED with SERVER_SEED=$SERVER_SEED (export it to reproduce)"; exit 1; }
 
 echo "== property suites (differential models, props feature) =="

@@ -172,50 +172,17 @@ fn trace_wrap_is_counted_in_the_obs_section() {
 
 #[test]
 fn served_requests_populate_spans_slo_counters_and_exemplars() {
-    use kproc::programs::{
-        open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer,
-    };
-    use kproc::SockAddr;
+    use kproc::programs::ServeMode;
     use ksim::Dur;
-    use std::rc::Rc;
+    use splice::ServeScenario;
 
     let conns = 96usize;
-    let file_bytes = 8 * 1024u64;
-    let mut k = KernelBuilder::paper_machine_ram().trace(1 << 16).build();
-    k.net_mut().set_link_model(
-        1,
-        knet::LinkModel {
-            bps: 125_000_000,
-            base_latency: Dur::from_us(200),
-            jitter: Dur::from_us(100),
-            loss_ppm: 0,
-            seed: 13,
-        },
-    );
-    k.setup_file("/d0/file", file_bytes, 13);
-    k.cold_cache();
-    let stats = scenario_stats();
-    k.spawn(Box::new(SpliceServer::new(
-        80,
-        "/d0/file",
-        file_bytes,
-        conns,
-        conns as u32,
-        ServeMode::Splice,
-        Rc::clone(&stats),
-    )));
-    for delay in open_loop_delays(conns, Dur::from_ms(20), 13) {
-        k.spawn(Box::new(ServerClient::new(
-            SockAddr { host: 1, port: 80 },
-            file_bytes,
-            13,
-            delay + Dur::from_ms(1),
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-    assert_eq!(stats.borrow().completed, conns as u64);
+    let sc = ServeScenario {
+        window: Dur::from_ms(20),
+        offset: Dur::from_ms(1),
+        ..ServeScenario::new(conns, ServeMode::Splice, 13)
+    };
+    let (k, _) = sc.serve(KernelBuilder::paper_machine_ram().trace(1 << 16), "served");
 
     // The resident pipeline observed every served request without any
     // builder opt-in, and the counters are internally consistent.

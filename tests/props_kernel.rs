@@ -182,54 +182,33 @@ proptest! {
         rcv_limit in 2048usize..131_072,
         seed in any::<u64>(),
     ) {
-        use std::rc::Rc;
         use knet::LinkModel;
-        use kproc::SockAddr;
-        use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
+        use kproc::programs::ServeMode;
         use ksim::Dur;
+        use splice::ServeScenario;
 
-        let mut k = KernelBuilder::paper_machine_ram().trace(1 << 16).build();
+        let sc = ServeScenario {
+            file_bytes,
+            window: Dur::from_ms(20),
+            offset: Dur::from_ms(1),
+            ..ServeScenario::new(clients, ServeMode::Splice, seed)
+        };
+        let mut k = sc.boot(KernelBuilder::paper_machine_ram().trace(1 << 16));
         // The limit applies to sockets created after this point — i.e.
         // every socket of the scenario.
         k.net_mut().set_rcv_limit(rcv_limit);
         k.net_mut().set_link_model(
-            1,
-            LinkModel {
-                bps: 125_000_000,
-                base_latency: Dur::from_us(200),
-                jitter: Dur::from_us(100),
-                loss_ppm,
-                seed,
-            },
+            ServeScenario::HOST,
+            LinkModel { loss_ppm, ..LinkModel::gigabit(seed) },
         );
-        k.setup_file("/d0/file", file_bytes, seed);
-        k.cold_cache();
-        let stats = scenario_stats();
-        let server = k.spawn(Box::new(SpliceServer::new(
-            80,
-            "/d0/file",
-            file_bytes,
-            clients,
-            clients as u32,
-            ServeMode::Splice,
-            Rc::clone(&stats),
-        )));
-        for delay in open_loop_delays(clients, Dur::from_ms(20), seed) {
-            k.spawn(Box::new(ServerClient::new(
-                SockAddr { host: 1, port: 80 },
-                file_bytes,
-                seed,
-                delay + Dur::from_ms(1),
-                Rc::clone(&stats),
-            )));
-        }
+        let run = sc.spawn(&mut k);
         // Lost requests or dropped data leave clients (and the server's
         // accept loop) hung forever: run to quiescence at a fixed
         // horizon, not to exit.
         let horizon = k.horizon(30);
         k.run_until(horizon, |k| k.procs().all_exited());
 
-        let s = stats.borrow();
+        let s = run.stats.borrow();
         let st = k.net().stats();
         let total = clients as u64 * file_bytes;
         let queued = k.net().total_rcv_used() as u64;
@@ -272,7 +251,7 @@ proptest! {
         // A lossless link with roomy client buffers must serve everyone.
         if loss_ppm == 0 && rcv_limit as u64 >= 65_536 {
             prop_assert!(k.procs().all_exited(), "clean run left hung processes");
-            prop_assert!(matches!(k.procs().must(server).state, ProcState::Exited(0)));
+            prop_assert!(matches!(k.procs().must(run.server).state, ProcState::Exited(0)));
             prop_assert_eq!(s.completed, clients as u64);
             prop_assert_eq!(s.mismatches, 0);
             prop_assert_eq!(s.bytes_received, total);
@@ -309,13 +288,15 @@ proptest! {
         clients in 8usize..64,
         seed in any::<u64>(),
     ) {
-        use std::rc::Rc;
-        use knet::LinkModel;
-        use kproc::SockAddr;
-        use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
+        use kproc::programs::ServeMode;
         use ksim::{Dur, ObsConfig, SloConfig};
+        use splice::ServeScenario;
 
-        let file_bytes = 8 * 1024u64;
+        let sc = ServeScenario {
+            window: Dur::from_ms(20),
+            offset: Dur::from_ms(1),
+            ..ServeScenario::new(clients, ServeMode::Splice, seed)
+        };
         let cfg = ObsConfig {
             sample_period: period,
             slo: SloConfig {
@@ -324,41 +305,7 @@ proptest! {
             },
             ..ObsConfig::on()
         };
-        let mut k = KernelBuilder::paper_machine_ram().observe(cfg).build();
-        k.net_mut().set_link_model(
-            1,
-            LinkModel {
-                bps: 125_000_000,
-                base_latency: Dur::from_us(200),
-                jitter: Dur::from_us(100),
-                loss_ppm: 0,
-                seed,
-            },
-        );
-        k.setup_file("/d0/file", file_bytes, seed);
-        k.cold_cache();
-        let stats = scenario_stats();
-        let server = k.spawn(Box::new(SpliceServer::new(
-            80,
-            "/d0/file",
-            file_bytes,
-            clients,
-            clients as u32,
-            ServeMode::Splice,
-            Rc::clone(&stats),
-        )));
-        for delay in open_loop_delays(clients, Dur::from_ms(20), seed) {
-            k.spawn(Box::new(ServerClient::new(
-                SockAddr { host: 1, port: 80 },
-                file_bytes,
-                seed,
-                delay + Dur::from_ms(1),
-                Rc::clone(&stats),
-            )));
-        }
-        let horizon = k.horizon(600);
-        k.run_to_exit(horizon);
-        prop_assert!(matches!(k.procs().must(server).state, ProcState::Exited(0)));
+        let (k, _) = sc.serve(KernelBuilder::paper_machine_ram().observe(cfg), "slo");
 
         let c = k.obs().counters();
         prop_assert_eq!(c.requests, clients as u64);

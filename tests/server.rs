@@ -1,58 +1,24 @@
 //! Connection-layer scenario battery: the splice server programs from
-//! `kproc::programs::server` driven end to end through the kernel —
-//! backlog overflow accounting, connection lifecycle reclaim, byte-exact
-//! service at depth 1 vs a depth-64 ring, tail-latency monotonicity in
-//! connection count, and seeded replay determinism (`SERVER_SEED` is
+//! `kproc::programs::server`, wired by [`splice::ServeScenario`] and
+//! driven end to end through the kernel — backlog overflow accounting,
+//! connection lifecycle reclaim, byte-exact service at depth 1 vs a
+//! depth-64 ring vs the user-space cp-relay, tail-latency monotonicity
+//! in connection count, and seeded replay determinism (`SERVER_SEED` is
 //! randomized by `scripts/ci.sh`).
 
-use std::rc::Rc;
-
-use knet::LinkModel;
-use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, ServerClient, SpliceServer};
-use kproc::{ProcState, SockAddr};
+use kproc::programs::{ServeMode, SpliceServer};
+use kproc::ProcState;
 use ksim::{Dur, ObsConfig, ReqSpan, SloConfig, RECENT_SPANS};
-use splice::{Kernel, KernelBuilder};
+use splice::{KernelBuilder, MetricsSnapshot, ServeScenario};
 
-const FILE_BYTES: u64 = 8 * 1024;
-const PORT: u16 = 80;
 const SEED: u64 = 0x5e12;
 
-fn addr() -> SockAddr {
-    SockAddr {
-        host: 1,
-        port: PORT,
-    }
-}
-
-/// Builds a kernel with the bench link model and the seeded file.
-fn server_kernel(seed: u64, trace: usize) -> Kernel {
-    server_kernel_obs(seed, trace, None)
-}
-
-/// [`server_kernel`] with an observability override (e.g. an unmeetable
-/// SLO to provoke the flight recorder).
-fn server_kernel_obs(seed: u64, trace: usize, obs: Option<ObsConfig>) -> Kernel {
-    let b = KernelBuilder::paper_machine_ram();
-    let b = if trace > 0 { b.trace(trace) } else { b };
-    let b = if let Some(cfg) = obs {
-        b.observe(cfg)
-    } else {
-        b
-    };
-    let mut k = b.build();
-    k.net_mut().set_link_model(
-        1,
-        LinkModel {
-            bps: 125_000_000,
-            base_latency: Dur::from_us(200),
-            jitter: Dur::from_us(100),
-            loss_ppm: 0,
-            seed,
-        },
-    );
-    k.setup_file("/d0/file", FILE_BYTES, seed);
-    k.cold_cache();
-    k
+/// The `SERVER_SEED` replay seed (`scripts/ci.sh` randomizes it).
+fn server_seed() -> u64 {
+    std::env::var("SERVER_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(SEED)
 }
 
 /// Arrivals beyond the listen backlog while the server naps are dropped
@@ -63,31 +29,26 @@ fn server_kernel_obs(seed: u64, trace: usize, obs: Option<ObsConfig>) -> Kernel 
 fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
     let backlog = 8usize;
     let clients = 16usize;
-    let mut k = server_kernel(SEED, 0);
-    let stats = scenario_stats();
-    let server = k.spawn(Box::new(
+    let sc = ServeScenario {
+        window: Dur::from_ms(10),
+        // Past the server's own socket/bind/listen syscalls.
+        offset: Dur::from_ms(1),
+        ..ServeScenario::new(clients, ServeMode::Splice, SEED)
+    };
+    let mut k = sc.boot(KernelBuilder::paper_machine_ram());
+    let run = sc.spawn_with(&mut k, |stats| {
         SpliceServer::new(
-            PORT,
-            "/d0/file",
-            FILE_BYTES,
+            ServeScenario::PORT,
+            ServeScenario::PATH,
+            sc.file_bytes,
             backlog,
             backlog as u32,
             ServeMode::Splice,
-            Rc::clone(&stats),
+            stats,
         )
         // Listen, then nap: every arrival lands on the backlog.
-        .warmup(Dur::from_ms(50)),
-    ));
-    for delay in open_loop_delays(clients, Dur::from_ms(10), SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            addr(),
-            FILE_BYTES,
-            SEED,
-            // Past the server's own socket/bind/listen syscalls.
-            delay + Dur::from_ms(1),
-            Rc::clone(&stats),
-        )));
-    }
+        .warmup(Dur::from_ms(50))
+    });
     // The dropped clients hang in recv forever, so run by exit count,
     // not `run_to_exit`: the server plus every accepted client.
     let horizon = k.horizon(600);
@@ -95,12 +56,15 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
         k.procs().iter().filter(|p| p.exited()).count() == 1 + backlog
     });
 
-    assert!(matches!(k.procs().must(server).state, ProcState::Exited(0)));
-    let s = stats.borrow();
+    assert!(matches!(
+        k.procs().must(run.server).state,
+        ProcState::Exited(0)
+    ));
+    let s = run.stats.borrow();
     assert_eq!(s.served, backlog as u64, "server must serve the backlog");
     assert_eq!(s.completed, backlog as u64);
     assert_eq!(s.mismatches, 0);
-    assert_eq!(s.bytes_received, backlog as u64 * FILE_BYTES);
+    assert_eq!(s.bytes_received, backlog as u64 * sc.file_bytes);
 
     let m = k.metrics().net;
     assert_eq!(
@@ -123,33 +87,13 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
 #[test]
 fn connection_lifecycle_frees_port_and_buffers() {
     const FLEET: usize = 300;
-    let mut k = server_kernel(SEED, 0);
-    let stats = scenario_stats();
-    let server = k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        FLEET,
-        FLEET as u32,
-        ServeMode::Splice,
-        Rc::clone(&stats),
-    )));
-    for delay in open_loop_delays(FLEET, Dur::from_ms(30), SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            addr(),
-            FILE_BYTES,
-            SEED,
-            // Past the server's own socket/bind/listen syscalls.
-            delay + Dur::from_ms(1),
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-
-    assert!(matches!(k.procs().must(server).state, ProcState::Exited(0)));
-    assert_eq!(stats.borrow().completed, FLEET as u64);
-    assert_eq!(stats.borrow().mismatches, 0);
+    let sc = ServeScenario {
+        window: Dur::from_ms(30),
+        // Past the server's own socket/bind/listen syscalls.
+        offset: Dur::from_ms(1),
+        ..ServeScenario::new(FLEET, ServeMode::Splice, SEED)
+    };
+    let (mut k, _) = sc.serve(KernelBuilder::paper_machine_ram(), "lifecycle");
     assert_eq!(k.net().open_socks(), 0, "lifecycle leaked a socket");
     assert_eq!(k.net().total_rcv_used(), 0, "lifecycle leaked rcv bytes");
 
@@ -163,100 +107,57 @@ fn connection_lifecycle_frees_port_and_buffers() {
     let retired = spans.retired();
     assert_eq!(retired.descriptors, FLEET as u64);
     assert_eq!(retired.descriptors, k.metrics().splice.started);
-    assert_eq!(retired.bytes_moved, FLEET as u64 * FILE_BYTES);
+    assert_eq!(retired.bytes_moved, FLEET as u64 * sc.file_bytes);
     assert_eq!(retired.violations, 0, "{:?}", retired.details);
 
     // The port is free again: a fresh socket can bind it.
-    let again = k.net_mut().socket(1);
+    let again = k.net_mut().socket(ServeScenario::HOST);
     assert!(
-        k.net_mut().bind(again, PORT).is_ok(),
-        "port {PORT} still held after the listener closed"
+        k.net_mut().bind(again, ServeScenario::PORT).is_ok(),
+        "port {} still held after the listener closed",
+        ServeScenario::PORT
     );
 }
 
-/// Runs `conns` clients against one server in `mode`; returns
-/// (completed, bytes_received, splices started).
-fn serve_fleet(conns: usize, mode: ServeMode, seed: u64) -> (u64, u64, u64) {
-    let mut k = server_kernel(seed, 0);
-    let stats = scenario_stats();
-    let server = k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        conns,
-        conns as u32,
-        mode,
-        Rc::clone(&stats),
-    )));
-    // Constant offered rate (10k/s), as in the bench.
-    let window = Dur::from_ns(conns as u64 * 100_000);
-    for delay in open_loop_delays(conns, window, seed) {
-        k.spawn(Box::new(ServerClient::new(
-            addr(),
-            FILE_BYTES,
-            seed,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-    assert!(
-        matches!(k.procs().must(server).state, ProcState::Exited(0)),
-        "{mode:?}: server failed"
-    );
-    let s = stats.borrow();
-    assert_eq!(s.mismatches, 0, "{mode:?}: payload corruption");
-    (s.completed, s.bytes_received, k.metrics().splice.started)
+/// Serves `conns` clients from one server in `mode` at the default
+/// 10k/s offered rate and returns the kernel's metrics. The serve
+/// itself checks that every client pattern-verified the whole file.
+fn serve_fleet(conns: usize, mode: ServeMode) -> MetricsSnapshot {
+    let sc = ServeScenario::new(conns, mode, SEED);
+    let (k, _) = sc.serve(KernelBuilder::paper_machine_ram(), format_args!("{mode:?}"));
+    k.metrics()
 }
 
-/// One-at-a-time `splice(2)` service and depth-64 ring service deliver
-/// the identical bytes to the identical fleet — the batching machinery
-/// changes scheduling, never data.
+/// One-at-a-time `splice(2)` service, depth-64 ring service and the
+/// user-space cp-relay deliver the identical bytes to the identical
+/// fleet — the batching machinery and the copy path change scheduling
+/// and cost, never data.
 #[test]
 fn depth1_splice_and_ring64_serve_byte_exact() {
     let conns = 128usize;
-    let (sync_done, sync_bytes, sync_splices) = serve_fleet(conns, ServeMode::Splice, SEED);
-    let (ring_done, ring_bytes, ring_splices) =
-        serve_fleet(conns, ServeMode::Ring { depth: 64 }, SEED);
-    assert_eq!(sync_done, conns as u64);
-    assert_eq!(ring_done, conns as u64);
-    assert_eq!(sync_bytes, conns as u64 * FILE_BYTES);
-    assert_eq!(ring_bytes, sync_bytes, "ring served different bytes");
+    let file_bytes = ServeScenario::FILE_BYTES;
+    let sync = serve_fleet(conns, ServeMode::Splice);
+    let ring = serve_fleet(conns, ServeMode::Ring { depth: 64 });
+    let relay = serve_fleet(conns, ServeMode::CpRelay);
     // Both in-kernel paths run exactly one splice per connection.
-    assert_eq!(sync_splices, conns as u64);
-    assert_eq!(ring_splices, conns as u64);
+    assert_eq!(sync.splice.started, conns as u64);
+    assert_eq!(ring.splice.started, conns as u64);
+    // The relay runs none: it reads every byte out to user space and
+    // sends it back in. Its send(2) copy counts on the socket path,
+    // on top of the clients' own receives.
+    assert_eq!(relay.splice.started, 0);
+    assert_eq!(sync.copy.copyout_bytes, 0);
+    assert!(relay.copy.copyout_bytes >= conns as u64 * file_bytes);
+    assert!(relay.copy.net_bytes >= sync.copy.net_bytes + conns as u64 * file_bytes);
 }
 
 /// Runs a ring-served open-loop fleet and reports the p99 of the
 /// request→last-byte latency histogram.
 fn p99_at(conns: usize) -> u64 {
-    let mut k = server_kernel(SEED, 0);
-    let stats = scenario_stats();
-    k.spawn(Box::new(SpliceServer::new(
-        PORT,
-        "/d0/file",
-        FILE_BYTES,
-        conns,
-        conns as u32,
-        ServeMode::Ring { depth: 64 },
-        Rc::clone(&stats),
-    )));
-    let window = Dur::from_ns(conns as u64 * 100_000);
-    for delay in open_loop_delays(conns, window, SEED) {
-        k.spawn(Box::new(ServerClient::new(
-            addr(),
-            FILE_BYTES,
-            SEED,
-            delay,
-            Rc::clone(&stats),
-        )));
-    }
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-    let s = stats.borrow();
-    assert_eq!(s.completed, conns as u64);
-    s.latency.p99().unwrap()
+    let sc = ServeScenario::new(conns, ServeMode::Ring { depth: 64 }, SEED);
+    let (_, run) = sc.serve(KernelBuilder::paper_machine_ram(), "p99");
+    let p99 = run.stats.borrow().latency.p99().unwrap();
+    p99
 }
 
 /// Under a constant offered rate, adding connections never *improves*
@@ -277,45 +178,15 @@ fn p99_is_monotone_in_connection_count() {
 /// failure prints the seed to reproduce.
 #[test]
 fn server_scenario_replays_identically_under_seed() {
-    let seed: u64 = std::env::var("SERVER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SEED);
-    let conns = 400usize;
+    let seed = server_seed();
+    let sc = ServeScenario::new(400, ServeMode::Ring { depth: 64 }, seed);
     let run = || {
-        let mut k = server_kernel(seed, 1 << 16);
-        let stats = scenario_stats();
-        let server = k.spawn(Box::new(SpliceServer::new(
-            PORT,
-            "/d0/file",
-            FILE_BYTES,
-            conns,
-            conns as u32,
-            ServeMode::Ring { depth: 64 },
-            Rc::clone(&stats),
-        )));
-        let window = Dur::from_ns(conns as u64 * 100_000);
-        for delay in open_loop_delays(conns, window, seed) {
-            k.spawn(Box::new(ServerClient::new(
-                addr(),
-                FILE_BYTES,
-                seed,
-                delay,
-                Rc::clone(&stats),
-            )));
-        }
-        let horizon = k.horizon(600);
-        let end = k.run_to_exit(horizon);
-        assert!(
-            matches!(k.procs().must(server).state, ProcState::Exited(0)),
-            "SERVER_SEED={seed}: server failed"
-        );
-        let s = stats.borrow();
-        assert_eq!(s.completed, conns as u64, "SERVER_SEED={seed}: short");
-        assert_eq!(s.mismatches, 0, "SERVER_SEED={seed}: corruption");
+        let b = KernelBuilder::paper_machine_ram().trace(1 << 16);
+        let (k, run) = sc.serve(b, format_args!("SERVER_SEED={seed}"));
+        let s = run.stats.borrow();
         let m = k.metrics();
         (
-            end.as_ns(),
+            k.now().as_ns(),
             m.net.sent,
             m.net.delivered,
             m.net.conns_opened,
@@ -338,11 +209,8 @@ fn server_scenario_replays_identically_under_seed() {
 /// the committed spans match span for span.
 #[test]
 fn flight_dump_and_committed_spans_replay_identically() {
-    let seed: u64 = std::env::var("SERVER_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(SEED);
-    let conns = 256usize;
+    let seed = server_seed();
+    let sc = ServeScenario::new(256, ServeMode::Splice, seed);
     let cfg = ObsConfig {
         slo: SloConfig {
             latency_target: Dur::from_us(1),
@@ -351,33 +219,10 @@ fn flight_dump_and_committed_spans_replay_identically() {
         ..ObsConfig::on()
     };
     let run = || {
-        let mut k = server_kernel_obs(seed, 1 << 16, Some(cfg));
-        let stats = scenario_stats();
-        let server = k.spawn(Box::new(SpliceServer::new(
-            PORT,
-            "/d0/file",
-            FILE_BYTES,
-            conns,
-            conns as u32,
-            ServeMode::Splice,
-            Rc::clone(&stats),
-        )));
-        let window = Dur::from_ns(conns as u64 * 100_000);
-        for delay in open_loop_delays(conns, window, seed) {
-            k.spawn(Box::new(ServerClient::new(
-                addr(),
-                FILE_BYTES,
-                seed,
-                delay,
-                Rc::clone(&stats),
-            )));
-        }
-        let horizon = k.horizon(600);
-        k.run_to_exit(horizon);
-        assert!(
-            matches!(k.procs().must(server).state, ProcState::Exited(0)),
-            "SERVER_SEED={seed}: server failed"
-        );
+        let b = KernelBuilder::paper_machine_ram()
+            .trace(1 << 16)
+            .observe(cfg);
+        let (k, _) = sc.serve(b, format_args!("SERVER_SEED={seed}"));
         let c = k.obs().counters();
         assert_eq!(
             c.violations, c.requests,
