@@ -1,12 +1,14 @@
 //! Simulator-speed table: pins host events-per-second the way Tables
 //! 1/2 pin simulated results.
 //!
-//! Three rows land in `BENCH_simspeed.json`:
+//! Four rows land in `BENCH_simspeed.json`:
 //!
 //! * `callout_churn` — schedule/cancel/expire mix against 100k pending
 //!   callouts on the hierarchical timing wheel.
 //! * `event_churn` — schedule/cancel/pop mix against 100k live events
 //!   in the slab-backed [`ksim::EventQueue`].
+//! * `event_mix` — the kernel's own pop/schedule shape, 2–6 live events,
+//!   which the queue's near set serves without touching its heap.
 //! * `scp_ram_e2e` — wall-clock blocks/sec of repeated cold-cache
 //!   `scp` copies across the RAM-disk machine, the end-to-end number
 //!   the fast path exists to move.
@@ -39,6 +41,9 @@ fn main() {
     let event = simspeed::event_churn(PENDING, 300_000);
     println!("event_churn: {:.0} ops/sec", event.ops_per_sec());
 
+    let mix = simspeed::event_mix(4_000_000);
+    println!("event_mix: {:.0} ops/sec", mix.ops_per_sec());
+
     // End-to-end: 2 warmup + 40 measured cold-cache 8 MB scp copies so
     // the window is long enough for a stable blocks/sec figure.
     let e2e = simspeed::scp_ram_e2e(2, 40, 8 << 20);
@@ -52,6 +57,7 @@ fn main() {
     let rows = Json::Arr(vec![
         rate_row("callout_churn", PENDING, &wheel),
         rate_row("event_churn", PENDING, &event),
+        rate_row("event_mix", simspeed::EVENT_MIX_PEAK, &mix),
         Json::obj()
             .with("bench", Json::Str("scp_ram_e2e".into()))
             .with("runs", Json::Num(40.0))

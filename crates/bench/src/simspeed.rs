@@ -1,9 +1,9 @@
 //! Simulator-speed measurement procedures.
 //!
 //! These measure *host* events-per-second of the simulator itself — the
-//! quantity the timing-wheel callout, the slab event queue, and the
-//! pooled buffer arena exist to improve. The `simspeed` binary pins
-//! their numbers into `BENCH_simspeed.json`.
+//! quantity the timing-wheel callout, the slab event queue and its near
+//! set, and the pooled buffer arena exist to improve. The `simspeed`
+//! binary pins their numbers into `BENCH_simspeed.json`.
 //!
 //! The churn loops keep a large pending population (the regime where the
 //! pre-wheel `BTreeMap` callout degraded) and then drive a steady
@@ -83,6 +83,55 @@ pub fn event_churn(pending: usize, ops: u64) -> Rate {
     }
     Rate {
         ops: 3 * ops,
+        secs: start.elapsed().as_secs_f64(),
+    }
+}
+
+/// Live events [`event_mix`] peaks at: a chunk completion, the clock
+/// tick and up to four applies.
+pub const EVENT_MIX_PEAK: usize = 6;
+
+/// The kernel's own event shape: a chunk completion every 1 ms that
+/// queues 0–4 short apply events behind it, and a clock tick every
+/// 3.906 ms (256 Hz), so 2–6 events are live at once. Runs until `pops`
+/// events have fired; every pop and every schedule counts as one op.
+pub fn event_mix(pops: u64) -> Rate {
+    #[derive(Clone, Copy)]
+    enum Ev {
+        Chunk,
+        Tick,
+        Apply,
+    }
+    let chunk = Dur::from_us(1000);
+    let tick = Dur::from_ns(3_906_250);
+    let mut q = EventQueue::new();
+    q.schedule(SimTime::ZERO + chunk, Ev::Chunk);
+    q.schedule(SimTime::ZERO + tick, Ev::Tick);
+    let mut ops = 2;
+    let mut chunks = 0u64;
+    let start = Instant::now();
+    for _ in 0..pops {
+        let (now, ev) = q.pop().expect("the chunk and tick events re-arm");
+        ops += 1;
+        match std::hint::black_box(ev) {
+            Ev::Chunk => {
+                q.schedule(now + chunk, Ev::Chunk);
+                let applies = chunks % (EVENT_MIX_PEAK as u64 - 1);
+                for k in 1..=applies {
+                    q.schedule(now + Dur::from_us(50 * k), Ev::Apply);
+                }
+                ops += 1 + applies;
+                chunks += 1;
+            }
+            Ev::Tick => {
+                q.schedule(now + tick, Ev::Tick);
+                ops += 1;
+            }
+            Ev::Apply => {}
+        }
+    }
+    Rate {
+        ops,
         secs: start.elapsed().as_secs_f64(),
     }
 }

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use kbuf::{BufId, Cache, DevId, IoDir, IodoneTag};
+use kbuf::{BufData, BufId, Cache, DevId, IoDir, IodoneTag};
 use kfs::{Fs, FsIo};
 use khw::{Disk, DiskProfile, MachineProfile, RamDisk};
 use knet::Net;
@@ -640,18 +640,8 @@ impl Kernel {
                     IoCtx::Process => {
                         // Synchronous strategy call in the caller's
                         // context: do the copy, complete inline.
-                        let (cost, error) = match dir {
-                            IoDir::Read => {
-                                let (data, cost, error) = rd.read_checked(sector, len);
-                                if let Some(data) = data {
-                                    self.cache.data(buf).fill_from(&data);
-                                }
-                                (cost, error)
-                            }
-                            IoDir::Write => {
-                                rd.write_checked(sector, &self.cache.data(buf).to_vec())
-                            }
-                        };
+                        let (cost, error) =
+                            ram_transfer(rd, &self.cache.data(buf), sector, len, dir);
                         self.ctr.copy.driver_bytes += len as u64;
                         self.finish_io(disk_idx, buf, dir, error);
                         cost
@@ -1081,16 +1071,7 @@ impl Kernel {
                 let DiskUnitKind::Ram(rd) = &mut self.disks[disk].kind else {
                     panic!("RamIo against a SCSI disk");
                 };
-                let error = match dir {
-                    IoDir::Read => {
-                        let (data, _, error) = rd.read_checked(sector, len);
-                        if let Some(data) = data {
-                            self.cache.data(buf).fill_from(&data);
-                        }
-                        error
-                    }
-                    IoDir::Write => rd.write_checked(sector, &self.cache.data(buf).to_vec()).1,
-                };
+                let (_, error) = ram_transfer(rd, &self.cache.data(buf), sector, len, dir);
                 self.ctr.copy.driver_bytes += len as u64;
                 self.finish_io(disk, buf, dir, error);
             }
@@ -1285,11 +1266,10 @@ impl Kernel {
             if pred(self) {
                 return self.q.now();
             }
-            if self.q.peek_time().is_none() {
-                panic!("event queue drained at {}", self.q.now());
-            }
-            if self.q.peek_time().unwrap() > horizon {
-                return self.q.now();
+            match self.q.peek_time() {
+                None => panic!("event queue drained at {}", self.q.now()),
+                Some(next) if next > horizon => return self.q.now(),
+                Some(_) => {}
             }
             let (_, ev) = self.q.pop().unwrap();
             self.dispatch_event(ev);
@@ -1328,5 +1308,30 @@ impl Kernel {
             "{pid:?} still running at horizon {horizon}"
         );
         t
+    }
+}
+
+/// Moves one block between a RAM disk and a cache buffer's data area, with
+/// no staging copy on the host. Returns the driver's cost and whether the
+/// transfer failed; a failed read leaves the area untouched.
+///
+/// # Panics
+///
+/// Panics if the area is not exactly the `len`-byte block being read.
+fn ram_transfer(
+    rd: &mut RamDisk,
+    data: &BufData,
+    sector: u64,
+    len: usize,
+    dir: IoDir,
+) -> (Dur, bool) {
+    match dir {
+        IoDir::Read => {
+            let mut area = data.bytes_mut();
+            // Cache areas are sized to the block size every transfer uses.
+            assert_eq!(area.len(), len, "RAM read into a mis-sized data area");
+            rd.read_into_checked(sector, &mut area)
+        }
+        IoDir::Write => rd.write_checked(sector, &data.bytes()),
     }
 }

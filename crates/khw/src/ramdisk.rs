@@ -117,17 +117,31 @@ impl RamDisk {
     ///
     /// Panics on unaligned or out-of-range requests.
     pub fn read(&mut self, sector: u64, len: usize) -> (Vec<u8>, Dur) {
+        let mut data = vec![0; len];
+        let cost = self.read_into(sector, &mut data);
+        (data, cost)
+    }
+
+    /// Reads `out.len()` bytes at `sector` straight into `out`, returning
+    /// the CPU cost of the driver `bcopy`. Completion is immediate
+    /// (synchronous).
+    ///
+    /// # Panics
+    ///
+    /// Panics on unaligned or out-of-range requests.
+    pub fn read_into(&mut self, sector: u64, out: &mut [u8]) -> Dur {
+        let len = out.len();
         assert!(
             len > 0 && len.is_multiple_of(SECTOR_SIZE),
             "unaligned length {len}"
         );
-        let data = self.store.read_vec(sector * SECTOR_SIZE as u64, len);
+        self.store.read(sector * SECTOR_SIZE as u64, out);
         self.stats.requests += 1;
         self.stats.bytes += len as u64;
         let cost = self.copy_cost(len);
         self.busy += cost;
         self.service_hist.record(cost.as_ns());
-        (data, cost)
+        cost
     }
 
     /// Writes `data` at `sector`, returning the CPU cost of the driver
@@ -151,25 +165,25 @@ impl RamDisk {
         cost
     }
 
-    /// Fault-aware read: like [`RamDisk::read`], but consults the
-    /// installed [`FaultPlan`]. On error the data is not returned (the
+    /// Fault-aware read: like [`RamDisk::read_into`], but consults the
+    /// installed [`FaultPlan`]. On error `out` is left untouched (the
     /// transfer never reached the caller's buffer) but the `bcopy` CPU
     /// was still spent; latency spikes stretch the returned cost.
     ///
-    /// Returns `(data, cost, error)`.
+    /// Returns `(cost, error)`.
     ///
     /// # Panics
     ///
     /// Panics on unaligned or out-of-range requests.
-    pub fn read_checked(&mut self, sector: u64, len: usize) -> (Option<Vec<u8>>, Dur, bool) {
-        let d = self.decide(false, sector, len);
-        let (data, cost) = self.read(sector, len);
-        let cost = cost + d.extra_latency;
-        if d.error {
-            (None, cost, true)
+    pub fn read_into_checked(&mut self, sector: u64, out: &mut [u8]) -> (Dur, bool) {
+        let d = self.decide(false, sector, out.len());
+        let cost = if d.error {
+            // The copy still runs and is charged, but into scratch.
+            self.read(sector, out.len()).1
         } else {
-            (Some(data), cost, false)
-        }
+            self.read_into(sector, out)
+        };
+        (cost + d.extra_latency, d.error)
     }
 
     /// Fault-aware write: like [`RamDisk::write`], but consults the
@@ -283,12 +297,15 @@ mod tests {
             1,
         )));
         rd.write(16, &vec![7u8; 8192]);
-        let (data, _, err) = rd.read_checked(16, 8192);
-        assert!(err && data.is_none());
-        let (data, _, err) = rd.read_checked(16, 8192);
+        let mut data = vec![1u8; 8192];
+        let (_, err) = rd.read_into_checked(16, &mut data);
+        assert!(err);
+        assert_eq!(data, vec![1u8; 8192], "a failed read must not land");
+        let (_, err) = rd.read_into_checked(16, &mut data);
         assert!(!err);
-        assert_eq!(data.unwrap(), vec![7u8; 8192]);
+        assert_eq!(data, vec![7u8; 8192]);
         assert_eq!(rd.fault_plan().unwrap().injected(), 1);
+        assert_eq!(rd.stats().requests, 3);
     }
 
     #[test]

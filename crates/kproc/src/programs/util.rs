@@ -1,5 +1,7 @@
 //! Deterministic test-data generation shared by programs and harnesses.
 
+use std::cell::RefCell;
+
 // Byte `o` of stream `seed` is the top byte of `o·K1 + seed·K2`
 // (wrapping): a cheap mix with full-byte diffusion, not a PRNG, just a
 // position-dependent fingerprint. Since `(o + 1)·K1 = o·K1 + K1` in
@@ -11,6 +13,23 @@ const K2: u64 = 0xD1B5_4A32_D192_ED03;
 
 /// Verification compares this many bytes before testing for a mismatch.
 const CHECK_CHUNK: usize = 64;
+
+/// Longest expected slice [`pattern_check`] memoizes; longer checks
+/// (whole-file verification chunks) run in place instead.
+const MEMO_CAP: usize = 64 * 1024;
+
+/// The last expected slice [`pattern_check`] generated: `bytes` is the
+/// stream `seed` from offset `offset`.
+#[derive(Default)]
+struct Memo {
+    seed: u64,
+    offset: u64,
+    bytes: Vec<u8>,
+}
+
+thread_local! {
+    static MEMO: RefCell<Memo> = RefCell::new(Memo::default());
+}
 
 fn state(seed: u64, offset: u64) -> u64 {
     offset.wrapping_mul(K1).wrapping_add(seed.wrapping_mul(K2))
@@ -36,9 +55,42 @@ pub fn pattern_bytes(seed: u64, offset: u64, len: usize) -> Vec<u8> {
     out
 }
 
-/// Verifies that `data` equals the pattern stream `seed` at `offset`,
-/// in place. Returns the index of the first mismatch, if any.
+/// Verifies that `data` equals the pattern stream `seed` at `offset`.
+/// Returns the index of the first mismatch, if any.
+///
+/// Checks of up to 64 KiB compare against a one-entry, per-thread memo of
+/// the last expected slice: servers hand every client the same bytes, so
+/// repeated checks are a plain slice compare, and a miss regenerates the
+/// memo first. Longer checks run in place.
 pub fn pattern_check(seed: u64, offset: u64, data: &[u8]) -> Option<usize> {
+    if data.len() > MEMO_CAP {
+        return pattern_check_in_place(seed, offset, data);
+    }
+    MEMO.with(|m| {
+        let mut m = m.borrow_mut();
+        // Offsets wrap like the stream itself, so a slice that straddles
+        // `u64::MAX` still lands inside the memo it was generated into.
+        let mut at = offset.wrapping_sub(m.offset);
+        let hit = m.seed == seed
+            && m.bytes.len() >= data.len()
+            && at <= (m.bytes.len() - data.len()) as u64;
+        if !hit {
+            m.seed = seed;
+            m.offset = offset;
+            m.bytes.resize(data.len(), 0);
+            pattern_fill(seed, offset, &mut m.bytes);
+            at = 0;
+        }
+        let want = &m.bytes[at as usize..at as usize + data.len()];
+        if data == want {
+            return None;
+        }
+        data.iter().zip(want).position(|(a, b)| a != b)
+    })
+}
+
+/// [`pattern_check`] without the memo: regenerates the stream as it goes.
+fn pattern_check_in_place(seed: u64, offset: u64, data: &[u8]) -> Option<usize> {
     // Differences are OR-accumulated over a whole chunk, which keeps the
     // loop branch-free; only a chunk that differs is searched for its
     // first mismatching byte.
@@ -87,6 +139,21 @@ mod tests {
         assert_eq!(pattern_check(3, 100, &d), None);
         d[17] ^= 1;
         assert_eq!(pattern_check(3, 100, &d), Some(17));
+    }
+
+    #[test]
+    fn memoized_checks_match_in_place_checks() {
+        let whole = pattern_bytes(9, 4096, 8192);
+        assert_eq!(pattern_check(9, 4096, &whole), None);
+        // Repeats and sub-ranges of the memoized slice are hits.
+        assert_eq!(pattern_check(9, 4096, &whole), None);
+        let mut part = whole[1000..3000].to_vec();
+        assert_eq!(pattern_check(9, 5096, &part), None);
+        part[123] ^= 0x40;
+        assert_eq!(pattern_check(9, 5096, &part), Some(123));
+        assert_eq!(pattern_check_in_place(9, 5096, &part), Some(123));
+        // Another seed at the same offset must not reuse the memo.
+        assert_eq!(pattern_check(10, 5096, &whole[1000..3000]), Some(0));
     }
 
     #[test]

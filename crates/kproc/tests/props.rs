@@ -225,6 +225,14 @@ fn pattern_offset() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// `pattern_check`'s memo cap: checks longer than this run in place.
+const MEMO_CAP: usize = 64 * 1024;
+
+/// Check lengths around the memo cap, or short ones.
+fn memo_len() -> impl Strategy<Value = usize> {
+    prop_oneof![1usize..301, MEMO_CAP - 8..MEMO_CAP + 9]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -254,5 +262,46 @@ proptest! {
             data[len / 2] ^= flip;
             prop_assert_eq!(pattern_check(seed, offset, &data), Some(len / 2));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn memoized_checks_match_the_per_byte_model(
+        seed in any::<u64>(),
+        offset in pattern_offset(),
+        len in memo_len(),
+        sub in (any::<usize>(), any::<usize>()),
+        corrupt in any::<usize>(),
+        flip in (1u16..256).prop_map(|f| f as u8),
+    ) {
+        let want = model_pattern(seed, offset, len);
+        // The first check fills the memo (or runs in place past the cap);
+        // the repeat hits it.
+        prop_assert_eq!(pattern_check(seed, offset, &want), None);
+        prop_assert_eq!(pattern_check(seed, offset, &want), None);
+        // A sub-range, possibly straddling `u64::MAX`: a hit whenever the
+        // whole slice was memoized.
+        let a = sub.0 % len;
+        let b = a + sub.1 % (len - a) + 1;
+        let sub_off = offset.wrapping_add(a as u64);
+        prop_assert_eq!(pattern_check(seed, sub_off, &want[a..b]), None);
+        // A corrupted byte on the hit path is found at its exact index.
+        let mut data = want.clone();
+        let i = corrupt % len;
+        data[i] ^= flip;
+        prop_assert_eq!(pattern_check(seed, offset, &data), Some(i));
+        if (a..b).contains(&i) {
+            prop_assert_eq!(pattern_check(seed, sub_off, &data[a..b]), Some(i - a));
+        }
+        // Another seed at the same offset, straight after, must miss the
+        // memo: its verdict is the per-byte model's.
+        let other = seed ^ 1;
+        let other_want = model_pattern(other, offset, len);
+        let first_diff = want.iter().zip(&other_want).position(|(x, y)| x != y);
+        prop_assert_eq!(pattern_check(other, offset, &want), first_diff);
+        prop_assert_eq!(pattern_check(other, offset, &other_want), None);
     }
 }

@@ -15,6 +15,14 @@
 //! itimer rearming), where the previous lazy-delete `BinaryHeap` +
 //! `HashSet` pair grew without bound until the dead keys happened to reach
 //! the top.
+//!
+//! The kernel keeps only a handful of events live at once (a chunk
+//! completion, the clock tick, an occasional apply), so the earliest 16
+//! keys live in a small sorted *near set* beside the heap. Every near key
+//! is earlier than every heap key: scheduling an event that beats the heap
+//! top is a short insertion, and popping takes the near set's earliest key
+//! without touching the heap. Order is exactly `(time, sequence)` either
+//! way.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,6 +92,10 @@ impl PartialOrd for Entry {
 
 const NIL: u32 = u32::MAX;
 
+/// Most keys held in the near set; on overflow its latest key moves to
+/// the heap.
+const NEAR_CAP: usize = 16;
+
 struct Slot<E> {
     generation: u32,
     next_free: u32,
@@ -95,6 +107,9 @@ struct Slot<E> {
 /// The clock (`now`) only advances when an event is popped; scheduling in
 /// the past is a harness bug and panics.
 pub struct EventQueue<E> {
+    /// The earliest keys, sorted latest-first so the next event is at the
+    /// end. Every key here is earlier than every key in `heap`.
+    near: Vec<Entry>,
     heap: BinaryHeap<Reverse<Entry>>,
     slots: Vec<Slot<E>>,
     free_head: u32,
@@ -114,6 +129,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue with the clock at boot (t = 0).
     pub fn new() -> Self {
         EventQueue {
+            near: Vec::with_capacity(NEAR_CAP + 1),
             heap: BinaryHeap::new(),
             slots: Vec::new(),
             free_head: NIL,
@@ -157,10 +173,25 @@ impl<E> EventQueue<E> {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.live += 1;
-        self.heap.push(Reverse(Entry {
+        let entry = Entry {
             key: Key { time: at, seq },
             id,
-        }));
+        };
+        if self
+            .heap
+            .peek()
+            .is_some_and(|Reverse(top)| top.key < entry.key)
+        {
+            self.heap.push(Reverse(entry));
+        } else {
+            let pos = self.near.partition_point(|e| e.key > entry.key);
+            self.near.insert(pos, entry);
+            if self.near.len() > NEAR_CAP {
+                // The near set's latest key is still earlier than the
+                // whole heap, so it can become the new heap top.
+                self.heap.push(Reverse(self.near.remove(0)));
+            }
+        }
         id
     }
 
@@ -169,19 +200,18 @@ impl<E> EventQueue<E> {
     /// no-op returning `false`.
     ///
     /// O(1) amortized: the payload is dropped and the slot recycled
-    /// immediately; the heap key becomes a tombstone, reclaimed either on
+    /// immediately; the queued key becomes a tombstone, reclaimed either on
     /// pop or by compaction once tombstones outnumber live entries.
     pub fn cancel(&mut self, id: EventId) -> bool {
         if self.release(id).is_none() {
             return false;
         }
         self.live -= 1;
-        // Bound tombstone memory: rebuild the heap once dead keys dominate.
-        if self.heap.len() > 64 && self.heap.len() > 2 * self.live {
+        // Bound tombstone memory: drop dead keys once they dominate.
+        if self.queued_len() > 64 && self.queued_len() > 2 * self.live {
             let slots = &self.slots;
-            self.heap.retain(|Reverse(entry)| {
-                slots[entry.id.slot()].generation == entry.id.generation()
-            });
+            self.near.retain(|entry| is_live(slots, entry.id));
+            self.heap.retain(|Reverse(entry)| is_live(slots, entry.id));
         }
         true
     }
@@ -189,7 +219,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the next event, advancing the clock to its time.
     /// Returns `None` when no live events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
+        while let Some(entry) = self.near.pop().or_else(|| self.heap.pop().map(|r| r.0)) {
             if let Some(ev) = self.release(entry.id) {
                 self.live -= 1;
                 debug_assert!(entry.key.time >= self.now);
@@ -202,13 +232,17 @@ impl<E> EventQueue<E> {
 
     /// The firing time of the next live event, if any, without popping it.
     pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(Reverse(entry)) = self.heap.peek() {
-            let s = &self.slots[entry.id.slot()];
-            if s.generation != entry.id.generation() {
-                self.heap.pop();
-                continue;
+        while let Some(entry) = self.near.last() {
+            if is_live(&self.slots, entry.id) {
+                return Some(entry.key.time);
             }
-            return Some(entry.key.time);
+            self.near.pop();
+        }
+        while let Some(Reverse(entry)) = self.heap.peek() {
+            if is_live(&self.slots, entry.id) {
+                return Some(entry.key.time);
+            }
+            self.heap.pop();
         }
         None
     }
@@ -223,11 +257,12 @@ impl<E> EventQueue<E> {
         self.len() == 0
     }
 
-    /// Heap keys currently held, *including* cancelled-entry tombstones not
-    /// yet reclaimed. Compaction keeps this within a small constant factor
-    /// of [`EventQueue::len`]; exposed so tests can pin that bound.
+    /// Keys currently held (near set and heap), *including*
+    /// cancelled-entry tombstones not yet reclaimed. Compaction keeps this
+    /// within a small constant factor of [`EventQueue::len`]; exposed so
+    /// tests can pin that bound.
     pub fn queued_len(&self) -> usize {
-        self.heap.len()
+        self.near.len() + self.heap.len()
     }
 
     /// If `id` is live, takes its payload and frees the slot (bumping the
@@ -247,6 +282,12 @@ impl<E> EventQueue<E> {
         self.free_head = slot as u32;
         Some(payload)
     }
+}
+
+/// True while `id`'s slot still holds the event it was issued for; queued
+/// keys failing this are tombstones.
+fn is_live<E>(slots: &[Slot<E>], id: EventId) -> bool {
+    slots[id.slot()].generation == id.generation()
 }
 
 #[cfg(test)]

@@ -28,6 +28,30 @@ fn qop() -> impl Strategy<Value = QOp> {
     ]
 }
 
+/// Operations for the near-set model: bursts push the live population
+/// past the queue's 16-key near set, and cancels pick by rank in firing
+/// order, so low ranks hit near-set keys and high ranks hit heap keys.
+#[derive(Clone, Debug)]
+enum NOp {
+    /// Schedule one event at each now + offset_us.
+    Burst(Vec<u64>),
+    /// Cancel the live event at this rank (modulo) in firing order.
+    CancelRank(usize),
+    /// Pop this many events.
+    Pop(usize),
+}
+
+fn nop() -> impl Strategy<Value = NOp> {
+    // Narrow offsets give many equal timestamps; wide ones spread keys
+    // across the near set and the heap.
+    let offset = prop_oneof![0u64..4, 0u64..1000];
+    prop_oneof![
+        3 => prop::collection::vec(offset, 1..40).prop_map(NOp::Burst),
+        2 => any::<usize>().prop_map(NOp::CancelRank),
+        3 => (1usize..20).prop_map(NOp::Pop),
+    ]
+}
+
 #[derive(Clone, Debug)]
 enum COp {
     /// Schedule at now + delay ticks.
@@ -113,6 +137,58 @@ proptest! {
             }
             prop_assert_eq!(q.len(), model.iter().filter(|e| e.3).count());
         }
+    }
+
+    #[test]
+    fn event_queue_near_set_matches_reference_model(ops in prop::collection::vec(nop(), 1..60)) {
+        let mut q = EventQueue::new();
+        // Model: live (time, seq, id), kept sorted in firing order.
+        let mut model: Vec<(SimTime, u64, ksim::EventId)> = Vec::new();
+        let mut seq = 0u64;
+
+        for op in ops {
+            match op {
+                NOp::Burst(offsets) => {
+                    for off in offsets {
+                        let at = q.now() + Dur::from_us(off);
+                        let id = q.schedule(at, seq);
+                        model.push((at, seq, id));
+                        seq += 1;
+                    }
+                    model.sort_by_key(|e| (e.0, e.1));
+                }
+                NOp::CancelRank(rank) => {
+                    if model.is_empty() {
+                        continue;
+                    }
+                    let (_, _, id) = model.remove(rank % model.len());
+                    prop_assert!(q.cancel(id));
+                    prop_assert!(!q.cancel(id), "double cancel must miss");
+                }
+                NOp::Pop(n) => {
+                    for _ in 0..n {
+                        prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+                        let expect = (!model.is_empty()).then(|| model.remove(0));
+                        match (expect, q.pop()) {
+                            (None, None) => {}
+                            (Some((t, s, _)), Some((gt, gv))) => {
+                                prop_assert_eq!(t, gt);
+                                prop_assert_eq!(s, gv);
+                                prop_assert_eq!(q.now(), t);
+                            }
+                            other => prop_assert!(false, "mismatch: {:?}", other),
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert!(q.queued_len() <= 2 * q.len() + 64);
+        }
+        // Drain: everything left fires in model order.
+        for (t, s, _) in model {
+            prop_assert_eq!(q.pop(), Some((t, s)));
+        }
+        prop_assert_eq!(q.pop(), None);
     }
 
     #[test]
