@@ -1,6 +1,6 @@
-//! Cross-run bench regression gate: diff every `BENCH_*.json`,
-//! `REPORT_*.json`, and `FLIGHT_*.json` artifact in the working
-//! directory against the committed copies under `baselines/`.
+//! Cross-run bench regression gate: diff every `BENCH_*.json` and
+//! `REPORT_*.json` artifact in the working directory against the
+//! committed copies under `baselines/`.
 //!
 //! The comparison (see `kanalyze::diff`) flattens both documents into
 //! dotted metric paths and applies per-metric tolerance rules: both
@@ -45,9 +45,7 @@ fn artifacts_in(dir: &Path) -> Vec<String> {
         .unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
         .filter_map(|entry| {
             let name = entry.ok()?.file_name().into_string().ok()?;
-            let covered = (name.starts_with("BENCH_")
-                || name.starts_with("REPORT_")
-                || name.starts_with("FLIGHT_"))
+            let covered = (name.starts_with("BENCH_") || name.starts_with("REPORT_"))
                 && name.ends_with(".json");
             covered.then_some(name)
         })
@@ -75,10 +73,7 @@ fn write_baselines() {
         std::fs::create_dir(dir).unwrap_or_else(|e| panic!("creating {BASELINE_DIR}/: {e}"));
     }
     let names = artifacts_in(Path::new("."));
-    assert!(
-        !names.is_empty(),
-        "no BENCH_*/REPORT_*/FLIGHT_* artifacts to copy"
-    );
+    assert!(!names.is_empty(), "no BENCH_*/REPORT_* artifacts to copy");
     for name in &names {
         std::fs::copy(name, dir.join(name))
             .unwrap_or_else(|e| panic!("copying {name} to {BASELINE_DIR}/: {e}"));

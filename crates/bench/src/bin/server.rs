@@ -1,4 +1,4 @@
-//! Connection-scale SLO bench: the splice server vs the user-space
+//! Connection-scale server bench: the splice server vs the user-space
 //! cp-relay, swept over connection count.
 //!
 //! For each nominal connection count (1k, 10k, 100k, 1M) and each serve
@@ -173,7 +173,7 @@ fn main() {
     assert!(!sweep.is_empty(), "SERVER_CONNS matches no sweep nominal");
 
     println!(
-        "Server SLO sweep: {} B file per connection, {} arrivals/s offered",
+        "Server sweep: {} B file per connection, {} arrivals/s offered",
         ServeScenario::FILE_BYTES,
         ServeScenario::ARRIVALS_PER_SEC
     );

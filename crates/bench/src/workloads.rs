@@ -258,7 +258,7 @@ fn ring(sample: Option<(Dur, usize)>) -> Kernel {
 
 /// The connection-scale scenario: a splice-ring server fetches one
 /// 8 KB file to each of 512 open-loop clients over a lossless modeled
-/// link — the workload behind `bench --bin server`'s SLO sweep, at a
+/// link — the workload behind `bench --bin server`'s sweep, at a
 /// tracedump-friendly size.
 fn server(sample: Option<(Dur, usize)>) -> Kernel {
     let sc = ServeScenario {

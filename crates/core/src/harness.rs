@@ -15,7 +15,7 @@ use kproc::programs::{
     open_loop_delays, scenario_stats, ServeMode, ServerClient, SharedScenario, SpliceServer,
 };
 use kproc::{Pid, ProcState, SockAddr};
-use ksim::{Dur, ObsConfig, SimTime};
+use ksim::{Dur, SimTime};
 
 use crate::kernel::{Kernel, KernelConfig};
 use crate::objects::{CharDev, DiskUnit};
@@ -30,7 +30,6 @@ pub struct KernelBuilder {
     cdevs: Vec<(String, CharDev)>,
     trace: Option<usize>,
     sample: Option<(Dur, usize)>,
-    observe: Option<ObsConfig>,
 }
 
 impl Default for KernelBuilder {
@@ -48,7 +47,6 @@ impl KernelBuilder {
             cdevs: Vec::new(),
             trace: None,
             sample: None,
-            observe: None,
         }
     }
 
@@ -67,16 +65,6 @@ impl KernelBuilder {
     /// and trace output is byte-identical to a sampler-free kernel.
     pub fn sample(mut self, period: Dur, capacity: usize) -> KernelBuilder {
         self.sample = Some((period, capacity));
-        self
-    }
-
-    /// Reconfigures the resident request-observability pipeline
-    /// (head-sampling period, SLO objective, costs). The kernel always
-    /// builds with [`ObsConfig::on`]; pass [`ObsConfig::off`] for an
-    /// overhead baseline, or a tightened [`ObsConfig`] to provoke SLO
-    /// alerts in tests.
-    pub fn observe(mut self, cfg: ObsConfig) -> KernelBuilder {
-        self.observe = Some(cfg);
         self
     }
 
@@ -132,9 +120,6 @@ impl KernelBuilder {
         // object, and the sampler registers its counter capacity on it.
         if let Some((period, capacity)) = self.sample {
             k.install_sampler(period, capacity);
-        }
-        if let Some(cfg) = self.observe {
-            k.install_obs(cfg);
         }
         k
     }
@@ -217,9 +202,9 @@ impl ServeScenario {
         }
     }
 
-    /// Builds the kernel from `b` (its trace, sampler and observability
-    /// choices stay the caller's), models the link, seeds the file and
-    /// cold-starts the cache.
+    /// Builds the kernel from `b` (its trace and sampler choices stay
+    /// the caller's), models the link, seeds the file and cold-starts
+    /// the cache.
     pub fn boot(&self, b: KernelBuilder) -> Kernel {
         let mut k = b.build();
         k.net_mut()

@@ -140,11 +140,6 @@ pub struct Kernel {
     /// The resource-accounting sampler, when enabled via
     /// [`KernelBuilder::sample`](crate::KernelBuilder::sample).
     pub(crate) sampler: Option<crate::profile::Sampler>,
-    /// The resident request-observability pipeline: head-sampled
-    /// request spans with tail retention, the SLO burn-rate monitor,
-    /// and the flight recorder. On by default; reconfigure via
-    /// [`KernelBuilder::observe`](crate::KernelBuilder::observe).
-    pub(crate) obs: ksim::Observability,
 }
 
 /// Default trace-ring capacity when tracing is toggled on without the
@@ -195,7 +190,6 @@ impl Kernel {
             io_issued: IdMap::default(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
             sampler: None,
-            obs: ksim::Observability::new(ksim::ObsConfig::on()),
         };
         // Boot the clock and the update daemon.
         let tick = k.cfg.machine.tick();
@@ -332,45 +326,6 @@ impl Kernel {
     /// Dumps the trace ring as text.
     pub fn trace_dump(&self) -> String {
         self.trace.dump()
-    }
-
-    /// Replaces the observability pipeline with one built from `cfg`
-    /// (the builder's [`observe`](crate::KernelBuilder::observe) path).
-    pub(crate) fn install_obs(&mut self, cfg: ksim::ObsConfig) {
-        self.obs = ksim::Observability::new(cfg);
-    }
-
-    /// The resident request-observability pipeline (committed spans,
-    /// SLO counters, the latency hist with exemplars, the flight dump).
-    pub fn obs(&self) -> &ksim::Observability {
-        &self.obs
-    }
-
-    /// Renders the frozen flight dump as a `FLIGHT_<workload>.json`
-    /// document, if an SLO alert fired.
-    pub fn flight_json(&self, workload: &str) -> Option<ksim::Json> {
-        self.obs.flight().map(|f| f.to_json(workload))
-    }
-
-    /// Close-side observability: commit or discard the connection's
-    /// staged span, feed the SLO monitor, and on a burn-rate alert emit
-    /// the tracepoint and freeze the flight recorder.
-    /// Returns the simulated CPU to charge the closing path.
-    pub(crate) fn obs_close(&mut self, sock: u32) -> Dur {
-        let now = self.q.now();
-        let out = self.obs.note_close(now, sock);
-        if let Some(alert) = out.alert {
-            self.trace.emit(now, || TraceEvent::SloAlert {
-                burn_milli: alert.burn_milli,
-                window_viol: alert.window_viol,
-                window_req: alert.window_req,
-            });
-            let keep = self.obs.cfg().flight_k;
-            let skip = self.trace.len().saturating_sub(keep);
-            let records: Vec<_> = self.trace.records().skip(skip).copied().collect();
-            self.obs.freeze_flight(now, alert, records);
-        }
-        out.cost
     }
 
     /// Timestamps and records the cache's accumulated hit/miss/evict

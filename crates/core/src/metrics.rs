@@ -245,10 +245,8 @@ pub(crate) struct KernelCounters {
     pub cold_caches: u64,
 }
 
-/// The resident request-observability pipeline: trace-loss visibility
-/// (satellite of the sampled-span work — silent ring truncation is now
-/// countable in every bench JSON) plus span, sampling, and SLO-monitor
-/// counters, the end-to-end request latency digest, and the tail
+/// Trace and sampler loss, plus the served-request records: how many
+/// closed, how many failed, their end-to-end latency digest, and the
 /// exemplar linking the p999 bucket back into the trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ObsMetrics {
@@ -258,25 +256,11 @@ pub struct ObsMetrics {
     pub trace_dropped: u64,
     /// Sampler ring samples lost to wrap (0 when the sampler is off).
     pub sampler_dropped: u64,
-    /// Requests observed (staged connections that closed).
-    pub requests: u64,
-    /// Requests that errored or exceeded the SLO latency target.
-    pub violations: u64,
-    /// Requests that errored.
+    /// Closed requests that failed.
     pub errors: u64,
-    /// SLO burn-rate alerts fired.
-    pub alerts: u64,
-    /// Peak simultaneously-staged request scratch entries.
-    pub staged_peak: u64,
-    /// Request spans committed (head-sampled or tail-retained).
+    /// Closed requests: every accepted connection that closed.
     pub spans_committed: u64,
-    /// Committed spans kept by the deterministic head-sampling draw.
-    pub spans_head_sampled: u64,
-    /// Committed spans kept only because they errored or ran over SLO.
-    pub spans_tail_retained: u64,
-    /// Committed spans evicted from the bounded span ring.
-    pub spans_dropped: u64,
-    /// End-to-end request latency (every request, sampled or not).
+    /// End-to-end latency of every closed request.
     pub request_latency: HistSummary,
     /// `(conn, trace_seq)` of the exemplar witnessing the p999 bucket.
     pub p999_exemplar: Option<(u32, u64)>,
@@ -320,7 +304,7 @@ pub struct MetricsSnapshot {
     pub net: NetMetrics,
     /// Latency digests.
     pub latency: LatencyMetrics,
-    /// Request observability: trace loss, span sampling, SLO counters.
+    /// Trace loss and served-request records.
     pub obs: ObsMetrics,
     /// Buffers flushed by the `update` daemon.
     pub update_flushes: u64,
@@ -350,18 +334,8 @@ impl MetricsSnapshot {
             .with("trace.emitted", Json::Num(o.trace_emitted as f64))
             .with("trace.dropped", Json::Num(o.trace_dropped as f64))
             .with("sampler.dropped", Json::Num(o.sampler_dropped as f64))
-            .with("slo.requests", Json::Num(o.requests as f64))
-            .with("slo.violations", Json::Num(o.violations as f64))
             .with("slo.errors", Json::Num(o.errors as f64))
-            .with("slo.alerts", Json::Num(o.alerts as f64))
-            .with("spans.staged_peak", Json::Num(o.staged_peak as f64))
             .with("spans.committed", Json::Num(o.spans_committed as f64))
-            .with("spans.head_sampled", Json::Num(o.spans_head_sampled as f64))
-            .with(
-                "spans.tail_retained",
-                Json::Num(o.spans_tail_retained as f64),
-            )
-            .with("spans.dropped", Json::Num(o.spans_dropped as f64))
             .with("request_latency", o.request_latency.to_json())
             .with(
                 "p999_exemplar",
@@ -471,23 +445,15 @@ impl Kernel {
                 splice_block: HistSummary::from(&self.kstat.splice_block_latency),
             },
             obs: {
-                let oc = self.obs.counters();
+                let reqs = &self.kstat.requests;
                 ObsMetrics {
                     trace_emitted: self.trace.emitted(),
                     trace_dropped: self.trace.dropped(),
                     sampler_dropped: self.sampler.as_ref().map_or(0, |s| s.dropped),
-                    requests: oc.requests,
-                    violations: oc.violations,
-                    errors: oc.errors,
-                    alerts: oc.alerts,
-                    staged_peak: oc.staged_peak,
-                    spans_committed: oc.committed,
-                    spans_head_sampled: oc.head_sampled,
-                    spans_tail_retained: oc.tail_retained,
-                    spans_dropped: oc.spans_dropped,
-                    request_latency: HistSummary::from(self.obs.latency()),
-                    p999_exemplar: self
-                        .obs
+                    errors: reqs.errors(),
+                    spans_committed: reqs.latency().count(),
+                    request_latency: HistSummary::from(reqs.latency()),
+                    p999_exemplar: reqs
                         .latency()
                         .exemplar_at(0.999)
                         .map(|e| (e.conn, e.trace_seq)),
@@ -498,8 +464,9 @@ impl Kernel {
         }
     }
 
-    /// The structured-statistics block itself (spans and histograms),
-    /// for callers that want live access without a snapshot copy.
+    /// The structured-statistics block itself (splice spans, request
+    /// records and histograms), for callers that want live access
+    /// without a snapshot copy.
     pub fn kstat(&self) -> &ksim::Kstat {
         &self.kstat
     }
@@ -613,15 +580,8 @@ mod tests {
                     "trace.emitted",
                     "trace.dropped",
                     "sampler.dropped",
-                    "slo.requests",
-                    "slo.violations",
                     "slo.errors",
-                    "slo.alerts",
-                    "spans.staged_peak",
                     "spans.committed",
-                    "spans.head_sampled",
-                    "spans.tail_retained",
-                    "spans.dropped",
                     "request_latency",
                     "p999_exemplar",
                 ],

@@ -1093,10 +1093,13 @@ impl Kernel {
         };
         self.splice_outcomes.insert(desc, outcome);
         // An in-kernel serve delivers to a connection socket: land the
-        // moved bytes (and any failure) on the staged request span.
+        // moved bytes (and any failure) on the open request record.
         if let DstEndpoint::Sock { sock } = dst {
-            self.obs
-                .note_transfer(sock.0, outcome.bytes_moved, outcome.error.map(errno_name));
+            self.kstat.requests.transfer(
+                sock.0,
+                outcome.bytes_moved,
+                outcome.error.map(errno_name),
+            );
         }
         if let DstEndpoint::Dev { cdev } = dst {
             if let CharDev::Audio(a) = &mut self.cdevs[cdev].dev {

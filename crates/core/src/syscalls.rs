@@ -152,9 +152,9 @@ impl Kernel {
         match req {
             SyscallReq::Open { path, flags } => self.sys_open(pid, &path, flags),
             SyscallReq::Close(fd) => {
-                if let Some(extra) = self.close_fd(pid, fd) {
+                if self.close_fd(pid, fd) {
                     SyscallOutcome::Done {
-                        cpu: base + extra,
+                        cpu: base,
                         ret: SyscallRet::Val(0),
                     }
                 } else {
@@ -567,28 +567,22 @@ impl Kernel {
     }
 
     /// Releases a descriptor; used by `close(2)` and by exit cleanup.
-    /// Returns `None` for a bad fd, otherwise the extra simulated CPU
-    /// the close incurred (the observability span commit, on the last
-    /// reference to a server-side connection socket).
-    pub(crate) fn close_fd(&mut self, pid: Pid, fd: Fd) -> Option<Dur> {
-        match self.files.close(pid, fd) {
-            None => None,
-            Some(None) => Some(Dur::ZERO),
-            Some(Some(of)) => {
-                let mut extra = Dur::ZERO;
-                if let FileObj::Sock { sock } = of.obj {
-                    // Closing the source of an active splice is its EOF:
-                    // the ring in-flight table completes the descriptor so
-                    // every entry path hears about it (sync wakeup, SIGIO,
-                    // or CQE). The splice completion lands its outcome on
-                    // the staged span before the span closes.
-                    self.splice_sock_eof(sock);
-                    extra = self.obs_close(sock.0);
-                    let _ = self.net.close(sock);
-                }
-                Some(extra)
-            }
+    /// Returns false for a bad fd.
+    pub(crate) fn close_fd(&mut self, pid: Pid, fd: Fd) -> bool {
+        let Some(last) = self.files.close(pid, fd) else {
+            return false;
+        };
+        if let Some(FileObj::Sock { sock }) = last.map(|of| of.obj) {
+            // Closing the source of an active splice is its EOF: the
+            // ring in-flight table completes the descriptor so every
+            // entry path hears about it (sync wakeup, SIGIO, or CQE).
+            // The splice completion lands its outcome on the request
+            // record before the record closes.
+            self.splice_sock_eof(sock);
+            self.kstat.requests.close(self.q.now(), sock.0);
+            let _ = self.net.close(sock);
         }
+        true
     }
 
     // ----- read -----------------------------------------------------------------
@@ -1068,8 +1062,8 @@ impl Kernel {
                     + self.cfg.machine.copy_cost(CopyKind::Net, len);
                 self.ctr.copy.net_bytes += len as u64;
                 // A user-space relay serves its connection with send(2):
-                // accepted bytes land on the staged request span.
-                self.obs.note_transfer(sock.0, len as u64, None);
+                // accepted bytes land on the open request record.
+                self.kstat.requests.transfer(sock.0, len as u64, None);
                 if let Some(dst) = tx.dst {
                     self.trace.emit(now, || TraceEvent::NetSend {
                         sock: sock.0,
@@ -1134,12 +1128,12 @@ impl Kernel {
                         last_lblk: None,
                     },
                 );
-                // Stage the request span: accept is the span's birth,
-                // and the current trace seq is its exemplar link.
+                // Open the request record: accept is its birth, and the
+                // current trace seq is its exemplar link.
                 let seq = self.trace.emitted();
-                let obs_cost = self.obs.note_accept(self.q.now(), conn.0, seq);
+                self.kstat.requests.accept(self.q.now(), conn.0, seq);
                 SyscallOutcome::Done {
-                    cpu: base + self.cfg.machine.udp_packet + obs_cost,
+                    cpu: base + self.cfg.machine.udp_packet,
                     ret: SyscallRet::NewFd(fd),
                 }
             }

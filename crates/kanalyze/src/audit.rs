@@ -255,89 +255,6 @@ pub fn byte_conservation(tally: &SpanTally, expected_total: u64) -> AuditOutcome
     o
 }
 
-/// Request-sampling audit: the head-sampled span population must be an
-/// unbiased stand-in for the full request stream, and tail retention
-/// must be lossless. Two outcomes:
-///
-/// - `sampling.p99` — the p99 of a histogram rebuilt from the
-///   *head-sampled* committed spans only, vs the p99 of the full
-///   end-to-end latency histogram (which records every request, sampled
-///   or not). The 1-in-N draw is keyed on the connection id, so it is
-///   independent of latency and the two digests must agree within
-///   `tol`. The comparison is at the digest's native resolution — the
-///   upper bound of each p99's log2 bucket, not the min/max-clamped
-///   estimate — because a thin sample legitimately clamps to a
-///   different point *inside the same bucket*; below `min_sampled`
-///   kept spans the comparison is vacuous and passes with a note
-///   saying so.
-/// - `sampling.tail_retention` — every request that errored or ran
-///   over the SLO target must have a committed span: the committed tail
-///   count vs the monitor's violation counter, exact, except that each
-///   span evicted from the bounded committed ring can no longer
-///   testify (an absolute slack of `spans_dropped`).
-pub fn request_sampling(
-    obs: &ksim::Observability,
-    tol: Tolerance,
-    min_sampled: u64,
-) -> Vec<AuditOutcome> {
-    let c = obs.counters();
-    let mut sampled = ksim::Hist::new();
-    let mut tail: u64 = 0;
-    for s in obs.committed_spans() {
-        if s.head_sampled {
-            sampled.record(s.latency_ns);
-        }
-        if s.error.is_some() || s.over_slo {
-            tail += 1;
-        }
-    }
-    let bucket_hi = |b: Option<usize>| match b {
-        Some(i) if i >= 63 => u64::MAX as f64,
-        Some(i) => ((2u64 << i) - 1) as f64,
-        None => 0.0,
-    };
-    let full_p99 = bucket_hi(obs.latency().percentile_bucket(0.99));
-    let sampled_p99 = bucket_hi(sampled.percentile_bucket(0.99));
-    let p99 = if sampled.count() < min_sampled {
-        AuditOutcome::judge(
-            "sampling.p99".into(),
-            sampled_p99,
-            sampled_p99,
-            tol,
-            format!(
-                "vacuous: {} head-sampled spans < {min_sampled} floor",
-                sampled.count()
-            ),
-        )
-    } else {
-        AuditOutcome::judge(
-            "sampling.p99".into(),
-            sampled_p99,
-            full_p99,
-            tol,
-            format!(
-                "p99 bucket bound, {} head-sampled spans vs {} requests",
-                sampled.count(),
-                c.requests
-            ),
-        )
-    };
-    let retention = AuditOutcome::judge(
-        "sampling.tail_retention".into(),
-        tail as f64,
-        c.violations as f64,
-        Tolerance {
-            rel: 0.0,
-            abs: c.spans_dropped as f64,
-        },
-        format!(
-            "{} committed error/over-SLO spans vs {} violations ({} spans evicted)",
-            tail, c.violations, c.spans_dropped
-        ),
-    );
-    vec![p99, retention]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,63 +371,6 @@ mod tests {
         let o = byte_conservation(&many, 0);
         assert!(!o.pass);
         assert!(o.detail.ends_with("; 2 more"), "{}", o.detail);
-    }
-
-    #[test]
-    fn request_sampling_audit_cross_checks_spans_against_hist() {
-        use ksim::{Dur, ObsConfig, Observability, SimTime};
-        let mut obs = Observability::new(ObsConfig {
-            sample_period: 4,
-            ..ObsConfig::on()
-        });
-        // 256 identical 1 ms requests; every 16th errors. Constant
-        // latency puts the sampled and full p99 in the same bucket, so
-        // the audit must agree exactly at any sampling period.
-        for conn in 0..256u32 {
-            obs.note_accept(SimTime::ZERO, conn, conn as u64);
-            if conn % 16 == 0 {
-                obs.note_transfer(conn, 0, Some("EPIPE"));
-            } else {
-                obs.note_transfer(conn, 8192, None);
-            }
-            obs.note_close(SimTime::ZERO + Dur::from_ms(1), conn);
-        }
-        let tol = Tolerance {
-            rel: 0.10,
-            abs: 0.0,
-        };
-        let outs = request_sampling(&obs, tol, 8);
-        assert_eq!(outs.len(), 2);
-        assert!(outs.iter().all(|o| o.pass), "{outs:?}");
-        assert_eq!(outs[0].law, "sampling.p99");
-        assert_eq!(outs[1].law, "sampling.tail_retention");
-        // All 16 errored requests testify, regardless of the head draw.
-        assert_eq!(outs[1].measured, 16.0);
-        assert_eq!(outs[1].predicted, 16.0);
-    }
-
-    #[test]
-    fn request_sampling_audit_is_vacuous_below_the_floor() {
-        use ksim::{Dur, ObsConfig, Observability, SimTime};
-        let mut obs = Observability::new(ObsConfig {
-            sample_period: 1024,
-            ..ObsConfig::on()
-        });
-        // 8 clean requests with a 1-in-1024 draw: almost surely zero
-        // head-sampled spans, so the p99 comparison must not fail on
-        // an empty digest.
-        for conn in 0..8u32 {
-            obs.note_accept(SimTime::ZERO, conn, conn as u64);
-            obs.note_close(SimTime::ZERO + Dur::from_ms(2), conn);
-        }
-        let tol = Tolerance {
-            rel: 0.10,
-            abs: 0.0,
-        };
-        let outs = request_sampling(&obs, tol, 8);
-        assert!(outs[0].pass, "{:?}", outs[0]);
-        assert!(outs[0].detail.contains("vacuous"), "{:?}", outs[0]);
-        assert!(outs[1].pass, "no violations, nothing to retain");
     }
 
     #[test]

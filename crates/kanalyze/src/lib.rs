@@ -34,8 +34,8 @@ pub mod decompose;
 pub mod diff;
 
 pub use audit::{
-    byte_conservation, littles_law, request_sampling, utilization_law, AuditOutcome, AuditReport,
-    DeviceAccounting, Tolerance,
+    byte_conservation, littles_law, utilization_law, AuditOutcome, AuditReport, DeviceAccounting,
+    Tolerance,
 };
 pub use decompose::{decompose, Decomposition, PhaseBreakdown, StageRow};
 pub use diff::{compare, render_table, DeltaRow, DeltaStatus, DiffResult, DiffRules};

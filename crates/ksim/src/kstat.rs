@@ -17,6 +17,9 @@
 //!   descriptor id (`kstat.spans[desc]`) for live and recently
 //!   completed splices; older completions are folded into a fixed-size
 //!   [`SpanTally`], so the store stays proportional to live splices.
+//! * [`ReqSpans`] — the same shape for served requests: one
+//!   [`ReqSpan`] per open connection, the last [`RECENT_SPANS`] closed
+//!   ones, and every closed request's latency in one [`Hist`].
 //! * [`Kstat`] — the kernel-owned holder combining the spans with
 //!   [`Hist`]-backed latency distributions for block I/O completion.
 //! * [`HistSummary`] — a compact, serializable digest of a [`Hist`].
@@ -24,6 +27,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Index;
 
+use crate::hash::IdMap;
 use crate::hist::Hist;
 use crate::json::Json;
 use crate::time::SimTime;
@@ -33,8 +37,9 @@ use crate::time::SimTime;
 /// and sets [`SpliceSpan::samples_truncated`].
 pub const MAX_FLOW_SAMPLES: usize = 4096;
 
-/// Completed spans kept in full once retired, most recent last. Older
-/// completions survive only in [`SpliceSpans::retired`].
+/// Completed splice spans and closed request records kept in full, most
+/// recent last. Older ones survive only in [`SpliceSpans::retired`] and
+/// the [`ReqSpans::latency`] histogram.
 pub const RECENT_SPANS: usize = 64;
 
 /// Failed per-span checks a [`SpanTally`] describes in words; later
@@ -377,6 +382,107 @@ impl Index<u64> for SpliceSpans {
     }
 }
 
+/// One served request: the accept→close lifetime of a server-side
+/// connection, with its outcome.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ReqSpan {
+    /// Connection (socket) id.
+    pub conn: u32,
+    /// When the server accepted the connection.
+    pub accepted: SimTime,
+    /// When the connection closed (`accepted` while still open).
+    pub closed: SimTime,
+    /// End-to-end latency in nanoseconds (`closed - accepted`).
+    pub latency_ns: u64,
+    /// Payload bytes moved to the connection.
+    pub bytes: u64,
+    /// Errno name of the first failed transfer, if any.
+    pub error: Option<&'static str>,
+    /// Trace sequence number at accept: the exemplar link from a
+    /// histogram bucket back into the trace ring.
+    pub accept_seq: u64,
+}
+
+/// The request records of one kernel, in the same shape as
+/// [`SpliceSpans`]: open requests keyed by connection, the last
+/// [`RECENT_SPANS`] closed ones in full, and every closed request in a
+/// latency [`Hist`] with exemplars. Recording costs no simulated time.
+#[derive(Clone, Debug, Default)]
+pub struct ReqSpans {
+    live: IdMap<u32, ReqSpan>,
+    recent: VecDeque<ReqSpan>,
+    latency: Hist,
+    errors: u64,
+}
+
+impl ReqSpans {
+    /// Opens the record for a connection accepted at `now`;
+    /// `accept_seq` is the trace sequence number at accept.
+    pub fn accept(&mut self, now: SimTime, conn: u32, accept_seq: u64) {
+        self.live.insert(
+            conn,
+            ReqSpan {
+                conn,
+                accepted: now,
+                closed: now,
+                latency_ns: 0,
+                bytes: 0,
+                error: None,
+                accept_seq,
+            },
+        );
+    }
+
+    /// Adds a finished transfer to an open record: the bytes it moved
+    /// and, if it failed, its errno. The first error wins. A no-op for
+    /// a connection with no open record.
+    pub fn transfer(&mut self, conn: u32, bytes: u64, error: Option<&'static str>) {
+        if let Some(r) = self.live.get_mut(&conn) {
+            r.bytes += bytes;
+            r.error = r.error.or(error);
+        }
+    }
+
+    /// Closes the record at `now`: records its latency and moves it to
+    /// the recent ring, dropping the oldest entry beyond
+    /// [`RECENT_SPANS`]. A no-op for a connection with no open record
+    /// (client sockets, listeners).
+    pub fn close(&mut self, now: SimTime, conn: u32) {
+        let Some(mut r) = self.live.remove(&conn) else {
+            return;
+        };
+        r.closed = now;
+        r.latency_ns = now.since(r.accepted).as_ns();
+        self.latency
+            .record_with_exemplar(r.latency_ns, r.accept_seq, conn);
+        self.errors += u64::from(r.error.is_some());
+        if self.recent.len() == RECENT_SPANS {
+            self.recent.pop_front();
+        }
+        self.recent.push_back(r);
+    }
+
+    /// Requests still open.
+    pub fn live(&self) -> impl Iterator<Item = &ReqSpan> + '_ {
+        self.live.values()
+    }
+
+    /// The last [`RECENT_SPANS`] closed requests, oldest first.
+    pub fn recent(&self) -> impl Iterator<Item = &ReqSpan> + '_ {
+        self.recent.iter()
+    }
+
+    /// End-to-end latency of every closed request, with exemplars.
+    pub fn latency(&self) -> &Hist {
+        &self.latency
+    }
+
+    /// Closed requests that failed.
+    pub fn errors(&self) -> u64 {
+        self.errors
+    }
+}
+
 /// Compact digest of a [`Hist`], cheap to copy into snapshots and
 /// serialize. All values are in the histogram's native unit
 /// (nanoseconds for the kernel's latency histograms).
@@ -494,12 +600,14 @@ impl StageHists {
     }
 }
 
-/// The kernel-owned structured-statistics block: splice spans plus
-/// latency distributions for the block-I/O completion path.
+/// The kernel-owned structured-statistics block: splice spans, request
+/// records, and latency distributions for the block-I/O completion path.
 #[derive(Clone, Debug, Default)]
 pub struct Kstat {
     /// Per-descriptor splice lifecycle spans.
     pub spans: SpliceSpans,
+    /// Per-connection served-request records.
+    pub requests: ReqSpans,
     /// `bread` issue → `biodone` latency (ns).
     pub bread_latency: Hist,
     /// `bwrite` issue → `biodone` latency (ns).
@@ -654,6 +762,68 @@ mod tests {
             r.details[2],
             "desc 2: 1 blocks done from 1 reads + 0 hits / 0 writes"
         );
+    }
+
+    #[test]
+    fn request_record_opens_accumulates_and_closes() {
+        let mut reqs = ReqSpans::default();
+        reqs.accept(t(0), 7, 42);
+        reqs.transfer(7, 4096, None);
+        reqs.transfer(7, 4096, None);
+        assert_eq!(reqs.recent().count(), 0, "nothing closes mid-flight");
+        assert_eq!(reqs.live().count(), 1);
+        reqs.close(t(1500), 7);
+        assert_eq!(reqs.live().count(), 0);
+        let r = *reqs.recent().next().unwrap();
+        assert_eq!(
+            (r.conn, r.bytes, r.latency_ns, r.accept_seq, r.error),
+            (7, 8192, 1_500_000, 42, None)
+        );
+        assert_eq!((r.accepted, r.closed), (t(0), t(1500)));
+        // The full hist saw it, with the exemplar pointing back.
+        assert_eq!(reqs.latency().count(), 1);
+        let e = reqs.latency().exemplar_at(0.999).unwrap();
+        assert_eq!((e.conn, e.trace_seq), (7, 42));
+    }
+
+    #[test]
+    fn first_request_error_wins() {
+        let mut reqs = ReqSpans::default();
+        reqs.accept(t(0), 1, 0);
+        reqs.transfer(1, 100, Some("EIO"));
+        reqs.transfer(1, 50, Some("EPIPE"));
+        reqs.transfer(1, 50, None);
+        reqs.close(t(5), 1);
+        let r = reqs.recent().next().unwrap();
+        assert_eq!((r.error, r.bytes), (Some("EIO"), 200));
+        assert_eq!(reqs.errors(), 1);
+    }
+
+    #[test]
+    fn unknown_connection_is_a_no_op() {
+        let mut reqs = ReqSpans::default();
+        reqs.transfer(9, 100, Some("EIO"));
+        reqs.close(t(5), 9);
+        assert_eq!(reqs.recent().count(), 0);
+        assert_eq!((reqs.latency().count(), reqs.errors()), (0, 0));
+        // Closing twice records the request once.
+        reqs.accept(t(0), 3, 0);
+        reqs.close(t(1), 3);
+        reqs.close(t(2), 3);
+        assert_eq!(reqs.latency().count(), 1);
+    }
+
+    #[test]
+    fn request_ring_keeps_the_newest_closed_records() {
+        let mut reqs = ReqSpans::default();
+        let n = RECENT_SPANS as u32 + 10;
+        for conn in 0..n {
+            reqs.accept(t(conn as u64), conn, 0);
+            reqs.close(t(conn as u64 + 1), conn);
+        }
+        assert_eq!(reqs.latency().count(), n as u64);
+        let conns: Vec<u32> = reqs.recent().map(|r| r.conn).collect();
+        assert_eq!(conns, (10..n).collect::<Vec<_>>());
     }
 
     #[test]

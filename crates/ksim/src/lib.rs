@@ -6,15 +6,12 @@
 //! on: a virtual clock ([`SimTime`], [`Dur`]), a cancellable event queue
 //! ([`EventQueue`]), a BSD-style callout list ([`Callout`]) matching the
 //! mechanism the paper uses to decouple the read and write sides of a
-//! splice, structured spans/gauges and latency digests ([`kstat`]), a
-//! dependency-free JSON value ([`Json`]) for the bench emitters, a
-//! deterministic hasher for id-keyed maps ([`IdMap`], [`IdSet`]), a typed
-//! trace ring ([`Trace`]) with structured tracepoints ([`TraceEvent`]),
-//! causal per-block splice spans ([`trace::BlockSpan`]), and Chrome
-//! trace-event export, and a
-//! resident request-observability pipeline ([`obs`]): head-sampled
-//! request spans with tail retention, an SLO burn-rate monitor, and a
-//! flight recorder.
+//! splice, structured spans/gauges, request records and latency digests
+//! ([`kstat`]), a dependency-free JSON value ([`Json`]) for the bench
+//! emitters, a deterministic hasher for id-keyed maps ([`IdMap`],
+//! [`IdSet`]), and a typed trace ring ([`Trace`]) with structured
+//! tracepoints ([`TraceEvent`]), causal per-block splice spans
+//! ([`trace::BlockSpan`]), and Chrome trace-event export.
 //!
 //! Everything here is single-threaded on purpose: the simulated machine is
 //! a uniprocessor DECstation 5000/200, and determinism (same inputs → same
@@ -27,7 +24,6 @@ pub mod hash;
 pub mod hist;
 pub mod json;
 pub mod kstat;
-pub mod obs;
 pub mod time;
 pub mod trace;
 
@@ -39,11 +35,8 @@ pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
 pub use kstat::{
-    FlowSample, HistSummary, Kstat, SpanTally, SpliceSpan, SpliceSpans, StageHists, RECENT_SPANS,
-};
-pub use obs::{
-    CloseOutcome, FlightDump, ObsConfig, ObsCounters, Observability, ReqSpan, SloAlertInfo,
-    SloConfig,
+    FlowSample, HistSummary, Kstat, ReqSpan, ReqSpans, SpanTally, SpliceSpan, SpliceSpans,
+    StageHists, RECENT_SPANS,
 };
 pub use time::{Dur, SimTime};
 pub use trace::{BlockSpan, CounterId, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};

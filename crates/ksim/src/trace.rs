@@ -247,17 +247,6 @@ pub enum TraceEvent {
         /// CQEs handed to the reaper in this crossing.
         entries: u32,
     },
-    /// The SLO monitor's sliding-window burn rate crossed its alert
-    /// threshold (the flight recorder freezes on the first of these).
-    SloAlert {
-        /// Burn rate in thousandths: (window violation fraction) /
-        /// (1 - objective), ×1000.
-        burn_milli: u32,
-        /// Over-SLO (or errored) requests in the window.
-        window_viol: u32,
-        /// Total requests in the window.
-        window_req: u32,
-    },
 }
 
 impl TraceEvent {
@@ -296,7 +285,6 @@ impl TraceEvent {
             TraceEvent::RingSubmit { .. } => "ring.submit",
             TraceEvent::RingSqeWait { .. } => "ring.sqe_wait",
             TraceEvent::RingReap { .. } => "ring.reap",
-            TraceEvent::SloAlert { .. } => "slo.alert",
         }
     }
 
@@ -331,14 +319,13 @@ impl TraceEvent {
             TraceEvent::NetSend { .. }
             | TraceEvent::NetDeliver { .. }
             | TraceEvent::NetDrop { .. } => ("net", 5),
-            TraceEvent::SloAlert { .. } => ("slo", 7),
             _ => ("splice", 6),
         }
     }
 
-    /// Event payload as a structured `args` object (the Chrome export
-    /// and the flight recorder share this encoding).
-    pub fn args_json(&self) -> Json {
+    /// Event payload as a structured `args` object (the Chrome export's
+    /// encoding).
+    fn args_json(&self) -> Json {
         let num = |v: u64| Json::Num(v as f64);
         match *self {
             TraceEvent::SchedWakeup { pid }
@@ -417,14 +404,6 @@ impl TraceEvent {
             TraceEvent::RingSqeWait { ring, wait_ns } => Json::obj()
                 .with("ring", num(ring))
                 .with("wait_ns", num(wait_ns)),
-            TraceEvent::SloAlert {
-                burn_milli,
-                window_viol,
-                window_req,
-            } => Json::obj()
-                .with("burn_milli", num(burn_milli as u64))
-                .with("window_viol", num(window_viol as u64))
-                .with("window_req", num(window_req as u64)),
         }
     }
 }
@@ -484,16 +463,6 @@ impl fmt::Display for TraceEvent {
             }
             TraceEvent::RingSqeWait { ring, wait_ns } => {
                 write!(f, " ring={ring} wait_ns={wait_ns}")
-            }
-            TraceEvent::SloAlert {
-                burn_milli,
-                window_viol,
-                window_req,
-            } => {
-                write!(
-                    f,
-                    " burn_milli={burn_milli} window_viol={window_viol} window_req={window_req}"
-                )
             }
         }
     }
@@ -739,7 +708,6 @@ impl Trace {
             ("callout", 4),
             ("net", 5),
             ("splice", 6),
-            ("slo", 7),
         ] {
             evs.push(meta(name, KERNEL_PID, tid, "thread_name"));
         }
@@ -1044,35 +1012,6 @@ mod tests {
         }
         assert_eq!(tr.emitted(), 8);
         assert_eq!(tr.dropped(), 0, "at-capacity without wrap drops nothing");
-    }
-
-    #[test]
-    fn slo_alert_event_round_trips() {
-        let mut tr = Trace::new(8);
-        tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::SloAlert {
-            burn_milli: 2500,
-            window_viol: 5,
-            window_req: 64,
-        });
-        let recs = tr.query().named("slo.alert");
-        assert_eq!(recs.len(), 1);
-        assert!(
-            tr.dump()
-                .contains("burn_milli=2500 window_viol=5 window_req=64"),
-            "{}",
-            tr.dump()
-        );
-        let doc = tr.to_chrome_json();
-        let parsed = Json::parse(&doc.render()).expect("chrome json parses");
-        assert_eq!(parsed, doc);
-        // Lands on its own subsystem track, not the splice fallback.
-        let evs = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let alert = evs
-            .iter()
-            .find(|e| e.get("name").and_then(Json::as_str) == Some("slo.alert"))
-            .expect("alert instant event");
-        assert_eq!(alert.get("tid").and_then(Json::as_u64), Some(7));
     }
 
     #[test]

@@ -45,7 +45,7 @@ FAULT_SEED="$FAULT_SEED" cargo test -q --test faults any_seed_transient_faults_r
 FAULT_SEED="$FAULT_SEED" cargo test -q --test ring ring_runs_are_deterministic_under_fault_seed ||
     { echo "ring suite FAILED with FAULT_SEED=$FAULT_SEED (export it to reproduce)"; exit 1; }
 
-echo "== server scenario replays (scenario and flight dump), randomized seed =="
+echo "== server scenario replays (scenario and request records), randomized seed =="
 SERVER_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "-- SERVER_SEED=$SERVER_SEED"
 SERVER_SEED="$SERVER_SEED" cargo test -q --test server replay ||
@@ -71,7 +71,6 @@ PRODUCERS=(
     "$BENCH faults|BENCH_faults.json"
     "$BENCH ring|BENCH_ring.json"
     "env SERVER_CONNS=10000 $BENCH server|BENCH_server.json"
-    "$BENCH obs|BENCH_obs.json FLIGHT_server.json"
     "$BENCH tracedump -- scp_ram|TRACE_scp_ram.json"
     "$BENCH tracedump -- server|TRACE_server.json"
     "$BENCH profile|BENCH_profile.json TS_scp_ram.json TS_spool.json TS_movie.json TS_ring.json TS_server.json"
@@ -97,7 +96,7 @@ done
 rm -rf "$FIRST"
 echo "-- all producer artifacts identical across runs"
 
-echo "== server SLO sweep (scaled connection counts) =="
+echo "== server sweep (scaled connection counts) =="
 cargo run --release -p bench --bin server
 
 echo "== simulator speed table =="

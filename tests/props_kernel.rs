@@ -272,61 +272,6 @@ proptest! {
     }
 }
 
-proptest! {
-    // Each case boots a server fleet; keep the counts moderate.
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Tail retention is lossless at *any* head-sampling rate: with an
-    /// unmeetable SLO target every request is a violation, and every
-    /// violation must have a committed span — whether or not the
-    /// deterministic 1-in-N draw would have kept its connection. A
-    /// sampler that let an errored or over-SLO request slip away
-    /// unrecorded would defeat the point of tail-based sampling.
-    #[test]
-    fn error_and_over_slo_requests_always_commit_spans(
-        period in 1u32..512,
-        clients in 8usize..64,
-        seed in any::<u64>(),
-    ) {
-        use kproc::programs::ServeMode;
-        use ksim::{Dur, ObsConfig, SloConfig};
-        use splice::ServeScenario;
-
-        let sc = ServeScenario {
-            window: Dur::from_ms(20),
-            offset: Dur::from_ms(1),
-            ..ServeScenario::new(clients, ServeMode::Splice, seed)
-        };
-        let cfg = ObsConfig {
-            sample_period: period,
-            slo: SloConfig {
-                latency_target: Dur::from_us(1),
-                ..SloConfig::default()
-            },
-            ..ObsConfig::on()
-        };
-        let (k, _) = sc.serve(KernelBuilder::paper_machine_ram().observe(cfg), "slo");
-
-        let c = k.obs().counters();
-        prop_assert_eq!(c.requests, clients as u64);
-        prop_assert_eq!(
-            c.violations, c.requests,
-            "a 1 µs target must make every request violate"
-        );
-        // The property: 100% of violating requests testify, at any rate.
-        let tail_spans = k
-            .obs()
-            .committed_spans()
-            .filter(|s| s.over_slo || s.error.is_some())
-            .count() as u64;
-        prop_assert_eq!(
-            tail_spans, c.violations,
-            "period={}: a violating request closed without a span", period
-        );
-        prop_assert_eq!(c.committed, c.head_sampled + c.tail_retained);
-    }
-}
-
 #[test]
 fn simulation_is_deterministic() {
     let run = || {

@@ -3,12 +3,13 @@
 //! driven end to end through the kernel — backlog overflow accounting,
 //! connection lifecycle reclaim, byte-exact service at depth 1 vs a
 //! depth-64 ring vs the user-space cp-relay, tail-latency monotonicity
-//! in connection count, and seeded replay determinism (`SERVER_SEED` is
-//! randomized by `scripts/ci.sh`).
+//! in connection count, and seeded replay determinism of the scenario
+//! and its request records (`SERVER_SEED` is randomized by
+//! `scripts/ci.sh`).
 
 use kproc::programs::{ServeMode, SpliceServer};
 use kproc::ProcState;
-use ksim::{Dur, ObsConfig, ReqSpan, SloConfig, RECENT_SPANS};
+use ksim::{Dur, ReqSpan, RECENT_SPANS};
 use splice::{KernelBuilder, MetricsSnapshot, ServeScenario};
 
 const SEED: u64 = 0x5e12;
@@ -82,8 +83,9 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
 
 /// Serving a fleet and closing every connection returns the kernel to
 /// its baseline: no sockets, no receive-buffer bytes, a rebindable
-/// listening port, and of the fleet's splices only the recent ring kept
-/// in full — the rest live on as an exact, check-clean aggregate.
+/// listening port, and of the fleet's splices and requests only the
+/// recent rings kept in full — the rest live on as an exact, check-clean
+/// aggregate and the request-latency histogram.
 #[test]
 fn connection_lifecycle_frees_port_and_buffers() {
     const FLEET: usize = 300;
@@ -109,6 +111,21 @@ fn connection_lifecycle_frees_port_and_buffers() {
     assert_eq!(retired.descriptors, k.metrics().splice.started);
     assert_eq!(retired.bytes_moved, FLEET as u64 * sc.file_bytes);
     assert_eq!(retired.violations, 0, "{:?}", retired.details);
+
+    let reqs = &k.kstat().requests;
+    assert_eq!(reqs.live().count(), 0, "a closed request stayed open");
+    assert_eq!(
+        reqs.recent().count(),
+        RECENT_SPANS,
+        "the kernel keeps only the recent ring of request records"
+    );
+    let obs = k.metrics().obs;
+    assert_eq!(obs.spans_committed, FLEET as u64, "one record per conn");
+    assert_eq!(obs.request_latency.count, FLEET as u64);
+    assert_eq!(obs.errors, 0);
+    for r in reqs.recent() {
+        assert_eq!((r.bytes, r.error), (sc.file_bytes, None), "{r:?}");
+    }
 
     // The port is free again: a fresh socket can bind it.
     let again = k.net_mut().socket(ServeScenario::HOST);
@@ -202,52 +219,23 @@ fn server_scenario_replays_identically_under_seed() {
     assert_eq!(a, b, "SERVER_SEED={seed}: replay diverged");
 }
 
-/// The flight recorder and the committed-span set replay byte-identically
-/// for a given seed: an unmeetable SLO target turns every request into a
-/// violation, the burn-rate monitor alerts at the same close on both
-/// runs, the frozen trace window renders to the same JSON bytes, and
-/// the committed spans match span for span.
+/// The kept request records and the request-latency digest replay
+/// byte-identically for a given seed: the same last [`RECENT_SPANS`]
+/// requests, record for record, and the same histogram digest and p999
+/// exemplar.
 #[test]
-fn flight_dump_and_committed_spans_replay_identically() {
+fn request_records_replay_identically() {
     let seed = server_seed();
     let sc = ServeScenario::new(256, ServeMode::Splice, seed);
-    let cfg = ObsConfig {
-        slo: SloConfig {
-            latency_target: Dur::from_us(1),
-            ..SloConfig::default()
-        },
-        ..ObsConfig::on()
-    };
     let run = || {
-        let b = KernelBuilder::paper_machine_ram()
-            .trace(1 << 16)
-            .observe(cfg);
+        let b = KernelBuilder::paper_machine_ram().trace(1 << 16);
         let (k, _) = sc.serve(b, format_args!("SERVER_SEED={seed}"));
-        let c = k.obs().counters();
-        assert_eq!(
-            c.violations, c.requests,
-            "SERVER_SEED={seed}: a 1 µs target must make every request violate"
-        );
-        assert_eq!(
-            c.committed, c.requests,
-            "SERVER_SEED={seed}: every violation must commit a span"
-        );
-        assert!(c.alerts >= 1, "SERVER_SEED={seed}: no alert fired");
-        let flight = k
-            .flight_json("server")
-            .expect("alert froze no flight dump")
-            .render_pretty();
-        let spans: Vec<ReqSpan> = k.obs().committed_spans().copied().collect();
-        (flight, spans)
+        let reqs: Vec<ReqSpan> = k.kstat().requests.recent().copied().collect();
+        assert_eq!(reqs.len(), RECENT_SPANS, "SERVER_SEED={seed}");
+        let o = k.metrics().obs;
+        (reqs, o.request_latency.to_json().render(), o.p999_exemplar)
     };
-    let (flight_a, spans_a) = run();
-    let (flight_b, spans_b) = run();
-    assert_eq!(
-        flight_a, flight_b,
-        "SERVER_SEED={seed}: flight dump bytes diverged"
-    );
-    assert_eq!(
-        spans_a, spans_b,
-        "SERVER_SEED={seed}: committed spans diverged"
-    );
+    let a = run();
+    let b = run();
+    assert_eq!(a, b, "SERVER_SEED={seed}: request records diverged");
 }
