@@ -337,13 +337,12 @@ impl Kernel {
             match out {
                 kbuf::GetblkOutcome::Held(buf) => {
                     let full = boff == 0 && take == bs;
-                    if !full && !existed {
-                        self.cache.data(buf).bytes_mut().fill(0);
-                    }
                     {
-                        let d = self.cache.data(buf);
-                        let mut bytes = d.bytes_mut();
-                        bytes[boff..boff + take].copy_from_slice(&data[pos..pos + take]);
+                        let area = self.cache.data(buf);
+                        if !full && !existed {
+                            area.zero();
+                        }
+                        area.write_at(boff, &data[pos..pos + take]);
                     }
                     let mut fx = Vec::new();
                     if full {

@@ -27,8 +27,8 @@ pub enum KWork {
         disk: usize,
         /// Buffer involved.
         buf: BufId,
-        /// Data read (for successful reads).
-        data: Option<Vec<u8>>,
+        /// The block read, shared with the medium (successful reads only).
+        data: Option<khw::Block>,
         /// Direction.
         dir: IoDir,
         /// The transfer failed (`B_ERROR` at `biodone`).

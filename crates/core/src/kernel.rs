@@ -205,10 +205,13 @@ impl Kernel {
 
     /// Adds a disk with a fresh filesystem mounted at `/<name>`.
     pub(crate) fn add_disk(&mut self, name: &str, profile: DiskProfile) -> usize {
+        // The medium is held in file-system blocks, so every cache
+        // transfer moves one shared block.
+        let bs = self.cfg.block_size as usize;
         let mut kind = if profile.kind == khw::DiskKind::Ram {
-            DiskUnitKind::Ram(RamDisk::new(profile))
+            DiskUnitKind::Ram(RamDisk::new(profile, bs))
         } else {
-            DiskUnitKind::Scsi(Disk::new(profile))
+            DiskUnitKind::Scsi(Disk::new(profile, bs))
         };
         let fs = Fs::mkfs(kind.store_mut(), self.cfg.block_size, self.cfg.ninodes);
         let dev = DevId(self.disks.len() as u32);
@@ -567,11 +570,7 @@ impl Kernel {
                     IoDir::Read => khw::IoOp::Read,
                     IoDir::Write => khw::IoOp::Write,
                 };
-                let data = if dir == IoDir::Write {
-                    Some(self.cache.data(buf).to_vec())
-                } else {
-                    None
-                };
+                let data = (dir == IoDir::Write).then(|| self.cache.data(buf).snapshot());
                 let token = self.next_io_token;
                 self.next_io_token += 1;
                 self.io_tokens.insert((disk_idx, token), (buf, dir));
@@ -1007,8 +1006,8 @@ impl Kernel {
                 dir,
                 error,
             } => {
-                if let (IoDir::Read, Some(d)) = (dir, data) {
-                    self.cache.data(buf).fill_from(&d);
+                if let (IoDir::Read, Some(block)) = (dir, data) {
+                    self.cache.data(buf).install(block);
                 }
                 self.finish_io(disk, buf, dir, error);
             }
@@ -1266,13 +1265,10 @@ impl Kernel {
     }
 }
 
-/// Moves one block between a RAM disk and a cache buffer's data area, with
-/// no staging copy on the host. Returns the driver's cost and whether the
+/// Moves one block between a RAM disk and a cache buffer's data area by
+/// sharing it: a read installs the medium's block, a write hands the
+/// medium the area's snapshot. Returns the driver's cost and whether the
 /// transfer failed; a failed read leaves the area untouched.
-///
-/// # Panics
-///
-/// Panics if the area is not exactly the `len`-byte block being read.
 fn ram_transfer(
     rd: &mut RamDisk,
     data: &BufData,
@@ -1282,11 +1278,53 @@ fn ram_transfer(
 ) -> (Dur, bool) {
     match dir {
         IoDir::Read => {
-            let mut area = data.bytes_mut();
-            // Cache areas are sized to the block size every transfer uses.
-            assert_eq!(area.len(), len, "RAM read into a mis-sized data area");
-            rd.read_into_checked(sector, &mut area)
+            let (cost, block) = rd.read(sector, len);
+            let error = block.is_none();
+            if let Some(block) = block {
+                data.install(block);
+            }
+            (cost, error)
         }
-        IoDir::Write => rd.write_checked(sector, &data.bytes()),
+        IoDir::Write => rd.write(sector, data.snapshot()),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::rc::Rc;
+
+    use khw::{FaultOp, FaultPlan};
+
+    use super::*;
+
+    const BS: usize = 8192;
+
+    #[test]
+    fn ram_transfer_shares_blocks_and_a_failed_read_lands_nothing() {
+        let mut rd = RamDisk::new(DiskProfile::ramdisk(), BS);
+        rd.set_fault_plan(Some(FaultPlan::new(1).transient_eio_at(
+            FaultOp::Read,
+            16,
+            1,
+        )));
+        let written = BufData::from_vec(vec![5; BS]);
+        let (cost, error) = ram_transfer(&mut rd, &written, 16, BS, IoDir::Write);
+        assert!(!error);
+        assert_eq!(cost, rd.copy_cost(BS));
+        assert!(Rc::ptr_eq(&rd.store().block(16 * 512), &written.snapshot()));
+
+        let area = BufData::from_vec(vec![1; BS]);
+        let before = area.snapshot();
+        let (cost, error) = ram_transfer(&mut rd, &area, 16, BS, IoDir::Read);
+        assert!(error);
+        assert_eq!(cost, rd.copy_cost(BS), "the failed copy is still charged");
+        assert!(
+            Rc::ptr_eq(&area.snapshot(), &before),
+            "a failed read landed"
+        );
+
+        let (_, error) = ram_transfer(&mut rd, &area, 16, BS, IoDir::Read);
+        assert!(!error);
+        assert!(Rc::ptr_eq(&area.snapshot(), &written.snapshot()));
     }
 }

@@ -878,7 +878,7 @@ impl Kernel {
                     if !full {
                         // Fresh partial block: clear the buffer before the
                         // partial copyin.
-                        self.cache.data(buf).bytes_mut().fill(0);
+                        self.cache.data(buf).zero();
                     }
                     cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
                 }
@@ -918,11 +918,9 @@ impl Kernel {
             self.ctr.copy.copyin_bytes += take as u64;
             m.copy_cost(CopyKind::Copyin, take)
         };
-        {
-            let data = self.cache.data(buf);
-            let mut bytes = data.bytes_mut();
-            bytes[boff..boff + take].copy_from_slice(&c.data[c.done..c.done + take]);
-        }
+        self.cache
+            .data(buf)
+            .write_at(boff, &c.data[c.done..c.done + take]);
         let full = boff == 0 && take == self.cfg.block_size as usize;
         let mut fx = Vec::new();
         if full {

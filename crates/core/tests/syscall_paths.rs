@@ -188,6 +188,64 @@ fn partial_overwrite_read_modify_write() {
     assert!(k.fsck_all().is_empty());
 }
 
+/// The medium and the cache share a block after it is read or written;
+/// a delayed write that modifies the cached block again must leave the
+/// medium unchanged until the block is written back.
+#[test]
+fn delayed_write_leaves_the_medium_unchanged_until_written() {
+    let mut k = KernelBuilder::new()
+        .disk("d", DiskProfile::ramdisk())
+        .tune(|cfg| cfg.update_interval = None)
+        .build();
+    k.setup_file("/d/f", 20_000, 6);
+    k.cold_cache();
+    let mut want = pattern_bytes(6, 0, 20_000);
+    let write_at = |k: &mut Kernel, pos: u64, byte: u8, fsync: bool| {
+        let mut calls = vec![
+            SyscallReq::Open {
+                path: "/d/f".into(),
+                flags: OpenFlags::WRONLY,
+            },
+            SyscallReq::Lseek { fd: Fd(3), pos },
+            SyscallReq::Write {
+                fd: Fd(3),
+                data: vec![byte; 10],
+            },
+        ];
+        if fsync {
+            calls.push(SyscallReq::Fsync(Fd(3)));
+        }
+        calls.push(SyscallReq::Close(Fd(3)));
+        let r = run_script(k, calls);
+        assert_eq!(r[2], SyscallRet::Val(10));
+    };
+
+    // Read-modify-write of block 1, left delayed: the medium still holds
+    // the block the cache read.
+    write_at(&mut k, 9_000, 0xAA, false);
+    assert_eq!(
+        k.dump_file("/d/f"),
+        want,
+        "a delayed write reached the medium"
+    );
+    // Written back: now the medium and the cache share the new block.
+    write_at(&mut k, 9_000, 0xAA, true);
+    want[9_000..9_010].fill(0xAA);
+    assert_eq!(k.dump_file("/d/f"), want);
+    // Modified again in the cache (a hit), delayed: the medium is
+    // unchanged until the next write-back.
+    write_at(&mut k, 9_005, 0xBB, false);
+    assert_eq!(
+        k.dump_file("/d/f"),
+        want,
+        "the cache wrote through a shared block"
+    );
+    write_at(&mut k, 9_005, 0xBB, true);
+    want[9_005..9_015].fill(0xBB);
+    assert_eq!(k.dump_file("/d/f"), want);
+    assert!(k.fsck_all().is_empty());
+}
+
 #[test]
 fn truncate_on_reopen_discards_old_contents() {
     let mut k = ram_kernel();

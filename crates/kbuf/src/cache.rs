@@ -7,7 +7,7 @@
 //! expressed as an outcome (`Busy`, `NoBuffers`) that tells the caller to
 //! sleep and retry — processes via the scheduler, splice via a callout.
 
-use std::collections::HashMap;
+use ksim::IdMap;
 
 use crate::data::BufData;
 use crate::flags::BufFlags;
@@ -150,7 +150,7 @@ pub enum CacheEvent {
 /// The buffer cache. See the crate docs for the overall contract.
 pub struct Cache {
     bufs: Vec<Buf>,
-    hash: HashMap<(DevId, u64), BufId>,
+    hash: IdMap<(DevId, u64), BufId>,
     /// LRU free list of pool buffers (front = next victim), threaded
     /// through the buffers' intrusive `lru_prev`/`lru_next` links so
     /// removing a specific buffer (getblk hit, flush claim, purge) is
@@ -199,7 +199,7 @@ impl Cache {
         }
         Cache {
             bufs,
-            hash: HashMap::new(),
+            hash: IdMap::default(),
             lru_head: 0,
             lru_tail: (nbufs - 1) as u32,
             free_len: nbufs,

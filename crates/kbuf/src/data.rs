@@ -1,32 +1,55 @@
-//! Shared buffer data areas, recycled through a free-list arena.
+//! Buffer data areas: aliased data pointers over copy-on-write blocks,
+//! recycled through a free-list arena.
 //!
 //! The key trick of the paper's write side (§5.2.2): "The data pointer in
 //! the new buffer header is saved and altered to point to the same address
 //! the data pointer in the read-side buffer does, so both buffers share a
 //! common data area. We thus avoid copying between cache buffers."
 //!
-//! [`BufData`] models that data pointer: a cheaply clonable, shared,
-//! interior-mutable byte area. Sharing is observable (`shares_with`), which
-//! lets tests assert that a splice moved data without a cache-to-cache copy
-//! while a read/write copy did not.
+//! # Aliasing and copy-on-write
+//!
+//! [`BufData`] models that data pointer in two layers.
+//!
+//! * **Aliasing (outer).** A `BufData` is a cheaply clonable handle to one
+//!   data area. Clones are the *same* area: a write through one is seen
+//!   through all. This is the paper's shared data pointer — a splice write
+//!   header clones the read-side buffer's handle — and it is what
+//!   [`BufData::shares_with`] and [`BufData::sharers`] report, which lets
+//!   tests assert that a splice moved data without a cache-to-cache copy
+//!   while a read/write copy did not.
+//! * **Copy-on-write (inner).** An area's bytes are a reference-counted
+//!   block that other holders of the same bytes share: a disk medium's
+//!   block or an in-flight device transfer. A device read installs the
+//!   medium's block ([`BufData::install`]) and a device write hands the
+//!   medium a [`BufData::snapshot`], so the simulated driver `bcopy` costs
+//!   no host memcpy (the caller charges its simulated cost). Writing
+//!   through [`BufData::bytes_mut`] copies the block only while another
+//!   holder still shares it, so a medium never changes before the area is
+//!   written back and a snapshot never changes at all. Writes that cover
+//!   the whole area ([`BufData::fill_from`], [`BufData::write_at`]) and
+//!   [`BufData::zero`] replace a shared block instead of copying it first.
 //!
 //! # Arena
 //!
 //! Steady-state splice traffic retires one data area and allocates one
 //! fresh one per spliced block (the destination header keeps aliasing the
 //! source's area, so `getblk` must give the source a new one). Rather than
-//! hitting the allocator each time, dead areas — last reference dropped —
+//! hitting the allocator each time, dead areas — last handle dropped —
 //! are parked on a thread-local free list keyed by block size, and
-//! [`BufData::zeroed`] re-zeroes and reuses a parked area of the same size
-//! when one exists. The simulation is single-threaded by design, so a
-//! thread-local pool is exact; recycling is capped per size class so the
-//! arena cannot outgrow the working set. Observable behaviour (zeroed
-//! contents, sharing, lengths) is identical to plain allocation — the
-//! differential property suite in `tests/props.rs` pins that.
+//! [`BufData::zeroed`] reuses a parked area of the same size when one
+//! exists. A parked area drops its block for the size class's shared zero
+//! block, so the arena never pins a medium's block, and `zeroed` costs no
+//! memset: the zero block is copied only when first written. The
+//! simulation is single-threaded by design, so a thread-local pool is
+//! exact; recycling is capped per size class so the arena cannot outgrow
+//! the working set. Observable behaviour (zeroed contents, sharing,
+//! lengths) is identical to plain allocation — the differential property
+//! suite in `tests/props.rs` pins that.
 
 use std::cell::{Ref, RefCell, RefMut};
-use std::collections::HashMap;
 use std::rc::Rc;
+
+use ksim::IdMap;
 
 /// Smallest data area worth pooling: tiny and empty areas (dead headers,
 /// odd-sized device scratch) go straight to the allocator.
@@ -34,11 +57,29 @@ const POOL_MIN_LEN: usize = 512;
 /// Parked areas retained per size class; beyond this, dead areas are freed.
 const POOL_CAP_PER_CLASS: usize = 1024;
 
+/// One data area: the aliased outer cell around a copy-on-write block.
+type Area = Rc<RefCell<Rc<Vec<u8>>>>;
+
+struct Class {
+    /// The block every fresh or parked area of this size holds.
+    zero: Rc<Vec<u8>>,
+    parked: Vec<Area>,
+}
+
 #[derive(Default)]
 struct Pool {
-    classes: HashMap<usize, Vec<Rc<RefCell<Vec<u8>>>>>,
+    classes: IdMap<usize, Class>,
     reused: u64,
     recycled: u64,
+}
+
+impl Pool {
+    fn class(&mut self, len: usize) -> &mut Class {
+        self.classes.entry(len).or_insert_with(|| Class {
+            zero: Rc::new(vec![0; len]),
+            parked: Vec::new(),
+        })
+    }
 }
 
 thread_local! {
@@ -54,8 +95,17 @@ pub fn pool_counters() -> (u64, u64) {
     })
 }
 
-/// A reference-counted byte area used as a buffer's data pointer.
-pub struct BufData(Rc<RefCell<Vec<u8>>>);
+/// A zero block of `len` bytes: the size class's shared one when `len` is
+/// poolable.
+fn zero_block(len: usize) -> Rc<Vec<u8>> {
+    if len < POOL_MIN_LEN {
+        return Rc::new(vec![0; len]);
+    }
+    POOL.with(|p| Rc::clone(&p.borrow_mut().class(len).zero))
+}
+
+/// A buffer's data pointer: an aliased handle to a copy-on-write block.
+pub struct BufData(Area);
 
 impl Clone for BufData {
     fn clone(&self) -> Self {
@@ -70,15 +120,17 @@ impl Drop for BufData {
         if Rc::strong_count(&self.0) != 1 {
             return;
         }
-        let len = self.0.borrow().len();
+        let len = self.len();
         if len < POOL_MIN_LEN {
             return;
         }
         let _ = POOL.try_with(|p| {
             let mut p = p.borrow_mut();
-            let class = p.classes.entry(len).or_default();
-            if class.len() < POOL_CAP_PER_CLASS {
-                class.push(Rc::clone(&self.0));
+            let class = p.class(len);
+            if class.parked.len() < POOL_CAP_PER_CLASS {
+                // Let go of the area's block (possibly a medium's) now.
+                *self.0.borrow_mut() = Rc::clone(&class.zero);
+                class.parked.push(Rc::clone(&self.0));
                 p.recycled += 1;
             }
         });
@@ -86,29 +138,29 @@ impl Drop for BufData {
 }
 
 impl BufData {
-    /// Allocates a zeroed data area of `len` bytes, reusing a same-sized
-    /// area from the arena when one is parked there.
+    /// A zeroed data area of `len` bytes, reusing a same-sized area from
+    /// the arena when one is parked there. No bytes are written: the area
+    /// starts on a shared zero block.
     pub fn zeroed(len: usize) -> Self {
-        if len >= POOL_MIN_LEN {
-            let parked = POOL.with(|p| {
-                let mut p = p.borrow_mut();
-                let area = p.classes.get_mut(&len).and_then(Vec::pop);
-                if area.is_some() {
-                    p.reused += 1;
-                }
-                area
-            });
-            if let Some(area) = parked {
-                area.borrow_mut().fill(0);
-                return BufData(area);
-            }
+        if len < POOL_MIN_LEN {
+            return BufData::from_vec(vec![0; len]);
         }
-        BufData(Rc::new(RefCell::new(vec![0u8; len])))
+        POOL.with(|p| {
+            let mut p = p.borrow_mut();
+            let class = p.class(len);
+            match class.parked.pop() {
+                Some(area) => {
+                    p.reused += 1;
+                    BufData(area)
+                }
+                None => BufData(Rc::new(RefCell::new(Rc::clone(&class.zero)))),
+            }
+        })
     }
 
     /// Wraps existing bytes.
     pub fn from_vec(v: Vec<u8>) -> Self {
-        BufData(Rc::new(RefCell::new(v)))
+        BufData(Rc::new(RefCell::new(Rc::new(v))))
     }
 
     /// Length of the data area.
@@ -123,25 +175,65 @@ impl BufData {
 
     /// Immutable view of the bytes.
     pub fn bytes(&self) -> Ref<'_, Vec<u8>> {
-        self.0.borrow()
+        Ref::map(self.0.borrow(), |block| &**block)
     }
 
-    /// Mutable view of the bytes.
+    /// Mutable view of the bytes, copying the block first if a medium or
+    /// an in-flight transfer still shares it.
     pub fn bytes_mut(&self) -> RefMut<'_, Vec<u8>> {
-        self.0.borrow_mut()
+        RefMut::map(self.0.borrow_mut(), Rc::make_mut)
     }
 
     /// Replaces the contents with `src` (a modelled `bcopy` target — the
-    /// caller is responsible for charging the copy cost).
+    /// caller is responsible for charging the copy cost). A shared block
+    /// is replaced, not copied and overwritten.
     pub fn fill_from(&self, src: &[u8]) {
-        let mut b = self.0.borrow_mut();
-        b.clear();
-        b.extend_from_slice(src);
+        let mut block = self.0.borrow_mut();
+        match Rc::get_mut(&mut block) {
+            Some(own) => {
+                own.clear();
+                own.extend_from_slice(src);
+            }
+            None => *block = Rc::new(src.to_vec()),
+        }
     }
 
-    /// Copies the contents out (again, the caller charges the cost).
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.0.borrow().clone()
+    /// Copies `src` into the area at byte `off` (a modelled copyin; the
+    /// caller charges it). A write covering the whole area is a
+    /// [`BufData::fill_from`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the area.
+    pub fn write_at(&self, off: usize, src: &[u8]) {
+        if off == 0 && src.len() == self.len() {
+            self.fill_from(src);
+        } else {
+            self.bytes_mut()[off..off + src.len()].copy_from_slice(src);
+        }
+    }
+
+    /// Zero-fills the area; a shared block is swapped for a zero block
+    /// rather than copied just to be cleared.
+    pub fn zero(&self) {
+        let mut block = self.0.borrow_mut();
+        let len = block.len();
+        match Rc::get_mut(&mut block) {
+            Some(own) => own.fill(0),
+            None => *block = zero_block(len),
+        }
+    }
+
+    /// The area's current block, shared: later writes through the area
+    /// copy it first, so the snapshot never changes.
+    pub fn snapshot(&self) -> Rc<Vec<u8>> {
+        Rc::clone(&self.0.borrow())
+    }
+
+    /// Makes `block` the area's contents without copying it (a device
+    /// read landing). Every alias of the area sees the new contents.
+    pub fn install(&self, block: Rc<Vec<u8>>) {
+        *self.0.borrow_mut() = block;
     }
 
     /// True if `self` and `other` are the *same* data area — i.e. the
@@ -195,7 +287,6 @@ mod tests {
         let d = BufData::zeroed(4);
         d.fill_from(&[7, 8]);
         assert_eq!(*d.bytes(), vec![7, 8]);
-        assert_eq!(d.to_vec(), vec![7, 8]);
     }
 
     #[test]
@@ -225,6 +316,55 @@ mod tests {
         let c = BufData::zeroed(4096);
         assert!(!c.shares_with(&b));
         assert_eq!(b.bytes()[0], 7);
+    }
+
+    #[test]
+    fn parked_area_releases_the_medium_block() {
+        let medium = Rc::new(vec![7u8; 8192]);
+        let a = BufData::zeroed(8192);
+        a.install(Rc::clone(&medium));
+        assert_eq!(Rc::strong_count(&medium), 2);
+        let (_, recycled0) = pool_counters();
+        drop(a);
+        let (_, recycled1) = pool_counters();
+        assert!(recycled1 > recycled0, "dead area was not parked");
+        assert_eq!(Rc::strong_count(&medium), 1, "the arena pins the block");
+        let b = BufData::zeroed(8192);
+        assert!(b.bytes().iter().all(|&x| x == 0));
+        assert_eq!(*medium, vec![7u8; 8192]);
+    }
+
+    #[test]
+    fn writes_copy_a_shared_block_once() {
+        let medium = Rc::new(vec![1u8; 4096]);
+        let a = BufData::zeroed(4096);
+        let alias = a.clone();
+        a.install(Rc::clone(&medium));
+        assert!(Rc::ptr_eq(&a.snapshot(), &medium), "install copied");
+        a.bytes_mut()[3] = 9;
+        assert_eq!(*medium, vec![1u8; 4096], "a write reached the medium");
+        assert_eq!(alias.bytes()[3], 9, "aliases must see the write");
+        let own = a.snapshot();
+        drop(own);
+        let before = Rc::as_ptr(&a.snapshot());
+        a.bytes_mut()[4] = 9;
+        assert_eq!(Rc::as_ptr(&a.snapshot()), before, "unshared block copied");
+    }
+
+    #[test]
+    fn whole_area_writes_and_zeroing_replace_a_shared_block() {
+        let medium = Rc::new(vec![1u8; 4096]);
+        let a = BufData::zeroed(4096);
+        a.install(Rc::clone(&medium));
+        a.write_at(0, &[2u8; 4096]);
+        assert_eq!(*a.bytes(), vec![2u8; 4096]);
+        a.install(Rc::clone(&medium));
+        a.write_at(10, &[3u8; 2]);
+        assert_eq!(&a.bytes()[9..13], &[1, 3, 3, 1]);
+        a.install(Rc::clone(&medium));
+        a.zero();
+        assert!(a.bytes().iter().all(|&x| x == 0));
+        assert_eq!(*medium, vec![1u8; 4096]);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 #![cfg(feature = "props")]
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -48,12 +49,14 @@ impl FakeDevice {
     }
 }
 
-/// Operations on a set of live [`BufData`] areas, driven against a
-/// plain `Vec<u8>`-per-sharing-group model. The pooled implementation
-/// recycles dead areas through a thread-local arena, so this checks the
-/// arena never leaks stale bytes (`zeroed` really is zero), never
-/// recycles an area that still has sharers, and keeps sharing semantics
-/// identical to unpooled `Rc<RefCell<Vec<u8>>>`.
+/// Operations on a set of live [`BufData`] areas, driven against an
+/// explicit-copy model: a plain `Vec<u8>` per sharing group (clones of
+/// one area alias) and a recorded copy of every snapshot. The real areas
+/// share copy-on-write blocks with their snapshots and recycle dead areas
+/// through a thread-local arena, so this checks that a write never
+/// reaches a snapshot or another group, that the arena never leaks stale
+/// bytes (`zeroed` really is zero) or recycles an area that still has
+/// sharers, and that aliasing is identical to a plain shared `Vec`.
 #[derive(Clone, Debug)]
 enum DOp {
     /// New zeroed area; lengths straddle the 512-byte pool threshold.
@@ -68,6 +71,17 @@ enum DOp {
     Write(usize, usize, u8),
     /// Replace the n-th live area's contents (resizes the area).
     FillFrom(usize, usize, u8),
+    /// Copy a run of bytes into the n-th live area at an offset; a run
+    /// covering the whole area replaces its block.
+    WriteAt(usize, usize, usize, u8),
+    /// Zero the n-th live area.
+    Zero(usize),
+    /// Take a snapshot of the n-th live area's block.
+    Snapshot(usize),
+    /// Install the k-th snapshot (modulo) into the n-th live area.
+    Install(usize, usize),
+    /// Forget the k-th snapshot (modulo), unsharing its block.
+    DropSnapshot(usize),
 }
 
 fn dop() -> impl Strategy<Value = DOp> {
@@ -78,10 +92,16 @@ fn dop() -> impl Strategy<Value = DOp> {
         2 => (len2, any::<u8>()).prop_map(|(l, b)| DOp::FromVec(l, b)),
         2 => any::<usize>().prop_map(DOp::CloneOf),
         3 => any::<usize>().prop_map(DOp::Drop),
-        2 => (any::<usize>(), any::<usize>(), any::<u8>())
+        3 => (any::<usize>(), any::<usize>(), any::<u8>())
             .prop_map(|(n, o, v)| DOp::Write(n, o, v)),
         1 => (any::<usize>(), 0usize..1024, any::<u8>())
             .prop_map(|(n, l, b)| DOp::FillFrom(n, l, b)),
+        2 => (any::<usize>(), any::<usize>(), any::<usize>(), any::<u8>())
+            .prop_map(|(n, o, l, b)| DOp::WriteAt(n, o, l, b)),
+        1 => any::<usize>().prop_map(DOp::Zero),
+        2 => any::<usize>().prop_map(DOp::Snapshot),
+        2 => (any::<usize>(), any::<usize>()).prop_map(|(n, k)| DOp::Install(n, k)),
+        1 => any::<usize>().prop_map(DOp::DropSnapshot),
     ]
 }
 
@@ -91,9 +111,11 @@ proptest! {
     #[test]
     fn pooled_buf_data_matches_plain_model(ops in prop::collection::vec(dop(), 1..120)) {
         // Live areas: (handle, sharing-group id). The model holds each
-        // group's expected bytes.
+        // group's expected bytes, and each snapshot with the bytes it
+        // held when taken.
         let mut live: Vec<(BufData, usize)> = Vec::new();
         let mut model: HashMap<usize, Vec<u8>> = HashMap::new();
+        let mut snaps: Vec<(Rc<Vec<u8>>, Vec<u8>)> = Vec::new();
         let mut next_group = 0usize;
 
         for op in ops {
@@ -147,13 +169,60 @@ proptest! {
                     bd.fill_from(&src);
                     model.insert(*g, src);
                 }
+                DOp::WriteAt(n, off, len, byte) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (bd, g) = &live[n % live.len()];
+                    let area = bd.len();
+                    // Whole-area writes half the time, else any run.
+                    let (off, len) = if len % 2 == 0 {
+                        (0, area)
+                    } else {
+                        let off = off % (area + 1);
+                        (off, len % (area - off + 1))
+                    };
+                    let src = vec![byte; len];
+                    bd.write_at(off, &src);
+                    model.get_mut(g).unwrap()[off..off + len].copy_from_slice(&src);
+                }
+                DOp::Zero(n) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (bd, g) = &live[n % live.len()];
+                    bd.zero();
+                    model.get_mut(g).unwrap().fill(0);
+                }
+                DOp::Snapshot(n) => {
+                    if live.is_empty() {
+                        continue;
+                    }
+                    let (bd, g) = &live[n % live.len()];
+                    snaps.push((bd.snapshot(), model[g].clone()));
+                }
+                DOp::Install(n, k) => {
+                    if live.is_empty() || snaps.is_empty() {
+                        continue;
+                    }
+                    let (bd, g) = &live[n % live.len()];
+                    let (block, bytes) = &snaps[k % snaps.len()];
+                    bd.install(Rc::clone(block));
+                    model.insert(*g, bytes.clone());
+                }
+                DOp::DropSnapshot(k) => {
+                    if !snaps.is_empty() {
+                        let at = k % snaps.len();
+                        snaps.swap_remove(at);
+                    }
+                }
             }
 
             // Every live handle sees exactly its group's bytes — writes
             // through one sharer are visible to all, recycled areas are
             // fully zeroed, and no area aliases another group.
             for (bd, g) in &live {
-                prop_assert_eq!(&bd.to_vec(), model.get(g).unwrap());
+                prop_assert_eq!(&*bd.bytes(), model.get(g).unwrap());
             }
             for i in 0..live.len() {
                 let (bi, gi) = &live[i];
@@ -162,6 +231,10 @@ proptest! {
                 for (bj, gj) in live.iter().skip(i + 1) {
                     prop_assert_eq!(bi.shares_with(bj), gi == gj);
                 }
+            }
+            // A snapshot never changes, whatever its areas did since.
+            for (block, bytes) in &snaps {
+                prop_assert_eq!(&**block, bytes);
             }
         }
     }

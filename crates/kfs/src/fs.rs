@@ -691,7 +691,7 @@ mod tests {
     use super::*;
 
     fn fresh() -> (SparseStore, Fs) {
-        let mut store = SparseStore::new(64 * 1024 * 1024);
+        let mut store = SparseStore::new(64 * 1024 * 1024, 8192);
         let fs = Fs::mkfs(&mut store, 8192, 256);
         (store, fs)
     }
@@ -895,7 +895,7 @@ mod tests {
 
     #[test]
     fn no_space_surfaces() {
-        let mut store = SparseStore::new(1024 * 1024); // 128 blocks total
+        let mut store = SparseStore::new(1024 * 1024, 8192); // 128 blocks total
         let mut fs = Fs::mkfs(&mut store, 8192, 16);
         let ino = fs.create("/f").unwrap();
         let mut err = None;

@@ -234,7 +234,7 @@ mod tests {
     use crate::fs::Fs;
 
     fn image() -> (SparseStore, Fs) {
-        let mut store = SparseStore::new(32 * 1024 * 1024);
+        let mut store = SparseStore::new(32 * 1024 * 1024, 8192);
         let fs = Fs::mkfs(&mut store, 8192, 128);
         (store, fs)
     }
@@ -336,7 +336,7 @@ mod tests {
 
     #[test]
     fn detects_bad_superblock() {
-        let store = SparseStore::new(1024 * 1024);
+        let store = SparseStore::new(1024 * 1024, 8192);
         let rep = fsck(&store);
         assert!(!rep.clean());
     }

@@ -45,7 +45,7 @@ proptest! {
 
     #[test]
     fn random_ops_match_model_and_fsck_clean(ops in prop::collection::vec(op(), 1..60)) {
-        let mut store = SparseStore::new(24 * 1024 * 1024);
+        let mut store = SparseStore::new(24 * 1024 * 1024, 8192);
         let mut fs = Fs::mkfs(&mut store, 8192, 64);
         // Reference model: path → contents.
         let mut model: HashMap<String, Vec<u8>> = HashMap::new();
@@ -141,7 +141,7 @@ proptest! {
     fn sparse_writes_roundtrip(
         writes in prop::collection::vec((0u32..2_000_000, 1u16..5_000), 1..12)
     ) {
-        let mut store = SparseStore::new(24 * 1024 * 1024);
+        let mut store = SparseStore::new(24 * 1024 * 1024, 8192);
         let mut fs = Fs::mkfs(&mut store, 8192, 16);
         let ino = fs.create("/sparse").unwrap();
         let mut model = Vec::new();

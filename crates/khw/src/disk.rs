@@ -21,13 +21,15 @@
 //!   full rotation.
 //!
 //! The disk carries real bytes (a [`SparseStore`]) so data integrity is
-//! checked end to end.
+//! checked end to end. Transfers are whole medium blocks that move by
+//! reference: a write carries the caller's [`Block`] into the medium, and
+//! a completed read hands back the medium's block.
 
 use ksim::{Dur, Hist, SimTime};
 
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::profile::{DiskKind, DiskProfile, SECTOR_SIZE};
-use crate::store::SparseStore;
+use crate::store::{Block, SparseStore};
 
 /// Direction of a disk transfer.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -54,9 +56,9 @@ pub struct IoDone {
     pub token: u64,
     /// Host CPU consumed moving the data (pseudo-DMA bounce copy).
     pub host_cpu: Dur,
-    /// Data read (for [`IoOp::Read`]; `None` for writes and for reads
-    /// that failed).
-    pub data: Option<Vec<u8>>,
+    /// The block read, shared with the medium (for [`IoOp::Read`]; `None`
+    /// for writes and for reads that failed).
+    pub data: Option<Block>,
     /// True if a read was served from the drive's read-ahead cache
     /// (possibly waiting for the fill to catch up) rather than by a
     /// mechanical access.
@@ -71,7 +73,7 @@ struct Pending {
     op: IoOp,
     sector: u64,
     len: usize,
-    data: Option<Vec<u8>>,
+    data: Option<Block>,
 }
 
 /// One read-ahead segment: a window of sequentially cached sectors.
@@ -126,9 +128,10 @@ pub struct Disk {
 }
 
 impl Disk {
-    /// Creates a zero-filled disk from a profile.
-    pub fn new(profile: DiskProfile) -> Self {
-        let store = SparseStore::new(profile.bytes());
+    /// Creates a zero-filled disk from a profile whose medium is held in
+    /// `block_size`-byte blocks, the unit of every transfer.
+    pub fn new(profile: DiskProfile, block_size: usize) -> Self {
+        let store = SparseStore::new(profile.bytes(), block_size);
         Disk {
             profile,
             store,
@@ -256,9 +259,9 @@ impl Disk {
     ///
     /// # Panics
     ///
-    /// Panics if the byte range is not sector-aligned or runs off the end
-    /// of the medium, or if a write is missing its data (or a read has
-    /// data attached).
+    /// Panics if the request is not one whole, aligned medium block or
+    /// runs off the end of the medium, or if a write is missing its block
+    /// (or a read has one attached).
     pub fn submit(
         &mut self,
         now: SimTime,
@@ -266,11 +269,12 @@ impl Disk {
         op: IoOp,
         sector: u64,
         len: usize,
-        data: Option<Vec<u8>>,
+        data: Option<Block>,
     ) -> Option<Started> {
+        let bs = self.store.block_size();
         assert!(
-            len > 0 && len.is_multiple_of(SECTOR_SIZE),
-            "unaligned length {len}"
+            len == bs && (sector * SECTOR_SIZE as u64).is_multiple_of(bs as u64),
+            "unaligned request: {len} bytes at sector {sector} on {bs}-byte blocks"
         );
         let nsec = (len / SECTOR_SIZE) as u64;
         assert!(
@@ -280,7 +284,7 @@ impl Disk {
         match op {
             IoOp::Write => assert!(
                 data.as_ref().is_some_and(|d| d.len() == len),
-                "write needs {len} bytes of data"
+                "write needs a {len}-byte block"
             ),
             IoOp::Read => assert!(data.is_none(), "read carries no data"),
         }
@@ -354,8 +358,7 @@ impl Disk {
                 req.token,
                 req.sector,
                 nsec,
-                req.len,
-                req.data.as_deref().expect("write has data"),
+                req.data.expect("write has data"),
             ),
         };
         self.head = req.sector + nsec;
@@ -437,11 +440,7 @@ impl Disk {
 
         // A faulted read spent its service time (plus any spike) but
         // delivers no data: the interrupt reports B_ERROR instead.
-        let data = if fd.error {
-            None
-        } else {
-            Some(self.store.read_vec(sector * SECTOR_SIZE as u64, len))
-        };
+        let data = (!fd.error).then(|| self.store.block(sector * SECTOR_SIZE as u64));
         (
             finish + fd.extra_latency,
             IoDone {
@@ -460,9 +459,9 @@ impl Disk {
         token: u64,
         sector: u64,
         nsec: u64,
-        len: usize,
-        data: &[u8],
+        data: Block,
     ) -> (SimTime, IoDone) {
+        let len = data.len();
         // Sequential writes catch the next sector without seek or
         // rotational delay (track skew and drive write staging hide the
         // gap); any other write pays seek + rotation.
@@ -485,13 +484,14 @@ impl Disk {
         // read-ahead data. A faulted write persists only its torn-sector
         // prefix (possibly nothing) before the error.
         let fd = self.decide_fault(true, sector, nsec);
+        let off = sector * SECTOR_SIZE as u64;
         if fd.error {
             let keep = fd.torn_sectors.unwrap_or(0) as usize * SECTOR_SIZE;
             if keep > 0 {
-                self.store.write(sector * SECTOR_SIZE as u64, &data[..keep]);
+                self.store.write(off, &data[..keep]);
             }
         } else {
-            self.store.write(sector * SECTOR_SIZE as u64, data);
+            self.store.put_block(off, data);
         }
         let end = sector + nsec;
         self.windows.retain(|w| end <= w.lo || sector >= w.cap);
@@ -513,6 +513,7 @@ impl Disk {
 mod tests {
     use super::*;
     use crate::profile::DiskProfile;
+    use std::rc::Rc;
 
     const BLK: usize = 8192;
 
@@ -527,7 +528,7 @@ mod tests {
         now: SimTime,
         op: IoOp,
         sector: u64,
-        data: Option<Vec<u8>>,
+        data: Option<Block>,
     ) -> (SimTime, IoDone) {
         let started = d.submit(now, 1, op, sector, BLK, data).expect("idle drive");
         let (done, next) = d.complete(started.finish);
@@ -537,8 +538,8 @@ mod tests {
 
     #[test]
     fn first_read_is_mechanical() {
-        let mut d = Disk::new(DiskProfile::rz56());
-        let (finish, done) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 1000, None);
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
+        let (finish, done) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 1024, None);
         assert!(!done.cache_hit);
         let min = DiskProfile::rz56().avg_rotation
             + Dur::for_bytes(BLK as u64, DiskProfile::rz56().media_bps);
@@ -547,7 +548,7 @@ mod tests {
 
     #[test]
     fn sequential_read_hits_readahead_cache() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         let later = f1 + Dur::from_ms(50);
         let (f2, done) = run_one(&mut d, later, IoOp::Read, 16, None);
@@ -557,7 +558,7 @@ mod tests {
 
     #[test]
     fn sequential_reader_throttled_by_media_rate() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let mut now = SimTime::ZERO;
         let total_blocks = 64u64; // 512 KB, well past the 64 KB cache
         for i in 0..total_blocks {
@@ -573,7 +574,7 @@ mod tests {
 
     #[test]
     fn random_reads_pay_seek_each_time() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         let (f2, done) = run_one(&mut d, f1, IoOp::Read, 1_000_000, None);
         assert!(!done.cache_hit);
@@ -582,19 +583,34 @@ mod tests {
 
     #[test]
     fn write_read_roundtrip_preserves_data() {
-        let mut d = Disk::new(DiskProfile::rz58());
-        let data: Vec<u8> = (0..BLK).map(|i| (i % 251) as u8).collect();
-        let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Write, 64, Some(data.clone()));
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
+        let data: Block = Rc::new((0..BLK).map(|i| (i % 251) as u8).collect());
+        let (f1, _) = run_one(
+            &mut d,
+            SimTime::ZERO,
+            IoOp::Write,
+            64,
+            Some(Rc::clone(&data)),
+        );
         let (_, done) = run_one(&mut d, f1, IoOp::Read, 64, None);
-        assert_eq!(done.data.unwrap(), data);
+        assert!(
+            Rc::ptr_eq(&done.data.unwrap(), &data),
+            "the block was copied on the host"
+        );
     }
 
     #[test]
     fn sequential_writes_stream_without_rotation() {
-        let mut d = Disk::new(DiskProfile::rz58());
-        let data = vec![0u8; BLK];
-        let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Write, 0, Some(data.clone()));
-        let (f2, _) = run_one(&mut d, f1, IoOp::Write, 16, Some(data.clone()));
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
+        let data = Rc::new(vec![0u8; BLK]);
+        let (f1, _) = run_one(
+            &mut d,
+            SimTime::ZERO,
+            IoOp::Write,
+            0,
+            Some(Rc::clone(&data)),
+        );
+        let (f2, _) = run_one(&mut d, f1, IoOp::Write, 16, Some(Rc::clone(&data)));
         let xfer = Dur::for_bytes(BLK as u64, DiskProfile::rz58().media_bps);
         assert!(f2.since(f1) < xfer + Dur::from_ms(2));
         // A later sequential continuation also streams (write staging
@@ -606,7 +622,7 @@ mod tests {
 
     #[test]
     fn busy_drive_queues_and_completes_in_turn() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let s1 = d
             .submit(SimTime::ZERO, 1, IoOp::Read, 0, BLK, None)
             .unwrap();
@@ -630,10 +646,17 @@ mod tests {
         // Tokens 9..1 submitted in descending sector order while busy;
         // the elevator services them ascending, so consecutive-sector
         // writes stream without rotation.
-        let mut d = Disk::new(DiskProfile::rz58());
-        let data = vec![0u8; BLK];
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
+        let data = Rc::new(vec![0u8; BLK]);
         let s0 = d
-            .submit(SimTime::ZERO, 0, IoOp::Write, 0, BLK, Some(data.clone()))
+            .submit(
+                SimTime::ZERO,
+                0,
+                IoOp::Write,
+                0,
+                BLK,
+                Some(Rc::clone(&data)),
+            )
             .unwrap();
         for i in (1..=5u64).rev() {
             assert!(d
@@ -643,7 +666,7 @@ mod tests {
                     IoOp::Write,
                     i * 16,
                     BLK,
-                    Some(data.clone())
+                    Some(Rc::clone(&data))
                 )
                 .is_none());
         }
@@ -668,18 +691,18 @@ mod tests {
 
     #[test]
     fn write_invalidates_overlapping_readahead() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         let later = f1 + Dur::from_ms(50);
-        let data = vec![1u8; BLK];
-        let (f2, _) = run_one(&mut d, later, IoOp::Write, 16, Some(data.clone()));
+        let data = Rc::new(vec![1u8; BLK]);
+        let (f2, _) = run_one(&mut d, later, IoOp::Write, 16, Some(Rc::clone(&data)));
         let (_, done) = run_one(&mut d, f2, IoOp::Read, 16, None);
-        assert_eq!(done.data.unwrap(), data);
+        assert_eq!(*done.data.unwrap(), *data);
     }
 
     #[test]
     fn host_cpu_charged_per_byte() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (_, done) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         assert_eq!(
             done.host_cpu,
@@ -689,7 +712,7 @@ mod tests {
 
     #[test]
     fn rz58_multiple_segments_survive_interleaving() {
-        let mut d = Disk::new(DiskProfile::rz58());
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
         let s1 = 0u64;
         let s2 = 1_000_000u64;
         let (f1, _) = run_one(&mut d, t(0), IoOp::Read, s1, None);
@@ -703,7 +726,7 @@ mod tests {
 
     #[test]
     fn rz56_single_segment_thrashes_on_interleaving() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, t(0), IoOp::Read, 0, None);
         let (f2, _) = run_one(&mut d, f1, IoOp::Read, 1_000_000, None);
         let later = f2 + Dur::from_ms(100);
@@ -714,29 +737,37 @@ mod tests {
     #[test]
     #[should_panic(expected = "unaligned")]
     fn unaligned_length_rejected() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         d.submit(SimTime::ZERO, 1, IoOp::Read, 0, 100, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "unaligned")]
+    fn unaligned_sector_rejected() {
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
+        d.submit(SimTime::ZERO, 1, IoOp::Read, 1000, BLK, None);
     }
 
     #[test]
     #[should_panic(expected = "past end")]
     fn out_of_range_rejected() {
-        let mut d = Disk::new(DiskProfile::rz56());
-        let sectors = DiskProfile::rz56().sectors;
-        d.submit(SimTime::ZERO, 1, IoOp::Read, sectors - 1, BLK, None);
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
+        let spb = (BLK / SECTOR_SIZE) as u64;
+        let last = DiskProfile::rz56().sectors / spb * spb;
+        d.submit(SimTime::ZERO, 1, IoOp::Read, last, BLK, None);
     }
 
     #[test]
     #[should_panic(expected = "without active")]
     fn stray_completion_rejected() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         d.complete(SimTime::ZERO);
     }
 
     #[test]
     fn faulted_read_reports_error_without_data() {
         use crate::fault::{FaultOp, FaultPlan};
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         d.set_fault_plan(Some(FaultPlan::new(1).transient_eio_at(
             FaultOp::Read,
             0,
@@ -745,6 +776,11 @@ mod tests {
         let (_, done) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         assert!(done.error);
         assert!(done.data.is_none());
+        // The failed transfer is charged like a clean one.
+        assert_eq!(done.host_cpu, d.host_cpu(BLK));
+        assert_eq!(d.stats().requests, 1);
+        assert_eq!(d.stats().bytes, BLK as u64);
+        assert_eq!(d.service_hist().count(), 1);
         let (_, done) = run_one(&mut d, t(100), IoOp::Read, 0, None);
         assert!(!done.error, "transient fault clears on retry");
         assert!(done.data.is_some());
@@ -753,9 +789,9 @@ mod tests {
     #[test]
     fn latency_spike_delays_completion() {
         use crate::fault::{FaultOp, FaultPlan};
-        let mut clean = Disk::new(DiskProfile::rz56());
+        let mut clean = Disk::new(DiskProfile::rz56(), BLK);
         let (f0, _) = run_one(&mut clean, SimTime::ZERO, IoOp::Read, 0, None);
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         d.set_fault_plan(Some(FaultPlan::new(1).latency_spike(
             FaultOp::Read,
             1.0,
@@ -769,11 +805,11 @@ mod tests {
     #[test]
     fn torn_write_persists_prefix_then_errors() {
         use crate::fault::FaultPlan;
-        let mut d = Disk::new(DiskProfile::rz58());
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
         let base = vec![0xAAu8; BLK];
-        let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Write, 0, Some(base));
+        let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Write, 0, Some(Rc::new(base)));
         d.set_fault_plan(Some(FaultPlan::new(1).torn_write(0, 4)));
-        let (f2, done) = run_one(&mut d, f1, IoOp::Write, 0, Some(vec![0x55u8; BLK]));
+        let (f2, done) = run_one(&mut d, f1, IoOp::Write, 0, Some(Rc::new(vec![0x55u8; BLK])));
         assert!(done.error);
         let on_disk = d.store().read_vec(0, BLK);
         assert_eq!(
@@ -785,14 +821,14 @@ mod tests {
             &vec![0xAAu8; BLK - 4 * SECTOR_SIZE][..]
         );
         // The tear is one-shot: the retry lands cleanly.
-        let (_, done) = run_one(&mut d, f2, IoOp::Write, 0, Some(vec![0x55u8; BLK]));
+        let (_, done) = run_one(&mut d, f2, IoOp::Write, 0, Some(Rc::new(vec![0x55u8; BLK])));
         assert!(!done.error);
         assert_eq!(d.store().read_vec(0, BLK), vec![0x55u8; BLK]);
     }
 
     #[test]
     fn stats_accumulate() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         run_one(&mut d, f1 + Dur::from_ms(50), IoOp::Read, 16, None);
         let s = d.stats();
@@ -804,7 +840,7 @@ mod tests {
 
     #[test]
     fn busy_time_and_service_hist_track_service_windows() {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let (f1, _) = run_one(&mut d, SimTime::ZERO, IoOp::Read, 0, None);
         let gap = f1 + Dur::from_ms(50);
         let (f2, _) = run_one(&mut d, gap, IoOp::Read, 16, None);

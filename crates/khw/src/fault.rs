@@ -21,9 +21,7 @@
 //!   time ([`FaultPlan::latency_spike`]), modelling thermal recalibration
 //!   or internal retry loops.
 
-use std::collections::HashMap;
-
-use ksim::Dur;
+use ksim::{Dur, IdMap};
 
 /// Which I/O direction a fault rule applies to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,7 +118,7 @@ pub struct FaultPlan {
     rules: Vec<Rule>,
     /// Per-rule count of matching requests seen so far, keying the
     /// nth-occurrence semantics of every rule kind.
-    occurrences: HashMap<usize, u64>,
+    occurrences: IdMap<usize, u64>,
     injected: u64,
 }
 
@@ -131,7 +129,7 @@ impl FaultPlan {
             seed,
             device: 0,
             rules: Vec::new(),
-            occurrences: HashMap::new(),
+            occurrences: IdMap::default(),
             injected: 0,
         }
     }

@@ -10,8 +10,9 @@
 //!   the numbers the paper reports in §6.1 (memory bandwidths, clock rate)
 //!   plus era-typical kernel path costs, and per-disk characteristic tables
 //!   ([`DiskProfile`]) for the RZ56, RZ58 and the RAM disk.
-//! * [`store`] — a sparse byte store used as the persistent medium of every
-//!   device; all devices carry real data so copies can be verified.
+//! * [`store`] — a sparse block store used as the persistent medium of every
+//!   device; all devices carry real data so copies can be verified, and
+//!   whole blocks move between medium and cache by shared reference.
 //! * [`disk`] — the SCSI disk model: seek/rotation/media-rate mechanics,
 //!   on-drive read-ahead cache (64 KB on the RZ56; 256 KB in 4 segments on
 //!   the RZ58), FIFO service, and the *pseudo-DMA* CPU cost of the
@@ -33,4 +34,4 @@ pub use disk::{Disk, IoDone, IoOp};
 pub use fault::{FaultDecision, FaultOp, FaultPlan};
 pub use profile::{CopyKind, DiskKind, DiskProfile, MachineProfile, SECTOR_SIZE};
 pub use ramdisk::RamDisk;
-pub use store::SparseStore;
+pub use store::{Block, SparseStore};

@@ -11,12 +11,16 @@
 //! called strategy (a user process doing `read(2)`, or the splice engine's
 //! deferred kernel work), which is what makes the RAM-disk rows of Table 1
 //! come out differently for CP and SCP.
+//!
+//! On the host the "copy" moves a shared [`Block`] reference between the
+//! medium and the caller (see [`crate::store`]); only its simulated cost,
+//! [`RamDisk::copy_cost`], is charged.
 
 use ksim::{Dur, Hist};
 
 use crate::fault::{FaultDecision, FaultPlan};
 use crate::profile::{DiskProfile, SECTOR_SIZE};
-use crate::store::SparseStore;
+use crate::store::{Block, SparseStore};
 
 /// Cumulative RAM-disk counters.
 #[derive(Default, Clone, Copy, Debug)]
@@ -41,18 +45,20 @@ pub struct RamDisk {
 }
 
 impl RamDisk {
-    /// Creates a RAM disk from a profile (normally [`DiskProfile::ramdisk`]).
+    /// Creates a RAM disk from a profile (normally [`DiskProfile::ramdisk`])
+    /// whose medium is held in `block_size`-byte blocks, the unit of every
+    /// transfer.
     ///
     /// # Panics
     ///
     /// Panics if the profile is not a RAM-kind profile.
-    pub fn new(profile: DiskProfile) -> Self {
+    pub fn new(profile: DiskProfile, block_size: usize) -> Self {
         assert_eq!(
             profile.kind,
             crate::profile::DiskKind::Ram,
             "RamDisk requires a RAM profile"
         );
-        let store = SparseStore::new(profile.bytes());
+        let store = SparseStore::new(profile.bytes(), block_size);
         RamDisk {
             profile,
             store,
@@ -63,9 +69,9 @@ impl RamDisk {
         }
     }
 
-    /// Installs (or clears) the fault plan consulted by the checked
-    /// access paths. Plain [`RamDisk::read`]/[`RamDisk::write`] and the
-    /// direct store accessors bypass it.
+    /// Installs (or clears) the fault plan consulted by
+    /// [`RamDisk::read`] and [`RamDisk::write`]. The direct store
+    /// accessors bypass it.
     pub fn set_fault_plan(&mut self, plan: Option<FaultPlan>) {
         self.fault = plan;
     }
@@ -110,108 +116,69 @@ impl RamDisk {
         Dur::for_bytes(len as u64, self.profile.host_copy_bps)
     }
 
-    /// Reads `len` bytes at `sector`, returning the data and the CPU cost
-    /// of the driver `bcopy`. Completion is immediate (synchronous).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned or out-of-range requests.
-    pub fn read(&mut self, sector: u64, len: usize) -> (Vec<u8>, Dur) {
-        let mut data = vec![0; len];
-        let cost = self.read_into(sector, &mut data);
-        (data, cost)
-    }
-
-    /// Reads `out.len()` bytes at `sector` straight into `out`, returning
-    /// the CPU cost of the driver `bcopy`. Completion is immediate
-    /// (synchronous).
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned or out-of-range requests.
-    pub fn read_into(&mut self, sector: u64, out: &mut [u8]) -> Dur {
-        let len = out.len();
-        assert!(
-            len > 0 && len.is_multiple_of(SECTOR_SIZE),
-            "unaligned length {len}"
-        );
-        self.store.read(sector * SECTOR_SIZE as u64, out);
+    /// Charges one driver `bcopy` of `len` bytes: the request counter, the
+    /// busy time and the service histogram.
+    fn charge(&mut self, len: usize) -> Dur {
         self.stats.requests += 1;
-        self.stats.bytes += len as u64;
         let cost = self.copy_cost(len);
         self.busy += cost;
         self.service_hist.record(cost.as_ns());
         cost
     }
 
-    /// Writes `data` at `sector`, returning the CPU cost of the driver
-    /// `bcopy`. Completion is immediate (synchronous).
+    /// Reads the `len`-byte block at `sector`, consulting the installed
+    /// [`FaultPlan`]. Returns the CPU cost of the driver `bcopy`
+    /// (stretched by any latency spike) and the medium's block, shared
+    /// rather than copied; `None` when the read failed, in which case the
+    /// copy was still charged but nothing reaches the caller. Completion
+    /// is immediate (synchronous).
     ///
     /// # Panics
     ///
-    /// Panics on unaligned or out-of-range requests.
-    pub fn write(&mut self, sector: u64, data: &[u8]) -> Dur {
-        assert!(
-            !data.is_empty() && data.len().is_multiple_of(SECTOR_SIZE),
-            "unaligned length {}",
-            data.len()
-        );
-        self.store.write(sector * SECTOR_SIZE as u64, data);
-        self.stats.requests += 1;
-        self.stats.bytes += data.len() as u64;
-        let cost = self.copy_cost(data.len());
-        self.busy += cost;
-        self.service_hist.record(cost.as_ns());
-        cost
+    /// Panics unless the request is exactly one aligned medium block.
+    pub fn read(&mut self, sector: u64, len: usize) -> (Dur, Option<Block>) {
+        let d = self.decide(false, sector, len);
+        let off = self.block_offset(sector, len);
+        let block = (!d.error).then(|| self.store.block(off));
+        self.stats.bytes += len as u64;
+        (self.charge(len) + d.extra_latency, block)
     }
 
-    /// Fault-aware read: like [`RamDisk::read_into`], but consults the
-    /// installed [`FaultPlan`]. On error `out` is left untouched (the
-    /// transfer never reached the caller's buffer) but the `bcopy` CPU
-    /// was still spent; latency spikes stretch the returned cost.
-    ///
-    /// Returns `(cost, error)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on unaligned or out-of-range requests.
-    pub fn read_into_checked(&mut self, sector: u64, out: &mut [u8]) -> (Dur, bool) {
-        let d = self.decide(false, sector, out.len());
-        let cost = if d.error {
-            // The copy still runs and is charged, but into scratch.
-            self.read(sector, out.len()).1
-        } else {
-            self.read_into(sector, out)
-        };
-        (cost + d.extra_latency, d.error)
-    }
-
-    /// Fault-aware write: like [`RamDisk::write`], but consults the
-    /// installed [`FaultPlan`]. A torn write persists only the decided
-    /// sector prefix before reporting the error.
-    ///
-    /// Returns `(cost, error)`.
+    /// Writes `block` at `sector`, consulting the installed [`FaultPlan`].
+    /// The medium keeps the block itself (no copy). A torn write persists
+    /// only the decided sector prefix before reporting the error. Returns
+    /// the CPU cost of the driver `bcopy` (stretched by any latency spike;
+    /// the extra latency is not device busy time) and whether the write
+    /// failed. Completion is immediate (synchronous).
     ///
     /// # Panics
     ///
-    /// Panics on unaligned or out-of-range requests.
-    pub fn write_checked(&mut self, sector: u64, data: &[u8]) -> (Dur, bool) {
-        let d = self.decide(true, sector, data.len());
+    /// Panics unless the request is exactly one aligned medium block.
+    pub fn write(&mut self, sector: u64, block: Block) -> (Dur, bool) {
+        let len = block.len();
+        let d = self.decide(true, sector, len);
+        let off = self.block_offset(sector, len);
         if d.error {
             let keep = d.torn_sectors.unwrap_or(0) as usize * SECTOR_SIZE;
             if keep > 0 {
-                self.store.write(sector * SECTOR_SIZE as u64, &data[..keep]);
+                self.store.write(off, &block[..keep]);
             }
-            self.stats.requests += 1;
-            // The bcopy CPU was spent even though the write tore; the
-            // injected extra latency is not device busy time.
-            let cost = self.copy_cost(data.len());
-            self.busy += cost;
-            self.service_hist.record(cost.as_ns());
-            (cost + d.extra_latency, true)
         } else {
-            (self.write(sector, data) + d.extra_latency, false)
+            self.store.put_block(off, block);
+            self.stats.bytes += len as u64;
         }
+        (self.charge(len) + d.extra_latency, d.error)
+    }
+
+    /// Byte offset of the `len`-byte request at `sector`, which must be
+    /// one whole medium block.
+    fn block_offset(&self, sector: u64, len: usize) -> u64 {
+        assert_eq!(
+            len,
+            self.store.block_size(),
+            "RAM-disk transfer of {len} bytes is not one medium block"
+        );
+        sector * SECTOR_SIZE as u64
     }
 
     fn decide(&mut self, write: bool, sector: u64, len: usize) -> FaultDecision {
@@ -225,19 +192,30 @@ impl RamDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultOp, FaultPlan};
+    use std::rc::Rc;
+
+    const BS: usize = 8192;
+
+    fn ramdisk() -> RamDisk {
+        RamDisk::new(DiskProfile::ramdisk(), BS)
+    }
 
     #[test]
-    fn roundtrip() {
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
-        let data: Vec<u8> = (0..8192).map(|i| (i * 7 % 256) as u8).collect();
-        rd.write(32, &data);
-        let (got, _) = rd.read(32, 8192);
-        assert_eq!(got, data);
+    fn roundtrip_shares_the_block() {
+        let mut rd = ramdisk();
+        let data: Block = Rc::new((0..BS).map(|i| (i * 7 % 256) as u8).collect());
+        rd.write(32, Rc::clone(&data));
+        let (_, got) = rd.read(32, BS);
+        assert!(
+            Rc::ptr_eq(&got.unwrap(), &data),
+            "the driver copied on the host"
+        );
     }
 
     #[test]
     fn copy_cost_matches_profile_rate() {
-        let rd = RamDisk::new(DiskProfile::ramdisk());
+        let rd = ramdisk();
         let cost = rd.copy_cost(8192);
         assert_eq!(
             cost,
@@ -250,77 +228,93 @@ mod tests {
 
     #[test]
     fn stats_count_both_directions() {
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
-        rd.write(0, &vec![0u8; 512]);
-        rd.read(0, 512);
+        let mut rd = ramdisk();
+        rd.write(0, Rc::new(vec![0u8; BS]));
+        rd.read(0, BS);
         assert_eq!(rd.stats().requests, 2);
-        assert_eq!(rd.stats().bytes, 1024);
+        assert_eq!(rd.stats().bytes, 2 * BS as u64);
     }
 
     #[test]
     fn busy_time_sums_copy_costs() {
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
-        rd.write(0, &vec![0u8; 8192]);
-        rd.read(0, 8192);
-        assert_eq!(rd.busy_time(), rd.copy_cost(8192) + rd.copy_cost(8192));
+        let mut rd = ramdisk();
+        rd.write(0, Rc::new(vec![0u8; BS]));
+        rd.read(0, BS);
+        assert_eq!(rd.busy_time(), rd.copy_cost(BS) + rd.copy_cost(BS));
         assert_eq!(rd.service_hist().count(), 2);
     }
 
     #[test]
+    #[should_panic(expected = "not one medium block")]
+    fn partial_block_rejected() {
+        ramdisk().read(0, 512);
+    }
+
+    #[test]
     #[should_panic(expected = "unaligned")]
-    fn unaligned_rejected() {
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
-        rd.read(0, 100);
+    fn unaligned_block_rejected() {
+        ramdisk().read(1, BS);
     }
 
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_rejected() {
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
         let sectors = DiskProfile::ramdisk().sectors;
-        rd.read(sectors, 512);
+        ramdisk().read(sectors, BS);
     }
 
     #[test]
     #[should_panic(expected = "RAM profile")]
     fn scsi_profile_rejected() {
-        RamDisk::new(DiskProfile::rz56());
+        RamDisk::new(DiskProfile::rz56(), BS);
     }
 
+    /// A failed read charges exactly what a clean one does, hands back no
+    /// block, and the retry succeeds.
     #[test]
-    fn checked_read_fails_then_recovers_per_plan() {
-        use crate::fault::{FaultOp, FaultPlan};
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
+    fn failed_read_charges_the_copy_but_delivers_nothing() {
+        let mut rd = ramdisk();
         rd.set_fault_plan(Some(FaultPlan::new(3).transient_eio_at(
             FaultOp::Read,
             16,
             1,
         )));
-        rd.write(16, &vec![7u8; 8192]);
-        let mut data = vec![1u8; 8192];
-        let (_, err) = rd.read_into_checked(16, &mut data);
-        assert!(err);
-        assert_eq!(data, vec![1u8; 8192], "a failed read must not land");
-        let (_, err) = rd.read_into_checked(16, &mut data);
-        assert!(!err);
-        assert_eq!(data, vec![7u8; 8192]);
+        let data: Block = Rc::new(vec![7u8; BS]);
+        rd.write(16, Rc::clone(&data));
+        let (cost, got) = rd.read(16, BS);
+        assert!(got.is_none(), "a failed read must not deliver");
+        assert_eq!(cost, rd.copy_cost(BS));
+        let (_, got) = rd.read(16, BS);
+        assert!(Rc::ptr_eq(&got.unwrap(), &data));
         assert_eq!(rd.fault_plan().unwrap().injected(), 1);
         assert_eq!(rd.stats().requests, 3);
+        assert_eq!(rd.stats().bytes, 3 * BS as u64);
+        assert_eq!(rd.busy_time(), rd.copy_cost(BS) * 3);
+        assert_eq!(rd.service_hist().count(), 3);
     }
 
+    /// A torn write persists only its sector prefix, leaves a sharer of
+    /// the old block untouched, and counts no bytes written.
     #[test]
-    fn checked_torn_write_persists_only_prefix() {
-        use crate::fault::FaultPlan;
-        let mut rd = RamDisk::new(DiskProfile::ramdisk());
-        rd.write(0, &vec![0xAAu8; 8192]);
+    fn torn_write_persists_only_prefix() {
+        let mut rd = ramdisk();
+        rd.write(0, Rc::new(vec![0xAAu8; BS]));
+        let (_, old) = rd.read(0, BS);
+        let old = old.unwrap();
         rd.set_fault_plan(Some(FaultPlan::new(3).torn_write(0, 2)));
-        let (_, err) = rd.write_checked(0, &vec![0x55u8; 8192]);
+        let (cost, err) = rd.write(0, Rc::new(vec![0x55u8; BS]));
         assert!(err);
-        let (got, _) = rd.read(0, 8192);
+        assert_eq!(cost, rd.copy_cost(BS));
+        assert_eq!(*old, vec![0xAAu8; BS], "the tear wrote through a sharer");
+        let got = rd.store().read_vec(0, BS);
         assert_eq!(&got[..2 * SECTOR_SIZE], &vec![0x55u8; 2 * SECTOR_SIZE][..]);
         assert_eq!(
             &got[2 * SECTOR_SIZE..],
-            &vec![0xAAu8; 8192 - 2 * SECTOR_SIZE][..]
+            &vec![0xAAu8; BS - 2 * SECTOR_SIZE][..]
         );
+        assert_eq!(rd.stats().requests, 3);
+        assert_eq!(rd.stats().bytes, 2 * BS as u64);
+        assert_eq!(rd.busy_time(), rd.copy_cost(BS) * 3);
+        assert_eq!(rd.service_hist().count(), 3);
     }
 }

@@ -6,6 +6,7 @@
 #![cfg(feature = "props")]
 
 use std::collections::HashMap;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 
@@ -37,7 +38,7 @@ proptest! {
 
     #[test]
     fn disk_serves_every_request_exactly_once(ops in prop::collection::vec(op(), 1..80)) {
-        let mut d = Disk::new(DiskProfile::rz58());
+        let mut d = Disk::new(DiskProfile::rz58(), BLK);
         let mut now = SimTime::ZERO;
         let mut next_token = 0u64;
         let mut outstanding: HashMap<u64, bool> = HashMap::new(); // token → is_write
@@ -52,7 +53,7 @@ proptest! {
                     now += Dur::from_us(gap_us);
                     let token = next_token;
                     next_token += 1;
-                    let data = write.then(|| vec![token as u8; BLK]);
+                    let data = write.then(|| Rc::new(vec![token as u8; BLK]));
                     let started = d.submit(now, token, if write { IoOp::Write } else { IoOp::Read }, blk * SPB, BLK, data);
                     outstanding.insert(token, write);
                     submitted.push(token);
@@ -105,14 +106,14 @@ proptest! {
     fn last_write_wins_per_block(
         writes in prop::collection::vec((0u64..20, any::<u8>()), 1..40)
     ) {
-        let mut d = Disk::new(DiskProfile::rz56());
+        let mut d = Disk::new(DiskProfile::rz56(), BLK);
         let mut now = SimTime::ZERO;
         let mut model: HashMap<u64, u8> = HashMap::new();
         for (i, (blk, byte)) in writes.iter().enumerate() {
             // Serialise: run each write to completion so "last" is
             // unambiguous.
             let s = d
-                .submit(now, i as u64, IoOp::Write, blk * SPB, BLK, Some(vec![*byte; BLK]))
+                .submit(now, i as u64, IoOp::Write, blk * SPB, BLK, Some(Rc::new(vec![*byte; BLK])))
                 .expect("idle");
             let (_, next) = d.complete(s.finish);
             assert!(next.is_none());
@@ -134,7 +135,7 @@ proptest! {
         // Any single request finishes within per_request + max seek +
         // rotation + transfer (no unbounded waits on an idle drive).
         let p = DiskProfile::rz56();
-        let mut d = Disk::new(p.clone());
+        let mut d = Disk::new(p.clone(), BLK);
         let s1 = d.submit(SimTime::ZERO, 1, IoOp::Read, blk_a * SPB, BLK, None).unwrap();
         let (_, _) = d.complete(s1.finish);
         let s2 = d.submit(s1.finish, 2, IoOp::Read, blk_b * SPB, BLK, None).unwrap();

@@ -2,7 +2,8 @@
 # Tier-1 gate, run exactly as CI does: hermetic build + tests, formatting
 # and lints (every target, props suites and the benchmark package too) and
 # rustdoc links as errors, every example binary, randomized-seed replays,
-# every property suite, the end-to-end benchmark's contract tests, and
+# every property suite, the mutation catalog (scripts/mutants.sh), the
+# end-to-end benchmark's contract tests, and
 # every seeded bench producer run twice with byte-identical output.
 # Each producer asserts its own paper claims and panics when one fails;
 # benchdiff then gates every artifact value against the committed
@@ -55,6 +56,9 @@ echo "== property suites (differential models, props feature) =="
 cargo test -q -p splice-repro -p ksim -p kbuf -p kfs -p khw -p kdev -p kproc \
     --features splice-repro/props,ksim/props,kbuf/props,kfs/props,khw/props,kdev/props,kproc/props \
     --test props --test props_kernel
+
+echo "== mutation catalog: every scripts/mutants/*.patch is caught by its named check =="
+scripts/mutants.sh
 
 echo "== end-to-end benchmark contract (perfbench, its own package) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml

@@ -87,6 +87,52 @@ fn splice_moves_zero_user_bytes() {
     assert_eq!(m.copy.cache_bytes, 0, "shared header, no cache copy");
 }
 
+/// How many of `/d1/dst`'s medium blocks are the very block (same
+/// allocation, not equal bytes) that `/d0/src` holds at the same offset.
+fn dst_blocks_shared_with_src(k: &Kernel, len: u64) -> usize {
+    let bs = k.disks()[0].kind.store().block_size() as u64;
+    let blocks = |disk: usize, path: &str| -> Vec<khw::Block> {
+        let unit = &k.disks()[disk];
+        let ino = unit.fs.lookup(path).expect("file exists");
+        (0..len.div_ceil(bs))
+            .map(|lblk| {
+                let pblk = unit.fs.bmap(ino, lblk).expect("mapped block");
+                unit.kind.store().block(pblk * bs)
+            })
+            .collect()
+    };
+    let (src, dst) = (blocks(0, "/src"), blocks(1, "/dst"));
+    src.iter()
+        .zip(&dst)
+        .filter(|(s, d)| std::rc::Rc::ptr_eq(s, d))
+        .count()
+}
+
+/// A splice moves each block from the source medium to the destination
+/// medium without a host copy: every destination block is the source's
+/// own. A read/write copy passes the bytes through user space, so no
+/// destination block is.
+#[test]
+fn scp_shares_every_medium_block_and_cp_shares_none() {
+    let len = MB;
+    for (name, prog, shared) in [
+        (
+            "scp",
+            Box::new(Scp::new("/d0/src", "/d1/dst")) as Box<dyn Program>,
+            (len / 8192) as usize,
+        ),
+        ("cp", Box::new(Cp::new("/d0/src", "/d1/dst")), 0),
+    ] {
+        let mut k = machine(DiskProfile::ramdisk());
+        k.setup_file("/d0/src", len, 8);
+        k.cold_cache();
+        run_copy(&mut k, prog);
+        k.cold_cache();
+        assert_copied(&mut k, len, 8);
+        assert_eq!(dst_blocks_shared_with_src(&k, len), shared, "{name}");
+    }
+}
+
 #[test]
 fn repeated_splices_reuse_the_destination() {
     let mut k = machine(DiskProfile::ramdisk());

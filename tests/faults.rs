@@ -407,3 +407,96 @@ fn fault_events_appear_in_trace_and_kstat() {
     let spans = q.block_spans(1);
     assert!(spans.iter().all(|s| s.complete()), "incomplete block span");
 }
+
+/// What a faulted copy left behind: exit status, device errors, engine
+/// retries, per-disk requests and busy time, driver bytes, the finish
+/// time, and the destination's first bad offset (`u64::MAX` when clean).
+fn fault_path_outcome(profile: DiskProfile, cp: bool) -> Vec<u64> {
+    const BLOCKS: u64 = 16;
+    let len = BLOCKS * 8192;
+    let mut k = KernelBuilder::paper_machine(profile)
+        .tune(|cfg| cfg.update_interval = None)
+        .build();
+    k.setup_file("/d0/src", len, 13);
+    // Pre-allocate the destination so its sectors are known; the copy
+    // truncates it and reallocates the same blocks.
+    k.setup_file("/d1/dst", len, 14);
+    k.cold_cache();
+    let read_sector = sector_of(&k, 0, "/src", 4);
+    let write_sector = sector_of(&k, 1, "/dst", 6);
+    k.set_fault_plan(
+        0,
+        FaultPlan::new(5).transient_eio_at(FaultOp::Read, read_sector, 1),
+    );
+    k.set_fault_plan(1, FaultPlan::new(6).torn_write(write_sector, 3));
+    let prog: Box<dyn kproc::Program> = if cp {
+        Box::new(Cp::new("/d0/src", "/d1/dst"))
+    } else {
+        Box::new(Scp::with_options("/d0/src", "/d1/dst", ScpMode::Sync, 1))
+    };
+    let pid = k.spawn(prog);
+    let horizon = k.horizon(600);
+    k.run_to_exit(horizon);
+    settle(&mut k);
+    let ProcState::Exited(code) = k.procs().must(pid).state else {
+        panic!("copy did not exit");
+    };
+    let m = k.metrics();
+    let d = k.disks();
+    vec![
+        code as u64,
+        m.io.errors,
+        m.splice.retries,
+        d[0].kind.requests(),
+        d[0].kind.busy_time().as_ns(),
+        d[1].kind.requests(),
+        d[1].kind.busy_time().as_ns(),
+        m.copy.driver_bytes,
+        k.now().since(ksim::SimTime::ZERO).as_ns(),
+        k.verify_pattern_file("/d1/dst", len, 13)
+            .unwrap_or(u64::MAX),
+    ]
+}
+
+/// A failed RAM or SCSI read, and a torn write, charge and deliver what
+/// they always have: the outcome of each faulted copy is pinned to the
+/// values recorded before medium and cache shared their blocks. A failed
+/// read that still delivered its block, or a tear that wrote through a
+/// shared block, moves one of them.
+#[test]
+fn fault_paths_behave_exactly_as_before() {
+    const CLEAN: u64 = u64::MAX;
+    let cases: [(DiskProfile, bool, [u64; 10]); 4] = [
+        (
+            DiskProfile::ramdisk(),
+            false,
+            [0, 2, 2, 17, 13926400, 17, 13926400, 278528, 36413450, CLEAN],
+        ),
+        // cp stops at the read error: the destination ends at block 4.
+        (
+            DiskProfile::ramdisk(),
+            true,
+            [1, 1, 0, 5, 4096000, 4, 3276800, 73728, 18435904, 32768],
+        ),
+        (
+            DiskProfile::rz58(),
+            false,
+            [
+                0, 2, 2, 17, 63741274, 17, 111540822, 278528, 127996502, CLEAN,
+            ],
+        ),
+        // cp's write-behind never sees the torn write's error: block 6
+        // keeps only its 3-sector prefix.
+        (
+            DiskProfile::rz58(),
+            true,
+            [
+                0, 2, 0, 17, 68738461, 16, 77016288, 270336, 113174286, 50688,
+            ],
+        ),
+    ];
+    for (profile, cp, want) in cases {
+        let name = format!("{} {}", profile.name, if cp { "cp" } else { "scp" });
+        assert_eq!(fault_path_outcome(profile, cp), want, "{name}");
+    }
+}
