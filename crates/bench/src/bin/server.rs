@@ -3,12 +3,12 @@
 //!
 //! For each nominal connection count (1k, 10k, 100k, 1M) and each serve
 //! mode — one-at-a-time `splice(2)`, depth-64 splice ring, cp-relay —
-//! an open-loop client fleet (constant offered rate, arrivals spread by
-//! a seeded draw) fetches one 8 KB file each over a modeled 1 Gb/s
-//! link, while the §6.2 fixed-work compute program contends for the
-//! CPU. Reported per row: request→last-byte p50/p99/p999 latency, drop
-//! and backpressure counters, and the compute PID's CPU share — the
-//! paper's availability claim at connection scale.
+//! an open-loop traffic source with no CPU of its own (constant offered
+//! rate, seeded arrivals) fetches one 8 KB file per arrival over a
+//! modeled 1 Gb/s link, while the §6.2 fixed-work compute program
+//! contends for the CPU. Reported per row: arrival→last-byte
+//! p50/p99/p999 latency, drop and backpressure counters, and the compute
+//! PID's CPU share — the paper's availability claim at connection scale.
 //!
 //! By default the sweep runs host-speed **smoke** counts (the larger
 //! nominals are scaled down; the open-loop offered rate is what
@@ -75,6 +75,9 @@ struct Row {
     snd_blocked: u64,
     compute_share: f64,
     elapsed_s: f64,
+    /// Connections served while the compute program ran: the share
+    /// measures serving only where this is not near 0.
+    served_in_window: u64,
     /// Sockets still open after the drain (must be 0).
     open_socks: usize,
     /// Splice spans still kept in full after the drain (at most
@@ -98,6 +101,7 @@ impl Row {
             .with("snd_blocked", Json::Num(self.snd_blocked as f64))
             .with("compute_cpu_share", Json::Num(self.compute_share))
             .with("elapsed_s", Json::Num(self.elapsed_s))
+            .with("served_in_window", Json::Num(self.served_in_window as f64))
     }
 }
 
@@ -116,10 +120,11 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
     // cycle the serving path burns delays the compute exit.
     let t1 = k.run_until_exit_of(compute, horizon);
     let elapsed = t1.since(t0);
-    // Then drain the whole fleet: every client must finish byte-exact.
-    k.run_to_exit(horizon);
+    let served_in_window = run.stats.borrow().served;
+    // Then drain the run: every fetch must finish byte-exact.
+    k.run_until(horizon, |k| run.finished(k));
     sc.check(&k, &run, format_args!("{} @ {nominal}", mode.name));
-    // Kernel memory follows open connections: the drained fleet leaves
+    // Kernel memory follows open connections: the drained run leaves
     // no socket behind, and of its splices only the recent ring is
     // kept in full.
     let open_socks = k.net().open_socks();
@@ -155,6 +160,7 @@ fn run(nominal: u64, conns: usize, mode: Mode) -> Row {
         snd_blocked: m.net.snd_blocked,
         compute_share,
         elapsed_s: elapsed.as_secs_f64(),
+        served_in_window,
         open_socks,
         spans_kept,
     }
@@ -199,7 +205,7 @@ fn main() {
 
     print_table(
         &[
-            "conns", "mode", "p50 ms", "p99 ms", "p999 ms", "share", "sndblk",
+            "conns", "mode", "p50 ms", "p99 ms", "p999 ms", "share", "window", "sndblk",
         ],
         &rows
             .iter()
@@ -211,6 +217,7 @@ fn main() {
                     format!("{:.3}", r.p99_ms),
                     format!("{:.3}", r.p999_ms),
                     format!("{:.3}", r.compute_share),
+                    format!("{}", r.served_in_window),
                     format!("{}", r.snd_blocked),
                 ]
             })

@@ -34,7 +34,7 @@ const SERVER_CONNS: usize = 512;
 const SERVER_DEPTH: u32 = 64;
 /// Pattern + arrival + link seed of the `server` workload.
 const SERVER_SEED: u64 = 0x5e12;
-/// Arrival window the `server` workload's clients spread over.
+/// Arrival window the `server` workload's fetches spread over.
 const SERVER_WINDOW: Dur = Dur::from_ms(100);
 
 /// Provenance of one workload: the pattern seeds it feeds to
@@ -257,7 +257,7 @@ fn ring(sample: Option<(Dur, usize)>) -> Kernel {
 }
 
 /// The connection-scale scenario: a splice-ring server fetches one
-/// 8 KB file to each of 512 open-loop clients over a lossless modeled
+/// 8 KB file to each of 512 open-loop fetches over a lossless modeled
 /// link — the workload behind `bench --bin server`'s sweep, at a
 /// tracedump-friendly size.
 fn server(sample: Option<(Dur, usize)>) -> Kernel {

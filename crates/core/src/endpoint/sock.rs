@@ -8,7 +8,7 @@
 //! Stream **sink**: one arrived block becomes one datagram — no user
 //! copy, no socket-buffer copy.
 
-use knet::{Datagram, SockId};
+use knet::{Datagram, NetErr, SockId};
 use ksim::{Dur, TraceEvent};
 
 use crate::endpoint::Block;
@@ -24,38 +24,54 @@ impl Kernel {
         Some(data)
     }
 
-    /// Sends `payload` as one datagram and schedules its delivery.
-    pub(crate) fn sock_send_payload(&mut self, sock: SockId, payload: Vec<u8>) {
+    /// Commits `data` from `sock` to the wire: schedules its delivery at
+    /// the link's arrival instant, or traces the drop when it has no
+    /// receiver or the link lost it. The one transmit path of `send(2)`,
+    /// the splice socket sink and the traffic source. A send that
+    /// commits nothing hands the payload back with the error.
+    pub(crate) fn transmit(
+        &mut self,
+        sock: SockId,
+        data: Vec<u8>,
+    ) -> Result<(), (NetErr, Vec<u8>)> {
         let now = self.q.now();
+        let len = data.len() as u32;
+        let tx = match self.net.send(now, sock, data.len()) {
+            Ok(tx) => tx,
+            Err(e) => return Err((e, data)),
+        };
+        if let Some(dst) = tx.dst {
+            self.trace
+                .emit(now, || TraceEvent::NetSend { sock: sock.0, len });
+            let src = self.net.source_addr(sock).expect("socket exists");
+            self.q.schedule(
+                tx.arrival.max(now),
+                Event::NetDeliver {
+                    dst,
+                    dgram: Datagram {
+                        src,
+                        src_sock: sock,
+                        data,
+                    },
+                },
+            );
+        } else {
+            // No receiver, or lost on the link: knet counted it.
+            self.trace
+                .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
+        }
+        Ok(())
+    }
+
+    /// Sends a splice payload as one datagram; a send the stack refuses
+    /// is counted and traced as a drop.
+    pub(crate) fn sock_send_payload(&mut self, sock: SockId, payload: Vec<u8>) {
         let len = payload.len() as u32;
-        match self.net.send(now, sock, payload.len()) {
-            Ok(tx) => {
-                if let Some(dst) = tx.dst {
-                    self.trace
-                        .emit(now, || TraceEvent::NetSend { sock: sock.0, len });
-                    let src_addr = self.net.source_addr(sock).expect("socket exists");
-                    self.q.schedule(
-                        tx.arrival.max(now),
-                        Event::NetDeliver {
-                            dst,
-                            dgram: Datagram {
-                                src: src_addr,
-                                src_sock: sock,
-                                data: payload,
-                            },
-                        },
-                    );
-                } else {
-                    // No peer bound: knet counted the drop.
-                    self.trace
-                        .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
-                }
-            }
-            Err(_) => {
-                self.ctr.splice.sock_send_errs += 1;
-                self.trace
-                    .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
-            }
+        if self.transmit(sock, payload).is_err() {
+            self.ctr.splice.sock_send_errs += 1;
+            let now = self.q.now();
+            self.trace
+                .emit(now, || TraceEvent::NetDrop { sock: sock.0, len });
         }
     }
 

@@ -200,6 +200,8 @@ pub enum Event {
         /// The datagram.
         dgram: Datagram,
     },
+    /// The traffic source's next intended arrival is due.
+    Arrival,
     /// A context switch finished; start running the process.
     Dispatch {
         /// Process taking the CPU.

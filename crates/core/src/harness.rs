@@ -9,12 +9,10 @@ use std::rc::Rc;
 use kdev::{AudioDac, Framebuffer, VideoDac};
 use kfs::Ino;
 use khw::DiskProfile;
-use knet::LinkModel;
+use knet::{LinkModel, NetAddr};
 use kproc::programs::util::{pattern_check, pattern_fill};
-use kproc::programs::{
-    open_loop_delays, scenario_stats, ServeMode, ServerClient, SharedScenario, SpliceServer,
-};
-use kproc::{Pid, ProcState, SockAddr};
+use kproc::programs::{open_loop_delays, scenario_stats, ServeMode, SharedScenario, SpliceServer};
+use kproc::{Pid, ProcState};
 use ksim::{Dur, SimTime};
 
 use crate::kernel::{Kernel, KernelConfig};
@@ -144,35 +142,41 @@ impl KernelBuilder {
 /// The connection-scale server scenario — the §6.2 method with a file
 /// server as the contender: a seeded file on `/d0`, a lossless 1 Gb/s
 /// link to the server's host, a [`SpliceServer`], and an open-loop
-/// fleet of [`ServerClient`]s that fetch the file once each. This is the
-/// one place the client fleet is wired; the fields are what callers
+/// traffic source at the link that runs on no simulated CPU. This is
+/// the one place the scenario is wired; the fields are what callers
 /// vary.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeScenario {
-    /// Client connections, all of which the server serves.
+    /// Connections, all of which the server serves.
     pub conns: usize,
-    /// Window the client arrivals are spread over.
+    /// Window the arrivals are spread over.
     pub window: Dur,
     /// How the server moves the file onto each connection.
     pub mode: ServeMode,
     /// Bytes of the file every connection fetches.
     pub file_bytes: u64,
-    /// Pattern seed of the file the clients verify.
+    /// Pattern seed of the file the source verifies.
     pub seed: u64,
     /// Seed of the arrival draw and of the link model.
     pub arrival_seed: u64,
-    /// Added to every arrival (e.g. to land past the server's own
-    /// `socket`/`bind`/`listen` syscalls).
-    pub offset: Dur,
 }
 
-/// The server and the shared client results of one
+/// The server and the shared fetch results of one
 /// [`ServeScenario::spawn`].
 pub struct ServeRun {
     /// The server process.
     pub server: Pid,
-    /// Results aggregated by every client.
+    /// Results the server and the traffic source tally.
     pub stats: SharedScenario,
+}
+
+impl ServeRun {
+    /// The run predicate: the server has exited and the traffic source
+    /// has ended every fetch (one whose datagram the link lost never
+    /// ends, so a lossy run needs a horizon).
+    pub fn finished(&self, k: &Kernel) -> bool {
+        k.procs().must(self.server).exited() && k.traffic_idle()
+    }
 }
 
 impl ServeScenario {
@@ -187,9 +191,9 @@ impl ServeScenario {
     /// Bytes of the default file (one block).
     pub const FILE_BYTES: u64 = 8 * 1024;
 
-    /// `conns` clients fetching [`Self::FILE_BYTES`] each, arriving at
-    /// [`Self::ARRIVALS_PER_SEC`] with no offset; `seed` seeds the
-    /// file, the arrivals and the link alike.
+    /// `conns` fetches of [`Self::FILE_BYTES`] each, arriving at
+    /// [`Self::ARRIVALS_PER_SEC`]; `seed` seeds the file, the arrivals
+    /// and the link alike.
     pub fn new(conns: usize, mode: ServeMode, seed: u64) -> ServeScenario {
         ServeScenario {
             conns,
@@ -198,7 +202,6 @@ impl ServeScenario {
             file_bytes: Self::FILE_BYTES,
             seed,
             arrival_seed: seed,
-            offset: Dur::ZERO,
         }
     }
 
@@ -214,7 +217,9 @@ impl ServeScenario {
         k
     }
 
-    /// Spawns the server, then the client fleet.
+    /// Spawns the server, runs the kernel until the server first blocks
+    /// (its listener is up by then), then starts the traffic source: the
+    /// arrival window opens there.
     pub fn spawn(&self, k: &mut Kernel) -> ServeRun {
         self.spawn_with(k, |stats| {
             SpliceServer::new(
@@ -230,7 +235,7 @@ impl ServeScenario {
     }
 
     /// [`Self::spawn`] with a caller-built server (a smaller backlog, a
-    /// warmup nap), handed the stats block the fleet reports into.
+    /// warmup nap), handed the stats block the run reports into.
     pub fn spawn_with(
         &self,
         k: &mut Kernel,
@@ -238,24 +243,31 @@ impl ServeScenario {
     ) -> ServeRun {
         let stats = scenario_stats();
         let server = k.spawn(Box::new(server(Rc::clone(&stats))));
-        let addr = SockAddr {
+        let addr = NetAddr {
             host: Self::HOST,
             port: Self::PORT,
         };
-        for delay in open_loop_delays(self.conns, self.window, self.arrival_seed) {
-            k.spawn(Box::new(ServerClient::new(
-                addr,
-                self.file_bytes,
-                self.seed,
-                delay + self.offset,
-                Rc::clone(&stats),
-            )));
-        }
+        let horizon = k.horizon(600);
+        k.run_until(horizon, |k| {
+            !matches!(
+                k.procs().must(server).state,
+                ProcState::Runnable | ProcState::Running
+            )
+        });
+        let start = k.now();
+        let arrivals = open_loop_delays(self.conns, self.window, self.arrival_seed);
+        k.attach_traffic(
+            addr,
+            self.file_bytes,
+            self.seed,
+            arrivals.into_iter().map(|d| start + d).collect(),
+            Rc::clone(&stats),
+        );
         ServeRun { server, stats }
     }
 
     /// Asserts a finished run served everyone: the server exited 0 and
-    /// every client received the whole file byte-exact. `what` prefixes
+    /// every fetch received the whole file byte-exact. `what` prefixes
     /// the failure message.
     ///
     /// # Panics
@@ -267,7 +279,7 @@ impl ServeScenario {
             "{what}: server failed"
         );
         let s = run.stats.borrow();
-        assert_eq!(s.completed, self.conns as u64, "{what}: clients short");
+        assert_eq!(s.completed, self.conns as u64, "{what}: fetches short");
         assert_eq!(s.mismatches, 0, "{what}: corrupted delivery");
         assert_eq!(
             s.bytes_received,
@@ -276,16 +288,17 @@ impl ServeScenario {
         );
     }
 
-    /// Boots, spawns, runs every process to exit and checks the run.
+    /// Boots, spawns, runs until [`ServeRun::finished`] and checks the
+    /// run.
     ///
     /// # Panics
     ///
-    /// As [`Self::check`], or if the run hangs.
+    /// As [`Self::check`], which a hung run fails.
     pub fn serve(&self, b: KernelBuilder, what: impl Display) -> (Kernel, ServeRun) {
         let mut k = self.boot(b);
         let run = self.spawn(&mut k);
         let horizon = k.horizon(600);
-        k.run_to_exit(horizon);
+        k.run_until(horizon, |k| run.finished(k));
         self.check(&k, &run, what);
         (k, run)
     }

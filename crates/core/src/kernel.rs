@@ -140,6 +140,8 @@ pub struct Kernel {
     /// The resource-accounting sampler, when enabled via
     /// [`KernelBuilder::sample`](crate::KernelBuilder::sample).
     pub(crate) sampler: Option<crate::profile::Sampler>,
+    /// The off-CPU traffic source of a served scenario, if attached.
+    pub(crate) source: Option<Box<crate::traffic::TrafficSource>>,
 }
 
 /// Default trace-ring capacity when tracing is toggled on without the
@@ -190,6 +192,7 @@ impl Kernel {
             io_issued: IdMap::default(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
             sampler: None,
+            source: None,
         };
         // Boot the clock and the update daemon.
         let tick = k.cfg.machine.tick();
@@ -223,6 +226,7 @@ impl Kernel {
             fs,
             dev,
             write_inflight: 0,
+            wb_err: 0,
         });
         idx
     }
@@ -656,6 +660,12 @@ impl Kernel {
         let tag = self.cache.biodone(buf, error, &mut fx);
         let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
         debug_assert!(sync.is_zero(), "biodone must not start sync I/O");
+        if error && dir == IoDir::Write && tag.is_none() {
+            // A failed write with no completion handler (write-behind,
+            // a flush) reaches no caller: record it for the next fsync
+            // of a file on this disk.
+            self.disks[disk_idx].wb_err += 1;
+        }
         if let Some(tag) = tag {
             let work = self
                 .iodone_map
@@ -1157,6 +1167,9 @@ impl Kernel {
             Event::Apply(work) => self.on_apply(work),
             Event::UserDone { pid, gen } => self.on_user_done(pid, gen),
             Event::TimedWake { pid } => self.on_timed_wake(pid),
+            // Replies to the traffic source are consumed at the link;
+            // everything else pays the protocol's soft work.
+            Event::NetDeliver { dst, dgram } if self.source_owns(dst) => self.source_rx(dst, dgram),
             Event::NetDeliver { dst, dgram } => {
                 self.enqueue_kwork(
                     WorkClass::Soft,
@@ -1164,6 +1177,7 @@ impl Kernel {
                     KWork::NetRx { dst, dgram },
                 );
             }
+            Event::Arrival => self.on_arrival(),
             Event::Dispatch { pid } => {
                 self.dispatch_pending = false;
                 self.resched = false;

@@ -73,6 +73,7 @@ pub mod profile;
 pub mod splice_engine;
 pub mod splice_ring;
 pub mod syscalls;
+mod traffic;
 
 pub use endpoint::{caps, EndpointCaps, ObjClass};
 pub use harness::{KernelBuilder, ServeScenario};

@@ -97,6 +97,11 @@ pub struct DiskUnit {
     pub dev: DevId,
     /// Asynchronous writes in flight to this device (fsync waits on 0).
     pub write_inflight: u32,
+    /// Failed write-behind writes to this device so far, errseq-style
+    /// and per disk (Linux's per-superblock `s_wb_err`, not its
+    /// per-inode `mapping->wb_err`): every open file samples it, and its
+    /// next `fsync` returns `EIO` once for every failure since.
+    pub wb_err: u64,
 }
 
 /// A character device instance.
@@ -142,6 +147,9 @@ pub enum FileObj {
     },
 }
 
+/// [`OpenFile::last_lblk`] of a file not yet read sequentially.
+pub const NO_LBLK: u64 = u64::MAX;
+
 /// A system open-file table entry (shared offset semantics like UNIX).
 pub struct OpenFile {
     /// What it refers to.
@@ -157,8 +165,13 @@ pub struct OpenFile {
     /// Descriptor references (close drops; entry dies at zero).
     pub refs: u32,
     /// Last logical block read (sequential-access detection for
-    /// read-ahead).
-    pub last_lblk: Option<u64>,
+    /// read-ahead); [`NO_LBLK`] before the first read and after a seek.
+    /// A plain `u64` keeps the entry at 48 bytes with [`Self::wb_err`]:
+    /// ten thousand open sockets hold one each.
+    pub last_lblk: u64,
+    /// The file's disk's [`DiskUnit::wb_err`] as this descriptor last
+    /// saw it (sampled at open; 0 for non-files).
+    pub wb_err: u64,
 }
 
 /// The open-file table plus per-process descriptor tables.
@@ -341,7 +354,8 @@ mod tests {
             readable: true,
             writable: false,
             refs: 1,
-            last_lblk: None,
+            last_lblk: NO_LBLK,
+            wb_err: 0,
         }
     }
 

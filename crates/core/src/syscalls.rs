@@ -16,9 +16,9 @@ use knet::{Datagram, NetErr, SockId};
 use kproc::{Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, Sig, SyscallReq, SyscallRet};
 use ksim::{Dur, SimTime, TraceEvent};
 
-use crate::event::{Event, KWork};
+use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
-use crate::objects::{CharDev, FileId, FileObj, OpenFile};
+use crate::objects::{CharDev, FileId, FileObj, OpenFile, NO_LBLK};
 
 /// Result of executing (part of) a system call.
 pub(crate) enum SyscallOutcome {
@@ -193,7 +193,7 @@ impl Kernel {
                 };
                 let of = self.files.get_mut(fid).unwrap();
                 of.offset = pos;
-                of.last_lblk = None;
+                of.last_lblk = NO_LBLK;
                 SyscallOutcome::Done {
                     cpu: base,
                     ret: SyscallRet::Val(pos as i64),
@@ -312,7 +312,8 @@ impl Kernel {
                         readable: true,
                         writable: true,
                         refs: 1,
-                        last_lblk: None,
+                        last_lblk: NO_LBLK,
+                        wb_err: 0,
                     },
                 );
                 SyscallOutcome::Done {
@@ -483,7 +484,8 @@ impl Kernel {
                     readable: flags.read || !flags.write,
                     writable: flags.write,
                     refs: 1,
-                    last_lblk: None,
+                    last_lblk: NO_LBLK,
+                    wb_err: 0,
                 },
             );
             return SyscallOutcome::Done {
@@ -520,7 +522,8 @@ impl Kernel {
                 readable: flags.read || !flags.write,
                 writable: flags.write,
                 refs: 1,
-                last_lblk: None,
+                last_lblk: NO_LBLK,
+                wb_err: self.disks[disk].wb_err,
             },
         );
         SyscallOutcome::Done {
@@ -672,7 +675,7 @@ impl Kernel {
                 self.ctr.copy.copyout_bytes += take as u64;
                 let of = self.files.get_mut(c.fid).unwrap();
                 of.offset += take as u64;
-                of.last_lblk = Some(lblk);
+                of.last_lblk = lblk;
                 continue;
             };
 
@@ -680,7 +683,7 @@ impl Kernel {
             // latency to hide and read-ahead would only mis-attribute its
             // copy cost).
             let sequential =
-                lblk == 0 || of.last_lblk == Some(lblk - 1) || of.last_lblk == Some(lblk);
+                lblk == 0 || of.last_lblk.wrapping_add(1) == lblk || of.last_lblk == lblk;
             if sequential && !self.disks[disk].kind.is_ram() {
                 if let Some(ra_pblk) = self.disks[disk].fs.bmap(ino, lblk + 1) {
                     let mut fx = Vec::new();
@@ -712,10 +715,10 @@ impl Kernel {
                     cpu += self.apply_cache_effects(fx, IoCtx::Process);
                     let of = self.files.get_mut(c.fid).unwrap();
                     of.offset += take as u64;
-                    of.last_lblk = Some(lblk);
+                    of.last_lblk = lblk;
                 }
                 BreadOutcome::Miss(buf) => {
-                    self.files.get_mut(c.fid).unwrap().last_lblk = Some(lblk);
+                    self.files.get_mut(c.fid).unwrap().last_lblk = lblk;
                     if self.cache.io_done(buf) {
                         // RAM disk completed synchronously; use it now.
                         if self.cache.flags(buf).contains(BufFlags::ERROR) {
@@ -1020,6 +1023,17 @@ impl Kernel {
                 chan: Chan::new(ChanSpace::Fsync, disk as u64),
             };
         }
+        // A write-behind write failed since this descriptor last looked:
+        // report it once, and skip the metadata writeback.
+        let wb_err = self.disks[disk].wb_err;
+        let of = self.files.get_mut(fid).expect("checked above");
+        if of.wb_err != wb_err {
+            of.wb_err = wb_err;
+            return SyscallOutcome::Done {
+                cpu,
+                ret: SyscallRet::Err(Errno::Eio),
+            };
+        }
 
         // Phase 2: metadata writeback, charged as timed device traffic.
         let unit = &mut self.disks[disk];
@@ -1051,48 +1065,24 @@ impl Kernel {
     // ----- sockets ----------------------------------------------------------------
 
     fn do_send(&mut self, sock: SockId, data: Vec<u8>, base: Dur) -> SyscallOutcome {
-        let now = self.q.now();
         let len = data.len();
-        match self.net.send(now, sock, len) {
-            Ok(tx) => {
-                let cpu = base
-                    + self.cfg.machine.udp_packet
-                    + self.cfg.machine.copy_cost(CopyKind::Net, len);
+        match self.transmit(sock, data) {
+            Ok(()) => {
                 self.ctr.copy.net_bytes += len as u64;
                 // A user-space relay serves its connection with send(2):
                 // accepted bytes land on the open request record.
                 self.kstat.requests.transfer(sock.0, len as u64, None);
-                if let Some(dst) = tx.dst {
-                    self.trace.emit(now, || TraceEvent::NetSend {
-                        sock: sock.0,
-                        len: len as u32,
-                    });
-                    let src = self.net.source_addr(sock).expect("socket exists");
-                    self.q.schedule(
-                        tx.arrival.max(now),
-                        Event::NetDeliver {
-                            dst,
-                            dgram: Datagram {
-                                src,
-                                src_sock: sock,
-                                data,
-                            },
-                        },
-                    );
-                } else {
-                    self.trace.emit(now, || TraceEvent::NetDrop {
-                        sock: sock.0,
-                        len: len as u32,
-                    });
-                }
                 SyscallOutcome::Done {
-                    cpu,
+                    cpu: base
+                        + self.cfg.machine.udp_packet
+                        + self.cfg.machine.copy_cost(CopyKind::Net, len),
                     ret: SyscallRet::Val(len as i64),
                 }
             }
             // Send buffer full: park the caller until the link drains
             // enough to fit the datagram, then re-run the send.
-            Err(NetErr::WouldBlock) => {
+            Err((NetErr::WouldBlock, data)) => {
+                let now = self.q.now();
                 let ready = self.net.link_ready_at(now, sock, len);
                 let until = ready.max(now + Dur::from_us(1));
                 SyscallOutcome::BlockUntil {
@@ -1101,7 +1091,7 @@ impl Kernel {
                     then: WakeAction::Resume(Cont::Send { sock, data }),
                 }
             }
-            Err(e) => self.err(net_errno(e)),
+            Err((e, _)) => self.err(net_errno(e)),
         }
     }
 
@@ -1123,7 +1113,8 @@ impl Kernel {
                         readable: true,
                         writable: true,
                         refs: 1,
-                        last_lblk: None,
+                        last_lblk: NO_LBLK,
+                        wb_err: 0,
                     },
                 );
                 // Open the request record: accept is its birth, and the
@@ -1182,6 +1173,7 @@ impl Kernel {
     pub(crate) fn net_rx(&mut self, dst: SockId, dgram: Datagram) {
         let now = self.q.now();
         let len = dgram.data.len() as u32;
+        let from = dgram.src_sock;
         match self.net.deliver(dst, dgram) {
             knet::DeliverOutcome::Queued { sock } => {
                 self.trace
@@ -1199,6 +1191,7 @@ impl Kernel {
                 self.ctr.rx_dropped += 1;
                 self.trace
                     .emit(now, || TraceEvent::NetDrop { sock: dst.0, len });
+                self.source_refused(from);
             }
         }
     }

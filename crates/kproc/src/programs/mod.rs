@@ -19,7 +19,9 @@
 //!   (read/write vs splice) for the socket-to-socket data path (§5.1).
 //! * [`server`] — the connection-scale scenario: a listening
 //!   [`SpliceServer`] (splice, splice-ring, or cp-relay modes) serving
-//!   an open-loop fleet of [`ServerClient`]s, one file fetch each.
+//!   one file per connection to an open-loop load drawn by
+//!   [`open_loop_delays`]. The load itself is no program: the kernel's
+//!   traffic source offers it from the link, on no simulated CPU.
 //! * [`Writer`] — creates files through the normal write path (exercises
 //!   allocation + delayed writes).
 //! * [`EndpointPair`] — a generic splice driver between any two endpoint
@@ -46,7 +48,6 @@ pub use repeat::Repeat;
 pub use ring_scp::RingScp;
 pub use scp::{Scp, ScpMode};
 pub use server::{
-    open_loop_delays, scenario_stats, ScenarioStats, ServeMode, ServerClient, SharedScenario,
-    SpliceServer,
+    open_loop_delays, scenario_stats, ScenarioStats, ServeMode, SharedScenario, SpliceServer,
 };
 pub use writer::Writer;

@@ -1,5 +1,6 @@
-//! The million-connection server scenario: an open-loop client fleet
-//! fetching one file each from a listening splice server.
+//! The million-connection server scenario: a listening splice server
+//! that serves one file per connection, and the shared pieces of the
+//! open-loop load offered to it.
 //!
 //! Three serving modes reproduce the paper's comparison at connection
 //! scale: one-at-a-time `splice(2)` per connection (a 1993 `sendfile`),
@@ -8,39 +9,37 @@
 //! buffer, `send` back out — the double-copy path splice exists to
 //! remove).
 //!
-//! Clients are **open-loop**: each sleeps a pre-drawn offset into the
-//! arrival window (interval timer, not CPU burn — a sleeping client
-//! must not perturb the availability measurement), then connects, sends
-//! a zero-byte request, and receives the file, pattern-checking every
-//! datagram. Results aggregate into a [`ScenarioStats`] shared by all
-//! clients of a run.
+//! The load is **open-loop** ([`open_loop_delays`]: seeded arrivals
+//! that never depend on how fast the server answers). No process plays
+//! the clients: the kernel's traffic source (`splice::ServeScenario`)
+//! offers the load at the link and tallies each fetch into a
+//! [`ScenarioStats`] that the server shares.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use ksim::{Dur, Hist, SimTime};
+use ksim::{Dur, Hist};
 
 use crate::program::{Program, Step, UserCtx};
-use crate::programs::util::pattern_check;
-use crate::types::{Fd, OpenFlags, Sig, SockAddr, SpliceReq, SyscallReq, SyscallRet};
+use crate::types::{Fd, OpenFlags, Sig, SpliceReq, SyscallReq, SyscallRet};
 
-/// Aggregated results of one server scenario run, shared by every
-/// client (single-threaded simulation: `Rc<RefCell>` is the idiom the
-/// endpoint pairs already use for result sharing).
+/// Aggregated results of one server scenario run, shared by the server
+/// and the load (single-threaded simulation: `Rc<RefCell>` is the idiom
+/// the endpoint pairs already use for result sharing).
 #[derive(Default)]
 pub struct ScenarioStats {
-    /// Clients that received their whole file, byte-exact.
+    /// Fetches that received their whole file, byte-exact.
     pub completed: u64,
     /// Connections the server finished serving.
     pub served: u64,
-    /// Payload bytes pulled off client sockets (counted even when the
-    /// datagram then fails the pattern check, so lossy-run byte
-    /// accounting stays exact).
+    /// Reply payload bytes received (counted even when the datagram
+    /// then fails the pattern check, so lossy-run byte accounting stays
+    /// exact).
     pub bytes_received: u64,
-    /// Clients that saw a pattern mismatch (a bug on a loss-free link;
+    /// Fetches that saw a pattern mismatch (a bug on a loss-free link;
     /// an expected truncation artifact when the link drops datagrams).
     pub mismatches: u64,
-    /// Request→last-byte response latency, nanoseconds.
+    /// Arrival→last-byte response latency, nanoseconds.
     pub latency: Hist,
 }
 
@@ -61,9 +60,9 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Draws `n` client arrival offsets uniformly over `window`, from
-/// `seed`. Deterministic and ≥ 1 µs each (a zero interval would disarm
-/// the arrival timer instead of arming it).
+/// Draws `n` arrival offsets uniformly over `window`, from `seed`.
+/// Deterministic and ≥ 1 µs each (a process that sleeps to its arrival
+/// on an interval timer would disarm the timer with a zero interval).
 pub fn open_loop_delays(n: usize, window: Dur, seed: u64) -> Vec<Dur> {
     let span = window.as_ns().max(1);
     (0..n as u64)
@@ -72,141 +71,6 @@ pub fn open_loop_delays(n: usize, window: Dur, seed: u64) -> Vec<Dur> {
             Dur::from_ns((draw % span).max(1_000))
         })
         .collect()
-}
-
-/// One short-lived client: sleep to its arrival offset, connect, send a
-/// zero-byte request, receive `file_bytes` of pattern `seed`, verify,
-/// close, exit. Exit code 0 on byte-exact delivery, 1 on mismatch.
-pub struct ServerClient {
-    server: SockAddr,
-    file_bytes: u64,
-    seed: u64,
-    delay: Dur,
-    stats: SharedScenario,
-    st: u32,
-    fd: Option<Fd>,
-    got: u64,
-    start: SimTime,
-}
-
-impl ServerClient {
-    /// Builds a client arriving `delay` after spawn.
-    pub fn new(
-        server: SockAddr,
-        file_bytes: u64,
-        seed: u64,
-        delay: Dur,
-        stats: SharedScenario,
-    ) -> ServerClient {
-        ServerClient {
-            server,
-            file_bytes,
-            seed,
-            delay: if delay.is_zero() {
-                Dur::from_us(1)
-            } else {
-                delay
-            },
-            stats,
-            st: 0,
-            fd: None,
-            got: 0,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-impl Program for ServerClient {
-    fn step(&mut self, ctx: &mut UserCtx) -> Step {
-        match self.st {
-            // Arrival sleep: catch SIGALRM, arm the timer, pause, disarm.
-            0 => {
-                self.st = 1;
-                Step::Syscall(SyscallReq::Sigaction {
-                    sig: Sig::Alrm,
-                    catch: true,
-                })
-            }
-            1 => {
-                ctx.take_ret();
-                self.st = 2;
-                Step::Syscall(SyscallReq::SetItimer {
-                    interval: self.delay,
-                })
-            }
-            2 => {
-                ctx.take_ret();
-                self.st = 3;
-                Step::Syscall(SyscallReq::Pause)
-            }
-            3 => {
-                ctx.take_ret();
-                self.st = 4;
-                Step::Syscall(SyscallReq::SetItimer {
-                    interval: Dur::ZERO,
-                })
-            }
-            4 => {
-                ctx.take_ret();
-                self.st = 5;
-                Step::Syscall(SyscallReq::Socket)
-            }
-            5 => {
-                self.fd = ctx.take_ret().as_fd();
-                self.st = 6;
-                Step::Syscall(SyscallReq::Connect {
-                    fd: self.fd.unwrap(),
-                    addr: self.server,
-                })
-            }
-            6 => {
-                ctx.take_ret();
-                self.start = ctx.now;
-                self.st = 7;
-                Step::Syscall(SyscallReq::Send {
-                    fd: self.fd.unwrap(),
-                    data: Vec::new(),
-                })
-            }
-            7 => {
-                ctx.take_ret();
-                self.st = 8;
-                Step::Syscall(SyscallReq::Recv {
-                    fd: self.fd.unwrap(),
-                    max_len: 64 * 1024,
-                })
-            }
-            8 => {
-                let SyscallRet::Data(d) = ctx.take_ret() else {
-                    return Step::Exit(2);
-                };
-                // Every pulled byte counts, even on a mismatch — the
-                // scenario invariants account delivered bytes exactly.
-                self.stats.borrow_mut().bytes_received += d.len() as u64;
-                if pattern_check(self.seed, self.got, &d).is_some() {
-                    self.stats.borrow_mut().mismatches += 1;
-                    return Step::Exit(1);
-                }
-                self.got += d.len() as u64;
-                if self.got >= self.file_bytes {
-                    let mut s = self.stats.borrow_mut();
-                    s.completed += 1;
-                    s.latency.record(ctx.now.since(self.start).as_ns());
-                    self.st = 9;
-                    return Step::Syscall(SyscallReq::Close(self.fd.unwrap()));
-                }
-                Step::Syscall(SyscallReq::Recv {
-                    fd: self.fd.unwrap(),
-                    max_len: 64 * 1024,
-                })
-            }
-            9 => {
-                ctx.take_ret();
-                Step::Exit(0)
-            }
-            _ => unreachable!("client state {}", self.st),
-        }
-    }
 }
 
 /// How the server moves file bytes onto each connection.
@@ -241,7 +105,7 @@ pub struct SpliceServer {
     backlog: u32,
     mode: ServeMode,
     /// Optional pause between `listen` and the first `accept` (lets the
-    /// backlog-overflow scenario pile clients onto the backlog).
+    /// backlog-overflow scenario pile requests onto the backlog).
     warmup: Option<Dur>,
     stats: SharedScenario,
     st: u32,
@@ -624,6 +488,8 @@ impl Program for SpliceServer {
 
 #[cfg(test)]
 mod tests {
+    use ksim::SimTime;
+
     use super::*;
 
     fn ctx_with(ret: SyscallRet) -> UserCtx {
@@ -645,107 +511,6 @@ mod tests {
         // Spread: not all in one half of the window.
         let half = a.iter().filter(|d| d.as_ns() < w.as_ns() / 2).count();
         assert!(half > 250 && half < 750, "poorly spread: {half}/1000");
-    }
-
-    #[test]
-    fn client_walks_sleep_connect_fetch() {
-        let stats = scenario_stats();
-        let addr = SockAddr { host: 1, port: 80 };
-        let mut c = ServerClient::new(addr, 16, 3, Dur::from_ms(5), Rc::clone(&stats));
-        let mut ctx = UserCtx {
-            ret: None,
-            signals: Vec::new(),
-            now: SimTime::ZERO,
-        };
-        // Sigaction → SetItimer → Pause → SetItimer(0) → Socket.
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Sigaction { sig: Sig::Alrm, .. })
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::SetItimer { interval }) if interval == Dur::from_ms(5)
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(c.step(&mut ctx), Step::Syscall(SyscallReq::Pause)));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::SetItimer { interval }) if interval.is_zero()
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Socket)
-        ));
-        ctx.ret = Some(SyscallRet::NewFd(Fd(3)));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Connect { fd: Fd(3), .. })
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        let send = c.step(&mut ctx);
-        let Step::Syscall(SyscallReq::Send { data, .. }) = send else {
-            panic!("expected zero-byte request, got {send:?}")
-        };
-        assert!(data.is_empty());
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Recv { .. })
-        ));
-        // Two pattern datagrams of 8 bytes each complete the 16-byte file.
-        use crate::programs::util::pattern_bytes;
-        ctx.ret = Some(SyscallRet::Data(pattern_bytes(3, 0, 8)));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Recv { .. })
-        ));
-        ctx.ret = Some(SyscallRet::Data(pattern_bytes(3, 8, 8)));
-        assert!(matches!(
-            c.step(&mut ctx),
-            Step::Syscall(SyscallReq::Close(Fd(3)))
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(c.step(&mut ctx), Step::Exit(0)));
-        let s = stats.borrow();
-        assert_eq!(s.completed, 1);
-        assert_eq!(s.bytes_received, 16);
-        assert_eq!(s.latency.count(), 1);
-        assert_eq!(s.mismatches, 0);
-    }
-
-    #[test]
-    fn client_flags_corruption() {
-        let stats = scenario_stats();
-        let addr = SockAddr { host: 1, port: 80 };
-        let mut c = ServerClient::new(addr, 8, 3, Dur::from_us(1), Rc::clone(&stats));
-        // Fast-forward to the recv state.
-        let mut ctx = UserCtx {
-            ret: None,
-            signals: Vec::new(),
-            now: SimTime::ZERO,
-        };
-        c.step(&mut ctx); // Sigaction
-        for ret in [
-            SyscallRet::Val(0), // SetItimer
-            SyscallRet::Val(0), // Pause
-            SyscallRet::Val(0), // SetItimer 0
-            SyscallRet::Val(0), // Socket (next takes fd)
-        ] {
-            ctx.ret = Some(ret);
-            c.step(&mut ctx);
-        }
-        ctx.ret = Some(SyscallRet::NewFd(Fd(3))); // → Connect
-        c.step(&mut ctx);
-        ctx.ret = Some(SyscallRet::Val(0)); // → Send
-        c.step(&mut ctx);
-        ctx.ret = Some(SyscallRet::Val(0)); // → Recv
-        c.step(&mut ctx);
-        ctx.ret = Some(SyscallRet::Data(vec![0xFF; 8]));
-        assert!(matches!(c.step(&mut ctx), Step::Exit(1)));
-        assert_eq!(stats.borrow().mismatches, 1);
     }
 
     #[test]

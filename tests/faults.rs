@@ -460,7 +460,8 @@ fn fault_path_outcome(profile: DiskProfile, cp: bool) -> Vec<u64> {
 
 /// A failed RAM or SCSI read, and a torn write, charge and deliver what
 /// they always have: the outcome of each faulted copy is pinned to the
-/// values recorded before medium and cache shared their blocks. A failed
+/// values recorded before medium and cache shared their blocks, except
+/// that cp now hears of its torn write-behind write at `fsync`. A failed
 /// read that still delivered its block, or a tear that wrote through a
 /// shared block, moves one of them.
 #[test]
@@ -485,13 +486,14 @@ fn fault_paths_behave_exactly_as_before() {
                 0, 2, 2, 17, 63741274, 17, 111540822, 278528, 127996502, CLEAN,
             ],
         ),
-        // cp's write-behind never sees the torn write's error: block 6
-        // keeps only its 3-sector prefix.
+        // The torn write-behind write fails at biodone: block 6 keeps
+        // only its 3-sector prefix, and cp's fsync reports the recorded
+        // error, so cp exits 1 and skips the metadata writeback.
         (
             DiskProfile::rz58(),
             true,
             [
-                0, 2, 0, 17, 68738461, 16, 77016288, 270336, 113174286, 50688,
+                1, 2, 0, 17, 68738461, 16, 77016288, 270336, 102774286, 50688,
             ],
         ),
     ];

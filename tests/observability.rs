@@ -179,7 +179,6 @@ fn served_requests_populate_records_and_exemplars() {
     let conns = 96usize;
     let sc = ServeScenario {
         window: Dur::from_ms(20),
-        offset: Dur::from_ms(1),
         ..ServeScenario::new(conns, ServeMode::Splice, 13)
     };
     let (k, _) = sc.serve(KernelBuilder::paper_machine_ram().trace(1 << 16), "served");

@@ -149,6 +149,40 @@ proptest! {
         prop_assert!(k.fsck_all().is_empty());
     }
 
+    /// `cp` under random transient write `EIO` on the destination disk
+    /// either exits 0 with a byte-exact destination or exits nonzero: a
+    /// failed write-behind write never passes silently.
+    #[test]
+    fn cp_under_write_faults_copies_exactly_or_fails(
+        len in 1u64..300_000,
+        plan_seed in any::<u64>(),
+        write_permille in 0u32..200,
+    ) {
+        let mut k = KernelBuilder::paper_machine(DiskProfile::ramdisk())
+            .tune(|cfg| cfg.update_interval = None)
+            .build();
+        k.setup_file("/d0/src", len, 31);
+        k.cold_cache();
+        k.set_fault_plan(
+            1,
+            FaultPlan::new(plan_seed)
+                .transient_eio(FaultOp::Write, f64::from(write_permille) / 1000.0),
+        );
+        let pid = k.spawn(Box::new(Cp::new("/d0/src", "/d1/dst")));
+        let horizon = k.horizon(600);
+        k.run_to_exit(horizon);
+        let ProcState::Exited(code) = k.procs().must(pid).state else {
+            unreachable!("run_to_exit returned with cp alive")
+        };
+        if code == 0 {
+            prop_assert_eq!(
+                k.verify_pattern_file("/d1/dst", len, 31),
+                None,
+                "cp exited 0 over a corrupt destination"
+            );
+        }
+    }
+
     #[test]
     fn cp_and_splice_produce_identical_files(len in 1u64..400_000, seed in any::<u64>()) {
         let mut k = KernelBuilder::paper_machine(DiskProfile::ramdisk()).build();
@@ -190,7 +224,6 @@ proptest! {
         let sc = ServeScenario {
             file_bytes,
             window: Dur::from_ms(20),
-            offset: Dur::from_ms(1),
             ..ServeScenario::new(clients, ServeMode::Splice, seed)
         };
         let mut k = sc.boot(KernelBuilder::paper_machine_ram().trace(1 << 16));
@@ -202,11 +235,11 @@ proptest! {
             LinkModel { loss_ppm, ..LinkModel::gigabit(seed) },
         );
         let run = sc.spawn(&mut k);
-        // Lost requests or dropped data leave clients (and the server's
-        // accept loop) hung forever: run to quiescence at a fixed
-        // horizon, not to exit.
+        // A lost request leaves the server's accept loop hung forever,
+        // and lost or dropped data leaves a fetch open: run to
+        // quiescence at a fixed horizon, not to the finish.
         let horizon = k.horizon(30);
-        k.run_until(horizon, |k| k.procs().all_exited());
+        k.run_until(horizon, |k| run.finished(k));
 
         let s = run.stats.borrow();
         let st = k.net().stats();
@@ -226,8 +259,8 @@ proptest! {
                 + st.bytes_dropped_no_listener
                 + st.bytes_dropped_backlog
         );
-        // Delivery conservation: delivered = read + still queued +
-        // thrown away when a (mismatched) client's socket closed.
+        // Delivery conservation: delivered = received + still queued +
+        // thrown away when a socket closed with data queued.
         prop_assert_eq!(
             st.bytes_delivered,
             s.bytes_received + queued + st.bytes_discarded_close
@@ -248,9 +281,9 @@ proptest! {
             rcv_limit
         );
 
-        // A lossless link with roomy client buffers must serve everyone.
+        // A lossless link with roomy receive buffers must serve everyone.
         if loss_ppm == 0 && rcv_limit as u64 >= 65_536 {
-            prop_assert!(k.procs().all_exited(), "clean run left hung processes");
+            prop_assert!(run.finished(&k), "clean run left the server or a fetch hung");
             prop_assert!(matches!(k.procs().must(run.server).state, ProcState::Exited(0)));
             prop_assert_eq!(s.completed, clients as u64);
             prop_assert_eq!(s.mismatches, 0);

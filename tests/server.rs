@@ -1,11 +1,11 @@
 //! Connection-layer scenario battery: the splice server programs from
 //! `kproc::programs::server`, wired by [`splice::ServeScenario`] and
-//! driven end to end through the kernel — backlog overflow accounting,
-//! connection lifecycle reclaim, byte-exact service at depth 1 vs a
-//! depth-64 ring vs the user-space cp-relay, tail-latency monotonicity
-//! in connection count, and seeded replay determinism of the scenario
-//! and its request records (`SERVER_SEED` is randomized by
-//! `scripts/ci.sh`).
+//! driven end to end through the kernel — no process per client,
+//! backlog overflow accounting, connection lifecycle reclaim,
+//! byte-exact service at depth 1 vs a depth-64 ring vs the user-space
+//! cp-relay, tail-latency monotonicity in connection count, and seeded
+//! replay determinism of the scenario and its request records
+//! (`SERVER_SEED` is randomized by `scripts/ci.sh`).
 
 use kproc::programs::{ServeMode, SpliceServer};
 use kproc::ProcState;
@@ -24,16 +24,15 @@ fn server_seed() -> u64 {
 
 /// Arrivals beyond the listen backlog while the server naps are dropped
 /// and *counted* — and the drops allocate nothing: no server-side
-/// connection socket, no receive-buffer bytes. The accepted fleet is
-/// served in full.
+/// connection socket, no receive-buffer bytes. A refused request ends
+/// its fetch, so the run finishes like any other, and the accepted
+/// connections are served in full.
 #[test]
 fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
     let backlog = 8usize;
     let clients = 16usize;
     let sc = ServeScenario {
         window: Dur::from_ms(10),
-        // Past the server's own socket/bind/listen syscalls.
-        offset: Dur::from_ms(1),
         ..ServeScenario::new(clients, ServeMode::Splice, SEED)
     };
     let mut k = sc.boot(KernelBuilder::paper_machine_ram());
@@ -50,12 +49,9 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
         // Listen, then nap: every arrival lands on the backlog.
         .warmup(Dur::from_ms(50))
     });
-    // The dropped clients hang in recv forever, so run by exit count,
-    // not `run_to_exit`: the server plus every accepted client.
     let horizon = k.horizon(600);
-    k.run_until(horizon, |k| {
-        k.procs().iter().filter(|p| p.exited()).count() == 1 + backlog
-    });
+    k.run_until(horizon, |k| run.finished(k));
+    assert!(run.finished(&k), "the run hung");
 
     assert!(matches!(
         k.procs().must(run.server).state,
@@ -74,11 +70,26 @@ fn backlog_overflow_drops_are_counted_without_leaked_sockets() {
         "every overflow arrival is accounted as a backlog drop"
     );
     assert_eq!(m.conns_opened, backlog as u64, "drops never carve a conn");
-    // The only open sockets left belong to the hung clients themselves;
-    // the listener, every accepted conn, and every served client socket
-    // are gone, and no receive buffer holds bytes.
-    assert_eq!(k.net().open_socks(), clients - backlog);
+    // The listener, every accepted conn, and every request socket —
+    // served or refused — are gone, and no receive buffer holds bytes.
+    assert_eq!(k.net().open_socks(), 0);
     assert_eq!(k.net().total_rcv_used(), 0);
+}
+
+/// The load comes from the traffic source at the link, not from
+/// processes: from spawn to finish, the process table holds only the
+/// server.
+#[test]
+fn a_served_run_holds_no_process_but_the_server() {
+    let sc = ServeScenario::new(200, ServeMode::Splice, SEED);
+    let mut k = sc.boot(KernelBuilder::paper_machine_ram());
+    let run = sc.spawn(&mut k);
+    let pids = |k: &splice::Kernel| k.procs().iter().map(|p| p.pid).collect::<Vec<_>>();
+    assert_eq!(pids(&k), [run.server]);
+    let horizon = k.horizon(600);
+    k.run_until(horizon, |k| run.finished(k));
+    sc.check(&k, &run, "one process");
+    assert_eq!(pids(&k), [run.server]);
 }
 
 /// Serving a fleet and closing every connection returns the kernel to
@@ -91,8 +102,6 @@ fn connection_lifecycle_frees_port_and_buffers() {
     const FLEET: usize = 300;
     let sc = ServeScenario {
         window: Dur::from_ms(30),
-        // Past the server's own socket/bind/listen syscalls.
-        offset: Dur::from_ms(1),
         ..ServeScenario::new(FLEET, ServeMode::Splice, SEED)
     };
     let (mut k, _) = sc.serve(KernelBuilder::paper_machine_ram(), "lifecycle");
@@ -136,9 +145,9 @@ fn connection_lifecycle_frees_port_and_buffers() {
     );
 }
 
-/// Serves `conns` clients from one server in `mode` at the default
+/// Serves `conns` fetches from one server in `mode` at the default
 /// 10k/s offered rate and returns the kernel's metrics. The serve
-/// itself checks that every client pattern-verified the whole file.
+/// itself checks that every fetch pattern-verified the whole file.
 fn serve_fleet(conns: usize, mode: ServeMode) -> MetricsSnapshot {
     let sc = ServeScenario::new(conns, mode, SEED);
     let (k, _) = sc.serve(KernelBuilder::paper_machine_ram(), format_args!("{mode:?}"));
@@ -160,16 +169,17 @@ fn depth1_splice_and_ring64_serve_byte_exact() {
     assert_eq!(sync.splice.started, conns as u64);
     assert_eq!(ring.splice.started, conns as u64);
     // The relay runs none: it reads every byte out to user space and
-    // sends it back in. Its send(2) copy counts on the socket path,
-    // on top of the clients' own receives.
+    // sends it back in. Its send(2) copy is the only one on the socket
+    // path: the traffic source receives without a copy.
     assert_eq!(relay.splice.started, 0);
     assert_eq!(sync.copy.copyout_bytes, 0);
     assert!(relay.copy.copyout_bytes >= conns as u64 * file_bytes);
-    assert!(relay.copy.net_bytes >= sync.copy.net_bytes + conns as u64 * file_bytes);
+    assert_eq!(sync.copy.net_bytes, 0);
+    assert_eq!(relay.copy.net_bytes, conns as u64 * file_bytes);
 }
 
 /// Runs a ring-served open-loop fleet and reports the p99 of the
-/// request→last-byte latency histogram.
+/// arrival→last-byte latency histogram.
 fn p99_at(conns: usize) -> u64 {
     let sc = ServeScenario::new(conns, ServeMode::Ring { depth: 64 }, SEED);
     let (_, run) = sc.serve(KernelBuilder::paper_machine_ram(), "p99");
