@@ -2,20 +2,23 @@
 //! queueing-law audits for every named workload.
 //!
 //! For each workload in [`bench::workloads::ALL`] this binary runs the
-//! scenario with the trace ring and gauge sampler enabled, then hands
-//! the recorded telemetry to `kanalyze`:
+//! scenario with the trace ring enabled, then hands the recorded
+//! telemetry to `kanalyze`:
 //!
 //! 1. **Decomposition** — every stitched block span is partitioned into
 //!    read-queue / read-service / handoff / write-service components
 //!    (gap-free by construction), ranked into a bottleneck table with a
 //!    dominant-stage verdict, and closed against the independently
 //!    recorded `end_to_end` stage histogram within 1%.
-//! 2. **Audits** — Little's law (sampler gauges vs stage histograms),
+//! 2. **Audits** — Little's law (the pending-work gauges' exact
+//!    occupancy integrals vs the stage histograms, to the nanosecond),
 //!    the utilization law (device busy time vs service digests), and
 //!    exact byte conservation per splice descriptor.
 //!
 //! Artifact: `REPORT_<workload>.json` per workload, carrying the shared
-//! `schema_version` envelope and the workload's seed/byte provenance.
+//! `schema_version` envelope, the workload's seed/byte provenance, and
+//! its resource profile (per-PID CPU, kernel CPU by class, devices,
+//! cache).
 //! The process exits nonzero if any closure check or auditor fails or
 //! any block span is left incomplete, so it is a hard gate on its own.
 
@@ -24,50 +27,11 @@ use kanalyze::{
     byte_conservation, decompose, littles_law, utilization_law, AuditReport, DeviceAccounting,
     Tolerance,
 };
-use ksim::{Dur, Json};
 use splice::Kernel;
-
-/// Gauge-sampler period: one scheduler tick on the paper machine, the
-/// finest granularity the callout wheel can deliver.
-const PERIOD: Dur = Dur::from_ms(10);
-/// Sampler ring capacity: ample for every workload's run length.
-const CAPACITY: usize = 1 << 16;
 
 /// Closure tolerance for the decomposition (acceptance criterion: the
 /// per-stage sums must reach measured end-to-end within 1%).
 const CLOSURE_TOL: f64 = kanalyze::decompose::CLOSURE_TOLERANCE;
-
-/// Little's-law tolerance: 25% relative, with an absolute floor of
-/// half a block of occupancy. The auditor adds its own resolution
-/// slack (`intervals / n_samples`) on top: the callout-driven gauge
-/// samples unevenly under load and cannot see intervals shorter than
-/// its achieved spacing, and that bound is part of the law's statement
-/// (see `kanalyze::littles_law`).
-const LITTLE_TOL: Tolerance = Tolerance {
-    rel: 0.25,
-    abs: 0.5,
-};
-
-/// Time-weighted mean of a gauge over `[0, window_ns]`: trapezoids
-/// between samples (the gauge holds no meaning between readings, so
-/// linear interpolation splits the difference), zero occupancy assumed
-/// at boot, last reading held to the window end. A plain mean would
-/// under-weight busy plateaus: the sampler callout fires late while
-/// the CPU churns soft work, so samples bunch up in idle stretches.
-fn time_weighted_mean(points: &[(u64, u64)], window_ns: u64) -> f64 {
-    if window_ns == 0 {
-        return 0.0;
-    }
-    let mut mass = 0.0;
-    let (mut pt, mut po) = (0u64, 0.0f64);
-    for &(t, occ) in points {
-        let o = occ as f64;
-        mass += 0.5 * (po + o) * t.saturating_sub(pt) as f64;
-        (pt, po) = (t, o);
-    }
-    mass += po * window_ns.saturating_sub(pt) as f64;
-    mass / window_ns as f64
-}
 
 /// Utilization-law tolerance: busy time and the service histogram are
 /// recorded side by side per request, so they must agree to 1%.
@@ -81,40 +45,23 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
     let stages = &k.kstat().stages;
     let mut report = AuditReport::default();
 
-    // Little's law, read side and write side. The sampler window runs
-    // from boot to now; the time-weighted mean of the gauge estimates
-    // the time-averaged occupancy over the same window.
-    let samples: Vec<_> = k.samples().collect();
-    let window_ns = k.now().as_ns();
-    if !samples.is_empty() && window_ns > 0 {
-        let n_samples = samples.len() as u64;
-        let reads: Vec<(u64, u64)> = samples
-            .iter()
-            .map(|s| (s.at.as_ns(), s.inflight_reads))
-            .collect();
-        let writes: Vec<(u64, u64)> = samples
-            .iter()
-            .map(|s| (s.at.as_ns(), s.inflight_writes))
-            .collect();
-        report.outcomes.push(littles_law(
-            "inflight_reads",
-            time_weighted_mean(&reads, window_ns),
-            stages.read_service.sum(),
-            stages.read_service.count(),
-            n_samples,
-            window_ns,
-            LITTLE_TOL,
-        ));
-        report.outcomes.push(littles_law(
-            "inflight_writes",
-            time_weighted_mean(&writes, window_ns),
-            stages.read_to_write.sum() + stages.write_service.sum(),
-            stages.write_service.count(),
-            n_samples,
-            window_ns,
-            LITTLE_TOL,
-        ));
-    }
+    // Little's law, read side and write side, exact: the gauges'
+    // integrals over every descriptor against the stage histograms.
+    let tally = k.kstat().spans.tally();
+    report.outcomes.push(littles_law(
+        "inflight_reads",
+        tally.read_area,
+        stages.read_service.sum(),
+        stages.read_service.count(),
+        Tolerance::EXACT,
+    ));
+    report.outcomes.push(littles_law(
+        "inflight_writes",
+        tally.write_area,
+        stages.read_to_write.sum() + stages.write_service.sum(),
+        stages.write_service.count(),
+        Tolerance::EXACT,
+    ));
 
     // Utilization law, per mounted disk, through the one unified
     // accounting source on `DiskUnitKind`.
@@ -136,13 +83,13 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
     // finished conserves nothing, so it fails the audit loudly.
     report
         .outcomes
-        .push(byte_conservation(&k.kstat().spans.tally(), expected_bytes));
+        .push(byte_conservation(&tally, expected_bytes));
     report
 }
 
 /// Analyzes one workload; returns whether every gate passed.
 fn analyze_one(name: &str) -> bool {
-    let k = workloads::run_sampled(name, PERIOD, CAPACITY);
+    let k = workloads::run(name);
     let meta = workloads::meta(name);
     let spans = k.trace().query().all_block_spans();
     let d = decompose(&spans, &k.kstat().stages, CLOSURE_TOL);
@@ -158,10 +105,10 @@ fn analyze_one(name: &str) -> bool {
             "meta",
             workload_meta(name, &meta.seeds, meta.expected_bytes),
         )
-        .with("sample_period_ns", Json::Num(PERIOD.as_ns() as f64))
         .with("decomposition", d.to_json())
         .with("audits", audits.to_json())
-        .with("stages", k.kstat().stages.to_json());
+        .with("stages", k.kstat().stages.to_json())
+        .with("profile", k.profile().to_json());
     write_bench_json(&format!("REPORT_{name}.json"), &doc);
 
     if d.phases.partial_spans != 0 {

@@ -1,32 +1,14 @@
-//! Resource-accounting profiler: per-stage splice latency digests for
-//! the named workloads, full [`splice::ProfileSnapshot`]s, gauge
-//! time-series exports, and the Table 1 contention experiment
+//! Resource-accounting profiler: the Table 1 contention experiment
 //! re-derived from per-PID tick accounting instead of wall-clock
-//! ratios.
+//! ratios, with a full [`splice::ProfileSnapshot`] of each environment.
 //!
-//! Artifacts:
-//! * `BENCH_profile.json` — per-workload stage digests and profile
-//!   snapshots, plus the contention section.
-//! * `TS_<workload>.json` — the sampler's gauge time series (also
-//!   mirrored as counter tracks in `TRACE_*` exports when both are
-//!   enabled).
+//! Artifact: `BENCH_profile.json`, the contention section. The named
+//! workloads' stage digests and profiles are in `REPORT_<workload>.json`
+//! (`bench --bin analyze`).
 
-use bench::{
-    bench_doc, print_table, test_program, workloads, write_bench_json, write_table, DiskRow,
-    Experiment, Method,
-};
-use ksim::{Dur, Json};
+use bench::{bench_doc, print_table, test_program, write_table, DiskRow, Experiment, Method};
+use ksim::Json;
 use splice::ProfileSnapshot;
-
-/// Gauge sampling period for the workload runs.
-const PERIOD: Dur = Dur::from_ms(10);
-/// Sample-ring capacity (ample: no workload here spans 40 s).
-const CAPACITY: usize = 4096;
-
-fn fmt_us(ns: Option<u64>) -> String {
-    ns.map(|v| format!("{:.0}", v as f64 / 1000.0))
-        .unwrap_or_else(|| "-".into())
-}
 
 /// One contended environment: the fixed-work test program beside a
 /// looping copier, availability taken from the process table's tick
@@ -74,31 +56,6 @@ fn contention(method: Method) -> Contention {
 fn main() {
     println!("Resource-accounting profiler");
     println!();
-    println!("Per-stage splice latency (us), sampled workloads:");
-    let mut wl_json = Vec::new();
-    let mut rows = Vec::new();
-    for name in workloads::ALL {
-        let k = workloads::run_sampled(name, PERIOD, CAPACITY);
-        write_bench_json(&format!("TS_{name}.json"), &k.timeseries_json(name));
-        for (stage, h) in k.kstat().stages.iter() {
-            rows.push(vec![
-                format!("{name} {stage}"),
-                format!("{}", h.count()),
-                fmt_us(h.p50()),
-                fmt_us(h.p90()),
-                fmt_us(h.p99()),
-            ]);
-        }
-        let n_samples = k.samples().count();
-        wl_json.push(
-            Json::obj()
-                .with("workload", Json::Str((*name).into()))
-                .with("stages", k.kstat().stages.to_json())
-                .with("samples", Json::Num(n_samples as f64))
-                .with("profile", k.profile().to_json()),
-        );
-    }
-    print_table(&["Stage", "n", "p50", "p90", "p99"], &rows);
 
     // The Table 1 contention pair on the RAM row, from accounting data:
     // under CP the copier's read/write loop is billed to its own PID and
@@ -107,7 +64,6 @@ fn main() {
     // share of the contended interval must be at least CP's.
     let cp = contention(Method::Cp);
     let scp = contention(Method::Scp);
-    println!();
     println!("Contention (RAM disk), test-program CPU share from tick accounting:");
     print_table(
         &["Env", "elapsed s", "test share"],
@@ -131,20 +87,16 @@ fn main() {
         cp.test_share
     );
 
-    let doc = bench_doc("profile")
-        .with("sample_period_ns", Json::Num(PERIOD.as_ns() as f64))
-        .with("sample_capacity", Json::Num(CAPACITY as f64))
-        .with("workloads", Json::Arr(wl_json))
-        .with(
-            "contention",
-            Json::obj()
-                .with("disk", Json::Str("RAM".into()))
-                .with("cp", cp.to_json())
-                .with("scp", scp.to_json())
-                .with(
-                    "share_improvement",
-                    Json::Num(scp.test_share / cp.test_share),
-                ),
-        );
+    let doc = bench_doc("profile").with(
+        "contention",
+        Json::obj()
+            .with("disk", Json::Str("RAM".into()))
+            .with("cp", cp.to_json())
+            .with("scp", scp.to_json())
+            .with(
+                "share_improvement",
+                Json::Num(scp.test_share / cp.test_share),
+            ),
+    );
     write_table("profile", &doc);
 }

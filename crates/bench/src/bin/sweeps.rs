@@ -210,8 +210,8 @@ fn watermarks() -> Json {
                     .with("lo_writes", num(lo_writes))
                     .with("batch", num(batch))
                     .with("kb_per_s", num(r.kb_per_s))
-                    .with("max_pending_reads", num(span.max_pending_reads))
-                    .with("max_pending_writes", num(span.max_pending_writes)),
+                    .with("max_pending_reads", num(span.pending_reads.peak()))
+                    .with("max_pending_writes", num(span.pending_writes.peak())),
             );
             series.push(r.kb_per_s);
         }

@@ -1,5 +1,5 @@
-//! Named, trace-enabled workloads for `tracedump`, `profile`, `analyze`
-//! and the trace tests.
+//! Named, trace-enabled workloads for `tracedump`, `analyze` and the
+//! trace tests.
 //!
 //! Each workload boots a kernel with the typed trace ring on
 //! ([`splice::KernelBuilder::trace`]), runs one representative scenario
@@ -39,7 +39,7 @@ const SERVER_WINDOW: Dur = Dur::from_ms(100);
 
 /// Provenance of one workload: the pattern seeds it feeds to
 /// `setup_file`/sources and the bytes it is expected to move end to
-/// end. Serialized into every `REPORT_*`/`TS_*` consumer's meta block
+/// end. Serialized into every `REPORT_*` consumer's meta block
 /// so an artifact documents its own inputs.
 pub struct WorkloadMeta {
     /// Workload name, as in [`ALL`].
@@ -96,46 +96,21 @@ pub fn meta(name: &str) -> WorkloadMeta {
 /// Panics on an unknown name, or if the workload fails its own
 /// correctness checks.
 pub fn run(name: &str) -> Kernel {
-    run_inner(name, None)
-}
-
-/// [`run`] with the resource-accounting sampler enabled: gauge samples
-/// every `period`, up to `capacity` retained, mirrored into the
-/// trace's counter tracks. `run` itself never samples, so its trace
-/// output stays byte-identical to earlier revisions.
-///
-/// # Panics
-///
-/// Same conditions as [`run`].
-pub fn run_sampled(name: &str, period: Dur, capacity: usize) -> Kernel {
-    run_inner(name, Some((period, capacity)))
-}
-
-fn run_inner(name: &str, sample: Option<(Dur, usize)>) -> Kernel {
     match name {
-        "scp_ram" => scp_ram(sample),
-        "spool" => spool(sample),
-        "movie" => movie(sample),
-        "ring" => ring(sample),
-        "server" => server(sample),
+        "scp_ram" => scp_ram(),
+        "spool" => spool(),
+        "movie" => movie(),
+        "ring" => ring(),
+        "server" => server(),
         other => panic!("unknown workload `{other}` (known: {})", ALL.join(", ")),
-    }
-}
-
-/// Applies the optional sampler opt-in to a workload's builder.
-fn maybe_sample(b: KernelBuilder, sample: Option<(Dur, usize)>) -> KernelBuilder {
-    match sample {
-        Some((period, capacity)) => b.sample(period, capacity),
-        None => b,
     }
 }
 
 /// The paper's SCP on the RAM-disk row: one asynchronous file→file
 /// splice of 1 MB from `/d0` to `/d1`, cold cache.
-fn scp_ram(sample: Option<(Dur, usize)>) -> Kernel {
+fn scp_ram() -> Kernel {
     const BYTES: u64 = 1 << 20;
-    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
-    let mut k = maybe_sample(b, sample).build();
+    let mut k = KernelBuilder::paper_machine_ram().trace(TRACE_CAP).build();
     k.setup_file("/d0/src", BYTES, 5);
     k.cold_cache();
     let pid = k.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
@@ -155,12 +130,11 @@ fn scp_ram(sample: Option<(Dur, usize)>) -> Kernel {
 
 /// Socket→file spooling: a UDP source paced against the soft-work
 /// budget feeds a socket that splices straight into a file.
-fn spool(sample: Option<(Dur, usize)>) -> Kernel {
+fn spool() -> Kernel {
     const TOTAL: u64 = 1 << 20;
     const DGRAM: usize = 8_192;
     const SRC_GAP: Dur = Dur::from_ms(2);
-    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
-    let mut k = maybe_sample(b, sample).build();
+    let mut k = KernelBuilder::paper_machine_ram().trace(TRACE_CAP).build();
     k.cold_cache();
     let (pair, result) = EndpointPair::new(
         EndSpec::SockBind { port: 7000 },
@@ -194,17 +168,17 @@ fn spool(sample: Option<(Dur, usize)>) -> Kernel {
 
 /// The §4 movie player on an RZ58: one EOF audio splice paced by the
 /// DAC plus one bounded synchronous video splice per timer tick.
-fn movie(sample: Option<(Dur, usize)>) -> Kernel {
+fn movie() -> Kernel {
     const FRAME: usize = 64 * 1024;
     const FRAMES: u64 = 30;
     const FPS: u64 = 30;
     const AUDIO_RATE: u64 = 8_000;
-    let b = KernelBuilder::new()
+    let mut k = KernelBuilder::new()
         .disk("d0", DiskProfile::rz58())
         .audio_dac("/dev/speaker", AudioDac::new(AUDIO_RATE, 64 * 1024))
         .video_dac("/dev/video_dac", VideoDac::new(FRAME))
-        .trace(TRACE_CAP);
-    let mut k = maybe_sample(b, sample).build();
+        .trace(TRACE_CAP)
+        .build();
     let audio_len = AUDIO_RATE * FRAMES / FPS;
     k.setup_file("/d0/movie.audio", audio_len, 1);
     k.setup_file("/d0/movie.video", FRAMES * FRAME as u64, 2);
@@ -230,9 +204,8 @@ fn movie(sample: Option<(Dur, usize)>) -> Kernel {
 /// Batched ring submission: 256 one-block file→file copies moved
 /// through a depth-64 splice ring in submit/reap waves — the workload
 /// that exercises the `sqe_wait` stage and ring tracepoints.
-fn ring(sample: Option<(Dur, usize)>) -> Kernel {
-    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
-    let mut k = maybe_sample(b, sample).build();
+fn ring() -> Kernel {
+    let mut k = KernelBuilder::paper_machine_ram().trace(TRACE_CAP).build();
     for i in 0..RING_PAIRS {
         k.setup_file(&format!("/d0/f{i}"), RING_FILE_BYTES, RING_SEED ^ i as u64);
     }
@@ -260,7 +233,7 @@ fn ring(sample: Option<(Dur, usize)>) -> Kernel {
 /// 8 KB file to each of 512 open-loop fetches over a lossless modeled
 /// link — the workload behind `bench --bin server`'s sweep, at a
 /// tracedump-friendly size.
-fn server(sample: Option<(Dur, usize)>) -> Kernel {
+fn server() -> Kernel {
     let sc = ServeScenario {
         window: SERVER_WINDOW,
         ..ServeScenario::new(
@@ -271,6 +244,9 @@ fn server(sample: Option<(Dur, usize)>) -> Kernel {
             SERVER_SEED,
         )
     };
-    let b = KernelBuilder::paper_machine_ram().trace(TRACE_CAP);
-    sc.serve(maybe_sample(b, sample), "server").0
+    sc.serve(
+        KernelBuilder::paper_machine_ram().trace(TRACE_CAP),
+        "server",
+    )
+    .0
 }

@@ -55,8 +55,8 @@ impl Kernel {
             // once per block; a block that would overrun it fails.
             if let Some(limit) = self.cdevs[cdev].write_fail_after {
                 if (len as u64) > limit {
+                    self.kstat.spans.live_mut(desc).pending_writes.leave(now);
                     let d = self.splices.get_mut(&desc).unwrap();
-                    d.pending_writes -= 1;
                     d.issued_at.remove(&lblk);
                     d.src_bufs.remove(&lblk);
                     if let Block::Buf(buf) = src {
@@ -104,7 +104,7 @@ impl Kernel {
                 self.ctr.splice.dev_backpressure += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _, _, _| s.note_backoff());
+                self.span_note(desc, |s, _| s.note_backoff());
                 self.callout.schedule(
                     self.tick,
                     ticks,

@@ -115,8 +115,8 @@ impl Kernel {
             if !retry {
                 d.next_read += 1;
             }
-            d.pending_reads += 1;
             d.issued_at.insert(lblk, now);
+            self.kstat.spans.live_mut(id).pending_reads.enter(now);
         }
 
         let work = KWork::SpliceReadDone {
@@ -143,7 +143,7 @@ impl Kernel {
                 self.ctr.splice.reads_issued += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
+                self.span_note(id, |s, now| s.note_read_issued(now));
                 (cpu, true)
             }
             BreadOutcome::Hit(buf) => {
@@ -152,7 +152,7 @@ impl Kernel {
                 self.ctr.splice.read_hits += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                self.span_note(id, |s, now, pr, pw| s.note_read_hit(now, pr, pw));
+                self.span_note(id, |s, now| s.note_read_hit(now));
                 self.enqueue_kwork(
                     WorkClass::Soft,
                     m.splice_handler,
@@ -171,12 +171,12 @@ impl Kernel {
                 if !retry {
                     d.next_read -= 1;
                 }
-                d.pending_reads -= 1;
                 d.issued_at.remove(&lblk);
+                self.kstat.spans.live_mut(id).pending_reads.leave(now);
                 self.ctr.splice.read_backoffs += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc: id, lblk });
-                self.span_note(id, |s, _, _, _| s.note_backoff());
+                self.span_note(id, |s, _| s.note_backoff());
                 let work = if retry {
                     KWork::SpliceRetryRead { desc: id, lblk }
                 } else {
@@ -228,7 +228,7 @@ impl Kernel {
                 let now = self.q.now();
                 self.trace
                     .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _, _, _| s.note_backoff());
+                self.span_note(desc, |s, _| s.note_backoff());
                 self.callout.schedule(
                     self.tick,
                     1,
@@ -296,7 +296,7 @@ impl Kernel {
             self.ctr.splice.append_backoffs += 1;
             self.trace
                 .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-            self.span_note(desc, |s, _, _, _| s.note_backoff());
+            self.span_note(desc, |s, _| s.note_backoff());
             self.callout.schedule(
                 self.tick,
                 1,

@@ -158,11 +158,6 @@ pub enum KWork {
     /// The `update` daemon: periodic flush of delayed writes (the classic
     /// 30-second sync).
     UpdateFlush,
-    /// The resource-accounting sampler: record one gauge sample
-    /// (inflight splice work, disk queue depths, cache occupancy,
-    /// per-PID CPU availability) and re-arm. Only scheduled when
-    /// sampling is enabled via the builder.
-    Sample,
 }
 
 /// Entries in the global event queue.

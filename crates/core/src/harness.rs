@@ -27,7 +27,6 @@ pub struct KernelBuilder {
     disks: Vec<(String, DiskProfile)>,
     cdevs: Vec<(String, CharDev)>,
     trace: Option<usize>,
-    sample: Option<(Dur, usize)>,
 }
 
 impl Default for KernelBuilder {
@@ -44,7 +43,6 @@ impl KernelBuilder {
             disks: Vec::new(),
             cdevs: Vec::new(),
             trace: None,
-            sample: None,
         }
     }
 
@@ -52,17 +50,6 @@ impl KernelBuilder {
     /// Without this opt-in every tracepoint stays a single branch.
     pub fn trace(mut self, capacity: usize) -> KernelBuilder {
         self.trace = Some(capacity);
-        self
-    }
-
-    /// Enables the resource-accounting sampler: every `period` of
-    /// simulated time a gauge sample (inflight splice work, disk queue
-    /// depths, cache occupancy, per-PID CPU share) is recorded into a
-    /// ring of `capacity` samples and mirrored into the trace's counter
-    /// tracks. Without this opt-in no sampling work is ever scheduled
-    /// and trace output is byte-identical to a sampler-free kernel.
-    pub fn sample(mut self, period: Dur, capacity: usize) -> KernelBuilder {
-        self.sample = Some((period, capacity));
         self
     }
 
@@ -113,11 +100,6 @@ impl KernelBuilder {
         }
         if let Some(capacity) = self.trace {
             k.install_trace(capacity);
-        }
-        // After the trace: installing a trace ring replaces the trace
-        // object, and the sampler registers its counter capacity on it.
-        if let Some((period, capacity)) = self.sample {
-            k.install_sampler(period, capacity);
         }
         k
     }
@@ -205,8 +187,8 @@ impl ServeScenario {
         }
     }
 
-    /// Builds the kernel from `b` (its trace and sampler choices stay
-    /// the caller's), models the link, seeds the file and cold-starts
+    /// Builds the kernel from `b` (its trace choice stays the
+    /// caller's), models the link, seeds the file and cold-starts
     /// the cache.
     pub fn boot(&self, b: KernelBuilder) -> Kernel {
         let mut k = b.build();

@@ -137,9 +137,6 @@ pub struct Kernel {
     /// completion histograms.
     pub(crate) io_issued: IdMap<BufId, SimTime>,
     pub(crate) trace: Trace,
-    /// The resource-accounting sampler, when enabled via
-    /// [`KernelBuilder::sample`](crate::KernelBuilder::sample).
-    pub(crate) sampler: Option<crate::profile::Sampler>,
     /// The off-CPU traffic source of a served scenario, if attached.
     pub(crate) source: Option<Box<crate::traffic::TrafficSource>>,
 }
@@ -191,7 +188,6 @@ impl Kernel {
             kstat: ksim::Kstat::new(),
             io_issued: IdMap::default(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
-            sampler: None,
             source: None,
         };
         // Boot the clock and the update daemon.
@@ -1003,7 +999,6 @@ impl Kernel {
             KWork::SpliceSockDrain { .. } => m.splice_handler,
             KWork::SpliceComplete { .. } => m.signal_delivery,
             KWork::ItimerFire { .. } => m.signal_delivery,
-            KWork::Sample => m.buf_op,
         }
     }
 
@@ -1082,7 +1077,6 @@ impl Kernel {
                         .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
                 }
             }
-            KWork::Sample => self.on_sample(),
             splice_work => self.apply_splice_work(splice_work),
         }
     }

@@ -85,8 +85,6 @@ pub use metrics::{
     SchedMetrics, SpliceMetrics, SpliceTotals,
 };
 pub use objects::{DiskUnitKind, FileId, FileObj};
-pub use profile::{
-    CacheOccupancy, CpuClassProfile, DeviceProfile, ProcProfile, ProfileSample, ProfileSnapshot,
-};
+pub use profile::{CacheOccupancy, CpuClassProfile, DeviceProfile, ProcProfile, ProfileSnapshot};
 pub use splice_engine::{FlowControl, OutcomeStatus, SpliceOutcome, MAX_SPLICE_RETRIES};
 pub use splice_ring::RING_MAX_DEPTH;

@@ -210,7 +210,7 @@ counter_groups! {
 pub struct SpliceMetrics {
     /// Engine-wide totals.
     pub totals: SpliceTotals,
-    /// Per-descriptor lifecycle spans (timestamps, gauges, samples).
+    /// Per-descriptor lifecycle spans (timestamps, counters, gauges).
     pub spans: SpliceSpans,
 }
 
@@ -245,7 +245,7 @@ pub(crate) struct KernelCounters {
     pub cold_caches: u64,
 }
 
-/// Trace and sampler loss, plus the served-request records: how many
+/// Trace loss, plus the served-request records: how many
 /// closed, how many failed, their end-to-end latency digest, and the
 /// exemplar linking the p999 bucket back into the trace.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -254,8 +254,6 @@ pub struct ObsMetrics {
     pub trace_emitted: u64,
     /// Trace records lost to ring wrap.
     pub trace_dropped: u64,
-    /// Sampler ring samples lost to wrap (0 when the sampler is off).
-    pub sampler_dropped: u64,
     /// Closed requests that failed.
     pub errors: u64,
     /// Closed requests: every accepted connection that closed.
@@ -313,8 +311,8 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Serializes the snapshot (including per-splice span summaries,
-    /// excluding raw flow samples) as a JSON object.
+    /// Serializes the snapshot (including per-splice span summaries)
+    /// as a JSON object.
     pub fn to_json(&self) -> Json {
         let splice = self.splice.totals.to_json().with(
             "spans",
@@ -333,8 +331,7 @@ impl MetricsSnapshot {
         let obs = Json::obj()
             .with("trace.emitted", Json::Num(o.trace_emitted as f64))
             .with("trace.dropped", Json::Num(o.trace_dropped as f64))
-            .with("sampler.dropped", Json::Num(o.sampler_dropped as f64))
-            .with("slo.errors", Json::Num(o.errors as f64))
+            .with("requests.errors", Json::Num(o.errors as f64))
             .with("spans.committed", Json::Num(o.spans_committed as f64))
             .with("request_latency", o.request_latency.to_json())
             .with(
@@ -389,10 +386,14 @@ fn span_json(s: &SpliceSpan) -> Json {
         .with("bytes_moved", Json::Num(s.bytes_moved as f64))
         .with("refill_bursts", Json::Num(s.refill_bursts as f64))
         .with("backoffs", Json::Num(s.backoffs as f64))
-        .with("max_pending_reads", Json::Num(s.max_pending_reads as f64))
-        .with("max_pending_writes", Json::Num(s.max_pending_writes as f64))
-        .with("flow_samples", Json::Num(s.samples.len() as f64))
-        .with("samples_truncated", Json::Bool(s.samples_truncated))
+        .with(
+            "max_pending_reads",
+            Json::Num(s.pending_reads.peak() as f64),
+        )
+        .with(
+            "max_pending_writes",
+            Json::Num(s.pending_writes.peak() as f64),
+        )
 }
 
 impl Kernel {
@@ -449,7 +450,6 @@ impl Kernel {
                 ObsMetrics {
                     trace_emitted: self.trace.emitted(),
                     trace_dropped: self.trace.dropped(),
-                    sampler_dropped: self.sampler.as_ref().map_or(0, |s| s.dropped),
                     errors: reqs.errors(),
                     spans_committed: reqs.latency().count(),
                     request_latency: HistSummary::from(reqs.latency()),
@@ -579,8 +579,7 @@ mod tests {
                 &[
                     "trace.emitted",
                     "trace.dropped",
-                    "sampler.dropped",
-                    "slo.errors",
+                    "requests.errors",
                     "spans.committed",
                     "request_latency",
                     "p999_exemplar",
@@ -615,7 +614,6 @@ mod tests {
             Some(0),
             "trace loss must be countable even on an empty snapshot"
         );
-        assert_eq!(obs.get("sampler.dropped").and_then(Json::as_u64), Some(0));
         assert_eq!(obs.get("p999_exemplar"), Some(&Json::Null));
         assert!(obs.get("request_latency").is_some());
     }

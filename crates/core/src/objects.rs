@@ -47,8 +47,8 @@ impl DiskUnitKind {
     }
 
     /// Total time this device spent servicing requests. This is the
-    /// **one** busy-time accounting source: the profiler snapshot, the
-    /// sampler gauges, and every bench/analysis export must read it
+    /// **one** busy-time accounting source: the profiler snapshot and
+    /// every bench/analysis export must read it
     /// through here so the utilization auditor compares one number
     /// against the service digest, never two divergent recomputations.
     pub fn busy_time(&self) -> Dur {

@@ -106,6 +106,9 @@ impl Default for FlowControl {
 }
 
 /// One active splice, keyed by its descriptor id in `Kernel::splices`.
+/// Its pending-read and pending-write counts live on its span
+/// (`kstat.spans.live_mut(id)`), so flow control reads the same gauges
+/// whose time integrals the Little's-law audit checks.
 pub(crate) struct SpliceDesc {
     pub src: SrcEndpoint,
     pub dst: DstEndpoint,
@@ -118,8 +121,6 @@ pub(crate) struct SpliceDesc {
     pub dst_map: Vec<u64>,
     /// Next block to read (mapped) or next pull sequence number (stream).
     pub next_read: usize,
-    pub pending_reads: u32,
-    pub pending_writes: u32,
     pub blocks_done: usize,
     /// Bytes pulled from a stream source so far.
     pub stream_taken: u64,
@@ -290,8 +291,6 @@ impl Kernel {
             plan,
             dst_map,
             next_read: 0,
-            pending_reads: 0,
-            pending_writes: 0,
             blocks_done: 0,
             stream_taken: 0,
             src_bufs: IdMap::default(),
@@ -442,20 +441,16 @@ impl Kernel {
     // ----- read issuing (§5.2.1 + §5.2.3) --------------------------------------
 
     /// Runs a span-note closure for descriptor `desc`, handing it the
-    /// current time and the descriptor's pending-work gauges. A no-op for
-    /// descriptors that are already gone (teardown races).
+    /// current time. A no-op for descriptors that are already gone
+    /// (teardown races).
     pub(crate) fn span_note(
         &mut self,
         desc: u64,
-        f: impl FnOnce(&mut ksim::SpliceSpan, ksim::SimTime, u32, u32),
+        f: impl FnOnce(&mut ksim::SpliceSpan, ksim::SimTime),
     ) {
-        let Some(d) = self.splices.get(&desc) else {
-            return;
-        };
-        let (pr, pw) = (d.pending_reads, d.pending_writes);
         let now = self.q.now();
         if let Some(span) = self.kstat.spans.get_mut(desc) {
-            f(span, now, pr, pw);
+            f(span, now);
         }
     }
 
@@ -470,7 +465,8 @@ impl Kernel {
             let Some(d) = self.splices.get(&id) else {
                 return cpu;
             };
-            if d.done || d.error.is_some() || d.pending_reads >= batch {
+            let pending_reads = self.kstat.spans[id].pending_reads.count();
+            if d.done || d.error.is_some() || pending_reads >= batch {
                 return cpu;
             }
             match &d.plan {
@@ -493,7 +489,7 @@ impl Kernel {
                     let chunk = *chunk;
                     // Claim bound: each outstanding pull claims up to one
                     // chunk; stop once claims cover the remaining bytes.
-                    let claimed = d.stream_taken + d.pending_reads as u64 * chunk as u64;
+                    let claimed = d.stream_taken + pending_reads as u64 * chunk as u64;
                     if claimed >= d.total {
                         return cpu;
                     }
@@ -501,7 +497,7 @@ impl Kernel {
                         SrcEndpoint::Sock { sock } => {
                             // At most one pull per queued datagram; the
                             // next delivery re-arms via net_rx.
-                            if d.pending_reads as usize >= self.net.rcv_depth(sock) {
+                            if pending_reads as usize >= self.net.rcv_depth(sock) {
                                 return cpu;
                             }
                             m.splice_handler + m.udp_packet
@@ -517,12 +513,13 @@ impl Kernel {
                     let d = self.splices.get_mut(&id).unwrap();
                     let lblk = d.next_read as u64;
                     d.next_read += 1;
-                    d.pending_reads += 1;
                     d.issued_at.insert(lblk, now);
                     self.ctr.splice.reads_issued += 1;
                     self.trace
                         .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                    self.span_note(id, |s, now, pr, pw| s.note_read_issued(now, pr, pw));
+                    let span = self.kstat.spans.live_mut(id);
+                    span.pending_reads.enter(now);
+                    span.note_read_issued(now);
                     self.enqueue_kwork(
                         WorkClass::Soft,
                         cost,
@@ -594,8 +591,8 @@ impl Kernel {
             // The source closed, the splice is aborting, or the target
             // was reached while this pull was queued; release the slot.
             let d = self.splices.get_mut(&desc).unwrap();
-            d.pending_reads = d.pending_reads.saturating_sub(1);
             d.issued_at.remove(&lblk);
+            self.kstat.spans.live_mut(desc).pending_reads.leave(now);
             self.maybe_finish_abort(desc);
             return;
         }
@@ -608,8 +605,8 @@ impl Kernel {
             // Socket drained between issue and apply; the next delivery
             // re-arms via net_rx.
             let d = self.splices.get_mut(&desc).unwrap();
-            d.pending_reads = d.pending_reads.saturating_sub(1);
             d.issued_at.remove(&lblk);
+            self.kstat.spans.live_mut(desc).pending_reads.leave(now);
             self.maybe_finish_abort(desc);
             return;
         };
@@ -634,10 +631,9 @@ impl Kernel {
             let buf = *buf;
             if self.cache.flags(buf).contains(kbuf::BufFlags::ERROR) {
                 self.release_buf(buf);
-                if self.splices.contains_key(&desc) {
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.pending_reads -= 1;
+                if let Some(d) = self.splices.get_mut(&desc) {
                     d.issued_at.remove(&lblk);
+                    self.kstat.spans.live_mut(desc).pending_reads.leave(now);
                     self.splice_read_failed(desc, lblk);
                 }
                 return;
@@ -649,10 +645,11 @@ impl Kernel {
             }
             return;
         };
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_reads.leave(now);
         // Abort drain: the slot is dropped and the block discarded
         // without dispatching its write.
         if d.error.is_some() {
-            d.pending_reads -= 1;
             d.issued_at.remove(&lblk);
             if let Block::Buf(buf) = block {
                 self.release_buf(buf);
@@ -660,7 +657,7 @@ impl Kernel {
             self.maybe_finish_abort(desc);
             return;
         }
-        d.pending_reads -= 1;
+        span.pending_writes.enter(now);
         // Stage accounting: the read side of this block is done. The
         // issue instant stays in `issued_at` for the end-to-end digest.
         if let Some(&at) = d.issued_at.get(&lblk) {
@@ -670,7 +667,6 @@ impl Kernel {
             .emit(now, || TraceEvent::SpliceReadDone { desc, lblk });
         let d = self.splices.get_mut(&desc).unwrap();
         d.read_done_at.insert(lblk, now);
-        d.pending_writes += 1;
         if let Block::Buf(buf) = &block {
             d.src_bufs.insert(lblk, *buf);
         }
@@ -737,7 +733,7 @@ impl Kernel {
                 );
             }
         }
-        self.span_note(desc, |s, now, pr, pw| s.note_write_issued(now, pr, pw));
+        self.span_note(desc, |s, now| s.note_write_issued(now));
     }
 
     /// Stage accounting for the moment a block's write is handed to its
@@ -765,10 +761,12 @@ impl Kernel {
     /// sink (§5.2.2–§5.2.3).
     pub(crate) fn splice_block_completed(&mut self, desc: u64, lblk: u64, bytes: u64) {
         let flow = self.cfg.flow;
+        let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        d.pending_writes -= 1;
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_writes.leave(now);
         d.blocks_done += 1;
         d.bytes_done += bytes;
         let issued = d.issued_at.remove(&lblk);
@@ -785,23 +783,19 @@ impl Kernel {
             };
         let refill = !aborting
             && !finished
-            && d.pending_reads < flow.lo_reads
-            && d.pending_writes < flow.lo_writes;
-        let (pr, pw) = (d.pending_reads, d.pending_writes);
-        let now = self.q.now();
+            && span.pending_reads.count() < flow.lo_reads
+            && span.pending_writes.count() < flow.lo_writes;
+        span.note_block_done(bytes);
+        if finished {
+            span.note_drained(now);
+        }
+        if refill {
+            span.note_refill();
+        }
         self.trace
             .emit(now, || TraceEvent::SpliceWriteDone { desc, lblk });
         if refill {
             self.trace.emit(now, || TraceEvent::SpliceRefill { desc });
-        }
-        if let Some(span) = self.kstat.spans.get_mut(desc) {
-            span.note_block_done(now, bytes, pr, pw);
-            if finished {
-                span.note_drained(now);
-            }
-            if refill {
-                span.note_refill();
-            }
         }
         if let Some(at) = write_issued {
             self.kstat
@@ -857,7 +851,7 @@ impl Kernel {
             lblk,
             attempt,
         });
-        self.span_note(desc, |s, _, _, _| s.note_backoff());
+        self.span_note(desc, |s, _| s.note_backoff());
         // Exponential backoff: 1, 2, 4, 8, 16 ticks.
         let delay = 1u64 << (attempt - 1);
         self.kstat
@@ -905,7 +899,7 @@ impl Kernel {
         let src_buf = d.src_bufs.get(&lblk).copied();
         if d.error.is_some() {
             // Abort drain: drop the slot and the held source buffer.
-            d.pending_writes -= 1;
+            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
             d.issued_at.remove(&lblk);
             d.write_issued_at.remove(&lblk);
             d.src_bufs.remove(&lblk);
@@ -926,7 +920,7 @@ impl Kernel {
             // will arrive for it, so surrender its slot before aborting
             // (the abort completes once the *other* in-flight blocks
             // drain).
-            d.pending_writes -= 1;
+            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
             d.issued_at.remove(&lblk);
             d.write_issued_at.remove(&lblk);
             d.src_bufs.remove(&lblk);
@@ -938,7 +932,7 @@ impl Kernel {
         }
         let Some(src_buf) = src_buf else {
             // The source buffer vanished (teardown race): drop the slot.
-            d.pending_writes -= 1;
+            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
             d.issued_at.remove(&lblk);
             d.write_issued_at.remove(&lblk);
             return;
@@ -949,7 +943,7 @@ impl Kernel {
             lblk,
             attempt,
         });
-        self.span_note(desc, |s, _, _, _| s.note_backoff());
+        self.span_note(desc, |s, _| s.note_backoff());
         let delay = 1u64 << (attempt - 1);
         self.kstat
             .stages
@@ -986,8 +980,9 @@ impl Kernel {
         if !aborting {
             return false;
         }
+        let now = self.q.now();
+        self.kstat.spans.live_mut(desc).pending_writes.leave(now);
         let d = self.splices.get_mut(&desc).unwrap();
-        d.pending_writes -= 1;
         d.issued_at.remove(&lblk);
         d.read_done_at.remove(&lblk);
         d.write_issued_at.remove(&lblk);
@@ -1028,7 +1023,12 @@ impl Kernel {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        if d.error.is_none() || d.done || d.pending_reads != 0 || d.pending_writes != 0 {
+        let span = &self.kstat.spans[desc];
+        if d.error.is_none()
+            || d.done
+            || span.pending_reads.count() != 0
+            || span.pending_writes.count() != 0
+        {
             return;
         }
         let bufs: Vec<BufId> = d.src_bufs.drain().map(|(_, b)| b).collect();
@@ -1065,7 +1065,7 @@ impl Kernel {
         if let ReadPlan::Stream { .. } = d.plan {
             d.total = d.total.min(d.stream_taken);
         }
-        if d.pending_writes == 0 && d.bytes_done >= d.total {
+        if self.kstat.spans[desc].pending_writes.count() == 0 && d.bytes_done >= d.total {
             self.complete_splice(desc);
         }
         // Otherwise the last splice_block_completed sees bytes_done reach

@@ -7,13 +7,14 @@
 //! themselves hold in any work-conserving system — so a failure is an
 //! accounting bug surfaced loudly, not a performance regression.
 //!
-//! - **Little's law** (`L = λW`): the time-averaged number of blocks in
-//!   a pipeline stage, measured directly by the callout-driven gauge
-//!   sampler, must equal the total stage time from the per-stage
-//!   histograms divided by the observation window. Gauges sample at
-//!   tick boundaries while stage work starts and ends mid-tick, so the
-//!   tolerance carries an absolute occupancy floor below which the
-//!   comparison is vacuous.
+//! - **Little's law** (`L = λW`): the exact time integral of a
+//!   pipeline stage's occupancy (∫ count dt, kept by the splice
+//!   engine's pending-work gauges) must equal the summed residence time
+//!   the per-stage histograms recorded block by block. Over one window
+//!   both sides divide by the same length, so the law is checked on the
+//!   integrals themselves, exactly: each recorder stamps the same
+//!   instants through a different path, and any difference is a block
+//!   one of them missed or timed from the wrong instant.
 //! - **Utilization law** (`U = X·S`): a device's busy time, accumulated
 //!   request-by-request at the device model, must equal the sum of its
 //!   service-time histogram — two paths through `khw` that can only
@@ -32,7 +33,7 @@ use ksim::{Json, SpanTally};
 pub struct Tolerance {
     /// Relative bound on the deviation.
     pub rel: f64,
-    /// Absolute floor, in the quantity's native unit (occupancy for
+    /// Absolute floor, in the quantity's native unit (ns·blocks for
     /// Little's law, nanoseconds for the utilization law, bytes for
     /// conservation).
     pub abs: f64,
@@ -133,54 +134,24 @@ impl AuditReport {
     }
 }
 
-/// Little's law: `mean_occupancy` (the time-weighted average of the
-/// sampler's gauge over the observation window) vs
-/// `total_stage_ns / window_ns` (Σ per-item stage time over the same
-/// window — `L = λW` with `λ = N/T` and `W = Σw/N`; the two are equal
-/// as time integrals by construction, so a deviation beyond sampling
-/// error means one recorder is wrong).
-///
-/// Sampling error is bounded per interval: with `n_samples` gauge
-/// readings over the window, an in-stage interval can be missed (or
-/// double-weighted at its edges) by at most one average sample
-/// spacing, so the comparison carries an occupancy slack of
-/// `intervals / n_samples` on top of `tol` — the stated resolution of
-/// a tick-driven gauge. Stages whose intervals are long relative to
-/// the sample spacing are audited tightly; sub-resolution stages
-/// degrade to a loose (but still one-recorder-catches-the-other)
-/// bound.
+/// Little's law: `occupancy_ns`, the exact ∫ count dt of a stage in
+/// ns·blocks, vs `stage_ns`, the summed residence time of the
+/// `intervals` blocks the stage's histograms recorded. Both are exact
+/// integrals of the same intervals, so [`Tolerance::EXACT`] is the
+/// law's statement.
 pub fn littles_law(
     label: &str,
-    mean_occupancy: f64,
-    total_stage_ns: u128,
+    occupancy_ns: u128,
+    stage_ns: u128,
     intervals: u64,
-    n_samples: u64,
-    window_ns: u64,
     tol: Tolerance,
 ) -> AuditOutcome {
-    let predicted = if window_ns == 0 {
-        0.0
-    } else {
-        total_stage_ns as f64 / window_ns as f64
-    };
-    let slack = if n_samples == 0 {
-        f64::INFINITY
-    } else {
-        intervals as f64 / n_samples as f64
-    };
-    let effective = Tolerance {
-        rel: tol.rel,
-        abs: tol.abs.max(tol.rel * predicted.abs() + slack),
-    };
     AuditOutcome::judge(
         format!("little.{label}"),
-        mean_occupancy,
-        predicted,
-        effective,
-        format!(
-            "stage {total_stage_ns} ns over {window_ns} ns window, \
-             {intervals} intervals / {n_samples} samples (slack {slack:.2})"
-        ),
+        occupancy_ns as f64,
+        stage_ns as f64,
+        tol,
+        format!("∫ occupancy dt vs Σ stage time over {intervals} intervals, ns·blocks"),
     )
 }
 
@@ -261,42 +232,16 @@ mod tests {
     use ksim::SpliceSpan;
 
     #[test]
-    fn littles_law_passes_on_consistent_inputs() {
-        // 4 blocks, each 250 µs in-stage, over a 1 ms window → L = 1.0,
-        // with plenty of samples so the resolution slack is small.
-        let o = littles_law(
-            "read",
-            1.0,
-            4 * 250_000,
-            4,
-            1000,
-            1_000_000,
-            Tolerance {
-                rel: 0.05,
-                abs: 0.0,
-            },
-        );
+    fn littles_law_compares_the_integrals_exactly() {
+        // 4 blocks, each 250 µs in the stage: 1 ms·block either way.
+        let o = littles_law("read", 1_000_000, 4 * 250_000, 4, Tolerance::EXACT);
         assert!(o.pass, "{o:?}");
-        assert!((o.predicted - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn littles_law_resolution_slack_forgives_sub_sample_intervals() {
-        // 8 intervals seen by only 4 samples: slack = 2 occupancy, so a
-        // gauge that saw nothing still passes against a prediction of
-        // 1.2 — the stage is below the gauge's stated resolution.
-        let tol = Tolerance { rel: 0.1, abs: 0.0 };
-        assert!(littles_law("read", 0.0, 1_200_000, 8, 4, 1_000_000, tol).pass);
-        // With dense sampling the same gap is a real divergence.
-        assert!(!littles_law("read", 0.0, 1_200_000, 8, 1000, 1_000_000, tol).pass);
-        // A gross overcount fails even with the slack.
-        assert!(!littles_law("read", 9.0, 1_200_000, 8, 4, 1_000_000, tol).pass);
-    }
-
-    #[test]
-    fn littles_law_without_samples_is_vacuous() {
-        let tol = Tolerance { rel: 0.1, abs: 0.0 };
-        assert!(littles_law("read", 0.0, 1_000_000, 8, 0, 1_000_000, tol).pass);
+        assert_eq!((o.measured, o.predicted), (1e6, 1e6));
+        // One nanosecond of one block is a divergence.
+        assert!(!littles_law("read", 1_000_001, 1_000_000, 4, Tolerance::EXACT).pass);
+        assert!(!littles_law("read", 0, 1_000_000, 4, Tolerance::EXACT).pass);
+        // An idle stage holds nothing on either side.
+        assert!(littles_law("write", 0, 0, 0, Tolerance::EXACT).pass);
     }
 
     #[test]
@@ -378,11 +323,9 @@ mod tests {
         let mut r = AuditReport::default();
         r.outcomes.push(littles_law(
             "read",
-            1.0,
+            1_000_000,
             1_000_000,
             1,
-            1000,
-            1_000_000,
             Tolerance::EXACT,
         ));
         assert!(r.pass());

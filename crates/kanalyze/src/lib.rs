@@ -12,8 +12,8 @@
 //!   trace-derived total against the independently recorded
 //!   `end_to_end` stage histogram.
 //! - [`audit`]: queueing-law auditors that cross-validate the recorded
-//!   data against itself — Little's law (sampler gauges vs stage
-//!   histograms), the utilization law (device busy time vs service-time
+//!   data against itself — Little's law (exact occupancy integrals vs
+//!   stage histograms), the utilization law (device busy time vs service-time
 //!   digests), and exact byte conservation per splice descriptor — each
 //!   with a stated tolerance so an accounting bug fails loudly instead
 //!   of silently skewing a report.

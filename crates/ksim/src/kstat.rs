@@ -11,8 +11,9 @@
 //!
 //! * [`SpliceSpan`] — one per splice descriptor: lifecycle timestamps
 //!   (created → first read issued → first write issued → drained →
-//!   completion delivered), cumulative counters, watermark gauges, and
-//!   a bounded ring of [`FlowSample`]s for offline analysis.
+//!   completion delivered), cumulative counters, and the two
+//!   pending-work [`Occupancy`] gauges flow control reads, each with its
+//!   exact time integral.
 //! * [`SpliceSpans`] — the per-kernel collection, indexable by splice
 //!   descriptor id (`kstat.spans[desc]`) for live and recently
 //!   completed splices; older completions are folded into a fixed-size
@@ -32,11 +33,6 @@ use crate::hist::Hist;
 use crate::json::Json;
 use crate::time::SimTime;
 
-/// Upper bound on retained [`FlowSample`]s per span. Beyond this the
-/// span keeps updating its scalar gauges but stops appending samples
-/// and sets [`SpliceSpan::samples_truncated`].
-pub const MAX_FLOW_SAMPLES: usize = 4096;
-
 /// Completed splice spans and closed request records kept in full, most
 /// recent last. Older ones survive only in [`SpliceSpans::retired`] and
 /// the [`ReqSpans::latency`] histogram.
@@ -46,28 +42,55 @@ pub const RECENT_SPANS: usize = 64;
 /// failures are only counted.
 pub const MAX_VIOLATION_DETAILS: usize = 8;
 
-/// One flow-control observation, taken whenever the splice engine
-/// issues or retires work on a descriptor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FlowSample {
-    /// Simulated time of the observation.
-    pub at: SimTime,
-    /// Reads issued so far (cache misses that went to the device).
-    pub reads_issued: u64,
-    /// Reads satisfied from the buffer cache.
-    pub read_hits: u64,
-    /// Writes issued so far (shared-header `bwrite`s, device pushes).
-    pub writes_issued: u64,
-    /// Reads outstanding at the device at this instant.
-    pub pending_reads: u32,
-    /// Writes outstanding at this instant.
-    pub pending_writes: u32,
+/// How many items a pipeline stage holds, and the exact time integral
+/// of that count.
+///
+/// Every change is stamped with the instant it happens, and the area
+/// (∫ count dt, in ns·items) is brought up to that instant before the
+/// count moves, so the area is exact however the changes are spaced.
+/// Little's law is then an identity: the area equals the summed
+/// residence time of the items that passed through the stage.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Occupancy {
+    count: u32,
+    peak: u32,
+    since: SimTime,
+    area: u64,
 }
 
-impl FlowSample {
-    /// Reads started by any means (device reads plus cache hits).
-    pub fn reads_started(&self) -> u64 {
-        self.reads_issued + self.read_hits
+impl Occupancy {
+    /// Items in the stage now.
+    pub fn count(&self) -> u32 {
+        self.count
+    }
+
+    /// The most items the stage ever held at once.
+    pub fn peak(&self) -> u32 {
+        self.peak
+    }
+
+    /// ∫ count dt from boot to `now` (not before the last change), in
+    /// ns·items.
+    pub fn area_at(&self, now: SimTime) -> u64 {
+        self.area + u64::from(self.count) * now.since(self.since).as_ns()
+    }
+
+    /// One item enters the stage at `now`.
+    pub fn enter(&mut self, now: SimTime) {
+        self.settle(now);
+        self.count += 1;
+        self.peak = self.peak.max(self.count);
+    }
+
+    /// One item leaves the stage at `now`.
+    pub fn leave(&mut self, now: SimTime) {
+        self.settle(now);
+        self.count -= 1;
+    }
+
+    fn settle(&mut self, now: SimTime) {
+        self.area = self.area_at(now);
+        self.since = now;
     }
 }
 
@@ -110,15 +133,14 @@ pub struct SpliceSpan {
     /// exhaustion (read-side watermark holds, write backpressure).
     pub backoffs: u64,
 
-    /// High-water mark of reads outstanding.
-    pub max_pending_reads: u32,
-    /// High-water mark of writes outstanding.
-    pub max_pending_writes: u32,
-
-    /// Bounded time series of flow observations.
-    pub samples: Vec<FlowSample>,
-    /// True if the sample ring hit [`MAX_FLOW_SAMPLES`].
-    pub samples_truncated: bool,
+    /// Reads outstanding: device reads and stream pulls issued whose
+    /// block has not yet arrived at the engine. Flow control reads this
+    /// count; its area is the descriptor's Σ `read_service`.
+    pub pending_reads: Occupancy,
+    /// Writes outstanding: blocks arrived whose write has not yet
+    /// completed. Its area is the descriptor's Σ (`read_to_write` +
+    /// `write_service`).
+    pub pending_writes: Occupancy,
 }
 
 impl SpliceSpan {
@@ -131,37 +153,27 @@ impl SpliceSpan {
     }
 
     /// Records a device read issue.
-    pub fn note_read_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
+    pub fn note_read_issued(&mut self, now: SimTime) {
         self.first_read.get_or_insert(now);
         self.reads_issued += 1;
-        self.observe(now, pending_reads, pending_writes);
     }
 
     /// Records a read satisfied from the buffer cache.
-    pub fn note_read_hit(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
+    pub fn note_read_hit(&mut self, now: SimTime) {
         self.first_read.get_or_insert(now);
         self.read_hits += 1;
-        self.observe(now, pending_reads, pending_writes);
     }
 
     /// Records a write issue.
-    pub fn note_write_issued(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
+    pub fn note_write_issued(&mut self, now: SimTime) {
         self.first_write.get_or_insert(now);
         self.writes_issued += 1;
-        self.observe(now, pending_reads, pending_writes);
     }
 
     /// Records a fully completed block (or pump chunk) of `bytes`.
-    pub fn note_block_done(
-        &mut self,
-        now: SimTime,
-        bytes: u64,
-        pending_reads: u32,
-        pending_writes: u32,
-    ) {
+    pub fn note_block_done(&mut self, bytes: u64) {
         self.blocks_done += 1;
         self.bytes_moved += bytes;
-        self.observe(now, pending_reads, pending_writes);
     }
 
     /// Records a watermark-triggered read-side refill burst.
@@ -182,23 +194,6 @@ impl SpliceSpan {
     /// Marks completion delivery (SIGIO posted / sleeper woken).
     pub fn note_completed(&mut self, now: SimTime) {
         self.completed.get_or_insert(now);
-    }
-
-    fn observe(&mut self, now: SimTime, pending_reads: u32, pending_writes: u32) {
-        self.max_pending_reads = self.max_pending_reads.max(pending_reads);
-        self.max_pending_writes = self.max_pending_writes.max(pending_writes);
-        if self.samples.len() < MAX_FLOW_SAMPLES {
-            self.samples.push(FlowSample {
-                at: now,
-                reads_issued: self.reads_issued,
-                read_hits: self.read_hits,
-                writes_issued: self.writes_issued,
-                pending_reads,
-                pending_writes,
-            });
-        } else {
-            self.samples_truncated = true;
-        }
     }
 }
 
@@ -221,6 +216,12 @@ pub struct SpanTally {
     pub read_hits: u64,
     /// Writes issued.
     pub writes_issued: u64,
+    /// ∫ pending reads dt, in ns·blocks: by Little's law, the summed
+    /// `read_service` of every block read.
+    pub read_area: u128,
+    /// ∫ pending writes dt, in ns·blocks: the summed `read_to_write` +
+    /// `write_service` of every block written.
+    pub write_area: u128,
     /// Per-span checks that failed.
     pub violations: u64,
     /// The first [`MAX_VIOLATION_DETAILS`] failures, in fold order.
@@ -234,6 +235,9 @@ impl SpanTally {
     /// when present), that its byte count equals the outcome's, and
     /// that no block completed without a read (or cache hit) and a
     /// write behind it.
+    ///
+    /// A completed span's occupancy areas run to its completion, a live
+    /// one's to its last change.
     pub fn fold(&mut self, span: &SpliceSpan, outcome_bytes: u64) {
         self.descriptors += 1;
         self.bytes_moved += outcome_bytes;
@@ -241,6 +245,9 @@ impl SpanTally {
         self.reads_issued += span.reads_issued;
         self.read_hits += span.read_hits;
         self.writes_issued += span.writes_issued;
+        let area = |g: &Occupancy| u128::from(g.area_at(span.completed.unwrap_or(g.since)));
+        self.read_area += area(&span.pending_reads);
+        self.write_area += area(&span.pending_writes);
         let id = span.id;
         let stamps = [
             span.created,
@@ -310,6 +317,19 @@ impl SpliceSpans {
     /// `None` for ids that never started a span or already retired.
     pub fn get_mut(&mut self, id: u64) -> Option<&mut SpliceSpan> {
         self.live.get_mut(&id)
+    }
+
+    /// Live span `id`, whose pending-work gauges are the splice
+    /// engine's flow-control counts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not live: the engine starts a span with each
+    /// descriptor and retires it as the descriptor goes.
+    pub fn live_mut(&mut self, id: u64) -> &mut SpliceSpan {
+        self.live
+            .get_mut(&id)
+            .unwrap_or_else(|| panic!("no live splice span for descriptor {id}"))
     }
 
     /// Marks live span `id` completed at `now`, folds it into the
@@ -646,9 +666,9 @@ mod tests {
         let mut spans = SpliceSpans::new();
         spans.start(1, t(10));
         let s = spans.get_mut(1).unwrap();
-        s.note_read_issued(t(11), 1, 0);
-        s.note_write_issued(t(12), 0, 1);
-        s.note_block_done(t(13), 4096, 0, 0);
+        s.note_read_issued(t(11));
+        s.note_write_issued(t(12));
+        s.note_block_done(4096);
         s.note_drained(t(13));
         s.note_completed(t(14));
 
@@ -667,33 +687,83 @@ mod tests {
         let mut spans = SpliceSpans::new();
         spans.start(7, t(1));
         let s = spans.get_mut(7).unwrap();
-        s.note_read_issued(t(2), 1, 0);
-        s.note_read_issued(t(5), 2, 0);
+        s.note_read_issued(t(2));
+        s.note_read_issued(t(5));
         assert_eq!(s.first_read, Some(t(2)));
         assert_eq!(s.reads_issued, 2);
-        assert_eq!(s.max_pending_reads, 2);
     }
 
     #[test]
-    fn samples_cap_and_flag_truncation() {
-        let mut spans = SpliceSpans::new();
-        spans.start(3, t(0));
-        let s = spans.get_mut(3).unwrap();
-        for i in 0..(MAX_FLOW_SAMPLES as u64 + 10) {
-            s.note_read_issued(t(i), 1, 0);
-        }
-        assert_eq!(s.samples.len(), MAX_FLOW_SAMPLES);
-        assert!(s.samples_truncated);
-        assert_eq!(s.reads_issued, MAX_FLOW_SAMPLES as u64 + 10);
+    fn occupancy_integrates_changes_at_distinct_instants() {
+        let mut g = Occupancy::default();
+        g.enter(t(10));
+        g.enter(t(30));
+        g.leave(t(40));
+        g.leave(t(100));
+        // One item over [10, 100) and a second over [30, 40): 90 + 10 µs.
+        assert_eq!(g.area_at(t(100)), 100_000);
+        assert_eq!((g.count(), g.peak(), g.since), (0, 2, t(100)));
+        // Empty, the area stops growing.
+        assert_eq!(g.area_at(t(500)), 100_000);
+        // Held, it grows with the count until the next change.
+        g.enter(t(200));
+        assert_eq!(g.area_at(t(203)), 103_000);
     }
 
-    /// Starts span `id` at `t(id)` and completes one 4 KB block on it.
+    #[test]
+    fn occupancy_changes_at_one_instant_add_no_area() {
+        let mut g = Occupancy::default();
+        g.enter(t(5));
+        g.leave(t(5));
+        g.enter(t(5));
+        assert_eq!(g.area_at(t(5)), 0);
+        assert_eq!((g.count(), g.peak()), (1, 1));
+        g.enter(t(7));
+        g.leave(t(7));
+        g.leave(t(7));
+        assert_eq!(g.area_at(t(9)), 2_000, "one item over [5, 7)");
+    }
+
+    /// Starts span `id` at `t(id)` and completes one 4 KB block on it:
+    /// read in flight 1 µs, write in flight 2 µs.
     fn one_block(spans: &mut SpliceSpans, id: u64) {
         let s = spans.start(id, t(id));
-        s.note_read_issued(t(id), 1, 0);
-        s.note_write_issued(t(id), 0, 1);
-        s.note_block_done(t(id), 4096, 0, 0);
-        s.note_drained(t(id));
+        s.pending_reads.enter(t(id));
+        s.note_read_issued(t(id));
+        s.pending_reads.leave(t(id + 1));
+        s.pending_writes.enter(t(id + 1));
+        s.note_write_issued(t(id + 1));
+        s.pending_writes.leave(t(id + 3));
+        s.note_block_done(4096);
+        s.note_drained(t(id + 3));
+    }
+
+    #[test]
+    fn retire_folds_the_occupancy_areas_into_the_tally() {
+        let mut spans = SpliceSpans::new();
+        one_block(&mut spans, 1);
+        one_block(&mut spans, 2);
+        // A block still in flight at retirement counts until then.
+        spans.live_mut(2).pending_reads.enter(t(10));
+        spans.retire(1, t(20), 4096);
+        spans.retire(2, t(20), 4096);
+        let r = spans.retired();
+        assert_eq!((r.read_area, r.write_area), (1_000 + 1_000 + 10_000, 4_000));
+    }
+
+    #[test]
+    fn tally_counts_a_live_span_to_its_last_change() {
+        let mut spans = SpliceSpans::new();
+        one_block(&mut spans, 1);
+        spans.retire(1, t(4), 4096);
+        spans.start(2, t(5));
+        let live = spans.live_mut(2);
+        live.pending_reads.enter(t(5));
+        live.pending_reads.enter(t(8));
+        let all = spans.tally();
+        assert_eq!(all.descriptors, 2);
+        assert_eq!((all.read_area, all.write_area), (1_000 + 3_000, 2_000));
+        assert_eq!(spans.retired().read_area, 1_000, "tally leaves the store");
     }
 
     #[test]
@@ -702,12 +772,12 @@ mod tests {
         let n = RECENT_SPANS as u64 + 10;
         for id in 1..=n {
             one_block(&mut spans, id);
-            spans.retire(id, t(id), 4096);
+            spans.retire(id, t(id + 3), 4096);
         }
         assert_eq!(spans.live().count(), 0);
         assert_eq!(spans.len(), RECENT_SPANS);
         assert!(spans.get(10).is_none(), "the oldest completions left");
-        assert_eq!(spans[n].completed, Some(t(n)));
+        assert_eq!(spans[n].completed, Some(t(n + 3)));
         let ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
         assert_eq!(ids, (11..=n).collect::<Vec<_>>());
         let r = spans.retired();
@@ -716,7 +786,7 @@ mod tests {
         assert_eq!((r.blocks_done, r.reads_issued, r.writes_issued), (n, n, n));
         assert_eq!(r.violations, 0, "{:?}", r.details);
         // Retiring twice is a no-op.
-        spans.retire(n, t(n), 4096);
+        spans.retire(n, t(n + 3), 4096);
         assert_eq!(spans.retired().descriptors, n);
     }
 

@@ -35,8 +35,8 @@ pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;
 pub use kstat::{
-    FlowSample, HistSummary, Kstat, ReqSpan, ReqSpans, SpanTally, SpliceSpan, SpliceSpans,
+    HistSummary, Kstat, Occupancy, ReqSpan, ReqSpans, SpanTally, SpliceSpan, SpliceSpans,
     StageHists, RECENT_SPANS,
 };
 pub use time::{Dur, SimTime};
-pub use trace::{BlockSpan, CounterId, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};
+pub use trace::{BlockSpan, PhaseMark, Trace, TraceEvent, TraceQuery, TraceRecord};

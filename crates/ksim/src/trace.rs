@@ -480,12 +480,6 @@ pub struct TraceRecord {
     pub ev: TraceEvent,
 }
 
-/// Interned handle to a counter series, returned by
-/// [`Trace::counter_id`] and consumed by [`Trace::record_counter_id`].
-/// Recording through a handle costs one bounds check — no name lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct CounterId(u32);
-
 /// A bounded ring buffer of typed, sequence-numbered trace records.
 pub struct Trace {
     enabled: bool,
@@ -494,15 +488,6 @@ pub struct Trace {
     /// Records evicted by ring wrap — silent truncation made countable.
     dropped: u64,
     ring: VecDeque<TraceRecord>,
-    /// Per-series cap for counter samples; 0 means counters are off
-    /// (the default — nothing records and the Chrome export is
-    /// byte-identical to a counter-free trace).
-    counter_capacity: usize,
-    /// Named counter series (gauge time series recorded by the
-    /// sampler), each a bounded ring in time order. A `Vec` keyed by
-    /// linear scan: the handful of series stays in insertion order,
-    /// which fixes the Chrome track numbering deterministically.
-    counters: Vec<(String, VecDeque<(SimTime, f64)>)>,
 }
 
 impl Default for Trace {
@@ -520,77 +505,7 @@ impl Trace {
             next_seq: 0,
             dropped: 0,
             ring: VecDeque::new(),
-            counter_capacity: 0,
-            counters: Vec::new(),
         }
-    }
-
-    /// Enables counter recording with a per-series sample cap. Counter
-    /// tracks are an explicit opt-in (the kernel's sampler), separate
-    /// from [`Trace::set_enabled`]: gauges stay recordable even when
-    /// the event ring is off, and an event-only trace never grows
-    /// counter tracks.
-    pub fn set_counter_capacity(&mut self, capacity: usize) {
-        self.counter_capacity = capacity;
-    }
-
-    /// Appends one sample to the named counter series (creating the
-    /// series on first use). No-op until
-    /// [`Trace::set_counter_capacity`] enables counters; the oldest
-    /// sample drops once a series hits the cap.
-    ///
-    /// Convenience wrapper: looks the series up by name every call. A
-    /// periodic recorder should intern the name once with
-    /// [`Trace::counter_id`] and record through
-    /// [`Trace::record_counter_id`] instead, which is allocation- and
-    /// scan-free.
-    pub fn record_counter(&mut self, now: SimTime, name: &str, value: f64) {
-        if self.counter_capacity == 0 {
-            return;
-        }
-        let id = self.counter_id(name);
-        self.record_counter_id(now, id, value);
-    }
-
-    /// Interns `name`, creating its series if needed, and returns a
-    /// handle for [`Trace::record_counter_id`]. Series creation order
-    /// fixes the Chrome counter-track numbering, exactly as with
-    /// [`Trace::record_counter`] first use. No-op handle (series not
-    /// created) until counters are enabled.
-    pub fn counter_id(&mut self, name: &str) -> CounterId {
-        if self.counter_capacity == 0 {
-            return CounterId(u32::MAX);
-        }
-        let index = match self.counters.iter().position(|(n, _)| n == name) {
-            Some(i) => i,
-            None => {
-                self.counters.push((name.to_string(), VecDeque::new()));
-                self.counters.len() - 1
-            }
-        };
-        CounterId(index as u32)
-    }
-
-    /// Appends one sample to an interned counter series: the hot path —
-    /// one bounds check, no hashing, no scan, no allocation once the
-    /// series ring is at capacity.
-    pub fn record_counter_id(&mut self, now: SimTime, id: CounterId, value: f64) {
-        if self.counter_capacity == 0 {
-            return;
-        }
-        let Some((_, series)) = self.counters.get_mut(id.0 as usize) else {
-            return;
-        };
-        if series.len() == self.counter_capacity {
-            series.pop_front();
-        }
-        series.push_back((now, value));
-    }
-
-    /// The recorded counter series, in creation order:
-    /// `(name, samples)` with samples oldest first.
-    pub fn counter_series(&self) -> impl Iterator<Item = (&str, &VecDeque<(SimTime, f64)>)> {
-        self.counters.iter().map(|(n, s)| (n.as_str(), s))
     }
 
     /// Turns tracing on or off.
@@ -764,25 +679,6 @@ impl Trace {
                             .with("write_done_us", us(wd.at)),
                     ),
             );
-        }
-
-        // Counter ("C") tracks, one tid per series on the kernel pid.
-        // Only present when the sampler recorded something, so a
-        // counter-free trace exports byte-identically to before.
-        for (i, (name, samples)) in self.counters.iter().enumerate() {
-            let tid = 10 + i as u64;
-            evs.push(meta(name, KERNEL_PID, tid, "thread_name"));
-            for (at, value) in samples {
-                evs.push(
-                    Json::obj()
-                        .with("name", Json::Str(name.clone()))
-                        .with("ph", Json::Str("C".into()))
-                        .with("ts", us(*at))
-                        .with("pid", num(KERNEL_PID))
-                        .with("tid", num(tid))
-                        .with("args", Json::obj().with("value", Json::Num(*value))),
-                );
-            }
         }
 
         Json::obj()
@@ -1233,64 +1129,5 @@ mod tests {
         let doc = tr.to_chrome_json();
         let parsed = Json::parse(&doc.render()).expect("chrome json parses");
         assert_eq!(parsed, doc);
-    }
-
-    #[test]
-    fn counters_are_off_by_default_and_bounded_when_enabled() {
-        let mut tr = Trace::new(8);
-        tr.record_counter(SimTime::ZERO, "x", 1.0);
-        assert_eq!(tr.counter_series().count(), 0, "off until capacity set");
-
-        tr.set_counter_capacity(2);
-        let t = |us| SimTime::ZERO + Dur::from_us(us);
-        for i in 0..5u64 {
-            tr.record_counter(t(i), "x", i as f64);
-        }
-        let (name, samples) = tr.counter_series().next().unwrap();
-        assert_eq!(name, "x");
-        assert_eq!(samples.len(), 2, "oldest samples dropped at capacity");
-        assert_eq!(samples[0], (t(3), 3.0));
-        assert_eq!(samples[1], (t(4), 4.0));
-    }
-
-    #[test]
-    fn chrome_export_adds_counter_tracks_only_when_recorded() {
-        let mut tr = Trace::new(8);
-        tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || wake(1));
-        let before = tr.to_chrome_json().render();
-
-        // Enabling counters without recording changes nothing.
-        tr.set_counter_capacity(16);
-        assert_eq!(tr.to_chrome_json().render(), before);
-
-        let t = |us| SimTime::ZERO + Dur::from_us(us);
-        tr.record_counter(t(1), "cache.resident", 10.0);
-        tr.record_counter(t(2), "cache.resident", 12.0);
-        tr.record_counter(t(2), "pid1.cpu_share", 0.5);
-        let doc = tr.to_chrome_json();
-        let evs = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
-        let counters: Vec<&Json> = evs
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .collect();
-        assert_eq!(counters.len(), 3);
-        assert_eq!(
-            counters[0].get("name").and_then(Json::as_str),
-            Some("cache.resident")
-        );
-        assert_eq!(
-            counters[0]
-                .get("args")
-                .and_then(|a| a.get("value"))
-                .and_then(Json::as_f64),
-            Some(10.0)
-        );
-        // Each series has its own tid, monotone in time.
-        let tids: Vec<u64> = counters
-            .iter()
-            .map(|e| e.get("tid").and_then(Json::as_u64).unwrap())
-            .collect();
-        assert_eq!(tids, vec![10, 10, 11]);
     }
 }

@@ -53,11 +53,12 @@ fn run(env: &str, copier: Option<Box<dyn kproc::Program>>) -> Run {
         100.0 * test_share,
         prof.kernel_cpu.total().as_secs_f64(),
     );
-    if let Some(p99) = prof.stages.end_to_end.p99() {
+    let e2e = &k.kstat().stages.end_to_end;
+    if let Some(p99) = e2e.p99() {
         println!(
             "        splice block latency p99 ~ {:.0} us over {} blocks",
             p99 as f64 / 1000.0,
-            prof.stages.end_to_end.count(),
+            e2e.count(),
         );
     }
     Run {

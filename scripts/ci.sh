@@ -77,7 +77,7 @@ PRODUCERS=(
     "env SERVER_CONNS=10000 $BENCH server|BENCH_server.json"
     "$BENCH tracedump -- scp_ram|TRACE_scp_ram.json"
     "$BENCH tracedump -- server|TRACE_server.json"
-    "$BENCH profile|BENCH_profile.json TS_scp_ram.json TS_spool.json TS_movie.json TS_ring.json TS_server.json"
+    "$BENCH profile|BENCH_profile.json"
     "$BENCH analyze|REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_ring.json REPORT_server.json"
 )
 FIRST=$(mktemp -d)

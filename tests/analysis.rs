@@ -13,17 +13,14 @@ use kanalyze::{
 };
 use kproc::programs::{RingScp, Scp};
 use kproc::ProcState;
-use ksim::{Dur, Json};
+use ksim::Json;
 use splice::{Kernel, KernelBuilder};
 
 const MB: u64 = 1024 * 1024;
 
-/// One cold-cache 2 MB disk→disk splice with trace and sampler on.
+/// One cold-cache 2 MB disk→disk splice with the trace on.
 fn scp_kernel() -> Kernel {
-    let mut k = KernelBuilder::paper_machine_ram()
-        .trace(1 << 20)
-        .sample(Dur::from_ms(10), 1 << 14)
-        .build();
+    let mut k = KernelBuilder::paper_machine_ram().trace(1 << 20).build();
     k.setup_file("/d0/src", 2 * MB, 5);
     k.cold_cache();
     let pid = k.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
@@ -35,10 +32,7 @@ fn scp_kernel() -> Kernel {
 
 /// A small batched-ring copy (8 one-block pairs, depth 4).
 fn ring_kernel() -> Kernel {
-    let mut k = KernelBuilder::paper_machine_ram()
-        .trace(1 << 20)
-        .sample(Dur::from_ms(10), 1 << 14)
-        .build();
+    let mut k = KernelBuilder::paper_machine_ram().trace(1 << 20).build();
     for i in 0..8 {
         k.setup_file(&format!("/d0/f{i}"), 8 * 1024, 7 ^ i as u64);
     }
@@ -50,19 +44,35 @@ fn ring_kernel() -> Kernel {
     k
 }
 
-/// Time-weighted mean of a gauge over `[0, window]` (trapezoids between
-/// samples, last value held) — the same estimator `analyze` feeds to
-/// the Little's-law auditor.
-fn time_weighted_mean(points: &[(u64, u64)], window_ns: u64) -> f64 {
-    let mut mass = 0.0;
-    let (mut pt, mut po) = (0u64, 0.0f64);
-    for &(t, occ) in points {
-        let o = occ as f64;
-        mass += 0.5 * (po + o) * t.saturating_sub(pt) as f64;
-        (pt, po) = (t, o);
+/// Little's law on both pipeline sides, exact: each side's occupancy
+/// integral over every descriptor equals the stage time its histograms
+/// recorded, to the nanosecond.
+fn assert_littles_law(k: &Kernel) {
+    let stages = &k.kstat().stages;
+    let tally = k.kstat().spans.tally();
+    for o in [
+        littles_law(
+            "inflight_reads",
+            tally.read_area,
+            stages.read_service.sum(),
+            stages.read_service.count(),
+            Tolerance::EXACT,
+        ),
+        littles_law(
+            "inflight_writes",
+            tally.write_area,
+            stages.read_to_write.sum() + stages.write_service.sum(),
+            stages.write_service.count(),
+            Tolerance::EXACT,
+        ),
+    ] {
+        assert!(
+            o.pass,
+            "{}: measured {} vs predicted {} ({})",
+            o.law, o.measured, o.predicted, o.detail
+        );
     }
-    mass += po * window_ns.saturating_sub(pt) as f64;
-    mass / window_ns as f64
+    assert!(tally.read_area > 0 && tally.write_area > 0, "idle pipeline");
 }
 
 #[test]
@@ -100,44 +110,8 @@ fn decomposition_closes_on_live_run() {
 #[test]
 fn queueing_laws_hold_on_live_run() {
     let k = scp_kernel();
-    let stages = &k.kstat().stages;
-    let window_ns = k.now().as_ns();
-
-    // Little's law on both pipeline sides, via the sampler gauges.
-    let reads: Vec<(u64, u64)> = k
-        .samples()
-        .map(|s| (s.at.as_ns(), s.inflight_reads))
-        .collect();
-    let writes: Vec<(u64, u64)> = k
-        .samples()
-        .map(|s| (s.at.as_ns(), s.inflight_writes))
-        .collect();
-    assert!(!reads.is_empty(), "sampler never fired");
-    let tol = Tolerance {
-        rel: 0.25,
-        abs: 0.5,
-    };
-    let n = reads.len() as u64;
-    let little_r = littles_law(
-        "inflight_reads",
-        time_weighted_mean(&reads, window_ns),
-        stages.read_service.sum(),
-        stages.read_service.count(),
-        n,
-        window_ns,
-        tol,
-    );
-    assert!(little_r.pass, "{}: {}", little_r.law, little_r.detail);
-    let little_w = littles_law(
-        "inflight_writes",
-        time_weighted_mean(&writes, window_ns),
-        stages.read_to_write.sum() + stages.write_service.sum(),
-        stages.write_service.count(),
-        n,
-        window_ns,
-        tol,
-    );
-    assert!(little_w.pass, "{}: {}", little_w.law, little_w.detail);
+    assert_littles_law(&k);
+    assert_littles_law(&ring_kernel());
 
     // Utilization law: busy time vs the service digest, recorded side
     // by side per request through the unified accounting source.

@@ -3,14 +3,12 @@
 //! The histogram algebra must be exact where it claims exactness
 //! (bucket boundaries, merge), monotone where it estimates
 //! (percentiles), and safe at the extremes (top-bucket saturation).
-//! The gauge sampler must be deterministic — identical runs produce
-//! identical `TS_*.json` bytes — bounded at its configured capacity,
-//! and completely absent (down to the trace-export bytes) when not
-//! opted into.
+//! A spliced run's profile must account every device and process, and
+//! its stage histograms the whole pipeline.
 
 use kproc::programs::Scp;
 use kproc::ProcState;
-use ksim::{Dur, Hist, Json};
+use ksim::Hist;
 use splice::{Kernel, KernelBuilder};
 
 const MB: u64 = 1024 * 1024;
@@ -100,13 +98,11 @@ fn hist_saturates_at_top_bucket() {
     assert_eq!(h.min(), Some(1u64 << 63));
 }
 
-// ----- sampler ------------------------------------------------------------
+// ----- profile snapshot ---------------------------------------------------
 
-fn sampled_kernel(period: Dur, capacity: usize) -> Kernel {
-    let mut k = KernelBuilder::paper_machine_ram()
-        .trace(1 << 20)
-        .sample(period, capacity)
-        .build();
+/// One cold-cache 2 MB disk→disk splice.
+fn spliced_kernel() -> Kernel {
+    let mut k = KernelBuilder::paper_machine_ram().build();
     k.setup_file("/d0/src", 2 * MB, 5);
     k.cold_cache();
     let pid = k.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
@@ -117,97 +113,13 @@ fn sampled_kernel(period: Dur, capacity: usize) -> Kernel {
 }
 
 #[test]
-fn sampler_time_series_is_deterministic() {
-    let a = sampled_kernel(Dur::from_ms(5), 4096);
-    let b = sampled_kernel(Dur::from_ms(5), 4096);
-    let ta = a.timeseries_json("scp").render_pretty();
-    let tb = b.timeseries_json("scp").render_pretty();
-    assert!(!ta.is_empty());
-    assert_eq!(ta, tb, "identical runs must serialize identical TS bytes");
-    assert!(a.samples().count() > 0, "sampler never fired");
-    // Timestamps strictly increase (one sample per callout period).
-    let ts: Vec<u64> = a.samples().map(|s| s.at.as_ns()).collect();
-    for w in ts.windows(2) {
-        assert!(w[0] < w[1], "sample times must increase: {ts:?}");
-    }
-}
-
-#[test]
-fn sampler_ring_saturates_at_capacity() {
-    let k = sampled_kernel(Dur::from_ms(1), 4);
-    assert_eq!(k.samples().count(), 4, "ring must cap at capacity");
-    let doc = k.timeseries_json("scp");
-    let dropped = doc.get("dropped").and_then(Json::as_u64).unwrap();
-    assert!(dropped > 0, "overflow must be counted, not silent");
-    assert_eq!(doc.get("samples").and_then(Json::as_arr).unwrap().len(), 4);
-}
-
-#[test]
-fn sampler_records_cpu_share_gauges() {
-    let k = sampled_kernel(Dur::from_ms(2), 4096);
-    // The copier (pid 1) must show nonzero CPU share in some interval.
-    let any_share = k
-        .samples()
-        .any(|s| s.cpu_share.iter().any(|(_, f)| *f > 0.0));
-    assert!(any_share, "no interval recorded any CPU use");
-    // Shares are fractions of a wall interval on a uniprocessor
-    // (quantum charges that straddle a boundary are clamped).
-    for s in k.samples() {
-        for (pid, f) in &s.cpu_share {
-            assert!((0.0..=1.0).contains(f), "pid {pid} share {f} out of range");
-        }
-    }
-}
-
-#[test]
-fn chrome_counters_only_with_sampling() {
-    let count_c = |k: &Kernel| {
-        let doc = Json::parse(&k.trace().to_chrome_json().render()).expect("chrome json parses");
-        doc.get("traceEvents")
-            .and_then(Json::as_arr)
-            .unwrap()
-            .iter()
-            .filter(|e| e.get("ph").and_then(Json::as_str) == Some("C"))
-            .count()
-    };
-
-    // Without the opt-in: no counter events at all.
-    let mut plain = KernelBuilder::paper_machine_ram().trace(1 << 20).build();
-    plain.setup_file("/d0/src", 2 * MB, 5);
-    plain.cold_cache();
-    let pid = plain.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
-    let horizon = plain.horizon(300);
-    plain.run_to_exit(horizon);
-    assert!(matches!(
-        plain.procs().must(pid).state,
-        ProcState::Exited(0)
-    ));
-    assert_eq!(
-        count_c(&plain),
-        0,
-        "sampler-free trace must have no C events"
-    );
-
-    // With it: every sample mirrors its gauges as counter events.
-    let sampled = sampled_kernel(Dur::from_ms(5), 4096);
-    let n = count_c(&sampled);
-    assert!(n > 0, "sampled trace must contain counter events");
-    assert!(
-        n >= sampled.samples().count(),
-        "each sample should emit at least one counter event"
-    );
-}
-
-// ----- profile snapshot ---------------------------------------------------
-
-#[test]
 fn profile_accounts_stages_and_devices() {
-    let k = sampled_kernel(Dur::from_ms(5), 4096);
+    let k = spliced_kernel();
     let prof = k.profile();
 
     // Per-stage histograms: a RAM-disk splice exercises the whole
     // pipeline except retries.
-    let stages = &prof.stages;
+    let stages = &k.kstat().stages;
     assert!(stages.read_queue_wait.count() > 0, "no queue-wait samples");
     assert!(stages.read_service.count() > 0, "no read-service samples");
     assert!(stages.read_to_write.count() > 0, "no gap samples");
@@ -233,8 +145,8 @@ fn profile_accounts_stages_and_devices() {
     assert!(scp.syscalls > 0);
 
     // JSON form carries the stage digests with quantiles.
-    let doc = prof.to_json();
-    let e2e = doc.get("stages").and_then(|s| s.get("end_to_end")).unwrap();
+    let doc = stages.to_json();
+    let e2e = doc.get("end_to_end").unwrap();
     for key in ["count", "p50", "p90", "p99"] {
         assert!(e2e.get(key).is_some(), "stage digest missing {key}");
     }
