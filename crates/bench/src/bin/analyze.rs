@@ -52,6 +52,7 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
         "inflight_reads",
         tally.read_area,
         stages.read_service.sum(),
+        tally.read_lost,
         stages.read_service.count(),
         Tolerance::EXACT,
     ));
@@ -59,6 +60,7 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
         "inflight_writes",
         tally.write_area,
         stages.read_to_write.sum() + stages.write_service.sum(),
+        tally.write_lost,
         stages.write_service.count(),
         Tolerance::EXACT,
     ));

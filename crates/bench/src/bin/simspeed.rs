@@ -1,7 +1,7 @@
 //! Simulator-speed table: pins host events-per-second the way Tables
 //! 1/2 pin simulated results.
 //!
-//! Four rows land in `BENCH_simspeed.json`:
+//! Five rows land in `BENCH_simspeed.json`:
 //!
 //! * `callout_churn` — schedule/cancel/expire mix against 100k pending
 //!   callouts on the hierarchical timing wheel.
@@ -12,6 +12,9 @@
 //! * `scp_ram_e2e` — wall-clock blocks/sec of repeated cold-cache
 //!   `scp` copies across the RAM-disk machine, the end-to-end number
 //!   the fast path exists to move.
+//! * `cp_ram_e2e` — the same for cold-cache `cp` copies: the read/write
+//!   path, whose whole blocks cross the modelled user boundary by
+//!   reference.
 //!
 //! `meta.baseline` records the same loops measured on the pre-refactor
 //! tree (BTreeMap callout, non-slab event queue, unpooled buffers) so
@@ -34,6 +37,17 @@ fn rate_row(name: &str, pending: usize, r: &simspeed::Rate) -> Json {
         .with("ops_per_sec", Json::Num(r.ops_per_sec()))
 }
 
+/// One end-to-end row: 40 measured 8 MB copies.
+fn e2e_row(name: &str, r: &simspeed::E2eRate) -> Json {
+    Json::obj()
+        .with("bench", Json::Str(name.into()))
+        .with("runs", Json::Num(40.0))
+        .with("file_bytes", Json::Num((8 << 20) as f64))
+        .with("blocks", Json::Num(r.blocks as f64))
+        .with("secs", Json::Num(r.secs))
+        .with("blocks_per_sec", Json::Num(r.blocks_per_sec()))
+}
+
 fn main() {
     let wheel = simspeed::callout_churn_wheel(PENDING, 100_000);
     println!("callout_churn: {:.0} ops/sec", wheel.ops_per_sec());
@@ -53,18 +67,20 @@ fn main() {
         e2e.blocks,
         e2e.secs
     );
+    let cp_e2e = simspeed::cp_ram_e2e(2, 40, 8 << 20);
+    println!(
+        "cp_ram_e2e: {:.0} blocks/sec ({} blocks in {:.3}s)",
+        cp_e2e.blocks_per_sec(),
+        cp_e2e.blocks,
+        cp_e2e.secs
+    );
 
     let rows = Json::Arr(vec![
         rate_row("callout_churn", PENDING, &wheel),
         rate_row("event_churn", PENDING, &event),
         rate_row("event_mix", simspeed::EVENT_MIX_PEAK, &mix),
-        Json::obj()
-            .with("bench", Json::Str("scp_ram_e2e".into()))
-            .with("runs", Json::Num(40.0))
-            .with("file_bytes", Json::Num((8 << 20) as f64))
-            .with("blocks", Json::Num(e2e.blocks as f64))
-            .with("secs", Json::Num(e2e.secs))
-            .with("blocks_per_sec", Json::Num(e2e.blocks_per_sec())),
+        e2e_row("scp_ram_e2e", &e2e),
+        e2e_row("cp_ram_e2e", &cp_e2e),
     ]);
 
     // The same loops measured on the pre-refactor tree (BTreeMap

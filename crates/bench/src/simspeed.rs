@@ -153,40 +153,63 @@ impl E2eRate {
     }
 }
 
-/// One cold-cache `scp` of a `bytes`-sized file across the RAM-disk
-/// machine. Returns the number of 8 KB blocks copied.
+/// One cold-cache copy of a `bytes`-sized file across the RAM-disk
+/// machine by the program `copy` builds. Returns the number of 8 KB
+/// blocks copied.
 ///
 /// # Panics
 ///
 /// Panics if the copy fails to exit cleanly.
-fn scp_ram_run(bytes: u64) -> u64 {
+fn ram_copy_run(bytes: u64, copy: fn(&str, &str) -> Box<dyn kproc::Program>) -> u64 {
     let mut k = splice::KernelBuilder::paper_machine_ram().build();
     k.setup_file("/d0/src", bytes, 5);
     k.cold_cache();
-    let pid = k.spawn(Box::new(kproc::programs::Scp::new("/d0/src", "/d1/dst")));
+    let pid = k.spawn(copy("/d0/src", "/d1/dst"));
     let horizon = k.horizon(300);
     k.run_to_exit(horizon);
     assert!(
         matches!(k.procs().must(pid).state, kproc::ProcState::Exited(0)),
-        "scp_ram speed run failed to exit cleanly"
+        "RAM-disk copy speed run failed to exit cleanly"
     );
     bytes / 8192
 }
 
-/// End-to-end simulator speed: `warmup` unmeasured runs (to populate
-/// the buffer arena and fault in code), then `runs` measured cold-cache
-/// `scp` copies of `bytes` each.
-pub fn scp_ram_e2e(warmup: u32, runs: u32, bytes: u64) -> E2eRate {
+/// `warmup` unmeasured runs (to populate the buffer arena and fault in
+/// code), then `runs` measured cold-cache copies of `bytes` each.
+fn ram_copy_e2e(
+    warmup: u32,
+    runs: u32,
+    bytes: u64,
+    copy: fn(&str, &str) -> Box<dyn kproc::Program>,
+) -> E2eRate {
     for _ in 0..warmup {
-        std::hint::black_box(scp_ram_run(bytes));
+        std::hint::black_box(ram_copy_run(bytes, copy));
     }
     let start = Instant::now();
     let mut blocks = 0u64;
     for _ in 0..runs {
-        blocks += scp_ram_run(bytes);
+        blocks += ram_copy_run(bytes, copy);
     }
     E2eRate {
         blocks,
         secs: start.elapsed().as_secs_f64(),
     }
+}
+
+/// End-to-end simulator speed of the splice path: `warmup` unmeasured
+/// runs (to populate the buffer arena and fault in code), then `runs`
+/// measured cold-cache `scp` copies of `bytes` each.
+pub fn scp_ram_e2e(warmup: u32, runs: u32, bytes: u64) -> E2eRate {
+    ram_copy_e2e(warmup, runs, bytes, |src, dst| {
+        Box::new(kproc::programs::Scp::new(src, dst))
+    })
+}
+
+/// End-to-end simulator speed of the read/write path, measured like
+/// [`scp_ram_e2e`] with `cp` copies: every block crosses the modelled
+/// user boundary twice.
+pub fn cp_ram_e2e(warmup: u32, runs: u32, bytes: u64) -> E2eRate {
+    ram_copy_e2e(warmup, runs, bytes, |src, dst| {
+        Box::new(kproc::programs::Cp::new(src, dst))
+    })
 }

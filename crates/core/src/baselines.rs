@@ -136,11 +136,7 @@ impl Kernel {
         };
         // The whole point: the data stays in the kernel. A small
         // bookkeeping cost, no copyout.
-        let data = {
-            let d = self.cache.data(buf);
-            let bytes = d.bytes();
-            bytes[boff..boff + take].to_vec()
-        };
+        let data = self.cache.data(buf).view(boff, take);
         cpu += m.buf_op;
         let mut fx = Vec::new();
         self.cache.brelse(buf, &mut fx);
@@ -297,11 +293,7 @@ impl Kernel {
                 }
             }
         };
-        let data = {
-            let d = self.cache.data(buf);
-            let bytes = d.bytes();
-            bytes[..take].to_vec()
-        };
+        let data = self.cache.data(buf).view(0, take);
         let mut fx = Vec::new();
         self.cache.brelse(buf, &mut fx);
         cpu += self.apply_cache_effects(fx, IoCtx::Process);

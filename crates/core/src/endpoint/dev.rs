@@ -8,7 +8,7 @@
 //! remainder retries via the callout when space drains. The audio DAC's
 //! back-pressure is what rate-limits a whole-file audio splice.
 
-use ksim::TraceEvent;
+use ksim::{Bytes, TraceEvent};
 
 use crate::endpoint::Block;
 use crate::event::KWork;
@@ -17,11 +17,11 @@ use crate::objects::CharDev;
 
 impl Kernel {
     /// Reads `want` bytes of frame data from the framebuffer.
-    pub(crate) fn fb_pull(&mut self, cdev: usize, now: ksim::SimTime, want: usize) -> Vec<u8> {
+    pub(crate) fn fb_pull(&mut self, cdev: usize, now: ksim::SimTime, want: usize) -> Bytes {
         let CharDev::Fb(fb) = &mut self.cdevs[cdev].dev else {
             panic!("fb_pull on a non-framebuffer device")
         };
-        fb.read(now, want)
+        fb.read(now, want).into()
     }
 
     /// Device-sink write side: paced delivery of one arrived block. An
@@ -55,9 +55,8 @@ impl Kernel {
             // once per block; a block that would overrun it fails.
             if let Some(limit) = self.cdevs[cdev].write_fail_after {
                 if (len as u64) > limit {
-                    self.kstat.spans.live_mut(desc).pending_writes.leave(now);
+                    self.drop_write_slot(desc, lblk);
                     let d = self.splices.get_mut(&desc).unwrap();
-                    d.issued_at.remove(&lblk);
                     d.src_bufs.remove(&lblk);
                     if let Block::Buf(buf) = src {
                         self.release_buf(buf);

@@ -16,7 +16,7 @@
 use kbuf::{BreadOutcome, SpliceRef};
 use kfs::Ino;
 use kproc::{Errno, WorkClass};
-use ksim::{Dur, TraceEvent};
+use ksim::{Bytes, Dur, TraceEvent};
 
 use crate::endpoint::ReadPlan;
 use crate::event::KWork;
@@ -273,7 +273,7 @@ impl Kernel {
 
     /// Stream-sink write side: append one arrived chunk at its
     /// preassigned offset, in kernel context.
-    pub(crate) fn splice_append(&mut self, desc: u64, lblk: u64, off: u64, data: Vec<u8>) {
+    pub(crate) fn splice_append(&mut self, desc: u64, lblk: u64, off: u64, data: Bytes) {
         if self.splice_drain_write(desc, lblk, None) {
             return;
         }

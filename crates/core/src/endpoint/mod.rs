@@ -35,6 +35,7 @@ use kbuf::BufId;
 use kfs::Ino;
 use knet::SockId;
 use kproc::Errno;
+use ksim::Bytes;
 
 use crate::kernel::Kernel;
 use crate::objects::{CharDev, FileObj};
@@ -174,13 +175,13 @@ pub(crate) enum ReadPlan {
 ///
 /// Block sources deliver held cache buffers (whose data area the file
 /// sink's shared-header write aliases — the §5.2.2 no-copy path); stream
-/// sources deliver owned byte chunks. Every sink accepts both.
+/// sources deliver byte chunks. Every sink accepts both.
 #[derive(Debug)]
 pub enum Block {
     /// A held buffer-cache block (block sources).
     Buf(BufId),
-    /// An owned byte chunk (stream sources).
-    Bytes(Vec<u8>),
+    /// A byte chunk (stream sources).
+    Bytes(Bytes),
 }
 
 impl Kernel {

@@ -6,10 +6,11 @@
 //! the read side when the next datagram arrives.
 //!
 //! Stream **sink**: one arrived block becomes one datagram — no user
-//! copy, no socket-buffer copy.
+//! copy, no socket-buffer copy. A cached block's payload is a view of
+//! the block itself, so the host copies nothing either.
 
 use knet::{Datagram, NetErr, SockId};
-use ksim::{Dur, TraceEvent};
+use ksim::{Bytes, Dur, TraceEvent};
 
 use crate::endpoint::Block;
 use crate::event::{Event, KWork};
@@ -18,7 +19,7 @@ use crate::kernel::Kernel;
 impl Kernel {
     /// Pulls the next queued datagram, truncated to `want` bytes.
     /// `None` if the queue drained between issue and apply.
-    pub(crate) fn sock_pull(&mut self, sock: SockId, want: usize) -> Option<Vec<u8>> {
+    pub(crate) fn sock_pull(&mut self, sock: SockId, want: usize) -> Option<Bytes> {
         let mut data = self.net.recv(sock).ok().flatten().map(|d| d.data)?;
         data.truncate(want);
         Some(data)
@@ -29,11 +30,7 @@ impl Kernel {
     /// receiver or the link lost it. The one transmit path of `send(2)`,
     /// the splice socket sink and the traffic source. A send that
     /// commits nothing hands the payload back with the error.
-    pub(crate) fn transmit(
-        &mut self,
-        sock: SockId,
-        data: Vec<u8>,
-    ) -> Result<(), (NetErr, Vec<u8>)> {
+    pub(crate) fn transmit(&mut self, sock: SockId, data: Bytes) -> Result<(), (NetErr, Bytes)> {
         let now = self.q.now();
         let len = data.len() as u32;
         let tx = match self.net.send(now, sock, data.len()) {
@@ -65,7 +62,7 @@ impl Kernel {
 
     /// Sends a splice payload as one datagram; a send the stack refuses
     /// is counted and traced as a drop.
-    pub(crate) fn sock_send_payload(&mut self, sock: SockId, payload: Vec<u8>) {
+    pub(crate) fn sock_send_payload(&mut self, sock: SockId, payload: Bytes) {
         let len = payload.len() as u32;
         if self.transmit(sock, payload).is_err() {
             self.ctr.splice.sock_send_errs += 1;
@@ -96,16 +93,14 @@ impl Kernel {
             Block::Buf(buf) => {
                 let len = d.mapped_len(lblk);
                 let boff = if lblk == 0 { d.first_boff() } else { 0 };
-                let data = self.cache.data(buf);
-                let bytes = data.bytes();
-                (bytes[boff..boff + len].to_vec(), Some(buf))
+                (self.cache.data(buf).view(boff, len), Some(buf))
             }
         };
         let now = self.q.now();
         self.trace
             .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
         self.note_write_issue_stage(desc, lblk);
-        // The payload is extracted, so the cache buffer can go back
+        // The payload is a snapshot view, so the cache buffer can go back
         // before the wire is ready — holding it across a backpressure
         // backoff would starve the cache under high connection counts.
         if let Some(buf) = buf {
@@ -124,7 +119,7 @@ impl Kernel {
     ///
     /// A non-empty parked queue also forces parking (FIFO: a fresh block
     /// must not overtake payloads already waiting for the same link).
-    fn sock_send_or_backoff(&mut self, desc: u64, lblk: u64, sock: SockId, payload: Vec<u8>) {
+    fn sock_send_or_backoff(&mut self, desc: u64, lblk: u64, sock: SockId, payload: Bytes) {
         let now = self.q.now();
         let host = self.net.peer(sock).map(|a| a.host);
         let queued = host.is_some_and(|h| self.parked_sends.get(&h).is_some_and(|q| !q.is_empty()));
@@ -222,5 +217,5 @@ pub(crate) struct ParkedSend {
     /// Sending socket.
     pub(crate) sock: SockId,
     /// The packetized bytes.
-    pub(crate) payload: Vec<u8>,
+    pub(crate) payload: Bytes,
 }

@@ -14,6 +14,7 @@
 use kbuf::{BufId, IoDir};
 use knet::{Datagram, SockId};
 use kproc::Pid;
+use ksim::Bytes;
 
 use crate::endpoint::Block;
 
@@ -112,7 +113,7 @@ pub enum KWork {
         /// Preassigned file offset (idempotent across retries).
         off: u64,
         /// The chunk.
-        data: Vec<u8>,
+        data: Bytes,
     },
     /// Write side when the sink is a character device: deliver the block
     /// (partially, if the device buffer is smaller; the rest retries via

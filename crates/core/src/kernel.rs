@@ -124,7 +124,7 @@ pub struct Kernel {
     /// Hosts with a parked-queue drain callout already scheduled.
     pub(crate) park_drains: IdSet<u32>,
     /// [PCM91] baseline: kernel-held data handles.
-    pub(crate) handles: IdMap<i64, Vec<u8>>,
+    pub(crate) handles: IdMap<i64, ksim::Bytes>,
     pub(crate) next_handle: i64,
     /// The kernel's own typed counters (read through [`Kernel::metrics`]).
     /// Boxed: held inline, its 33 words cost about 10% more host time

@@ -590,9 +590,7 @@ impl Kernel {
         if d.done || d.error.is_some() || want == 0 {
             // The source closed, the splice is aborting, or the target
             // was reached while this pull was queued; release the slot.
-            let d = self.splices.get_mut(&desc).unwrap();
-            d.issued_at.remove(&lblk);
-            self.kstat.spans.live_mut(desc).pending_reads.leave(now);
+            self.drop_read_slot(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
@@ -604,9 +602,7 @@ impl Kernel {
         let Some(payload) = payload else {
             // Socket drained between issue and apply; the next delivery
             // re-arms via net_rx.
-            let d = self.splices.get_mut(&desc).unwrap();
-            d.issued_at.remove(&lblk);
-            self.kstat.spans.live_mut(desc).pending_reads.leave(now);
+            self.drop_read_slot(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         };
@@ -631,9 +627,8 @@ impl Kernel {
             let buf = *buf;
             if self.cache.flags(buf).contains(kbuf::BufFlags::ERROR) {
                 self.release_buf(buf);
-                if let Some(d) = self.splices.get_mut(&desc) {
-                    d.issued_at.remove(&lblk);
-                    self.kstat.spans.live_mut(desc).pending_reads.leave(now);
+                if self.splices.contains_key(&desc) {
+                    self.drop_read_slot(desc, lblk);
                     self.splice_read_failed(desc, lblk);
                 }
                 return;
@@ -645,18 +640,18 @@ impl Kernel {
             }
             return;
         };
-        let span = self.kstat.spans.live_mut(desc);
-        span.pending_reads.leave(now);
         // Abort drain: the slot is dropped and the block discarded
         // without dispatching its write.
         if d.error.is_some() {
-            d.issued_at.remove(&lblk);
+            self.drop_read_slot(desc, lblk);
             if let Block::Buf(buf) = block {
                 self.release_buf(buf);
             }
             self.maybe_finish_abort(desc);
             return;
         }
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_reads.leave(now);
         span.pending_writes.enter(now);
         // Stage accounting: the read side of this block is done. The
         // issue instant stays in `issued_at` for the end-to-end digest.
@@ -741,7 +736,8 @@ impl Kernel {
     /// only) and stamps the write-service start. Every sink backend —
     /// shared-header file writes, stream appends, device pacing, socket
     /// sends — calls this right before issuing, so retries re-stamp and
-    /// the service digest measures the attempt that completed.
+    /// the service digest measures the attempt that completed; the time
+    /// the earlier attempts took is tallied as the span's `write_lost`.
     pub(crate) fn note_write_issue_stage(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
@@ -754,7 +750,45 @@ impl Kernel {
                 .record(now.since(done_at).as_ns());
         }
         let d = self.splices.get_mut(&desc).unwrap();
-        d.write_issued_at.insert(lblk, now);
+        if let Some(prev) = d.write_issued_at.insert(lblk, now) {
+            self.kstat.spans.live_mut(desc).write_lost += now.since(prev).as_ns();
+        }
+    }
+
+    /// Drops block `lblk`'s pending-read slot without a `read_service`
+    /// sample — a failed attempt, an empty pull, or a block an aborting
+    /// splice discards — tallying its time since issue as the span's
+    /// `read_lost`, so the gauge's area stays accounted for.
+    pub(crate) fn drop_read_slot(&mut self, desc: u64, lblk: u64) {
+        let now = self.q.now();
+        let issued = self
+            .splices
+            .get_mut(&desc)
+            .and_then(|d| d.issued_at.remove(&lblk));
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_reads.leave(now);
+        if let Some(at) = issued {
+            span.read_lost += now.since(at).as_ns();
+        }
+    }
+
+    /// Drops block `lblk`'s pending-write slot without a `write_service`
+    /// sample — an abandoned write — tallying its time since the last
+    /// write issue (or since it arrived, if never issued) as the span's
+    /// `write_lost`.
+    pub(crate) fn drop_write_slot(&mut self, desc: u64, lblk: u64) {
+        let now = self.q.now();
+        let Some(d) = self.splices.get_mut(&desc) else {
+            return;
+        };
+        d.issued_at.remove(&lblk);
+        let issued = d.write_issued_at.remove(&lblk);
+        let arrived = d.read_done_at.remove(&lblk);
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_writes.leave(now);
+        if let Some(at) = issued.or(arrived) {
+            span.write_lost += now.since(at).as_ns();
+        }
     }
 
     /// Common completion/flow-control tail of the write side, for every
@@ -899,10 +933,8 @@ impl Kernel {
         let src_buf = d.src_bufs.get(&lblk).copied();
         if d.error.is_some() {
             // Abort drain: drop the slot and the held source buffer.
-            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
             d.src_bufs.remove(&lblk);
+            self.drop_write_slot(desc, lblk);
             if let Some(buf) = src_buf {
                 self.release_buf(buf);
             }
@@ -920,10 +952,8 @@ impl Kernel {
             // will arrive for it, so surrender its slot before aborting
             // (the abort completes once the *other* in-flight blocks
             // drain).
-            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
             d.src_bufs.remove(&lblk);
+            self.drop_write_slot(desc, lblk);
             if let Some(buf) = src_buf {
                 self.release_buf(buf);
             }
@@ -932,9 +962,7 @@ impl Kernel {
         }
         let Some(src_buf) = src_buf else {
             // The source buffer vanished (teardown race): drop the slot.
-            self.kstat.spans.live_mut(desc).pending_writes.leave(now);
-            d.issued_at.remove(&lblk);
-            d.write_issued_at.remove(&lblk);
+            self.drop_write_slot(desc, lblk);
             return;
         };
         self.ctr.splice.retries += 1;
@@ -980,13 +1008,8 @@ impl Kernel {
         if !aborting {
             return false;
         }
-        let now = self.q.now();
-        self.kstat.spans.live_mut(desc).pending_writes.leave(now);
-        let d = self.splices.get_mut(&desc).unwrap();
-        d.issued_at.remove(&lblk);
-        d.read_done_at.remove(&lblk);
-        d.write_issued_at.remove(&lblk);
-        let held = d.src_bufs.remove(&lblk);
+        self.drop_write_slot(desc, lblk);
+        let held = self.splices.get_mut(&desc).unwrap().src_bufs.remove(&lblk);
         if let Some(buf) = held {
             self.release_buf(buf);
         } else if let Some(Block::Buf(buf)) = block {

@@ -5,16 +5,20 @@
 //! (with a `Cont` recording how to resume) or sleep until a known
 //! instant (metadata I/O, device pacing). The read/write paths move real
 //! bytes through the buffer cache, charging `copyin`/`copyout` at the
-//! machine profile's rates — the costs splice exists to remove.
+//! machine profile's rates — the costs splice exists to remove. On the
+//! host a whole block crosses the boundary by reference: a read that
+//! returns one whole cached block hands the program a view of it, and a
+//! write of such a view installs it in the destination buffer. Partial,
+//! unaligned and multi-block transfers copy.
 
-use kbuf::{BreadOutcome, BufFlags, BufId, GetblkOutcome};
+use kbuf::{BreadOutcome, BufData, BufFlags, BufId, GetblkOutcome};
 #[allow(unused_imports)]
 use kfs as _kfs_reexport_guard;
 use kfs::{FileKind, FsError, Ino};
 use khw::CopyKind;
 use knet::{Datagram, NetErr, SockId};
 use kproc::{Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, Sig, SyscallReq, SyscallRet};
-use ksim::{Dur, SimTime, TraceEvent};
+use ksim::{Bytes, Dur, SimTime, TraceEvent};
 
 use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
@@ -79,7 +83,7 @@ pub(crate) enum Cont {
     Accept { fid: FileId },
     /// `send` that hit send-buffer backpressure, parked until the link
     /// drains.
-    Send { sock: SockId, data: Vec<u8> },
+    Send { sock: SockId, data: Bytes },
     /// [PCM91] handle read in progress.
     HandleRead {
         fid: FileId,
@@ -100,7 +104,7 @@ pub(crate) enum Cont {
 pub(crate) struct ReadCont {
     pub fid: FileId,
     pub want: usize,
-    pub got: Vec<u8>,
+    pub got: Bytes,
     /// Set when blocked in `biowait`: the held buffer plus the slice of it
     /// we were after.
     pub wait_buf: Option<(BufId, usize, usize)>,
@@ -108,10 +112,31 @@ pub(crate) struct ReadCont {
     pub issued_at: Option<SimTime>,
 }
 
+impl ReadCont {
+    /// Gathers `take` bytes at `boff` of a cached block (a modelled
+    /// copyout; the caller charges it). A read's first block, taken
+    /// whole, is a view of the cached block; anything more is copied.
+    fn gather(&mut self, area: &BufData, boff: usize, take: usize) {
+        if self.got.is_empty() && boff == 0 && take == area.len() {
+            self.got = area.view(0, take);
+        } else {
+            self.extend(|v| v.extend_from_slice(&area.bytes()[boff..boff + take]));
+        }
+    }
+
+    /// Appends to the gathered bytes through `f`, copying them out of a
+    /// block view first.
+    fn extend(&mut self, f: impl FnOnce(&mut Vec<u8>)) {
+        let mut v = std::mem::take(&mut self.got).into_vec();
+        f(&mut v);
+        self.got = v.into();
+    }
+}
+
 /// In-progress write state.
 pub(crate) struct WriteCont {
     pub fid: FileId,
-    pub data: Vec<u8>,
+    pub data: Bytes,
     pub done: usize,
     /// Set when blocked reading an existing block for a partial
     /// overwrite.
@@ -168,7 +193,7 @@ impl Kernel {
                 let cont = ReadCont {
                     fid,
                     want: len,
-                    got: Vec::new(),
+                    got: Bytes::new(),
                     wait_buf: None,
                     issued_at: None,
                 };
@@ -373,7 +398,7 @@ impl Kernel {
                 let Some(sock) = self.sock_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_send(sock, data, base)
+                self.do_send(sock, data.into(), base)
             }
             SyscallReq::Recv { fd, max_len } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -609,7 +634,7 @@ impl Kernel {
                         self.ctr.copy.copyout_bytes += c.want as u64;
                         SyscallOutcome::Done {
                             cpu,
-                            ret: SyscallRet::Data(data),
+                            ret: SyscallRet::Data(data.into()),
                         }
                     }
                     _ => self.err(Errno::Enotsup),
@@ -640,8 +665,7 @@ impl Kernel {
             if self.cache.flags(buf).contains(BufFlags::ERROR) {
                 return self.read_failed(buf, cpu);
             }
-            let data = self.cache.data(buf);
-            c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
+            c.gather(&self.cache.data(buf), boff, take);
             cpu += m.copy_cost(CopyKind::Copyout, take);
             self.ctr.copy.copyout_bytes += take as u64;
             let mut fx = Vec::new();
@@ -670,7 +694,7 @@ impl Kernel {
 
             let Some(pblk) = self.disks[disk].fs.bmap(ino, lblk) else {
                 // Hole: zeros, no device traffic.
-                c.got.extend(std::iter::repeat_n(0, take));
+                c.extend(|v| v.resize(v.len() + take, 0));
                 cpu += m.copy_cost(CopyKind::Copyout, take);
                 self.ctr.copy.copyout_bytes += take as u64;
                 let of = self.files.get_mut(c.fid).unwrap();
@@ -705,9 +729,7 @@ impl Kernel {
             cpu += sync + m.buf_op;
             match out {
                 BreadOutcome::Hit(buf) => {
-                    let data = self.cache.data(buf);
-                    c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
-                    drop(data);
+                    c.gather(&self.cache.data(buf), boff, take);
                     cpu += m.copy_cost(CopyKind::Copyout, take);
                     self.ctr.copy.copyout_bytes += take as u64;
                     let mut fx = Vec::new();
@@ -724,9 +746,7 @@ impl Kernel {
                         if self.cache.flags(buf).contains(BufFlags::ERROR) {
                             return self.read_failed(buf, cpu);
                         }
-                        let data = self.cache.data(buf);
-                        c.got.extend_from_slice(&data.bytes()[boff..boff + take]);
-                        drop(data);
+                        c.gather(&self.cache.data(buf), boff, take);
                         cpu += m.copy_cost(CopyKind::Copyout, take);
                         self.ctr.copy.copyout_bytes += take as u64;
                         let mut fx = Vec::new();
@@ -902,8 +922,8 @@ impl Kernel {
     }
 
     /// Copies the user data into a held buffer and writes it out (async
-    /// for full sequential blocks, delayed otherwise). Returns the CPU
-    /// charged.
+    /// for full sequential blocks, delayed otherwise). A view of a whole
+    /// block is installed rather than copied. Returns the CPU charged.
     fn finish_block_write(
         &mut self,
         c: &mut WriteCont,
@@ -923,7 +943,7 @@ impl Kernel {
         };
         self.cache
             .data(buf)
-            .write_at(boff, &c.data[c.done..c.done + take]);
+            .write_bytes(boff, &c.data.slice(c.done, take));
         let full = boff == 0 && take == self.cfg.block_size as usize;
         let mut fx = Vec::new();
         if full {
@@ -1064,7 +1084,7 @@ impl Kernel {
 
     // ----- sockets ----------------------------------------------------------------
 
-    fn do_send(&mut self, sock: SockId, data: Vec<u8>, base: Dur) -> SyscallOutcome {
+    fn do_send(&mut self, sock: SockId, data: Bytes, base: Dur) -> SyscallOutcome {
         let len = data.len();
         match self.transmit(sock, data) {
             Ok(()) => {

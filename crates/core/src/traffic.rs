@@ -9,7 +9,7 @@
 use knet::{Datagram, DeliverOutcome, NetAddr, SockId};
 use kproc::programs::util::pattern_check;
 use kproc::programs::SharedScenario;
-use ksim::{IdMap, SimTime, TraceEvent};
+use ksim::{Bytes, IdMap, SimTime, TraceEvent};
 
 use crate::event::Event;
 use crate::kernel::Kernel;
@@ -95,7 +95,7 @@ impl Kernel {
             corrupt: false,
         };
         src.fetches.insert(sock, fetch);
-        self.transmit(sock, Vec::new())
+        self.transmit(sock, Bytes::new())
             .unwrap_or_else(|(e, _)| panic!("zero-byte request refused: {e:?}"));
     }
 
@@ -210,8 +210,8 @@ mod tests {
         let (mut k, l, stats) = rig(&[500], 16);
         let conn = accept_all(&mut k, l, 1)[0];
         let before = soft_work(&k);
-        k.transmit(conn, pattern_bytes(SEED, 0, 8)).unwrap();
-        k.transmit(conn, pattern_bytes(SEED, 8, 8)).unwrap();
+        k.transmit(conn, pattern_bytes(SEED, 0, 8).into()).unwrap();
+        k.transmit(conn, pattern_bytes(SEED, 8, 8).into()).unwrap();
         let horizon = k.horizon(1);
         k.run_until(horizon, |k| k.traffic_idle());
 
@@ -232,8 +232,8 @@ mod tests {
     fn a_corrupted_reply_counts_as_a_mismatch() {
         let (mut k, l, stats) = rig(&[500], 16);
         let conn = accept_all(&mut k, l, 1)[0];
-        k.transmit(conn, vec![0xFF; 8]).unwrap();
-        k.transmit(conn, pattern_bytes(SEED, 8, 8)).unwrap();
+        k.transmit(conn, vec![0xFF; 8].into()).unwrap();
+        k.transmit(conn, pattern_bytes(SEED, 8, 8).into()).unwrap();
         let horizon = k.horizon(1);
         k.run_until(horizon, |k| k.traffic_idle());
 

@@ -164,7 +164,7 @@ fn update_daemon_flushes_delayed_writes() {
                     let fd = ctx.take_ret().as_fd().unwrap();
                     Step::Syscall(SyscallReq::Write {
                         fd,
-                        data: vec![0xEE; 100],
+                        data: vec![0xEE; 100].into(),
                     })
                 }
                 3 => {

@@ -120,7 +120,7 @@ impl Program for Poke {
             },
             3 => SyscallReq::Write {
                 fd: Fd(3),
-                data: vec![self.byte],
+                data: vec![self.byte].into(),
             },
             4 => SyscallReq::Close(Fd(3)),
             _ => return Step::Exit(0),

@@ -3,6 +3,7 @@
 
 use khw::DiskProfile;
 use kproc::programs::util::pattern_bytes;
+use kproc::programs::Cp;
 use kproc::{
     Errno, Fd, OpenFlags, ProcState, Program, SpliceLen, SpliceReq, Step, SyscallReq, SyscallRet,
     UserCtx,
@@ -101,7 +102,7 @@ fn bad_descriptor_errors() {
             SyscallReq::Read { fd: Fd(9), len: 10 },
             SyscallReq::Write {
                 fd: Fd(9),
-                data: vec![1],
+                data: vec![1].into(),
             },
             SyscallReq::Close(Fd(9)),
             SyscallReq::Fsync(Fd(9)),
@@ -125,7 +126,7 @@ fn write_then_read_back_with_lseek() {
             },
             SyscallReq::Write {
                 fd: Fd(3),
-                data: data.clone(),
+                data: data.clone().into(),
             },
             SyscallReq::Fstat(Fd(3)),
             SyscallReq::Close(Fd(3)),
@@ -150,8 +151,8 @@ fn write_then_read_back_with_lseek() {
     );
     assert_eq!(r[1], SyscallRet::Val(10_000));
     assert_eq!(r[2], SyscallRet::Val(10_000), "fstat size");
-    assert_eq!(r[6], SyscallRet::Data(data[5_000..].to_vec()));
-    assert_eq!(r[7], SyscallRet::Data(vec![]));
+    assert_eq!(r[6], SyscallRet::Data(data[5_000..].to_vec().into()));
+    assert_eq!(r[7], SyscallRet::Data(Vec::new().into()));
 }
 
 #[test]
@@ -174,7 +175,7 @@ fn partial_overwrite_read_modify_write() {
             },
             SyscallReq::Write {
                 fd: Fd(3),
-                data: vec![0xAA; 100],
+                data: vec![0xAA; 100].into(),
             },
             SyscallReq::Fsync(Fd(3)),
             SyscallReq::Close(Fd(3)),
@@ -209,7 +210,7 @@ fn delayed_write_leaves_the_medium_unchanged_until_written() {
             SyscallReq::Lseek { fd: Fd(3), pos },
             SyscallReq::Write {
                 fd: Fd(3),
-                data: vec![byte; 10],
+                data: vec![byte; 10].into(),
             },
         ];
         if fsync {
@@ -260,7 +261,7 @@ fn truncate_on_reopen_discards_old_contents() {
             },
             SyscallReq::Write {
                 fd: Fd(3),
-                data: vec![7u8; 100],
+                data: vec![7u8; 100].into(),
             },
             SyscallReq::Fsync(Fd(3)),
             SyscallReq::Close(Fd(3)),
@@ -497,4 +498,193 @@ fn closing_spliced_socket_source_completes_the_splice() {
     let horizon = k.horizon(60);
     k.run_to_exit(horizon);
     assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+}
+
+// ----- copy-on-write isolation of zero-copy user I/O ------------------------
+
+/// `O_RDWR`.
+const RDWR: OpenFlags = OpenFlags {
+    read: true,
+    write: true,
+    create: false,
+    trunc: false,
+};
+
+/// A read that returns one whole cached block hands the program a view
+/// of that block. The view is a snapshot: rewriting part of the block
+/// afterwards, whether the medium still shares it or only the cache
+/// holds it, copies the block first.
+#[test]
+fn read_views_keep_their_bytes_after_the_block_is_rewritten() {
+    let mut k = KernelBuilder::new()
+        .disk("d", DiskProfile::ramdisk())
+        .tune(|cfg| cfg.update_interval = None)
+        .build();
+    k.setup_file("/d/f", 16_384, 6);
+    k.cold_cache();
+    let r = run_script(
+        &mut k,
+        vec![
+            SyscallReq::Open {
+                path: "/d/f".into(),
+                flags: RDWR,
+            },
+            // The medium, the cache and this view share block 0.
+            SyscallReq::Read {
+                fd: Fd(3),
+                len: 8192,
+            },
+            SyscallReq::Lseek {
+                fd: Fd(3),
+                pos: 100,
+            },
+            SyscallReq::Write {
+                fd: Fd(3),
+                data: vec![0xAA; 10].into(),
+            },
+            // Now only the cache holds the delayed block, and this view.
+            SyscallReq::Lseek { fd: Fd(3), pos: 0 },
+            SyscallReq::Read {
+                fd: Fd(3),
+                len: 8192,
+            },
+            SyscallReq::Lseek {
+                fd: Fd(3),
+                pos: 200,
+            },
+            SyscallReq::Write {
+                fd: Fd(3),
+                data: vec![0xBB; 10].into(),
+            },
+            SyscallReq::Fsync(Fd(3)),
+            SyscallReq::Close(Fd(3)),
+        ],
+    );
+    let mut want = pattern_bytes(6, 0, 16_384);
+    assert_eq!(r[1], SyscallRet::Data(want[..8192].to_vec().into()));
+    want[100..110].fill(0xAA);
+    assert_eq!(
+        r[5],
+        SyscallRet::Data(want[..8192].to_vec().into()),
+        "a read view saw a later write"
+    );
+    want[200..210].fill(0xBB);
+    assert_eq!(k.dump_file("/d/f"), want);
+    assert!(k.fsck_all().is_empty());
+}
+
+/// A read view outlives its buffer: after the buffer is evicted and
+/// reused for other blocks, and the file's block is rewritten whole and
+/// in part, the view still holds what was read.
+#[test]
+fn read_views_survive_eviction_and_buffer_reuse() {
+    let mut k = KernelBuilder::new()
+        .disk("d", DiskProfile::ramdisk())
+        .tune(|cfg| cfg.cache_bytes = 8 * 8192)
+        .build();
+    k.setup_file("/d/f", 16_384, 6);
+    k.setup_file("/d/g", 32 * 8192, 7);
+    k.cold_cache();
+    let mut calls = vec![
+        SyscallReq::Open {
+            path: "/d/f".into(),
+            flags: RDWR,
+        },
+        SyscallReq::Read {
+            fd: Fd(3),
+            len: 8192,
+        },
+        SyscallReq::Open {
+            path: "/d/g".into(),
+            flags: OpenFlags::RDONLY,
+        },
+    ];
+    // Four times the cache: every buffer is evicted and reused.
+    calls.extend((0..32).map(|_| SyscallReq::Read {
+        fd: Fd(4),
+        len: 8192,
+    }));
+    calls.extend([
+        SyscallReq::Lseek { fd: Fd(3), pos: 0 },
+        SyscallReq::Write {
+            fd: Fd(3),
+            data: vec![0x5A; 8192].into(),
+        },
+        SyscallReq::Lseek {
+            fd: Fd(3),
+            pos: 100,
+        },
+        SyscallReq::Write {
+            fd: Fd(3),
+            data: vec![0xA5; 10].into(),
+        },
+        SyscallReq::Fsync(Fd(3)),
+    ]);
+    let r = run_script(&mut k, calls);
+    let original = pattern_bytes(6, 0, 8192);
+    assert_eq!(r[1], SyscallRet::Data(original.into()), "the view changed");
+    let mut want = vec![0x5A; 8192];
+    want[100..110].fill(0xA5);
+    want.extend_from_slice(&pattern_bytes(6, 8192, 8192));
+    assert_eq!(k.dump_file("/d/f"), want);
+    assert_eq!(k.verify_pattern_file("/d/g", 32 * 8192, 7), None);
+    assert!(k.fsck_all().is_empty());
+}
+
+/// A read/write copy moves whole blocks by reference, so the copy's
+/// medium blocks are the source's own. A later partial write into the
+/// copy must copy its block first and leave the source untouched.
+#[test]
+fn partial_write_into_a_copied_block_leaves_the_source_intact() {
+    let mut k = KernelBuilder::new()
+        .disk("d0", DiskProfile::ramdisk())
+        .disk("d1", DiskProfile::ramdisk())
+        .build();
+    let len = 4 * 8192;
+    k.setup_file("/d0/src", len, 9);
+    k.cold_cache();
+    let pid = k.spawn(Box::new(Cp::new("/d0/src", "/d1/dst")));
+    let horizon = k.horizon(60);
+    k.run_to_exit(horizon);
+    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+    k.cold_cache();
+    let medium_block = |k: &Kernel, disk: usize, path: &str| {
+        let unit = &k.disks()[disk];
+        let ino = unit.fs.lookup(path).expect("file exists");
+        let pblk = unit.fs.bmap(ino, 1).expect("mapped block");
+        unit.kind.store().block(pblk * 8192)
+    };
+    assert!(
+        std::rc::Rc::ptr_eq(&medium_block(&k, 0, "/src"), &medium_block(&k, 1, "/dst")),
+        "the copy's block 1 is not the source's"
+    );
+    let r = run_script(
+        &mut k,
+        vec![
+            SyscallReq::Open {
+                path: "/d1/dst".into(),
+                flags: OpenFlags::WRONLY,
+            },
+            SyscallReq::Lseek {
+                fd: Fd(3),
+                pos: 8192 + 100,
+            },
+            SyscallReq::Write {
+                fd: Fd(3),
+                data: vec![0xC3; 10].into(),
+            },
+            SyscallReq::Fsync(Fd(3)),
+            SyscallReq::Close(Fd(3)),
+        ],
+    );
+    assert_eq!(r[2], SyscallRet::Val(10));
+    assert_eq!(
+        k.verify_pattern_file("/d0/src", len, 9),
+        None,
+        "the partial write reached the source medium"
+    );
+    let mut want = pattern_bytes(9, 0, len as usize);
+    want[8292..8302].fill(0xC3);
+    assert_eq!(k.dump_file("/d1/dst"), want);
+    assert!(k.fsck_all().is_empty());
 }

@@ -136,22 +136,30 @@ impl AuditReport {
 
 /// Little's law: `occupancy_ns`, the exact ∫ count dt of a stage in
 /// ns·blocks, vs `stage_ns`, the summed residence time of the
-/// `intervals` blocks the stage's histograms recorded. Both are exact
-/// integrals of the same intervals, so [`Tolerance::EXACT`] is the
-/// law's statement.
+/// `intervals` blocks the stage's histograms recorded, plus `lost_ns`,
+/// the residence of attempts no histogram records (failed or abandoned
+/// reads and writes, `SpanTally::read_lost`/`write_lost`). Both sides
+/// are exact integrals of the same intervals, so [`Tolerance::EXACT`]
+/// is the law's statement.
 pub fn littles_law(
     label: &str,
     occupancy_ns: u128,
     stage_ns: u128,
+    lost_ns: u128,
     intervals: u64,
     tol: Tolerance,
 ) -> AuditOutcome {
+    let lost = if lost_ns == 0 {
+        String::new()
+    } else {
+        format!(" + {lost_ns} lost")
+    };
     AuditOutcome::judge(
         format!("little.{label}"),
         occupancy_ns as f64,
-        stage_ns as f64,
+        (stage_ns + lost_ns) as f64,
         tol,
-        format!("∫ occupancy dt vs Σ stage time over {intervals} intervals, ns·blocks"),
+        format!("∫ occupancy dt vs Σ stage time{lost} over {intervals} intervals, ns·blocks"),
     )
 }
 
@@ -234,14 +242,20 @@ mod tests {
     #[test]
     fn littles_law_compares_the_integrals_exactly() {
         // 4 blocks, each 250 µs in the stage: 1 ms·block either way.
-        let o = littles_law("read", 1_000_000, 4 * 250_000, 4, Tolerance::EXACT);
+        let o = littles_law("read", 1_000_000, 4 * 250_000, 0, 4, Tolerance::EXACT);
         assert!(o.pass, "{o:?}");
         assert_eq!((o.measured, o.predicted), (1e6, 1e6));
         // One nanosecond of one block is a divergence.
-        assert!(!littles_law("read", 1_000_001, 1_000_000, 4, Tolerance::EXACT).pass);
-        assert!(!littles_law("read", 0, 1_000_000, 4, Tolerance::EXACT).pass);
+        assert!(!littles_law("read", 1_000_001, 1_000_000, 0, 4, Tolerance::EXACT).pass);
+        assert!(!littles_law("read", 0, 1_000_000, 0, 4, Tolerance::EXACT).pass);
         // An idle stage holds nothing on either side.
-        assert!(littles_law("write", 0, 0, 0, Tolerance::EXACT).pass);
+        assert!(littles_law("write", 0, 0, 0, 0, Tolerance::EXACT).pass);
+        // A failed attempt's residence is on the occupancy side but in
+        // no stage: the lost term closes the account.
+        let o = littles_law("read", 1_200_000, 4 * 250_000, 200_000, 4, Tolerance::EXACT);
+        assert!(o.pass, "{o:?}");
+        assert!(o.detail.contains("+ 200000 lost"), "{}", o.detail);
+        assert!(!littles_law("read", 1_200_000, 4 * 250_000, 0, 4, Tolerance::EXACT).pass);
     }
 
     #[test]
@@ -325,6 +339,7 @@ mod tests {
             "read",
             1_000_000,
             1_000_000,
+            0,
             1,
             Tolerance::EXACT,
         ));

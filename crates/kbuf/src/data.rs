@@ -22,7 +22,11 @@
 //!   block or an in-flight device transfer. A device read installs the
 //!   medium's block ([`BufData::install`]) and a device write hands the
 //!   medium a [`BufData::snapshot`], so the simulated driver `bcopy` costs
-//!   no host memcpy (the caller charges its simulated cost). Writing
+//!   no host memcpy (the caller charges its simulated cost). The user
+//!   boundary works the same way: a read hands the program a
+//!   [`BufData::view`] of the block, and a write of a whole block's view
+//!   installs it ([`BufData::write_bytes`]), so a modelled `copyout` or
+//!   `copyin` of a whole block moves no host bytes either. Writing
 //!   through [`BufData::bytes_mut`] copies the block only while another
 //!   holder still shares it, so a medium never changes before the area is
 //!   written back and a snapshot never changes at all. Writes that cover
@@ -49,7 +53,7 @@
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use ksim::IdMap;
+use ksim::{Bytes, IdMap};
 
 /// Smallest data area worth pooling: tiny and empty areas (dead headers,
 /// odd-sized device scratch) go straight to the allocator.
@@ -236,6 +240,33 @@ impl BufData {
         *self.0.borrow_mut() = block;
     }
 
+    /// `len` bytes at `off`, as a view of the area's current block (a
+    /// modelled copyout; the caller charges it). Like a
+    /// [`BufData::snapshot`], the view never changes: later writes
+    /// through the area copy the block first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the area.
+    pub fn view(&self, off: usize, len: usize) -> Bytes {
+        Bytes::view(self.snapshot(), off, len)
+    }
+
+    /// Writes `src` into the area at `off` (a modelled copyin; the
+    /// caller charges it). A view of a whole block that covers the whole
+    /// area is installed without copying, as a device read is; any other
+    /// write copies the bytes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range runs past the end of the area.
+    pub fn write_bytes(&self, off: usize, src: &Bytes) {
+        match src.whole_block() {
+            Some(block) if off == 0 && block.len() == self.len() => self.install(Rc::clone(block)),
+            _ => self.write_at(off, src),
+        }
+    }
+
     /// True if `self` and `other` are the *same* data area — i.e. the
     /// splice shared-pointer case.
     pub fn shares_with(&self, other: &BufData) -> bool {
@@ -365,6 +396,37 @@ mod tests {
         a.zero();
         assert!(a.bytes().iter().all(|&x| x == 0));
         assert_eq!(*medium, vec![1u8; 4096]);
+    }
+
+    #[test]
+    fn views_are_snapshots_and_whole_blocks_install() {
+        let medium = Rc::new(vec![1u8; 4096]);
+        let a = BufData::zeroed(4096);
+        a.install(Rc::clone(&medium));
+        let whole = a.view(0, 4096);
+        let part = a.view(8, 4);
+        assert!(
+            Rc::ptr_eq(whole.whole_block().unwrap(), &medium),
+            "view copied"
+        );
+        a.write_at(8, &[7u8; 2]);
+        assert_eq!(whole, vec![1u8; 4096], "a view saw a later write");
+        assert_eq!(part, vec![1u8; 4]);
+
+        let dst = BufData::zeroed(4096);
+        dst.write_bytes(0, &whole);
+        assert!(Rc::ptr_eq(&dst.snapshot(), &medium), "whole block copied");
+        dst.write_bytes(0, &part);
+        assert_eq!(&dst.bytes()[..6], &[1, 1, 1, 1, 1, 1]);
+        assert!(
+            !Rc::ptr_eq(&dst.snapshot(), &medium),
+            "partial write reused"
+        );
+        assert_eq!(
+            *medium,
+            vec![1u8; 4096],
+            "a partial write reached the source"
+        );
     }
 
     #[test]

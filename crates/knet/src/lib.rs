@@ -44,7 +44,7 @@
 
 use std::collections::VecDeque;
 
-use ksim::{Dur, IdMap, SimTime};
+use ksim::{Bytes, Dur, IdMap, SimTime};
 
 /// Socket identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -68,8 +68,9 @@ pub struct Datagram {
     /// 5-tuple (listeners demultiplex connections by it, so a million
     /// unbound clients need no port each).
     pub src_sock: SockId,
-    /// Payload.
-    pub data: Vec<u8>,
+    /// Payload: a shared view, so a served cache block travels the
+    /// stack without a host copy.
+    pub data: Bytes,
 }
 
 /// Errors from socket operations.
@@ -854,7 +855,7 @@ mod tests {
         Datagram {
             src: net.source_addr(from).unwrap(),
             src_sock: from,
-            data: vec![7; len],
+            data: vec![7; len].into(),
         }
     }
 
@@ -1003,9 +1004,9 @@ mod tests {
         let mut net = Net::new();
         let (a, b) = pair(&mut net, 9);
         let mut d1 = dgram(&net, a, 10);
-        d1.data = vec![1; 10];
+        d1.data = vec![1; 10].into();
         let mut d2 = dgram(&net, a, 10);
-        d2.data = vec![2; 10];
+        d2.data = vec![2; 10].into();
         net.deliver(b, d1.clone());
         net.deliver(b, d2.clone());
         let got = net.recv(b).unwrap().unwrap();
@@ -1240,7 +1241,7 @@ mod tests {
             let d = Datagram {
                 src: any,
                 src_sock: id,
-                data: vec![0; 4],
+                data: vec![0; 4].into(),
             };
             assert_eq!(net.requeue_front(id, d.clone()), Err(NetErr::BadSocket));
             assert_eq!(
@@ -1397,7 +1398,7 @@ mod tests {
                         Datagram {
                             src: net.source_addr(from).unwrap(),
                             src_sock: from,
-                            data: vec![0; 400],
+                            data: vec![0; 400].into(),
                         },
                     );
                 }

@@ -6,7 +6,7 @@
 //! calling fsync() on the destination file for CP"), close both. Every
 //! byte passes through user space twice — that is the copy splice removes.
 
-use ksim::Dur;
+use ksim::{Bytes, Dur};
 
 use crate::program::{Program, Step, UserCtx};
 use crate::types::{Fd, OpenFlags, SyscallReq, SyscallRet};
@@ -39,7 +39,7 @@ pub struct Cp {
     st: St,
     src_fd: Option<Fd>,
     dst_fd: Option<Fd>,
-    pending: Option<Vec<u8>>,
+    pending: Option<Bytes>,
     copies_done: u32,
     bytes_copied: u64,
 }
@@ -224,7 +224,7 @@ mod tests {
         ));
 
         // One block, then EOF.
-        ctx.ret = Some(SyscallRet::Data(vec![9u8; 8192]));
+        ctx.ret = Some(SyscallRet::Data(vec![9u8; 8192].into()));
         let s = cp.step(&mut ctx);
         assert!(matches!(s, Step::Compute(_)), "loop overhead after read");
         let s = cp.step(&mut ctx);
@@ -237,7 +237,7 @@ mod tests {
         let s = cp.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Read { .. })));
 
-        ctx.ret = Some(SyscallRet::Data(vec![])); // EOF
+        ctx.ret = Some(SyscallRet::Data(Bytes::new())); // EOF
         let s = cp.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Fsync(Fd(4)))));
 
@@ -272,7 +272,7 @@ mod tests {
         cp.step(&mut ctx);
         ctx.ret = Some(SyscallRet::NewFd(Fd(4)));
         cp.step(&mut ctx);
-        ctx.ret = Some(SyscallRet::Data(vec![]));
+        ctx.ret = Some(SyscallRet::Data(Bytes::new()));
         cp.step(&mut ctx); // close src
         ctx.ret = Some(SyscallRet::Val(0));
         cp.step(&mut ctx); // close dst

@@ -5,7 +5,7 @@
 //! (`recv` + `send` per datagram, two user/kernel copies) with an in-kernel
 //! splice of one socket to another.
 
-use ksim::Dur;
+use ksim::{Bytes, Dur};
 
 use crate::program::{Program, Step, UserCtx};
 use crate::programs::util::pattern_bytes;
@@ -184,8 +184,9 @@ impl Program for UdpSink {
     }
 }
 
-/// The conventional relay: `recv` on one socket, `send` on another, one
-/// datagram at a time through user space.
+/// The conventional relay: `recv` on one socket, `write` to another
+/// connected one (`send` without flags), one datagram at a time through
+/// user space.
 pub struct UdpRelayRw {
     in_port: u16,
     out_addr: SockAddr,
@@ -194,7 +195,7 @@ pub struct UdpRelayRw {
     in_fd: Option<Fd>,
     out_fd: Option<Fd>,
     relayed: u64,
-    pending: Option<Vec<u8>>,
+    pending: Option<Bytes>,
 }
 
 impl UdpRelayRw {
@@ -260,7 +261,7 @@ impl Program for UdpRelayRw {
                     _ => return Step::Exit(1),
                 }
                 self.st = 6;
-                Step::Syscall(SyscallReq::Send {
+                Step::Syscall(SyscallReq::Write {
                     fd: self.out_fd.unwrap(),
                     data: self.pending.take().unwrap(),
                 })
@@ -417,9 +418,9 @@ mod tests {
         ctx.ret = Some(SyscallRet::Val(0));
         let s = p.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Recv { .. })));
-        ctx.ret = Some(SyscallRet::Data(vec![0; 100]));
+        ctx.ret = Some(SyscallRet::Data(vec![0; 100].into()));
         p.step(&mut ctx);
-        ctx.ret = Some(SyscallRet::Data(vec![0; 50]));
+        ctx.ret = Some(SyscallRet::Data(vec![0; 50].into()));
         assert_eq!(p.step(&mut ctx), Step::Exit(0));
         assert_eq!(p.received(), 2);
         assert_eq!(p.bytes(), 150);

@@ -6,8 +6,8 @@
 //! scale: one-at-a-time `splice(2)` per connection (a 1993 `sendfile`),
 //! batched submission through a depth-k splice ring (one crossing per
 //! wave), and a user-space `cp`-relay baseline (`read` into a user
-//! buffer, `send` back out — the double-copy path splice exists to
-//! remove).
+//! buffer, `write` back out to the connection — the double-copy path
+//! splice exists to remove).
 //!
 //! The load is **open-loop** ([`open_loop_delays`]: seeded arrivals
 //! that never depend on how fast the server answers). No process plays
@@ -85,8 +85,8 @@ pub enum ServeMode {
         /// Ring depth (also the wave size and file-descriptor pool).
         depth: u32,
     },
-    /// User-space baseline: `read` 8 KB into a user buffer, `send` it —
-    /// two copies per block.
+    /// User-space baseline: `read` 8 KB into a user buffer, `write` it to
+    /// the connection (`send` without flags) — two copies per block.
     CpRelay,
 }
 
@@ -347,7 +347,7 @@ impl Program for SpliceServer {
                 }
                 self.sent += d.len() as u64;
                 self.st = 22;
-                Step::Syscall(SyscallReq::Send {
+                Step::Syscall(SyscallReq::Write {
                     fd: self.conn.unwrap(),
                     data: d,
                 })
@@ -688,7 +688,7 @@ mod tests {
     }
 
     #[test]
-    fn cp_relay_reads_then_sends() {
+    fn cp_relay_reads_then_writes() {
         let stats = scenario_stats();
         let mut s = SpliceServer::new(
             80,
@@ -720,20 +720,20 @@ mod tests {
                 len: RELAY_CHUNK
             })
         ));
-        ctx.ret = Some(SyscallRet::Data(vec![1; RELAY_CHUNK]));
+        ctx.ret = Some(SyscallRet::Data(vec![1; RELAY_CHUNK].into()));
         assert!(matches!(
             s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Send { fd: Fd(5), .. })
+            Step::Syscall(SyscallReq::Write { fd: Fd(5), .. })
         ));
         ctx.ret = Some(SyscallRet::Val(RELAY_CHUNK as i64));
         assert!(matches!(
             s.step(&mut ctx),
             Step::Syscall(SyscallReq::Read { .. })
         ));
-        ctx.ret = Some(SyscallRet::Data(vec![1; RELAY_CHUNK]));
+        ctx.ret = Some(SyscallRet::Data(vec![1; RELAY_CHUNK].into()));
         assert!(matches!(
             s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Send { .. })
+            Step::Syscall(SyscallReq::Write { .. })
         ));
         ctx.ret = Some(SyscallRet::Val(RELAY_CHUNK as i64));
         // 16384 bytes moved: close the connection.

@@ -65,7 +65,7 @@ impl Program for Writer {
                     return Step::Syscall(SyscallReq::Fsync(self.fd.unwrap()));
                 }
                 let n = self.chunk.min((self.total - self.written) as usize);
-                let data = pattern_bytes(self.seed, self.written, n);
+                let data = pattern_bytes(self.seed, self.written, n).into();
                 self.st = 4;
                 Step::Syscall(SyscallReq::Write {
                     fd: self.fd.unwrap(),

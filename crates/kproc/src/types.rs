@@ -1,6 +1,6 @@
 //! Identifiers, syscall vocabulary, and error numbers.
 
-use ksim::{Dur, SimTime};
+use ksim::{Bytes, Dur, SimTime};
 
 /// Process identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -274,8 +274,10 @@ pub enum SyscallReq {
     Write {
         /// Destination descriptor.
         fd: Fd,
-        /// The bytes (moved through copyin in the kernel).
-        data: Vec<u8>,
+        /// The bytes (moved through copyin in the kernel). A view of a
+        /// whole block, written at a block boundary, is installed in the
+        /// buffer cache without a host copy.
+        data: Bytes,
     },
     /// Reposition the descriptor offset.
     Lseek {
@@ -391,7 +393,8 @@ pub enum SyscallReq {
     Send {
         /// Socket descriptor.
         fd: Fd,
-        /// Payload.
+        /// Payload (the kernel wraps it as a [`ksim::Bytes`] without
+        /// copying it).
         data: Vec<u8>,
     },
     /// Receive one datagram (blocks until one arrives).
@@ -440,8 +443,9 @@ pub enum SyscallRet {
     Val(i64),
     /// A new descriptor.
     NewFd(Fd),
-    /// Data read.
-    Data(Vec<u8>),
+    /// Data read: a view of the cached block when the read returned
+    /// exactly one whole block, the copied bytes otherwise.
+    Data(Bytes),
     /// Current simulated time.
     Time(SimTime),
     /// Reaped ring completions, in completion order.
@@ -518,7 +522,7 @@ mod tests {
     fn syscall_ret_values() {
         assert_eq!(SyscallRet::Val(42).as_val(), 42);
         assert_eq!(SyscallRet::NewFd(Fd(3)).as_val(), 3);
-        assert_eq!(SyscallRet::Data(vec![1, 2, 3]).as_val(), 3);
+        assert_eq!(SyscallRet::Data(vec![1, 2, 3].into()).as_val(), 3);
         assert_eq!(SyscallRet::Err(Errno::Enoent).as_val(), -1);
         assert_eq!(SyscallRet::NewFd(Fd(3)).as_fd(), Some(Fd(3)));
         assert_eq!(SyscallRet::Val(0).as_fd(), None);

@@ -135,12 +135,22 @@ pub struct SpliceSpan {
 
     /// Reads outstanding: device reads and stream pulls issued whose
     /// block has not yet arrived at the engine. Flow control reads this
-    /// count; its area is the descriptor's Σ `read_service`.
+    /// count; its area is the descriptor's Σ `read_service` +
+    /// `read_lost`.
     pub pending_reads: Occupancy,
     /// Writes outstanding: blocks arrived whose write has not yet
     /// completed. Its area is the descriptor's Σ (`read_to_write` +
-    /// `write_service`).
+    /// `write_service`) + `write_lost`.
     pub pending_writes: Occupancy,
+    /// ns·blocks of pending-read time that no `read_service` sample
+    /// records: read attempts that failed with a device error, stream
+    /// pulls that found nothing to take, and blocks discarded by an
+    /// aborting splice.
+    pub read_lost: u64,
+    /// ns·blocks of pending-write time that no stage sample records:
+    /// write attempts before the one that completed (a retry re-stamps
+    /// the service start), and blocks whose write was abandoned.
+    pub write_lost: u64,
 }
 
 impl SpliceSpan {
@@ -222,6 +232,12 @@ pub struct SpanTally {
     /// ∫ pending writes dt, in ns·blocks: the summed `read_to_write` +
     /// `write_service` of every block written.
     pub write_area: u128,
+    /// Pending-read time no stage records ([`SpliceSpan::read_lost`]):
+    /// the rest of `read_area`.
+    pub read_lost: u128,
+    /// Pending-write time no stage records
+    /// ([`SpliceSpan::write_lost`]): the rest of `write_area`.
+    pub write_lost: u128,
     /// Per-span checks that failed.
     pub violations: u64,
     /// The first [`MAX_VIOLATION_DETAILS`] failures, in fold order.
@@ -248,6 +264,8 @@ impl SpanTally {
         let area = |g: &Occupancy| u128::from(g.area_at(span.completed.unwrap_or(g.since)));
         self.read_area += area(&span.pending_reads);
         self.write_area += area(&span.pending_writes);
+        self.read_lost += u128::from(span.read_lost);
+        self.write_lost += u128::from(span.write_lost);
         let id = span.id;
         let stamps = [
             span.created,
@@ -745,10 +763,13 @@ mod tests {
         one_block(&mut spans, 2);
         // A block still in flight at retirement counts until then.
         spans.live_mut(2).pending_reads.enter(t(10));
+        spans.live_mut(1).read_lost = 300;
+        spans.live_mut(2).write_lost = 700;
         spans.retire(1, t(20), 4096);
         spans.retire(2, t(20), 4096);
         let r = spans.retired();
         assert_eq!((r.read_area, r.write_area), (1_000 + 1_000 + 10_000, 4_000));
+        assert_eq!((r.read_lost, r.write_lost), (300, 700));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! ([`EventQueue`]), a BSD-style callout list ([`Callout`]) matching the
 //! mechanism the paper uses to decouple the read and write sides of a
 //! splice, structured spans/gauges, request records and latency digests
-//! ([`kstat`]), a dependency-free JSON value ([`Json`]) for the bench
+//! ([`kstat`]), shared immutable byte views for syscall and network
+//! payloads ([`Bytes`]), a dependency-free JSON value ([`Json`]) for the bench
 //! emitters, a deterministic hasher for id-keyed maps ([`IdMap`],
 //! [`IdSet`]), and a typed trace ring ([`Trace`]) with structured
 //! tracepoints ([`TraceEvent`]), causal per-block splice spans
@@ -18,6 +19,7 @@
 //! event order → same measurements) is a correctness requirement for the
 //! experiment harnesses.
 
+pub mod bytes;
 pub mod callout;
 pub mod event;
 pub mod hash;
@@ -27,6 +29,7 @@ pub mod kstat;
 pub mod time;
 pub mod trace;
 
+pub use bytes::Bytes;
 #[cfg(any(test, feature = "props"))]
 pub use callout::BTreeCallout;
 pub use callout::{Callout, CalloutId};

@@ -11,7 +11,8 @@ use kanalyze::{
     byte_conservation, compare, decompose, littles_law, utilization_law, DeviceAccounting,
     DiffRules, Tolerance,
 };
-use kproc::programs::{RingScp, Scp};
+use khw::{FaultOp, FaultPlan};
+use kproc::programs::{RingScp, Scp, ScpMode};
 use kproc::ProcState;
 use ksim::Json;
 use splice::{Kernel, KernelBuilder};
@@ -55,6 +56,7 @@ fn assert_littles_law(k: &Kernel) {
             "inflight_reads",
             tally.read_area,
             stages.read_service.sum(),
+            tally.read_lost,
             stages.read_service.count(),
             Tolerance::EXACT,
         ),
@@ -62,6 +64,7 @@ fn assert_littles_law(k: &Kernel) {
             "inflight_writes",
             tally.write_area,
             stages.read_to_write.sum() + stages.write_service.sum(),
+            tally.write_lost,
             stages.write_service.count(),
             Tolerance::EXACT,
         ),
@@ -73,6 +76,38 @@ fn assert_littles_law(k: &Kernel) {
         );
     }
     assert!(tally.read_area > 0 && tally.write_area > 0, "idle pipeline");
+}
+
+/// Little's law stays exact under device faults. A failed read attempt
+/// holds its pending-read slot until the error lands, and a retried
+/// write holds its pending-write slot across the backoff, for time no
+/// stage histogram records; the tally's lost terms account for it.
+#[test]
+fn queueing_laws_hold_exactly_under_faults() {
+    for (disk, plan) in [
+        (0, FaultPlan::new(42).transient_eio(FaultOp::Read, 0.01)),
+        (1, FaultPlan::new(42).transient_eio(FaultOp::Write, 0.05)),
+    ] {
+        let mut k = KernelBuilder::paper_machine_ram().build();
+        k.setup_file("/d0/src", MB, 7);
+        k.cold_cache();
+        k.set_fault_plan(disk, plan);
+        let pid = k.spawn(Box::new(Scp::with_options(
+            "/d0/src",
+            "/d1/dst",
+            ScpMode::Sync,
+            1,
+        )));
+        let horizon = k.horizon(600);
+        k.run_to_exit(horizon);
+        assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+        assert_eq!(k.verify_pattern_file("/d1/dst", MB, 7), None);
+        assert!(k.metrics().splice.retries > 0, "disk {disk}: no retries");
+        assert_littles_law(&k);
+        let tally = k.kstat().spans.tally();
+        let lost = [tally.read_lost, tally.write_lost][disk];
+        assert!(lost > 0, "disk {disk}: the faults held no slot");
+    }
 }
 
 #[test]

@@ -108,20 +108,23 @@ fn dst_blocks_shared_with_src(k: &Kernel, len: u64) -> usize {
         .count()
 }
 
-/// A splice moves each block from the source medium to the destination
-/// medium without a host copy: every destination block is the source's
-/// own. A read/write copy passes the bytes through user space, so no
-/// destination block is.
+/// Whole blocks move by reference on every path. A splice moves each
+/// block from the source medium to the destination medium inside the
+/// kernel; a read/write copy hands the program a view of each cached
+/// block and installs that view in the destination buffer. Either way
+/// every destination block is the source's own. The simulated machine
+/// still copies through user space for cp: its copyout and copyin each
+/// carry the whole file, and the splice's carry nothing.
 #[test]
-fn scp_shares_every_medium_block_and_cp_shares_none() {
+fn scp_and_cp_share_every_medium_block() {
     let len = MB;
-    for (name, prog, shared) in [
+    for (name, prog, user_bytes) in [
         (
             "scp",
             Box::new(Scp::new("/d0/src", "/d1/dst")) as Box<dyn Program>,
-            (len / 8192) as usize,
+            0,
         ),
-        ("cp", Box::new(Cp::new("/d0/src", "/d1/dst")), 0),
+        ("cp", Box::new(Cp::new("/d0/src", "/d1/dst")), len),
     ] {
         let mut k = machine(DiskProfile::ramdisk());
         k.setup_file("/d0/src", len, 8);
@@ -129,7 +132,15 @@ fn scp_shares_every_medium_block_and_cp_shares_none() {
         run_copy(&mut k, prog);
         k.cold_cache();
         assert_copied(&mut k, len, 8);
-        assert_eq!(dst_blocks_shared_with_src(&k, len), shared, "{name}");
+        assert_eq!(
+            dst_blocks_shared_with_src(&k, len),
+            (len / 8192) as usize,
+            "{name}"
+        );
+        let copy = k.metrics().copy;
+        assert_eq!(copy.copyout_bytes, user_bytes, "{name}");
+        assert_eq!(copy.copyin_bytes, user_bytes, "{name}");
+        assert_eq!(copy.cache_bytes, 0, "{name}");
     }
 }
 
