@@ -22,10 +22,9 @@
 //! The process exits nonzero if any closure check or auditor fails or
 //! any block span is left incomplete, so it is a hard gate on its own.
 
-use bench::{bench_doc, workload_meta, workloads, write_bench_json};
+use bench::{bench_doc, littles_law_audit, workload_meta, workloads, write_bench_json};
 use kanalyze::{
-    byte_conservation, decompose, littles_law, utilization_law, AuditReport, DeviceAccounting,
-    Tolerance,
+    byte_conservation, decompose, utilization_law, AuditReport, DeviceAccounting, Tolerance,
 };
 use splice::Kernel;
 
@@ -42,28 +41,8 @@ const UTIL_TOL: Tolerance = Tolerance {
 
 /// Runs the audits for one finished kernel.
 fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
-    let stages = &k.kstat().stages;
-    let mut report = AuditReport::default();
-
-    // Little's law, read side and write side, exact: the gauges'
-    // integrals over every descriptor against the stage histograms.
-    let tally = k.kstat().spans.tally();
-    report.outcomes.push(littles_law(
-        "inflight_reads",
-        tally.read_area,
-        stages.read_service.sum(),
-        tally.read_lost,
-        stages.read_service.count(),
-        Tolerance::EXACT,
-    ));
-    report.outcomes.push(littles_law(
-        "inflight_writes",
-        tally.write_area,
-        stages.read_to_write.sum() + stages.write_service.sum(),
-        tally.write_lost,
-        stages.write_service.count(),
-        Tolerance::EXACT,
-    ));
+    // Little's law, read side and write side, exact.
+    let mut report = littles_law_audit(k);
 
     // Utilization law, per mounted disk, through the one unified
     // accounting source on `DiskUnitKind`.
@@ -85,7 +64,7 @@ fn audit(k: &Kernel, expected_bytes: u64) -> AuditReport {
     // finished conserves nothing, so it fails the audit loudly.
     report
         .outcomes
-        .push(byte_conservation(&tally, expected_bytes));
+        .push(byte_conservation(&k.kstat().spans.tally(), expected_bytes));
     report
 }
 

@@ -7,10 +7,13 @@
 //! errors must always recover (retry with exponential backoff), so every
 //! row is verified byte-exact with zero aborts; the interesting output is
 //! how much throughput and kernel CPU the recovery machinery costs.
+//! Every row must also keep Little's law exact: a failed read attempt
+//! holds its pending slot for time no stage histogram records, and the
+//! audit counts it as lost time.
 //!
 //! Writes `BENCH_faults.json` with one row per error rate.
 
-use bench::{bench_doc, json_rows, print_table, write_table};
+use bench::{bench_doc, json_rows, littles_law_audit, print_table, write_table};
 use khw::{FaultOp, FaultPlan};
 use kproc::programs::{Scp, ScpMode};
 use kproc::ProcState;
@@ -80,6 +83,10 @@ fn run(rate: f64) -> Row {
         "transient faults at rate {rate} corrupted the copy"
     );
     assert!(k.fsck_all().is_empty(), "fsck dirty at rate {rate}");
+    let little = littles_law_audit(&k);
+    println!("rate {:.1}%:", 100.0 * rate);
+    print!("{}", little.render());
+    assert!(little.pass(), "rate {rate}: Little's law does not hold");
     let m = k.metrics();
     assert_eq!(m.splice.aborted, 0, "transient faults must never abort");
     assert_eq!(

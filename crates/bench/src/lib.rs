@@ -26,6 +26,7 @@ pub use json_out::{
     bench_doc, json_rows, workload_meta, write_bench_json, write_table, SCHEMA_VERSION,
 };
 
+use kanalyze::{littles_law, AuditReport, Tolerance};
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp, ScpMode};
 use kproc::{Pid, ProcState, Program};
@@ -372,6 +373,36 @@ pub fn table2_row(disk: DiskRow) -> Table2Row {
     let cp = throughput(&exp, Method::Cp);
     let pct = (scp.kb_per_s / cp.kb_per_s - 1.0) * 100.0;
     Table2Row { disk, scp, cp, pct }
+}
+
+/// Little's law on both sides of the splice pipeline, exact: each
+/// side's occupancy integral over every descriptor against the stage
+/// time its histograms recorded, plus the time failed or retried
+/// attempts held a slot (`read_lost`, `write_lost`), to the nanosecond.
+/// `analyze` and `faults` gate on it.
+pub fn littles_law_audit(k: &Kernel) -> AuditReport {
+    let stages = &k.kstat().stages;
+    let tally = k.kstat().spans.tally();
+    AuditReport {
+        outcomes: vec![
+            littles_law(
+                "inflight_reads",
+                tally.read_area,
+                stages.read_service.sum(),
+                tally.read_lost,
+                stages.read_service.count(),
+                Tolerance::EXACT,
+            ),
+            littles_law(
+                "inflight_writes",
+                tally.write_area,
+                stages.read_to_write.sum() + stages.write_service.sum(),
+                tally.write_lost,
+                stages.write_service.count(),
+                Tolerance::EXACT,
+            ),
+        ],
+    }
 }
 
 /// Renders a markdown-ish table to stdout.

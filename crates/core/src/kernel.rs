@@ -94,9 +94,11 @@ pub struct Kernel {
     pub(crate) cdevs: Vec<CharDevUnit>,
     pub(crate) files: FileTable,
     pub(crate) splices: IdMap<u64, SpliceDesc>,
-    /// How finished splices ended (bytes moved + errno), kept after the
-    /// descriptor is torn down for partial-transfer audits.
-    pub(crate) splice_outcomes: IdMap<u64, crate::splice_engine::SpliceOutcome>,
+    /// How the last [`ksim::RECENT_SPANS`] finished splices ended (bytes
+    /// moved + errno), oldest first, kept after the descriptor is torn
+    /// down for partial-transfer audits. No syscall reads it: a
+    /// synchronous splice takes its result from its CQE.
+    pub(crate) splice_outcomes: VecDeque<(u64, crate::splice_engine::SpliceOutcome)>,
     pub(crate) next_splice: u64,
     pub(crate) conts: IdMap<Pid, Cont>,
     pub(crate) pending_after: IdMap<Pid, AfterCpu>,
@@ -166,7 +168,7 @@ impl Kernel {
             cdevs: Vec::new(),
             files: FileTable::new(),
             splices: IdMap::default(),
-            splice_outcomes: IdMap::default(),
+            splice_outcomes: VecDeque::new(),
             next_splice: 1,
             conts: IdMap::default(),
             pending_after: IdMap::default(),

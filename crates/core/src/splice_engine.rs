@@ -72,6 +72,10 @@ pub enum OutcomeStatus {
     /// restart. Distinct from [`OutcomeStatus::Pending`] so pollers
     /// cannot spin on an id that will never complete.
     Unknown,
+    /// The splice finished, but before the last [`ksim::RECENT_SPANS`]
+    /// completions: its outcome is no longer kept. Its bytes still count
+    /// in the retired-span tally (`kstat.spans.tally()`).
+    Retired,
 }
 
 impl OutcomeStatus {
@@ -332,7 +336,8 @@ impl Kernel {
     /// `FASYNC` the caller blocks on the ring channel until its entry
     /// completes; with `FASYNC` the call returns immediately and
     /// completion is announced with `SIGIO` (no CQE is queued — the
-    /// outcome is latched in [`Kernel::splice_outcome`]).
+    /// outcome is kept among the recent ones [`Kernel::splice_outcome`]
+    /// reports).
     pub(crate) fn sys_splice(
         &mut self,
         pid: Pid,
@@ -408,33 +413,31 @@ impl Kernel {
     /// its typed errno — never a success value — and leaves the exact
     /// partial byte count in [`Kernel::splice_outcome`].
     pub(crate) fn resume_splice_sync(&mut self, pid: Pid, ring: u64, desc: u64) -> SyscallOutcome {
-        match self.splice_outcome(desc) {
-            OutcomeStatus::Done(o) => {
-                // Drop the latched CQE: the blocking caller *is* the
-                // reaper for its depth-1 entry.
-                self.rings.remove_cqe(ring, desc);
-                let ret = match o.error {
-                    Some(e) => SyscallRet::Err(e),
-                    None => SyscallRet::Val(o.bytes_moved as i64),
-                };
-                SyscallOutcome::Done {
-                    cpu: self.cfg.machine.buf_op,
-                    ret,
-                }
-            }
-            OutcomeStatus::Pending => {
-                self.conts.insert(pid, Cont::SpliceSync { ring, desc });
-                SyscallOutcome::Block {
-                    cpu: Dur::ZERO,
-                    chan: Chan::new(ChanSpace::Ring, ring),
-                }
-            }
-            // The descriptor vanished without latching an outcome (it
-            // cannot under normal operation): report zero, don't hang.
-            OutcomeStatus::Unknown => SyscallOutcome::Done {
+        // The blocking caller *is* the reaper for its depth-1 entry: it
+        // takes the result from the CQE latched on its legacy ring.
+        if let Some(cqe) = self.rings.take_cqe(ring, desc) {
+            let o = cqe.outcome;
+            let ret = match o.error {
+                Some(e) => SyscallRet::Err(e),
+                None => SyscallRet::Val(o.bytes_moved as i64),
+            };
+            return SyscallOutcome::Done {
                 cpu: self.cfg.machine.buf_op,
-                ret: SyscallRet::Val(0),
-            },
+                ret,
+            };
+        }
+        if self.splices.contains_key(&desc) {
+            self.conts.insert(pid, Cont::SpliceSync { ring, desc });
+            return SyscallOutcome::Block {
+                cpu: Dur::ZERO,
+                chan: Chan::new(ChanSpace::Ring, ring),
+            };
+        }
+        // The descriptor vanished without queueing a completion (it
+        // cannot under normal operation): report zero, don't hang.
+        SyscallOutcome::Done {
+            cpu: self.cfg.machine.buf_op,
+            ret: SyscallRet::Val(0),
         }
     }
 
@@ -1066,15 +1069,20 @@ impl Kernel {
 
     /// The typed completion status of splice `desc`:
     /// [`OutcomeStatus::Done`] once it finished (successfully or by
-    /// abort), [`OutcomeStatus::Pending`] while still in flight,
+    /// abort) among the last [`ksim::RECENT_SPANS`] completions,
+    /// [`OutcomeStatus::Retired`] if it finished before them,
+    /// [`OutcomeStatus::Pending`] while still in flight,
     /// [`OutcomeStatus::Unknown`] for descriptor ids the kernel never
     /// issued.
     pub fn splice_outcome(&self, desc: u64) -> OutcomeStatus {
-        if let Some(o) = self.splice_outcomes.get(&desc) {
+        if let Some((_, o)) = self.splice_outcomes.iter().find(|(d, _)| *d == desc) {
             return OutcomeStatus::Done(*o);
         }
         if self.splices.contains_key(&desc) {
             return OutcomeStatus::Pending;
+        }
+        if (1..self.next_splice).contains(&desc) {
+            return OutcomeStatus::Retired;
         }
         OutcomeStatus::Unknown
     }
@@ -1114,7 +1122,10 @@ impl Kernel {
             bytes_moved: d.bytes_done,
             error: d.error,
         };
-        self.splice_outcomes.insert(desc, outcome);
+        if self.splice_outcomes.len() == ksim::RECENT_SPANS {
+            self.splice_outcomes.pop_front();
+        }
+        self.splice_outcomes.push_back((desc, outcome));
         // An in-kernel serve delivers to a connection socket: land the
         // moved bytes (and any failure) on the open request record.
         if let DstEndpoint::Sock { sock } = dst {

@@ -190,14 +190,12 @@ impl RingTable {
         self.socks.remove(&sock)
     }
 
-    /// Removes the CQE tagged `user_data` from `ring`, if queued (legacy
-    /// synchronous reap of exactly one entry).
-    pub fn remove_cqe(&mut self, ring: u64, user_data: u64) {
-        if let Some(r) = self.rings.get_mut(&ring) {
-            if let Some(pos) = r.cq.iter().position(|c| c.user_data == user_data) {
-                r.cq.remove(pos);
-            }
-        }
+    /// Removes and returns the CQE tagged `user_data` from `ring`, if
+    /// queued (legacy synchronous reap of exactly one entry).
+    pub fn take_cqe(&mut self, ring: u64, user_data: u64) -> Option<SpliceCqe> {
+        let r = self.rings.get_mut(&ring)?;
+        let pos = r.cq.iter().position(|c| c.user_data == user_data)?;
+        r.cq.remove(pos)
     }
 
     /// Owner exit: rings die, queued completions are dropped, and each
@@ -446,8 +444,9 @@ impl Kernel {
                 },
             );
         } else {
-            // Legacy FASYNC: outcome is latched in `splice_outcomes`;
-            // wake anything polling the ring anyway (harmless).
+            // Legacy FASYNC: no CQE (the outcome is in the recent
+            // `splice_outcomes` window); wake anything polling the ring
+            // anyway (harmless).
             self.wakeup(Chan::new(ChanSpace::Ring, ring));
         }
         if route.sigio {

@@ -63,11 +63,15 @@ pub(crate) enum AfterCpu {
 }
 
 /// Continuations for blocked system calls.
+///
+/// Every blocked process holds one, so the variants stay small: the
+/// read and write states are boxed, and a blocked `recv`, `accept` or
+/// `pause` stores no more than its few words.
 pub(crate) enum Cont {
     /// `read(2)` in progress.
-    Read(ReadCont),
+    Read(Box<ReadCont>),
     /// `write(2)` in progress.
-    Write(WriteCont),
+    Write(Box<WriteCont>),
     /// `fsync(2)` waiting for in-flight writes.
     Fsync { fid: FileId },
     /// Synchronous `splice(2)` waiting for its depth-1 legacy-ring entry
@@ -312,11 +316,7 @@ impl Kernel {
                 }
             }
             SyscallReq::Sigaction { sig, catch } => {
-                let p = self.procs.must_mut(pid);
-                p.catches.retain(|s| *s != sig);
-                if catch {
-                    p.catches.push(sig);
-                }
+                self.procs.must_mut(pid).set_catch(sig, catch);
                 SyscallOutcome::Done {
                     cpu: base,
                     ret: SyscallRet::Val(0),
@@ -454,8 +454,8 @@ impl Kernel {
     /// Resumes a blocked call after a wakeup.
     pub(crate) fn resume_cont(&mut self, pid: Pid, cont: Cont) -> SyscallOutcome {
         match cont {
-            Cont::Read(c) => self.do_read(pid, c, Dur::ZERO),
-            Cont::Write(c) => self.do_write(pid, c, Dur::ZERO),
+            Cont::Read(c) => self.do_read(pid, *c, Dur::ZERO),
+            Cont::Write(c) => self.do_write(pid, *c, Dur::ZERO),
             Cont::Fsync { fid } => self.do_fsync(pid, fid, Dur::ZERO),
             Cont::SpliceSync { ring, desc } => self.resume_splice_sync(pid, ring, desc),
             Cont::RingReap { ring, min } => self.resume_ring_reap(pid, ring, min),
@@ -759,17 +759,17 @@ impl Kernel {
                         c.wait_buf = Some((buf, boff, take));
                         c.issued_at = Some(self.q.now());
                         let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Read(c));
+                        self.conts.insert(pid, Cont::Read(Box::new(c)));
                         return SyscallOutcome::Block { cpu, chan };
                     }
                 }
                 BreadOutcome::Busy(buf) => {
                     let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Read(c));
+                    self.conts.insert(pid, Cont::Read(Box::new(c)));
                     return SyscallOutcome::Block { cpu, chan };
                 }
                 BreadOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Read(c));
+                    self.conts.insert(pid, Cont::Read(Box::new(c)));
                     return SyscallOutcome::Block {
                         cpu,
                         chan: Chan::new(ChanSpace::AnyBuf, 0),
@@ -871,17 +871,17 @@ impl Kernel {
                         } else {
                             c.rmw_buf = Some((buf, boff, take));
                             let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                            self.conts.insert(pid, Cont::Write(c));
+                            self.conts.insert(pid, Cont::Write(Box::new(c)));
                             return SyscallOutcome::Block { cpu, chan };
                         }
                     }
                     BreadOutcome::Busy(buf) => {
                         let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Write(c));
+                        self.conts.insert(pid, Cont::Write(Box::new(c)));
                         return SyscallOutcome::Block { cpu, chan };
                     }
                     BreadOutcome::NoBuffers => {
-                        self.conts.insert(pid, Cont::Write(c));
+                        self.conts.insert(pid, Cont::Write(Box::new(c)));
                         return SyscallOutcome::Block {
                             cpu,
                             chan: Chan::new(ChanSpace::AnyBuf, 0),
@@ -907,11 +907,11 @@ impl Kernel {
                 }
                 GetblkOutcome::Busy(buf) => {
                     let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Write(c));
+                    self.conts.insert(pid, Cont::Write(Box::new(c)));
                     return SyscallOutcome::Block { cpu, chan };
                 }
                 GetblkOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Write(c));
+                    self.conts.insert(pid, Cont::Write(Box::new(c)));
                     return SyscallOutcome::Block {
                         cpu,
                         chan: Chan::new(ChanSpace::AnyBuf, 0),
@@ -996,7 +996,7 @@ impl Kernel {
                     SyscallOutcome::BlockUntil {
                         cpu: base + copied,
                         until: at,
-                        then: WakeAction::Resume(Cont::Write(c)),
+                        then: WakeAction::Resume(Cont::Write(Box::new(c))),
                     }
                 }
             }
@@ -1219,5 +1219,18 @@ impl Kernel {
     /// Posts `SIGIO` to a process (splice completion).
     pub(crate) fn post_sigio(&mut self, pid: Pid) {
         self.post_signal(pid, Sig::Io);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Cont;
+
+    #[test]
+    fn continuation_stays_small() {
+        // A blocked recv, accept or pause stores one `Cont` per process:
+        // the boxed read and write states keep it at four words.
+        let size = std::mem::size_of::<Cont>();
+        assert!(size <= 32, "Cont is {size} bytes");
     }
 }

@@ -225,8 +225,9 @@ struct Socket {
     /// Wired peer socket (connection sockets): replies route here
     /// directly, bypassing the port namespace.
     peer_sock: Option<SockId>,
-    /// Set when listening.
-    listener: Option<Listener>,
+    /// Set when listening. Boxed: only listening sockets pay for the
+    /// backlog and demultiplexer, not every connection.
+    listener: Option<Box<Listener>>,
     /// Back-pointer for connection sockets: (listener, demux key).
     on_listener: Option<(SockId, SockId)>,
     /// Carved and still on its listener's backlog: set by `deliver`,
@@ -485,11 +486,11 @@ impl Net {
         match s.listener.as_mut() {
             Some(l) => l.backlog = backlog as usize,
             None => {
-                s.listener = Some(Listener {
+                s.listener = Some(Box::new(Listener {
                     backlog: backlog as usize,
                     pending: VecDeque::new(),
                     conns: IdMap::default(),
-                })
+                }))
             }
         }
         Ok(())
@@ -717,6 +718,11 @@ impl Net {
         }
         let bytes = dgram.data.len() as u64;
         s.rcv_used += dgram.data.len();
+        // Most connections only ever queue their one request: size the
+        // first allocation for it, not for the default four.
+        if s.rcv_queue.capacity() == 0 {
+            s.rcv_queue.reserve_exact(1);
+        }
         s.rcv_queue.push_back(dgram);
         self.stats.delivered += 1;
         self.stats.bytes_delivered += bytes;
@@ -865,6 +871,24 @@ mod tests {
         net.bind(b, port).unwrap();
         net.connect(a, NetAddr { host: HOST, port }).unwrap();
         (a, b)
+    }
+
+    #[test]
+    fn socket_layout_stays_small() {
+        // Every carved connection pays for one `Socket`: listener state
+        // lives behind a box so connections do not carry it inline.
+        let size = std::mem::size_of::<Socket>();
+        assert!(size <= 112, "Socket is {size} bytes");
+    }
+
+    #[test]
+    fn first_datagram_reserves_one_slot() {
+        let mut net = Net::new();
+        let (a, b) = pair(&mut net, 9);
+        net.deliver(b, dgram(&net, a, 10));
+        assert_eq!(net.sock(b).unwrap().rcv_queue.capacity(), 1);
+        net.deliver(b, dgram(&net, a, 10));
+        assert!(net.sock(b).unwrap().rcv_queue.capacity() >= 2);
     }
 
     #[test]

@@ -72,8 +72,8 @@ pub struct Process {
     /// Context handed to the next `program.step()` (syscall return,
     /// signals).
     pub ctx: UserCtx,
-    /// Signals the process has asked to catch.
-    pub catches: Vec<Sig>,
+    /// Signals the process has asked to catch, one bit per [`Sig`].
+    caught: u8,
     /// Signals delivered but not yet consumed by a `pause`/step.
     pub pending_sigs: Vec<Sig>,
     /// Repeating interval timer period, if armed.
@@ -98,7 +98,17 @@ pub struct Process {
 impl Process {
     /// True if the process catches `sig`.
     pub fn catches(&self, sig: Sig) -> bool {
-        self.catches.contains(&sig)
+        self.caught & sig_bit(sig) != 0
+    }
+
+    /// Catches `sig` from now on (`catch`) or stops catching it
+    /// (`sigaction`).
+    pub fn set_catch(&mut self, sig: Sig, catch: bool) {
+        if catch {
+            self.caught |= sig_bit(sig);
+        } else {
+            self.caught &= !sig_bit(sig);
+        }
     }
 
     /// True if the process has exited.
@@ -120,6 +130,11 @@ impl Process {
         self.cpu_epoch = epoch;
         &mut self.recent_cpu
     }
+}
+
+/// The bit of `sig` in a process's caught-signal mask.
+fn sig_bit(sig: Sig) -> u8 {
+    1 << sig as u8
 }
 
 /// The process table: owns every process, allocates pids.
@@ -153,7 +168,7 @@ impl ProcTable {
             state: ProcState::Runnable,
             program,
             ctx: UserCtx::default(),
-            catches: Vec::new(),
+            caught: 0,
             pending_sigs: Vec::new(),
             itimer: None,
             pending_compute: None,
@@ -301,6 +316,26 @@ mod tests {
         fn step(&mut self, _ctx: &mut UserCtx) -> Step {
             Step::Exit(0)
         }
+    }
+
+    #[test]
+    fn process_layout_stays_small() {
+        // A connection-scale fleet holds one `Process` per client; the
+        // caught-signal set is a bit mask, not a heap vector.
+        let size = std::mem::size_of::<Process>();
+        assert!(size <= 240, "Process is {size} bytes");
+    }
+
+    #[test]
+    fn sigaction_mask_sets_and_clears_each_signal() {
+        let mut t = ProcTable::new();
+        let pid = t.spawn(Box::new(Nop), SimTime::ZERO);
+        let p = t.must_mut(pid);
+        assert!(!p.catches(Sig::Io) && !p.catches(Sig::Alrm));
+        p.set_catch(Sig::Alrm, true);
+        p.set_catch(Sig::Io, true);
+        p.set_catch(Sig::Io, false);
+        assert!(p.catches(Sig::Alrm) && !p.catches(Sig::Io));
     }
 
     #[test]

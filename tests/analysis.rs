@@ -8,8 +8,7 @@
 //! perturbed metric in a real report document.
 
 use kanalyze::{
-    byte_conservation, compare, decompose, littles_law, utilization_law, DeviceAccounting,
-    DiffRules, Tolerance,
+    byte_conservation, compare, decompose, utilization_law, DeviceAccounting, DiffRules, Tolerance,
 };
 use khw::{FaultOp, FaultPlan};
 use kproc::programs::{RingScp, Scp, ScpMode};
@@ -49,32 +48,9 @@ fn ring_kernel() -> Kernel {
 /// integral over every descriptor equals the stage time its histograms
 /// recorded, to the nanosecond.
 fn assert_littles_law(k: &Kernel) {
-    let stages = &k.kstat().stages;
+    let audit = bench::littles_law_audit(k);
+    assert!(audit.pass(), "{}", audit.render());
     let tally = k.kstat().spans.tally();
-    for o in [
-        littles_law(
-            "inflight_reads",
-            tally.read_area,
-            stages.read_service.sum(),
-            tally.read_lost,
-            stages.read_service.count(),
-            Tolerance::EXACT,
-        ),
-        littles_law(
-            "inflight_writes",
-            tally.write_area,
-            stages.read_to_write.sum() + stages.write_service.sum(),
-            tally.write_lost,
-            stages.write_service.count(),
-            Tolerance::EXACT,
-        ),
-    ] {
-        assert!(
-            o.pass,
-            "{}: measured {} vs predicted {} ({})",
-            o.law, o.measured, o.predicted, o.detail
-        );
-    }
     assert!(tally.read_area > 0 && tally.write_area > 0, "idle pipeline");
 }
 

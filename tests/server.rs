@@ -10,7 +10,7 @@
 use kproc::programs::{ServeMode, SpliceServer};
 use kproc::ProcState;
 use ksim::{Dur, ReqSpan, RECENT_SPANS};
-use splice::{KernelBuilder, MetricsSnapshot, ServeScenario};
+use splice::{KernelBuilder, MetricsSnapshot, OutcomeStatus, ServeScenario, SpliceOutcome};
 
 const SEED: u64 = 0x5e12;
 
@@ -143,6 +143,32 @@ fn connection_lifecycle_frees_port_and_buffers() {
         "port {} still held after the listener closed",
         ServeScenario::PORT
     );
+}
+
+/// A served fleet runs one splice per connection, and the kernel keeps
+/// the outcomes of only the last [`RECENT_SPANS`] of them: the newest
+/// descriptor still reads its result, the first reads `Retired` (issued,
+/// outcome no longer kept) and one never issued reads `Unknown`.
+#[test]
+fn splice_outcomes_stay_bounded_over_a_serve() {
+    const FLEET: usize = 1000;
+    let sc = ServeScenario::new(FLEET, ServeMode::Splice, SEED);
+    let (k, _) = sc.serve(KernelBuilder::paper_machine_ram(), "outcomes");
+    let last = k.metrics().splice.started;
+    assert_eq!(last, FLEET as u64, "one splice per connection");
+    let kept = (1..=last)
+        .filter(|&d| k.splice_outcome(d).done().is_some())
+        .count();
+    assert!(kept <= RECENT_SPANS, "{kept} outcomes kept");
+    assert_eq!(
+        k.splice_outcome(last),
+        OutcomeStatus::Done(SpliceOutcome {
+            bytes_moved: sc.file_bytes,
+            error: None,
+        })
+    );
+    assert_eq!(k.splice_outcome(1), OutcomeStatus::Retired);
+    assert_eq!(k.splice_outcome(last + 1), OutcomeStatus::Unknown);
 }
 
 /// Serves `conns` fetches from one server in `mode` at the default
