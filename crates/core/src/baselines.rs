@@ -21,30 +21,22 @@
 //! `cp` and `scp`, so the benches compare data-path structure, not
 //! substrate luck.
 
-use kbuf::BreadOutcome;
-use kproc::{
-    Chan, ChanSpace, Errno, Fd, OpenFlags, Pid, Program, Step, SyscallReq, SyscallRet, UserCtx,
-};
+use kbuf::BufId;
+use kproc::{Errno, Fd, OpenFlags, Program, Step, SyscallReq, SyscallRet, UserCtx};
 use ksim::Dur;
 
 use crate::kernel::{IoCtx, Kernel};
 use crate::objects::{FileId, FileObj};
-use crate::syscalls::{Cont, SyscallOutcome, WriteCont};
+use crate::syscalls::{BlockRead, Cont, SyscallOutcome, WriteCont};
 
 impl Kernel {
     /// `HandleRead`: pin the next block at the descriptor's offset in a
-    /// kernel handle. Returns the handle (> 0), 0 at EOF.
-    pub(crate) fn do_handle_read(&mut self, pid: Pid, fid: FileId, base: Dur) -> SyscallOutcome {
-        self.do_handle_read_resume(pid, fid, None, base)
-    }
-
-    /// [`Kernel::do_handle_read`] with an optionally held buffer from a
-    /// biowait resume.
+    /// kernel handle. Returns the handle (> 0), 0 at EOF. `held` is the
+    /// buffer kept across a biowait, on resume.
     pub(crate) fn do_handle_read_resume(
         &mut self,
-        pid: Pid,
         fid: FileId,
-        wait_buf: Option<kbuf::BufId>,
+        held: Option<BufId>,
         base: Dur,
     ) -> SyscallOutcome {
         let m = self.cfg.machine.clone();
@@ -73,64 +65,32 @@ impl Kernel {
         let boff = (offset % bs as u64) as usize;
         let take = (bs - boff).min((size - offset) as usize);
         let mut cpu = base;
-        let buf = if let Some(buf) = wait_buf {
-            debug_assert!(self.cache.io_done(buf), "woken before I/O completed");
-            buf
-        } else {
-            let Some(pblk) = self.disks[disk].fs.bmap(ino, lblk) else {
-                return SyscallOutcome::Done {
-                    cpu: base,
-                    ret: SyscallRet::Err(Errno::Einval),
+        let read = match held {
+            Some(buf) => self.biowait_end(buf, &mut cpu).map(BlockRead::Held),
+            None => {
+                let Some(pblk) = self.disks[disk].fs.bmap(ino, lblk) else {
+                    return SyscallOutcome::Done {
+                        cpu: base,
+                        ret: SyscallRet::Err(Errno::Einval),
+                    };
                 };
-            };
-            let dev = self.disks[disk].dev;
-            let mut fx = Vec::new();
-            let out = self.cache.bread(dev, pblk, bs, &mut fx);
-            cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
-            match out {
-                BreadOutcome::Hit(buf) => buf,
-                BreadOutcome::Miss(buf) if self.cache.io_done(buf) => buf,
-                BreadOutcome::Miss(buf) => {
-                    // Hold the buffer across the biowait (file_read's
-                    // wait_buf discipline: re-breading would deadlock on
-                    // our own busy buffer).
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: Some(buf),
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, buf.0 as u64),
-                    };
-                }
-                BreadOutcome::Busy(buf) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, buf.0 as u64),
-                    };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(
-                        pid,
-                        Cont::HandleRead {
-                            fid,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
+                cpu += m.buf_op;
+                self.read_block(self.disks[disk].dev, pblk, &mut cpu)
+            }
+        };
+        let buf = match read {
+            Ok(BlockRead::Held(buf)) => buf,
+            Ok(BlockRead::Sleep { chan, hold }) => {
+                let cont = Cont::HandleRead {
+                    fid,
+                    wait_buf: hold,
+                };
+                return SyscallOutcome::Block { cpu, chan, cont };
+            }
+            Err(e) => {
+                return SyscallOutcome::Done {
+                    cpu,
+                    ret: SyscallRet::Err(e),
                 }
             }
         };
@@ -155,7 +115,6 @@ impl Kernel {
     /// without a `copyin`.
     pub(crate) fn do_handle_write(
         &mut self,
-        pid: Pid,
         fid: FileId,
         handle: i64,
         base: Dur,
@@ -173,33 +132,21 @@ impl Kernel {
             rmw_buf: None,
             kernel_data: true,
         };
-        self.do_write(pid, cont, base)
+        self.do_write(cont, base)
     }
 
     /// `MmapFault`: the kernel half of copying `len` mapped bytes — page
     /// faults on both mappings plus the cache traffic they imply. The
     /// data lands in the destination cache blocks here (the user `memcpy`
     /// "through the mapping"); its CPU time is charged by the program as
-    /// compute.
-    pub(crate) fn do_mmap_fault(
-        &mut self,
-        pid: Pid,
-        src_fid: FileId,
-        dst_fid: FileId,
-        len: usize,
-    ) -> SyscallOutcome {
-        self.do_mmap_fault_resume(pid, src_fid, dst_fid, len, None)
-    }
-
-    /// [`Kernel::do_mmap_fault`] with an optionally held buffer from a
-    /// biowait resume.
+    /// compute. `held` is the source buffer kept across a biowait, on
+    /// resume.
     pub(crate) fn do_mmap_fault_resume(
         &mut self,
-        pid: Pid,
         src_fid: FileId,
         dst_fid: FileId,
         len: usize,
-        wait_buf: Option<kbuf::BufId>,
+        held: Option<BufId>,
     ) -> SyscallOutcome {
         let m = self.cfg.machine.clone();
         let bs = self.cfg.block_size as usize;
@@ -229,67 +176,33 @@ impl Kernel {
         let take = len.min((size - offset) as usize);
         let lblk = offset / bs as u64;
         let mut cpu = base;
-        let buf = if let Some(b) = wait_buf {
-            debug_assert!(self.cache.io_done(b), "woken before I/O completed");
-            b
-        } else {
-            let Some(pblk) = self.disks[sdisk].fs.bmap(sino, lblk) else {
-                return SyscallOutcome::Done {
-                    cpu: base,
-                    ret: SyscallRet::Err(Errno::Einval),
+        let read = match held {
+            Some(buf) => self.biowait_end(buf, &mut cpu).map(BlockRead::Held),
+            None => {
+                let Some(pblk) = self.disks[sdisk].fs.bmap(sino, lblk) else {
+                    return SyscallOutcome::Done {
+                        cpu: base,
+                        ret: SyscallRet::Err(Errno::Einval),
+                    };
                 };
-            };
-            let dev = self.disks[sdisk].dev;
-            let mut fx = Vec::new();
-            let out = self.cache.bread(dev, pblk, bs, &mut fx);
-            cpu += self.apply_cache_effects(fx, IoCtx::Process);
-            match out {
-                BreadOutcome::Hit(b) => b,
-                BreadOutcome::Miss(b) if self.cache.io_done(b) => b,
-                BreadOutcome::Miss(b) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: Some(b),
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, b.0 as u64),
-                    };
-                }
-                BreadOutcome::Busy(b) => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::Buf, b.0 as u64),
-                    };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(
-                        pid,
-                        Cont::MmapFault {
-                            src_fid,
-                            dst_fid,
-                            len,
-                            wait_buf: None,
-                        },
-                    );
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
+                self.read_block(self.disks[sdisk].dev, pblk, &mut cpu)
+            }
+        };
+        let buf = match read {
+            Ok(BlockRead::Held(buf)) => buf,
+            Ok(BlockRead::Sleep { chan, hold }) => {
+                let cont = Cont::MmapFault {
+                    src_fid,
+                    dst_fid,
+                    len,
+                    wait_buf: hold,
+                };
+                return SyscallOutcome::Block { cpu, chan, cont };
+            }
+            Err(e) => {
+                return SyscallOutcome::Done {
+                    cpu,
+                    ret: SyscallRet::Err(e),
                 }
             }
         };
@@ -308,28 +221,19 @@ impl Kernel {
             rmw_buf: None,
             kernel_data: true,
         };
-        match self.do_write(pid, cont, Dur::ZERO) {
-            SyscallOutcome::Done { cpu: c2, ret } => SyscallOutcome::Done {
-                cpu: cpu + c2,
-                ret: match ret {
-                    SyscallRet::Val(_) => SyscallRet::Val(take as i64),
-                    e => e,
-                },
-            },
-            SyscallOutcome::Block { cpu: c2, chan } => SyscallOutcome::Block {
-                cpu: cpu + c2,
-                chan,
-            },
-            SyscallOutcome::BlockUntil {
-                cpu: c2,
-                until,
-                then,
-            } => SyscallOutcome::BlockUntil {
-                cpu: cpu + c2,
-                until,
-                then,
-            },
+        let mut out = self.do_write(cont, Dur::ZERO);
+        match &mut out {
+            SyscallOutcome::Done { cpu: c, ret } => {
+                *c += cpu;
+                if let SyscallRet::Val(n) = ret {
+                    *n = take as i64;
+                }
+            }
+            SyscallOutcome::DoneAt { cpu: c, .. }
+            | SyscallOutcome::Block { cpu: c, .. }
+            | SyscallOutcome::BlockUntil { cpu: c, .. } => *c += cpu,
         }
+        out
     }
 }
 

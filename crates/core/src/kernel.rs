@@ -31,7 +31,7 @@ use ksim::{Callout, Dur, EventQueue, IdMap, IdSet, SimTime, Trace, TraceEvent};
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
 use crate::splice_engine::{FlowControl, SpliceDesc};
-use crate::syscalls::{AfterCpu, Cont, SyscallOutcome, WakeAction};
+use crate::syscalls::{AfterCpu, Cont, SyscallOutcome};
 
 /// Static kernel configuration.
 #[derive(Clone)]
@@ -100,9 +100,14 @@ pub struct Kernel {
     /// synchronous splice takes its result from its CQE.
     pub(crate) splice_outcomes: VecDeque<(u64, crate::splice_engine::SpliceOutcome)>,
     pub(crate) next_splice: u64,
+    /// What each waiting process resumes with, whether it sleeps on a
+    /// channel or until an instant. Written only by
+    /// [`Kernel::apply_syscall_outcome`].
     pub(crate) conts: IdMap<Pid, Cont>,
-    pub(crate) pending_after: IdMap<Pid, AfterCpu>,
-    pub(crate) timed_actions: IdMap<Pid, WakeAction>,
+    /// Where the process running a syscall-CPU chunk goes when the
+    /// chunk ends. Kernel mode is not preempted, so at most one chunk
+    /// is in flight.
+    pub(crate) pending_after: Option<(Pid, AfterCpu)>,
     pub(crate) iodone_map: IdMap<IodoneTag, KWork>,
     pub(crate) next_tag: u64,
     /// Splice rings plus the unified in-flight routing table (every
@@ -171,8 +176,7 @@ impl Kernel {
             splice_outcomes: VecDeque::new(),
             next_splice: 1,
             conts: IdMap::default(),
-            pending_after: IdMap::default(),
-            timed_actions: IdMap::default(),
+            pending_after: None,
             iodone_map: IdMap::default(),
             next_tag: 1,
             rings: crate::splice_ring::RingTable::new(),
@@ -431,15 +435,11 @@ impl Kernel {
         // Close the lost-wakeup window: a process whose system call has
         // decided to sleep on `chan` but whose CPU chunk has not finished
         // yet must not go to sleep — it re-checks instead.
-        let pending: Vec<Pid> = self
-            .pending_after
-            .iter()
-            .filter(|(_, a)| matches!(a, AfterCpu::Sleep(c) if *c == chan))
-            .map(|(pid, _)| *pid)
-            .collect();
-        for pid in pending {
-            self.pending_after.insert(pid, AfterCpu::Retry);
-            self.ctr.sched.wakeup_races += 1;
+        if let Some((_, after)) = &mut self.pending_after {
+            if matches!(after, AfterCpu::Sleep(c) if *c == chan) {
+                *after = AfterCpu::Retry;
+                self.ctr.sched.wakeup_races += 1;
+            }
         }
     }
 
@@ -455,12 +455,13 @@ impl Kernel {
             if chan.space == ChanSpace::Pause {
                 self.make_runnable(pid);
             }
-        } else if matches!(
-            self.pending_after.get(&pid),
-            Some(AfterCpu::Sleep(c)) if c.space == ChanSpace::Pause
-        ) {
-            // Signal raced the pause(2) entry: do not sleep.
-            self.pending_after.insert(pid, AfterCpu::Retry);
+        } else if let Some((chunk_pid, after)) = &mut self.pending_after {
+            if *chunk_pid == pid
+                && matches!(after, AfterCpu::Sleep(c) if c.space == ChanSpace::Pause)
+            {
+                // Signal raced the pause(2) entry: do not sleep.
+                *after = AfterCpu::Retry;
+            }
         }
     }
 
@@ -782,11 +783,6 @@ impl Kernel {
             return;
         }
 
-        // Delivered return value from a timed wake?
-        if let Some(AfterCpu::Deliver(ret)) = self.pending_after.remove(&pid) {
-            self.procs.must_mut(pid).ctx.ret = Some(ret);
-        }
-
         // Step the program.
         let step = {
             let p = self.procs.must_mut(pid);
@@ -823,14 +819,28 @@ impl Kernel {
         out: SyscallOutcome,
         quantum_left: Dur,
     ) {
+        // A finished call's return value goes to the program now: it
+        // cannot step before this chunk, or its timed sleep, ends.
         let (cpu, after) = match out {
-            SyscallOutcome::Done { cpu, ret } => (cpu, AfterCpu::Deliver(ret)),
-            SyscallOutcome::Block { cpu, chan } => (cpu, AfterCpu::Sleep(chan)),
-            SyscallOutcome::BlockUntil { cpu, until, then } => {
-                (cpu, AfterCpu::SleepUntil { until, then })
+            SyscallOutcome::Done { cpu, ret } => {
+                self.procs.must_mut(pid).ctx.ret = Some(ret);
+                (cpu, AfterCpu::Run)
+            }
+            SyscallOutcome::DoneAt { cpu, until, ret } => {
+                self.procs.must_mut(pid).ctx.ret = Some(ret);
+                (cpu, AfterCpu::SleepUntil(until))
+            }
+            SyscallOutcome::Block { cpu, chan, cont } => {
+                self.conts.insert(pid, cont);
+                (cpu, AfterCpu::Sleep(chan))
+            }
+            SyscallOutcome::BlockUntil { cpu, until, cont } => {
+                self.conts.insert(pid, cont);
+                (cpu, AfterCpu::SleepUntil(until))
             }
         };
-        self.pending_after.insert(pid, after);
+        let racing = self.pending_after.replace((pid, after));
+        debug_assert!(racing.is_none(), "two syscall chunks in flight");
         self.procs.must_mut(pid).acct.sys_time += cpu;
         self.procs.charge_cpu(pid, cpu);
         // System-call time consumes quantum too (it is still this
@@ -901,15 +911,15 @@ impl Kernel {
                 self.run_process(pid, run.quantum_left);
             }
             RunKind::SyscallCpu => {
-                let after = self
+                let (chunk_pid, after) = self
                     .pending_after
-                    .remove(&pid)
+                    .take()
                     .expect("syscall chunk without after-action");
+                debug_assert_eq!(chunk_pid, pid);
                 match after {
-                    AfterCpu::Deliver(ret) => {
-                        self.procs.must_mut(pid).ctx.ret = Some(ret);
-                        self.run_process(pid, run.quantum_left);
-                    }
+                    // On a retry the awaited event happened during the
+                    // chunk: the continuation runs at once.
+                    AfterCpu::Run | AfterCpu::Retry => self.run_process(pid, run.quantum_left),
                     AfterCpu::Sleep(chan) => {
                         let now = self.q.now();
                         self.trace.emit(now, || TraceEvent::SchedSleep {
@@ -922,18 +932,12 @@ impl Kernel {
                         self.resched = false;
                         self.try_dispatch();
                     }
-                    AfterCpu::Retry => {
-                        // The awaited event happened during the chunk:
-                        // resume the continuation at once.
-                        self.run_process(pid, run.quantum_left);
-                    }
-                    AfterCpu::SleepUntil { until, then } => {
+                    AfterCpu::SleepUntil(until) => {
                         self.procs.must_mut(pid).acct.vcsw += 1;
                         self.procs.set_state(
                             pid,
                             ProcState::Sleeping(Chan::new(ChanSpace::Timed, pid.0 as u64)),
                         );
-                        self.timed_actions.insert(pid, then);
                         let at = until.max(self.q.now());
                         self.q.schedule(at, Event::TimedWake { pid });
                         self.try_dispatch();
@@ -1087,18 +1091,9 @@ impl Kernel {
         (d.as_ns() / self.cfg.machine.tick().as_ns()).max(1)
     }
 
+    /// A timed sleep ended. What the process resumes with was stored
+    /// when it went to sleep.
     fn on_timed_wake(&mut self, pid: Pid) {
-        let Some(action) = self.timed_actions.remove(&pid) else {
-            return;
-        };
-        match action {
-            WakeAction::Deliver(ret) => {
-                self.pending_after.insert(pid, AfterCpu::Deliver(ret));
-            }
-            WakeAction::Resume(cont) => {
-                self.conts.insert(pid, cont);
-            }
-        }
         if matches!(self.procs.must(pid).state, ProcState::Sleeping(_)) {
             self.procs.set_state(pid, ProcState::Runnable);
             self.sched.enqueue(pid);

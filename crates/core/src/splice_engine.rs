@@ -375,10 +375,10 @@ impl Kernel {
                         ret: SyscallRet::Val(0),
                     }
                 } else {
-                    self.conts.insert(pid, Cont::SpliceSync { ring, desc });
                     SyscallOutcome::Block {
                         cpu: m.syscall + cpu,
                         chan: Chan::new(ChanSpace::Ring, ring),
+                        cont: Cont::SpliceSync { ring, desc },
                     }
                 }
             }
@@ -412,7 +412,7 @@ impl Kernel {
     /// transfer finished, or go back to sleep. An aborted splice reports
     /// its typed errno — never a success value — and leaves the exact
     /// partial byte count in [`Kernel::splice_outcome`].
-    pub(crate) fn resume_splice_sync(&mut self, pid: Pid, ring: u64, desc: u64) -> SyscallOutcome {
+    pub(crate) fn resume_splice_sync(&mut self, ring: u64, desc: u64) -> SyscallOutcome {
         // The blocking caller *is* the reaper for its depth-1 entry: it
         // takes the result from the CQE latched on its legacy ring.
         if let Some(cqe) = self.rings.take_cqe(ring, desc) {
@@ -427,10 +427,10 @@ impl Kernel {
             };
         }
         if self.splices.contains_key(&desc) {
-            self.conts.insert(pid, Cont::SpliceSync { ring, desc });
             return SyscallOutcome::Block {
                 cpu: Dur::ZERO,
                 chan: Chan::new(ChanSpace::Ring, ring),
+                cont: Cont::SpliceSync { ring, desc },
             };
         }
         // The descriptor vanished without queueing a completion (it

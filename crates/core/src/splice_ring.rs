@@ -354,15 +354,12 @@ impl Kernel {
             _ => return self.splice_reject(Errno::Ebadf),
         }
         let base = self.cfg.machine.syscall;
-        self.ring_try_reap(pid, ring, min, base)
+        self.ring_try_reap(ring, min, base)
     }
 
-    /// A blocked reaper woke up: deliver if satisfied, else sleep again.
-    pub(crate) fn resume_ring_reap(&mut self, pid: Pid, ring: u64, min: u32) -> SyscallOutcome {
-        self.ring_try_reap(pid, ring, min, Dur::ZERO)
-    }
-
-    fn ring_try_reap(&mut self, pid: Pid, ring: u64, min: u32, base: Dur) -> SyscallOutcome {
+    /// Reaps `ring` if at least `min` completions can be taken, else
+    /// sleeps on it; a blocked reaper resumes here.
+    pub(crate) fn ring_try_reap(&mut self, ring: u64, min: u32, base: Dur) -> SyscallOutcome {
         let m = self.cfg.machine.clone();
         let Some(r) = self.rings.get_mut(ring) else {
             // The ring vanished mid-sleep (cannot happen while the owner
@@ -376,10 +373,10 @@ impl Kernel {
         let arrivable = r.cq.len() as u32 + r.inflight;
         let eff_min = min.min(arrivable);
         if (r.cq.len() as u32) < eff_min {
-            self.conts.insert(pid, Cont::RingReap { ring, min });
             return SyscallOutcome::Block {
                 cpu: base,
                 chan: Chan::new(ChanSpace::Ring, ring),
+                cont: Cont::RingReap { ring, min },
             };
         }
         let cqes: Vec<SpliceCqe> = r.cq.drain(..).collect();

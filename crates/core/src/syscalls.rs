@@ -1,19 +1,18 @@
 //! System-call execution.
 //!
 //! Calls run in the calling process's context: their CPU cost becomes a
-//! `SyscallCpu` chunk, and calls that must wait either sleep on a channel
-//! (with a `Cont` recording how to resume) or sleep until a known
-//! instant (metadata I/O, device pacing). The read/write paths move real
-//! bytes through the buffer cache, charging `copyin`/`copyout` at the
-//! machine profile's rates — the costs splice exists to remove. On the
-//! host a whole block crosses the boundary by reference: a read that
-//! returns one whole cached block hands the program a view of it, and a
-//! write of such a view installs it in the destination buffer. Partial,
-//! unaligned and multi-block transfers copy.
+//! `SyscallCpu` chunk, and a call that must wait returns the `Cont`
+//! that resumes it with the channel or instant it sleeps until (metadata
+//! I/O, device pacing). Every block a call reads comes through one
+//! process-context read, `Kernel::read_block`. The read/write paths
+//! move real bytes through the buffer cache, charging `copyin`/`copyout`
+//! at the machine profile's rates — the costs splice exists to remove.
+//! On the host a whole block crosses the boundary by reference: a read
+//! that returns one whole cached block hands the program a view of it,
+//! and a write of such a view installs it in the destination buffer.
+//! Partial, unaligned and multi-block transfers copy.
 
-use kbuf::{BreadOutcome, BufData, BufFlags, BufId, GetblkOutcome};
-#[allow(unused_imports)]
-use kfs as _kfs_reexport_guard;
+use kbuf::{BreadOutcome, BufData, BufFlags, BufId, DevId, GetblkOutcome};
 use kfs::{FileKind, FsError, Ino};
 use khw::CopyKind;
 use knet::{Datagram, NetErr, SockId};
@@ -24,37 +23,40 @@ use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
 use crate::objects::{CharDev, FileId, FileObj, OpenFile, NO_LBLK};
 
-/// Result of executing (part of) a system call.
+/// Result of executing (part of) a system call. A call that waits
+/// carries the continuation that resumes it;
+/// [`Kernel::apply_syscall_outcome`] stores it.
 pub(crate) enum SyscallOutcome {
     /// Finished: charge `cpu`, then deliver `ret`.
     Done { cpu: Dur, ret: SyscallRet },
-    /// Charge `cpu`, then sleep on `chan`; a [`Cont`] stored by the caller
-    /// resumes the call.
-    Block { cpu: Dur, chan: Chan },
-    /// Charge `cpu`, then sleep until `until`, then perform `then`.
+    /// Finished, but the caller sleeps until `until` (device time it
+    /// waits out, as in fsync's metadata writeback) before it sees `ret`.
+    DoneAt {
+        cpu: Dur,
+        until: SimTime,
+        ret: SyscallRet,
+    },
+    /// Charge `cpu`, then sleep on `chan`; `cont` resumes the call.
+    Block { cpu: Dur, chan: Chan, cont: Cont },
+    /// Charge `cpu`, then sleep until `until`; `cont` resumes the call.
     BlockUntil {
         cpu: Dur,
         until: SimTime,
-        then: WakeAction,
+        cont: Cont,
     },
 }
 
-/// What happens when a timed sleep expires.
-pub(crate) enum WakeAction {
-    /// Deliver a return value to the program.
-    Deliver(SyscallRet),
-    /// Resume the system call from this continuation.
-    Resume(Cont),
-}
-
-/// What happens when the syscall-CPU chunk of the current call finishes.
+/// Where a process goes when the syscall-CPU chunk of its current call
+/// finishes. A finished call's return value is already in the
+/// program's context, and a waiting call's continuation in
+/// `Kernel::conts`.
 pub(crate) enum AfterCpu {
-    /// Deliver the return value and keep running.
-    Deliver(SyscallRet),
+    /// Keep running: resume the continuation, or step the program.
+    Run,
     /// Sleep on a channel.
     Sleep(Chan),
     /// Sleep until an instant.
-    SleepUntil { until: SimTime, then: WakeAction },
+    SleepUntil(SimTime),
     /// The channel this call was about to sleep on was woken while the
     /// call's CPU chunk was still running (the classic lost-wakeup race,
     /// which real kernels close with `splbio`): re-run the continuation
@@ -150,6 +152,19 @@ pub(crate) struct WriteCont {
     pub kernel_data: bool,
 }
 
+/// Where a process-context block read ([`Kernel::read_block`]) left its
+/// caller.
+pub(crate) enum BlockRead {
+    /// The block's buffer, held, with valid data.
+    Held(BufId),
+    /// Sleep on `chan`, then resume the call. `hold` is the caller's own
+    /// buffer with its device read in flight: the continuation keeps it
+    /// across `biowait` and hands it to [`Kernel::biowait_end`] on
+    /// resume (reading it again would wait on itself). Without one (a
+    /// busy buffer, or no free buffers) the resumed call reads again.
+    Sleep { chan: Chan, hold: Option<BufId> },
+}
+
 use crate::splice_engine::fs_errno;
 
 fn net_errno(e: NetErr) -> Errno {
@@ -201,7 +216,7 @@ impl Kernel {
                     wait_buf: None,
                     issued_at: None,
                 };
-                self.do_read(pid, cont, base)
+                self.do_read(cont, base)
             }
             SyscallReq::Write { fd, data } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -214,7 +229,7 @@ impl Kernel {
                     rmw_buf: None,
                     kernel_data: false,
                 };
-                self.do_write(pid, cont, base)
+                self.do_write(cont, base)
             }
             SyscallReq::Lseek { fd, pos } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -245,7 +260,7 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_fsync(pid, fid, base)
+                self.do_fsync(fid, base)
             }
             SyscallReq::Fcntl { fd, cmd } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -309,10 +324,10 @@ impl Kernel {
                         ret: SyscallRet::Val(0),
                     };
                 }
-                self.conts.insert(pid, Cont::Pause);
                 SyscallOutcome::Block {
                     cpu: base,
                     chan: Chan::new(ChanSpace::Pause, pid.0 as u64),
+                    cont: Cont::Pause,
                 }
             }
             SyscallReq::Sigaction { sig, catch } => {
@@ -404,7 +419,7 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_recv(pid, fid, max_len, base)
+                self.do_recv(fid, max_len, base)
             }
             SyscallReq::Fstat(fd) => {
                 let Some(fid) = self.fid_of(pid, fd) else {
@@ -425,20 +440,20 @@ impl Kernel {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_handle_read(pid, fid, base)
+                self.do_handle_read_resume(fid, None, base)
             }
             SyscallReq::HandleWrite { fd, handle } => {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_handle_write(pid, fid, handle, base)
+                self.do_handle_write(fid, handle, base)
             }
             SyscallReq::MmapFault { src, dst, len } => {
                 let (Some(sfid), Some(dfid)) = (self.fid_of(pid, src), self.fid_of(pid, dst))
                 else {
                     return self.err(Errno::Ebadf);
                 };
-                self.do_mmap_fault(pid, sfid, dfid, len)
+                self.do_mmap_fault_resume(sfid, dfid, len, None)
             }
         }
     }
@@ -454,27 +469,27 @@ impl Kernel {
     /// Resumes a blocked call after a wakeup.
     pub(crate) fn resume_cont(&mut self, pid: Pid, cont: Cont) -> SyscallOutcome {
         match cont {
-            Cont::Read(c) => self.do_read(pid, *c, Dur::ZERO),
-            Cont::Write(c) => self.do_write(pid, *c, Dur::ZERO),
-            Cont::Fsync { fid } => self.do_fsync(pid, fid, Dur::ZERO),
-            Cont::SpliceSync { ring, desc } => self.resume_splice_sync(pid, ring, desc),
-            Cont::RingReap { ring, min } => self.resume_ring_reap(pid, ring, min),
+            Cont::Read(c) => self.do_read(*c, Dur::ZERO),
+            Cont::Write(c) => self.do_write(*c, Dur::ZERO),
+            Cont::Fsync { fid } => self.do_fsync(fid, Dur::ZERO),
+            Cont::SpliceSync { ring, desc } => self.resume_splice_sync(ring, desc),
+            Cont::RingReap { ring, min } => self.ring_try_reap(ring, min, Dur::ZERO),
             Cont::Pause => SyscallOutcome::Done {
                 cpu: self.cfg.machine.buf_op,
                 ret: SyscallRet::Val(0),
             },
-            Cont::Recv { fid, max_len } => self.do_recv(pid, fid, max_len, Dur::ZERO),
+            Cont::Recv { fid, max_len } => self.do_recv(fid, max_len, Dur::ZERO),
             Cont::Accept { fid } => self.do_accept(pid, fid, Dur::ZERO),
             Cont::Send { sock, data } => self.do_send(sock, data, Dur::ZERO),
             Cont::HandleRead { fid, wait_buf } => {
-                self.do_handle_read_resume(pid, fid, wait_buf, Dur::ZERO)
+                self.do_handle_read_resume(fid, wait_buf, Dur::ZERO)
             }
             Cont::MmapFault {
                 src_fid,
                 dst_fid,
                 len,
                 wait_buf,
-            } => self.do_mmap_fault_resume(pid, src_fid, dst_fid, len, wait_buf),
+            } => self.do_mmap_fault_resume(src_fid, dst_fid, len, wait_buf),
         }
     }
 
@@ -615,7 +630,7 @@ impl Kernel {
 
     // ----- read -----------------------------------------------------------------
 
-    fn do_read(&mut self, pid: Pid, c: ReadCont, base: Dur) -> SyscallOutcome {
+    fn do_read(&mut self, c: ReadCont, base: Dur) -> SyscallOutcome {
         let mut cpu = base;
         let Some(of) = self.files.get(c.fid) else {
             return self.err(Errno::Ebadf);
@@ -624,7 +639,7 @@ impl Kernel {
             return self.err(Errno::Ebadf);
         }
         match of.obj {
-            FileObj::File { disk, ino } => self.file_read(pid, c, cpu, disk, ino),
+            FileObj::File { disk, ino } => self.file_read(c, cpu, disk, ino),
             FileObj::Chr { cdev } => {
                 let now = self.q.now();
                 match &mut self.cdevs[cdev].dev {
@@ -640,13 +655,12 @@ impl Kernel {
                     _ => self.err(Errno::Enotsup),
                 }
             }
-            FileObj::Sock { .. } => self.do_recv(pid, c.fid, c.want, cpu),
+            FileObj::Sock { .. } => self.do_recv(c.fid, c.want, cpu),
         }
     }
 
     fn file_read(
         &mut self,
-        pid: Pid,
         mut c: ReadCont,
         mut cpu: Dur,
         disk: usize,
@@ -656,145 +670,149 @@ impl Kernel {
         let dev = self.disks[disk].dev;
         let m = self.cfg.machine.clone();
 
-        // Resumed from biowait? Finish the block we were waiting for.
-        if let Some((buf, boff, take)) = c.wait_buf.take() {
-            debug_assert!(self.cache.io_done(buf), "woken before I/O completed");
-            if let Some(at) = c.issued_at.take() {
-                self.kstat.read_wait.record(self.q.now().since(at).as_ns());
-            }
-            if self.cache.flags(buf).contains(BufFlags::ERROR) {
-                return self.read_failed(buf, cpu);
-            }
+        loop {
+            let (read, boff, take) = if let Some((buf, boff, take)) = c.wait_buf.take() {
+                // Resumed from biowait: finish the block we waited for.
+                if let Some(at) = c.issued_at.take() {
+                    self.kstat.read_wait.record(self.q.now().since(at).as_ns());
+                }
+                let read = self.biowait_end(buf, &mut cpu).map(BlockRead::Held);
+                (read, boff, take)
+            } else {
+                let of = self.files.get(c.fid).unwrap();
+                let offset = of.offset;
+                let size = self.disks[disk].fs.size(ino);
+                if c.got.len() >= c.want || offset >= size {
+                    return SyscallOutcome::Done {
+                        cpu,
+                        ret: SyscallRet::Data(std::mem::take(&mut c.got)),
+                    };
+                }
+                let lblk = offset / bs as u64;
+                let boff = (offset % bs as u64) as usize;
+                let take = (bs - boff)
+                    .min(c.want - c.got.len())
+                    .min((size - offset) as usize);
+
+                let Some(pblk) = self.disks[disk].fs.bmap(ino, lblk) else {
+                    // Hole: zeros, no device traffic.
+                    c.extend(|v| v.resize(v.len() + take, 0));
+                    cpu += m.copy_cost(CopyKind::Copyout, take);
+                    self.ctr.copy.copyout_bytes += take as u64;
+                    let of = self.files.get_mut(c.fid).unwrap();
+                    of.offset += take as u64;
+                    of.last_lblk = lblk;
+                    continue;
+                };
+
+                // Sequential read-ahead (SCSI only; the RAM disk has no
+                // latency to hide and read-ahead would only mis-attribute
+                // its copy cost).
+                let sequential =
+                    lblk == 0 || of.last_lblk.wrapping_add(1) == lblk || of.last_lblk == lblk;
+                if sequential && !self.disks[disk].kind.is_ram() {
+                    if let Some(ra_pblk) = self.disks[disk].fs.bmap(ino, lblk + 1) {
+                        let mut fx = Vec::new();
+                        if self
+                            .cache
+                            .start_readahead(dev, ra_pblk, bs, &mut fx)
+                            .is_some()
+                        {
+                            cpu += m.buf_op;
+                            self.ctr.io.readaheads += 1;
+                        }
+                        self.apply_cache_effects(fx, IoCtx::Kernel);
+                    }
+                }
+
+                cpu += m.buf_op;
+                let read = self.read_block(dev, pblk, &mut cpu);
+                // A busy buffer or a full cache has read nothing yet.
+                if !matches!(read, Ok(BlockRead::Sleep { hold: None, .. })) {
+                    self.files.get_mut(c.fid).unwrap().last_lblk = lblk;
+                }
+                (read, boff, take)
+            };
+            let buf = match read {
+                Ok(BlockRead::Held(buf)) => buf,
+                Ok(BlockRead::Sleep { chan, hold }) => {
+                    if let Some(buf) = hold {
+                        c.wait_buf = Some((buf, boff, take));
+                        c.issued_at = Some(self.q.now());
+                    }
+                    let cont = Cont::Read(Box::new(c));
+                    return SyscallOutcome::Block { cpu, chan, cont };
+                }
+                Err(e) => {
+                    return SyscallOutcome::Done {
+                        cpu,
+                        ret: SyscallRet::Err(e),
+                    }
+                }
+            };
             c.gather(&self.cache.data(buf), boff, take);
             cpu += m.copy_cost(CopyKind::Copyout, take);
             self.ctr.copy.copyout_bytes += take as u64;
             let mut fx = Vec::new();
             self.cache.brelse(buf, &mut fx);
-            let sync = self.apply_cache_effects(fx, IoCtx::Process);
-            cpu += sync;
-            let of = self.files.get_mut(c.fid).unwrap();
-            of.offset += take as u64;
-        }
-
-        loop {
-            let of = self.files.get(c.fid).unwrap();
-            let offset = of.offset;
-            let size = self.disks[disk].fs.size(ino);
-            if c.got.len() >= c.want || offset >= size {
-                return SyscallOutcome::Done {
-                    cpu,
-                    ret: SyscallRet::Data(std::mem::take(&mut c.got)),
-                };
-            }
-            let lblk = offset / bs as u64;
-            let boff = (offset % bs as u64) as usize;
-            let take = (bs - boff)
-                .min(c.want - c.got.len())
-                .min((size - offset) as usize);
-
-            let Some(pblk) = self.disks[disk].fs.bmap(ino, lblk) else {
-                // Hole: zeros, no device traffic.
-                c.extend(|v| v.resize(v.len() + take, 0));
-                cpu += m.copy_cost(CopyKind::Copyout, take);
-                self.ctr.copy.copyout_bytes += take as u64;
-                let of = self.files.get_mut(c.fid).unwrap();
-                of.offset += take as u64;
-                of.last_lblk = lblk;
-                continue;
-            };
-
-            // Sequential read-ahead (SCSI only; the RAM disk has no
-            // latency to hide and read-ahead would only mis-attribute its
-            // copy cost).
-            let sequential =
-                lblk == 0 || of.last_lblk.wrapping_add(1) == lblk || of.last_lblk == lblk;
-            if sequential && !self.disks[disk].kind.is_ram() {
-                if let Some(ra_pblk) = self.disks[disk].fs.bmap(ino, lblk + 1) {
-                    let mut fx = Vec::new();
-                    if self
-                        .cache
-                        .start_readahead(dev, ra_pblk, bs, &mut fx)
-                        .is_some()
-                    {
-                        cpu += m.buf_op;
-                        self.ctr.io.readaheads += 1;
-                    }
-                    self.apply_cache_effects(fx, IoCtx::Kernel);
-                }
-            }
-
-            let mut fx = Vec::new();
-            let out = self.cache.bread(dev, pblk, bs, &mut fx);
-            let sync = self.apply_cache_effects(fx, IoCtx::Process);
-            cpu += sync + m.buf_op;
-            match out {
-                BreadOutcome::Hit(buf) => {
-                    c.gather(&self.cache.data(buf), boff, take);
-                    cpu += m.copy_cost(CopyKind::Copyout, take);
-                    self.ctr.copy.copyout_bytes += take as u64;
-                    let mut fx = Vec::new();
-                    self.cache.brelse(buf, &mut fx);
-                    cpu += self.apply_cache_effects(fx, IoCtx::Process);
-                    let of = self.files.get_mut(c.fid).unwrap();
-                    of.offset += take as u64;
-                    of.last_lblk = lblk;
-                }
-                BreadOutcome::Miss(buf) => {
-                    self.files.get_mut(c.fid).unwrap().last_lblk = lblk;
-                    if self.cache.io_done(buf) {
-                        // RAM disk completed synchronously; use it now.
-                        if self.cache.flags(buf).contains(BufFlags::ERROR) {
-                            return self.read_failed(buf, cpu);
-                        }
-                        c.gather(&self.cache.data(buf), boff, take);
-                        cpu += m.copy_cost(CopyKind::Copyout, take);
-                        self.ctr.copy.copyout_bytes += take as u64;
-                        let mut fx = Vec::new();
-                        self.cache.brelse(buf, &mut fx);
-                        cpu += self.apply_cache_effects(fx, IoCtx::Process);
-                        let of = self.files.get_mut(c.fid).unwrap();
-                        of.offset += take as u64;
-                    } else {
-                        // biowait: sleep until the interrupt side wakes us.
-                        c.wait_buf = Some((buf, boff, take));
-                        c.issued_at = Some(self.q.now());
-                        let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Read(Box::new(c)));
-                        return SyscallOutcome::Block { cpu, chan };
-                    }
-                }
-                BreadOutcome::Busy(buf) => {
-                    let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Read(Box::new(c)));
-                    return SyscallOutcome::Block { cpu, chan };
-                }
-                BreadOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Read(Box::new(c)));
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
-                    };
-                }
-            }
+            cpu += self.apply_cache_effects(fx, IoCtx::Process);
+            self.files.get_mut(c.fid).unwrap().offset += take as u64;
         }
     }
 
-    /// A block read completed with `B_ERROR`: release the buffer (brelse
-    /// discards it, so the next read re-reads the device) and fail the
+    /// Reads block `pblk` of `dev` in process context: `bread` and its
+    /// cache effects (a RAM disk's read runs here, on the caller's CPU).
+    /// A read that completed at once goes through
+    /// [`Kernel::biowait_end`].
+    pub(crate) fn read_block(
+        &mut self,
+        dev: DevId,
+        pblk: u64,
+        cpu: &mut Dur,
+    ) -> Result<BlockRead, Errno> {
+        let mut fx = Vec::new();
+        let bs = self.cfg.block_size as usize;
+        let out = self.cache.bread(dev, pblk, bs, &mut fx);
+        *cpu += self.apply_cache_effects(fx, IoCtx::Process);
+        let on_buf = |buf: BufId| Chan::new(ChanSpace::Buf, buf.0 as u64);
+        Ok(match out {
+            BreadOutcome::Hit(buf) => BlockRead::Held(buf),
+            BreadOutcome::Miss(buf) if self.cache.io_done(buf) => {
+                BlockRead::Held(self.biowait_end(buf, cpu)?)
+            }
+            BreadOutcome::Miss(buf) => BlockRead::Sleep {
+                chan: on_buf(buf),
+                hold: Some(buf),
+            },
+            BreadOutcome::Busy(buf) => BlockRead::Sleep {
+                chan: on_buf(buf),
+                hold: None,
+            },
+            BreadOutcome::NoBuffers => BlockRead::Sleep {
+                chan: Chan::new(ChanSpace::AnyBuf, 0),
+                hold: None,
+            },
+        })
+    }
+
+    /// `biowait` returned: the device read into the held `buf` is done.
+    /// A read that completed with `B_ERROR` releases the buffer (brelse
+    /// discards it, so the next read re-reads the device) and fails the
     /// call with EIO, as BSD `biowait` does.
-    fn read_failed(&mut self, buf: BufId, mut cpu: Dur) -> SyscallOutcome {
+    pub(crate) fn biowait_end(&mut self, buf: BufId, cpu: &mut Dur) -> Result<BufId, Errno> {
+        debug_assert!(self.cache.io_done(buf), "woken before I/O completed");
+        if !self.cache.flags(buf).contains(BufFlags::ERROR) {
+            return Ok(buf);
+        }
         let mut fx = Vec::new();
         self.cache.brelse(buf, &mut fx);
-        cpu += self.apply_cache_effects(fx, IoCtx::Process);
-        SyscallOutcome::Done {
-            cpu,
-            ret: SyscallRet::Err(Errno::Eio),
-        }
+        *cpu += self.apply_cache_effects(fx, IoCtx::Process);
+        Err(Errno::Eio)
     }
 
     // ----- write -----------------------------------------------------------------
 
-    pub(crate) fn do_write(&mut self, pid: Pid, c: WriteCont, base: Dur) -> SyscallOutcome {
+    pub(crate) fn do_write(&mut self, c: WriteCont, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(c.fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -802,15 +820,14 @@ impl Kernel {
             return self.err(Errno::Ebadf);
         }
         match of.obj {
-            FileObj::File { disk, ino } => self.file_write(pid, c, base, disk, ino),
-            FileObj::Chr { cdev } => self.cdev_write(pid, c, base, cdev),
+            FileObj::File { disk, ino } => self.file_write(c, base, disk, ino),
+            FileObj::Chr { cdev } => self.cdev_write(c, base, cdev),
             FileObj::Sock { sock } => self.do_send(sock, c.data, base),
         }
     }
 
     fn file_write(
         &mut self,
-        pid: Pid,
         mut c: WriteCont,
         mut cpu: Dur,
         disk: usize,
@@ -820,102 +837,87 @@ impl Kernel {
         let dev = self.disks[disk].dev;
         let m = self.cfg.machine.clone();
 
-        // Resumed from a read-modify-write biowait?
-        if let Some((buf, boff, take)) = c.rmw_buf.take() {
-            debug_assert!(self.cache.io_done(buf));
-            cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
-        }
-
         loop {
-            if c.done >= c.data.len() {
-                return SyscallOutcome::Done {
-                    cpu,
-                    ret: SyscallRet::Val(c.done as i64),
-                };
-            }
-            let of = self.files.get(c.fid).unwrap();
-            let offset = of.offset;
-            let lblk = offset / bs as u64;
-            let boff = (offset % bs as u64) as usize;
-            let take = (bs - boff).min(c.data.len() - c.done);
-
-            let existed = self.disks[disk].fs.bmap(ino, lblk).is_some();
-            let pblk = match self.disks[disk].fs.bmap_alloc(ino, lblk) {
-                Ok(p) => p,
-                Err(e) => {
-                    return if c.done > 0 {
-                        SyscallOutcome::Done {
-                            cpu,
-                            ret: SyscallRet::Val(c.done as i64),
-                        }
-                    } else {
-                        self.err(fs_errno(e))
+            let (read, boff, take) = if let Some((buf, boff, take)) = c.rmw_buf.take() {
+                // Resumed from a read-modify-write biowait.
+                let read = self.biowait_end(buf, &mut cpu).map(BlockRead::Held);
+                (read, boff, take)
+            } else {
+                if c.done >= c.data.len() {
+                    return SyscallOutcome::Done {
+                        cpu,
+                        ret: SyscallRet::Val(c.done as i64),
                     };
                 }
-            };
-            cpu += m.buf_op;
-            let full = boff == 0 && take == bs;
+                let of = self.files.get(c.fid).unwrap();
+                let offset = of.offset;
+                let lblk = offset / bs as u64;
+                let boff = (offset % bs as u64) as usize;
+                let take = (bs - boff).min(c.data.len() - c.done);
 
-            if !full && existed {
-                // Partial overwrite of existing data: read-modify-write.
-                let mut fx = Vec::new();
-                let out = self.cache.bread(dev, pblk, bs, &mut fx);
-                cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
-                match out {
-                    BreadOutcome::Hit(buf) => {
-                        cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
-                    }
-                    BreadOutcome::Miss(buf) => {
-                        if self.cache.io_done(buf) {
-                            cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
+                let existed = self.disks[disk].fs.bmap(ino, lblk).is_some();
+                let pblk = match self.disks[disk].fs.bmap_alloc(ino, lblk) {
+                    Ok(p) => p,
+                    Err(e) => {
+                        return if c.done > 0 {
+                            SyscallOutcome::Done {
+                                cpu,
+                                ret: SyscallRet::Val(c.done as i64),
+                            }
                         } else {
-                            c.rmw_buf = Some((buf, boff, take));
-                            let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                            self.conts.insert(pid, Cont::Write(Box::new(c)));
-                            return SyscallOutcome::Block { cpu, chan };
-                        }
-                    }
-                    BreadOutcome::Busy(buf) => {
-                        let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                        self.conts.insert(pid, Cont::Write(Box::new(c)));
-                        return SyscallOutcome::Block { cpu, chan };
-                    }
-                    BreadOutcome::NoBuffers => {
-                        self.conts.insert(pid, Cont::Write(Box::new(c)));
-                        return SyscallOutcome::Block {
-                            cpu,
-                            chan: Chan::new(ChanSpace::AnyBuf, 0),
+                            self.err(fs_errno(e))
                         };
                     }
-                }
-                continue;
-            }
+                };
+                cpu += m.buf_op;
+                let full = boff == 0 && take == bs;
 
-            // Full block, or a fresh block (zero-filled in memory; the
-            // allocating bmap skipped the on-disk zero-fill, §5.2).
-            let mut fx = Vec::new();
-            let out = self.cache.getblk(dev, pblk, bs, &mut fx);
-            cpu += self.apply_cache_effects(fx, IoCtx::Process);
-            match out {
-                GetblkOutcome::Held(buf) => {
-                    if !full {
-                        // Fresh partial block: clear the buffer before the
-                        // partial copyin.
-                        self.cache.data(buf).zero();
-                    }
+                if !full && existed {
+                    // Partial overwrite of existing data: read-modify-write.
+                    cpu += m.buf_op;
+                    (self.read_block(dev, pblk, &mut cpu), boff, take)
+                } else {
+                    // Full block, or a fresh block (zero-filled in memory;
+                    // the allocating bmap skipped the on-disk zero-fill,
+                    // §5.2).
+                    let mut fx = Vec::new();
+                    let out = self.cache.getblk(dev, pblk, bs, &mut fx);
+                    cpu += self.apply_cache_effects(fx, IoCtx::Process);
+                    let chan = match out {
+                        GetblkOutcome::Held(buf) => {
+                            if !full {
+                                // Fresh partial block: clear the buffer
+                                // before the partial copyin.
+                                self.cache.data(buf).zero();
+                            }
+                            cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
+                            continue;
+                        }
+                        GetblkOutcome::Busy(buf) => Chan::new(ChanSpace::Buf, buf.0 as u64),
+                        GetblkOutcome::NoBuffers => Chan::new(ChanSpace::AnyBuf, 0),
+                    };
+                    let cont = Cont::Write(Box::new(c));
+                    return SyscallOutcome::Block { cpu, chan, cont };
+                }
+            };
+            match read {
+                Ok(BlockRead::Held(buf)) => {
                     cpu += self.finish_block_write(&mut c, buf, boff, take, disk, ino);
                 }
-                GetblkOutcome::Busy(buf) => {
-                    let chan = Chan::new(ChanSpace::Buf, buf.0 as u64);
-                    self.conts.insert(pid, Cont::Write(Box::new(c)));
-                    return SyscallOutcome::Block { cpu, chan };
+                Ok(BlockRead::Sleep { chan, hold }) => {
+                    c.rmw_buf = hold.map(|buf| (buf, boff, take));
+                    let cont = Cont::Write(Box::new(c));
+                    return SyscallOutcome::Block { cpu, chan, cont };
                 }
-                GetblkOutcome::NoBuffers => {
-                    self.conts.insert(pid, Cont::Write(Box::new(c)));
-                    return SyscallOutcome::Block {
-                        cpu,
-                        chan: Chan::new(ChanSpace::AnyBuf, 0),
+                // The block's old bytes are lost to a device error: report
+                // what was written, as a failed allocation does.
+                Err(e) => {
+                    let ret = if c.done > 0 {
+                        SyscallRet::Val(c.done as i64)
+                    } else {
+                        SyscallRet::Err(e)
                     };
+                    return SyscallOutcome::Done { cpu, ret };
                 }
             }
         }
@@ -965,13 +967,7 @@ impl Kernel {
         cpu
     }
 
-    fn cdev_write(
-        &mut self,
-        _pid: Pid,
-        mut c: WriteCont,
-        base: Dur,
-        cdev: usize,
-    ) -> SyscallOutcome {
+    fn cdev_write(&mut self, mut c: WriteCont, base: Dur, cdev: usize) -> SyscallOutcome {
         let now = self.q.now();
         let len = c.data.len() - c.done;
         let copy = self.cfg.machine.copy_cost(CopyKind::Copyin, len);
@@ -996,7 +992,7 @@ impl Kernel {
                     SyscallOutcome::BlockUntil {
                         cpu: base + copied,
                         until: at,
-                        then: WakeAction::Resume(Cont::Write(Box::new(c))),
+                        cont: Cont::Write(Box::new(c)),
                     }
                 }
             }
@@ -1015,7 +1011,7 @@ impl Kernel {
 
     // ----- fsync -----------------------------------------------------------------
 
-    fn do_fsync(&mut self, pid: Pid, fid: FileId, base: Dur) -> SyscallOutcome {
+    fn do_fsync(&mut self, fid: FileId, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -1037,10 +1033,10 @@ impl Kernel {
             cpu += self.apply_cache_effects(fx, IoCtx::Process) + m.buf_op;
         }
         if self.disks[disk].write_inflight > 0 {
-            self.conts.insert(pid, Cont::Fsync { fid });
             return SyscallOutcome::Block {
                 cpu,
                 chan: Chan::new(ChanSpace::Fsync, disk as u64),
+                cont: Cont::Fsync { fid },
             };
         }
         // A write-behind write failed since this descriptor last looked:
@@ -1074,10 +1070,10 @@ impl Kernel {
                 ret: SyscallRet::Val(0),
             }
         } else {
-            SyscallOutcome::BlockUntil {
+            SyscallOutcome::DoneAt {
                 cpu,
                 until: self.q.now() + meta,
-                then: WakeAction::Deliver(SyscallRet::Val(0)),
+                ret: SyscallRet::Val(0),
             }
         }
     }
@@ -1108,7 +1104,7 @@ impl Kernel {
                 SyscallOutcome::BlockUntil {
                     cpu: base,
                     until,
-                    then: WakeAction::Resume(Cont::Send { sock, data }),
+                    cont: Cont::Send { sock, data },
                 }
             }
             Err((e, _)) => self.err(net_errno(e)),
@@ -1146,18 +1142,16 @@ impl Kernel {
                     ret: SyscallRet::NewFd(fd),
                 }
             }
-            Ok(None) => {
-                self.conts.insert(pid, Cont::Accept { fid });
-                SyscallOutcome::Block {
-                    cpu: base,
-                    chan: Chan::new(ChanSpace::Accept, sock.0 as u64),
-                }
-            }
+            Ok(None) => SyscallOutcome::Block {
+                cpu: base,
+                chan: Chan::new(ChanSpace::Accept, sock.0 as u64),
+                cont: Cont::Accept { fid },
+            },
             Err(e) => self.err(net_errno(e)),
         }
     }
 
-    fn do_recv(&mut self, pid: Pid, fid: FileId, max_len: usize, base: Dur) -> SyscallOutcome {
+    fn do_recv(&mut self, fid: FileId, max_len: usize, base: Dur) -> SyscallOutcome {
         let Some(of) = self.files.get(fid) else {
             return self.err(Errno::Ebadf);
         };
@@ -1181,10 +1175,10 @@ impl Kernel {
                 ret: SyscallRet::Data(data),
             };
         }
-        self.conts.insert(pid, Cont::Recv { fid, max_len });
         SyscallOutcome::Block {
             cpu: base,
             chan: Chan::new(ChanSpace::SockRecv, sock.0 as u64),
+            cont: Cont::Recv { fid, max_len },
         }
     }
 

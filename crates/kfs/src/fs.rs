@@ -221,11 +221,6 @@ impl Fs {
         self.sb.block_size as usize
     }
 
-    /// Sectors (512-byte units) per filesystem block.
-    pub fn sectors_per_block(&self) -> u64 {
-        self.sb.block_size as u64 / khw::SECTOR_SIZE as u64
-    }
-
     /// Free data blocks remaining.
     pub fn free_blocks(&self) -> u64 {
         self.bitmap.free()

@@ -10,7 +10,7 @@
 use kanalyze::{
     byte_conservation, compare, decompose, utilization_law, DeviceAccounting, DiffRules, Tolerance,
 };
-use khw::{FaultOp, FaultPlan};
+use khw::{DiskProfile, FaultOp, FaultPlan, SECTOR_SIZE};
 use kproc::programs::{RingScp, Scp, ScpMode};
 use kproc::ProcState;
 use ksim::Json;
@@ -57,16 +57,56 @@ fn assert_littles_law(k: &Kernel) {
 /// Little's law stays exact under device faults. A failed read attempt
 /// holds its pending-read slot until the error lands, and a retried
 /// write holds its pending-write slot across the backoff, for time no
-/// stage histogram records; the tally's lost terms account for it.
+/// stage histogram records; the tally's lost terms account for it. The
+/// SCSI inputs take the interrupt-driven retry paths, and a permanent
+/// bad block aborts the splice with its slots still held.
 #[test]
 fn queueing_laws_hold_exactly_under_faults() {
-    for (disk, plan) in [
-        (0, FaultPlan::new(42).transient_eio(FaultOp::Read, 0.01)),
-        (1, FaultPlan::new(42).transient_eio(FaultOp::Write, 0.05)),
-    ] {
-        let mut k = KernelBuilder::paper_machine_ram().build();
+    // (disks, faulted disk, plan, whether the splice aborts)
+    type Plan = fn(&Kernel) -> FaultPlan;
+    let cases: [(DiskProfile, usize, Plan, bool); 5] = [
+        (
+            DiskProfile::ramdisk(),
+            0,
+            |_| FaultPlan::new(42).transient_eio(FaultOp::Read, 0.01),
+            false,
+        ),
+        (
+            DiskProfile::ramdisk(),
+            1,
+            |_| FaultPlan::new(42).transient_eio(FaultOp::Write, 0.05),
+            false,
+        ),
+        (
+            DiskProfile::rz58(),
+            0,
+            |_| FaultPlan::new(42).transient_eio(FaultOp::Read, 0.02),
+            false,
+        ),
+        (
+            DiskProfile::rz58(),
+            1,
+            |_| FaultPlan::new(42).transient_eio(FaultOp::Write, 0.05),
+            false,
+        ),
+        (
+            DiskProfile::rz58(),
+            0,
+            |k| {
+                let fs = &k.disks()[0].fs;
+                let ino = fs.lookup("/src").expect("source exists");
+                let pblk = fs.bmap(ino, 40).expect("mapped block");
+                FaultPlan::new(42).bad_block(FaultOp::Read, pblk * (8192 / SECTOR_SIZE as u64))
+            },
+            true,
+        ),
+    ];
+    for (profile, disk, plan, aborts) in cases {
+        let name = format!("{} d{disk}", profile.name);
+        let mut k = KernelBuilder::paper_machine(profile).build();
         k.setup_file("/d0/src", MB, 7);
         k.cold_cache();
+        let plan = plan(&k);
         k.set_fault_plan(disk, plan);
         let pid = k.spawn(Box::new(Scp::with_options(
             "/d0/src",
@@ -76,13 +116,19 @@ fn queueing_laws_hold_exactly_under_faults() {
         )));
         let horizon = k.horizon(600);
         k.run_to_exit(horizon);
-        assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
-        assert_eq!(k.verify_pattern_file("/d1/dst", MB, 7), None);
-        assert!(k.metrics().splice.retries > 0, "disk {disk}: no retries");
+        let m = k.metrics();
+        assert!(m.splice.retries > 0, "{name}: no retries");
+        assert_eq!(m.splice.aborted, aborts as u64, "{name}");
+        if aborts {
+            assert!(matches!(k.procs().must(pid).state, ProcState::Exited(1)));
+        } else {
+            assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+            assert_eq!(k.verify_pattern_file("/d1/dst", MB, 7), None, "{name}");
+        }
         assert_littles_law(&k);
         let tally = k.kstat().spans.tally();
         let lost = [tally.read_lost, tally.write_lost][disk];
-        assert!(lost > 0, "disk {disk}: the faults held no slot");
+        assert!(lost > 0, "{name}: the faults held no slot");
     }
 }
 

@@ -5,10 +5,16 @@
 //! a typed errno and exact partial-transfer accounting, and no leaked
 //! buffers or callouts afterwards.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use khw::{DiskProfile, FaultOp, FaultPlan, SECTOR_SIZE};
 use kproc::programs::{Cp, EndSpec, EndpointPair, Scp, ScpMode};
-use kproc::{Errno, ProcState, SpliceLen, SyscallRet};
+use kproc::{
+    Errno, Fd, OpenFlags, ProcState, Program, SpliceLen, Step, SyscallReq, SyscallRet, UserCtx,
+};
 use ksim::Dur;
+use splice::baselines::{HandleCopy, MmapCopy};
 use splice::{Kernel, KernelBuilder, MAX_SPLICE_RETRIES};
 
 const MB: u64 = 1024 * 1024;
@@ -500,5 +506,115 @@ fn fault_paths_behave_exactly_as_before() {
     for (profile, cp, want) in cases {
         let name = format!("{} {}", profile.name, if cp { "cp" } else { "scp" });
         assert_eq!(fault_path_outcome(profile, cp), want, "{name}");
+    }
+}
+
+/// Issues `calls` in order and keeps every return value.
+struct Script {
+    calls: std::vec::IntoIter<SyscallReq>,
+    rets: Rc<RefCell<Vec<SyscallRet>>>,
+    started: bool,
+}
+
+impl Program for Script {
+    fn step(&mut self, ctx: &mut UserCtx) -> Step {
+        if std::mem::replace(&mut self.started, true) {
+            self.rets.borrow_mut().push(ctx.take_ret());
+        }
+        self.calls.next().map_or(Step::Exit(0), Step::Syscall)
+    }
+
+    fn name(&self) -> &str {
+        "script"
+    }
+}
+
+/// Every process-context block read fails with EIO when the device sets
+/// `B_ERROR`, as `read(2)` does: the read half of a partial `write(2)`,
+/// and the source reads of the handle and mmap copies. Delivering the
+/// failed buffer instead loses the write (the errored buffer is
+/// discarded at release) or copies garbage. The RAM disk fails inside
+/// `bread`; on RZ56 the caller sleeps in biowait and resumes on the
+/// failed buffer.
+#[test]
+fn block_read_errors_fail_write_and_baseline_copies() {
+    for profile in [DiskProfile::ramdisk(), DiskProfile::rz56()] {
+        let machine = || {
+            KernelBuilder::paper_machine(profile.clone())
+                .tune(|cfg| cfg.update_interval = None)
+                .build()
+        };
+        let mut k = machine();
+        k.setup_file("/d0/f", 8192, 3);
+        k.cold_cache();
+        let sector = sector_of(&k, 0, "/f", 0);
+        k.set_fault_plan(
+            0,
+            FaultPlan::new(1).transient_eio_at(FaultOp::Read, sector, 1),
+        );
+        let rets = Rc::new(RefCell::new(Vec::new()));
+        let fd = Fd(3);
+        let calls = vec![
+            SyscallReq::Open {
+                path: "/d0/f".into(),
+                flags: OpenFlags::WRONLY,
+            },
+            SyscallReq::Lseek { fd, pos: 100 },
+            SyscallReq::Write {
+                fd,
+                data: vec![0xC3; 100].into(),
+            },
+            SyscallReq::Fsync(fd),
+            SyscallReq::Close(fd),
+        ];
+        k.spawn(Box::new(Script {
+            calls: calls.into_iter(),
+            rets: rets.clone(),
+            started: false,
+        }));
+        let horizon = k.horizon(60);
+        k.run_to_exit(horizon);
+        assert_eq!(
+            rets.borrow()[2],
+            SyscallRet::Err(Errno::Eio),
+            "{}",
+            profile.name
+        );
+        assert_eq!(k.verify_pattern_file("/d0/f", 8192, 3), None);
+
+        for handle in [true, false] {
+            let len = 4 * 8192;
+            let mut k = machine();
+            k.setup_file("/d0/src", len, 5);
+            k.cold_cache();
+            let free_baseline = k.cache().free_count();
+            let sector = sector_of(&k, 0, "/src", 2);
+            k.set_fault_plan(
+                0,
+                FaultPlan::new(1).transient_eio_at(FaultOp::Read, sector, 1),
+            );
+            let prog: Box<dyn Program> = if handle {
+                Box::new(HandleCopy::new("/d0/src", "/d1/dst"))
+            } else {
+                Box::new(MmapCopy::new("/d0/src", "/d1/dst", 8192, Dur::from_us(50)))
+            };
+            let pid = k.spawn(prog);
+            let horizon = k.horizon(60);
+            k.run_to_exit(horizon);
+            // Write-behind writes may still be on a SCSI disk.
+            let horizon = k.horizon(2);
+            k.run_until(horizon, |k| k.cache().free_count() == free_baseline);
+            let name = format!(
+                "{} {}",
+                profile.name,
+                if handle { "handle" } else { "mmap" }
+            );
+            assert!(
+                matches!(k.procs().must(pid).state, ProcState::Exited(1)),
+                "{name} copy did not fail"
+            );
+            assert_eq!(k.cache().free_count(), free_baseline, "{name}");
+            k.cache().check_invariants();
+        }
     }
 }
