@@ -8,9 +8,9 @@
 //! remainder retries via the callout when space drains. The audio DAC's
 //! back-pressure is what rate-limits a whole-file audio splice.
 
-use ksim::{Bytes, TraceEvent};
+use ksim::Bytes;
 
-use crate::endpoint::Block;
+use crate::endpoint::{Block, DstEndpoint};
 use crate::event::KWork;
 use crate::kernel::Kernel;
 use crate::objects::CharDev;
@@ -28,39 +28,25 @@ impl Kernel {
     /// armed write-failure countdown on the device (injected fault)
     /// errors the delivery and aborts the splice with `EIO`.
     pub(crate) fn splice_dev_write(&mut self, desc: u64, lblk: u64, src: Block, off: usize) {
-        // Abort drain: a held buffer is released via `src_bufs`; owned
-        // bytes just drop.
-        if self.splice_drain_write(desc, lblk, None) {
+        if !self.splice_write_begin(desc, lblk) {
             return;
         }
         let now = self.q.now();
-        let Some(d) = self.splices.get(&desc) else {
-            if let Block::Buf(buf) = src {
-                self.release_buf(buf);
-            }
-            return;
-        };
-        let crate::endpoint::DstEndpoint::Dev { cdev } = d.dst else {
+        let d = &self.splices[&desc];
+        let DstEndpoint::Dev { cdev } = d.dst else {
             panic!("splice_dev_write with non-device sink")
         };
         let len = match &src {
             Block::Bytes(data) => data.len(),
-            Block::Buf(_) => d.mapped_len(lblk),
+            Block::Held => d.mapped_len(lblk),
         };
         if off == 0 {
-            self.trace
-                .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-            self.note_write_issue_stage(desc, lblk);
+            self.splice_write_issue(desc, lblk);
             // Injected device write failure: the countdown is charged
             // once per block; a block that would overrun it fails.
             if let Some(limit) = self.cdevs[cdev].write_fail_after {
                 if (len as u64) > limit {
-                    self.drop_write_slot(desc, lblk);
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.src_bufs.remove(&lblk);
-                    if let Block::Buf(buf) = src {
-                        self.release_buf(buf);
-                    }
+                    self.splice_write_abandon(desc, lblk);
                     self.ctr.io.errors += 1;
                     self.splice_abort(desc, kproc::Errno::Eio);
                     return;
@@ -89,31 +75,16 @@ impl Kernel {
             self.ctr.copy.driver_bytes += accepted as u64;
         }
         match retry_at {
-            None => {
-                if let Block::Buf(buf) = src {
-                    let d = self.splices.get_mut(&desc).unwrap();
-                    d.src_bufs.remove(&lblk);
-                    self.release_buf(buf);
-                }
-                self.splice_block_completed(desc, lblk, len as u64);
-            }
+            None => self.splice_write_finish(desc, lblk, len as u64),
             Some(at) => {
-                let delay = at.saturating_since(now);
-                let ticks = self.dur_to_ticks(delay);
-                self.ctr.splice.dev_backpressure += 1;
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _| s.note_backoff());
-                self.callout.schedule(
-                    self.tick,
-                    ticks,
-                    KWork::SpliceDevWrite {
-                        desc,
-                        lblk,
-                        src,
-                        off: off + accepted,
-                    },
-                );
+                let ticks = self.dur_to_ticks(at.saturating_since(now));
+                let work = KWork::SpliceDevWrite {
+                    desc,
+                    lblk,
+                    src,
+                    off: off + accepted,
+                };
+                self.splice_backoff(desc, lblk, |c| &mut c.dev_backpressure, ticks, work);
             }
         }
     }

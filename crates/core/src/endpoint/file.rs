@@ -18,7 +18,7 @@ use kfs::Ino;
 use kproc::{Errno, WorkClass};
 use ksim::{Bytes, Dur, TraceEvent};
 
-use crate::endpoint::ReadPlan;
+use crate::endpoint::{DstEndpoint, ReadPlan};
 use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
 use crate::splice_engine::fs_errno;
@@ -109,15 +109,10 @@ impl Kernel {
         let m = self.cfg.machine.clone();
         let bs = self.cfg.block_size as usize;
         let dev = self.disks[disk].dev;
-        {
-            let now = self.q.now();
-            let d = self.splices.get_mut(&id).unwrap();
-            if !retry {
-                d.next_read += 1;
-            }
-            d.issued_at.insert(lblk, now);
-            self.kstat.spans.live_mut(id).pending_reads.enter(now);
+        if !retry {
+            self.splices.get_mut(&id).expect("live splice").next_read += 1;
         }
+        self.splice_read_issue(id, lblk);
 
         let work = KWork::SpliceReadDone {
             desc: id,
@@ -167,44 +162,35 @@ impl Kernel {
             BreadOutcome::Busy(_) | BreadOutcome::NoBuffers => {
                 // Back off a tick and retry.
                 self.iodone_map.remove(&tag);
-                let d = self.splices.get_mut(&id).unwrap();
                 if !retry {
-                    d.next_read -= 1;
+                    self.splices.get_mut(&id).expect("live splice").next_read -= 1;
                 }
-                d.issued_at.remove(&lblk);
-                self.kstat.spans.live_mut(id).pending_reads.leave(now);
-                self.ctr.splice.read_backoffs += 1;
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc: id, lblk });
-                self.span_note(id, |s, _| s.note_backoff());
+                self.splice_drop_read(id, lblk);
                 let work = if retry {
                     KWork::SpliceRetryRead { desc: id, lblk }
                 } else {
                     KWork::SpliceIssueReads { desc: id }
                 };
-                self.callout.schedule(self.tick, 1, work);
+                self.splice_backoff(id, lblk, |c| &mut c.read_backoffs, 1, work);
                 (cpu, false)
             }
         }
     }
 
     /// §5.2.2: the block-sink write side — allocate a header sharing the
-    /// read buffer's data area and start the asynchronous write.
-    pub(crate) fn splice_write(&mut self, desc: u64, lblk: u64, src_buf: kbuf::BufId) {
-        if self.splice_drain_write(desc, lblk, Some(crate::endpoint::Block::Buf(src_buf))) {
+    /// held read buffer's data area and start the asynchronous write.
+    pub(crate) fn splice_write(&mut self, desc: u64, lblk: u64) {
+        if !self.splice_write_begin(desc, lblk) {
             return;
         }
-        let Some(d) = self.splices.get(&desc) else {
-            self.release_buf(src_buf);
-            return;
-        };
-        let crate::endpoint::DstEndpoint::File { disk, .. } = d.dst else {
+        let d = &self.splices[&desc];
+        let DstEndpoint::File { disk, .. } = d.dst else {
             panic!("splice_write with non-file sink")
         };
         let dst_pblk = d.dst_map[lblk as usize];
         let dev = self.disks[disk].dev;
         let bs = self.cfg.block_size as usize;
-        let data = self.cache.data(src_buf);
+        let data = self.cache.data(self.splice_held_buf(desc, lblk));
         let sref = SpliceRef { desc, lblk };
         match self
             .cache
@@ -212,40 +198,30 @@ impl Kernel {
         {
             Some(hdr) => {
                 self.ctr.splice.shared_writes += 1;
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-                self.note_write_issue_stage(desc, lblk);
+                self.splice_write_issue(desc, lblk);
                 let tag = self.new_iodone(KWork::SpliceWriteDone { desc, lblk, hdr });
                 let mut fx = Vec::new();
                 self.cache.bawrite_call(hdr, tag, &mut fx);
                 let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
                 debug_assert!(sync.is_zero());
             }
-            None => {
-                // Destination block busy: retry next tick.
-                self.ctr.splice.write_backoffs += 1;
-                let now = self.q.now();
-                self.trace
-                    .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-                self.span_note(desc, |s, _| s.note_backoff());
-                self.callout.schedule(
-                    self.tick,
-                    1,
-                    KWork::SpliceWrite {
-                        desc,
-                        lblk,
-                        src_buf,
-                    },
-                );
-            }
+            // Destination block busy: retry next tick.
+            None => self.splice_backoff(
+                desc,
+                lblk,
+                |c| &mut c.write_backoffs,
+                1,
+                KWork::SpliceWrite { desc, lblk },
+            ),
         }
     }
 
-    /// §5.2.2–§5.2.3: the block-sink write-completion handler frees both
-    /// buffers and hands the block to the common flow-control tail. A
-    /// write that completed with `B_ERROR` keeps the source buffer and
-    /// routes into the retry/abort policy instead.
+    /// §5.2.2–§5.2.3: the block-sink write-completion handler frees the
+    /// header, and finishing the block frees the source buffer ("it
+    /// retrieves a pointer to the source-side buffer … and frees it by
+    /// calling brelse()"; the source block stays cached). A write that
+    /// completed with `B_ERROR` keeps the source buffer and routes into
+    /// the retry/abort policy instead.
     pub(crate) fn splice_write_done(&mut self, desc: u64, lblk: u64, hdr: kbuf::BufId) {
         let failed = self.cache.flags(hdr).contains(kbuf::BufFlags::ERROR);
         self.release_buf(hdr);
@@ -253,60 +229,33 @@ impl Kernel {
             self.splice_write_failed(desc, lblk);
             return;
         }
-        let src_buf = self
-            .splices
-            .get_mut(&desc)
-            .and_then(|d| d.src_bufs.remove(&lblk));
-        if let Some(buf) = src_buf {
-            // "It retrieves a pointer to the source-side buffer … and
-            // frees it by calling brelse()." The source block stays
-            // cached.
-            self.release_buf(buf);
-        }
-        let bytes = self
-            .splices
-            .get(&desc)
-            .map(|d| d.mapped_len(lblk) as u64)
-            .unwrap_or(0);
-        self.splice_block_completed(desc, lblk, bytes);
+        let bytes = self.splices[&desc].mapped_len(lblk) as u64;
+        self.splice_write_finish(desc, lblk, bytes);
     }
 
     /// Stream-sink write side: append one arrived chunk at its
     /// preassigned offset, in kernel context.
     pub(crate) fn splice_append(&mut self, desc: u64, lblk: u64, off: u64, data: Bytes) {
-        if self.splice_drain_write(desc, lblk, None) {
+        if !self.splice_write_begin(desc, lblk) {
             return;
         }
-        let Some(d) = self.splices.get(&desc) else {
-            return;
-        };
-        let crate::endpoint::DstEndpoint::File { disk, ino } = d.dst else {
+        let DstEndpoint::File { disk, ino } = self.splices[&desc].dst else {
             panic!("splice_append with non-file sink")
         };
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-        self.note_write_issue_stage(desc, lblk);
+        self.splice_write_issue(desc, lblk);
         if self.splice_append_file(disk, ino, off, &data) {
-            self.splice_block_completed(desc, lblk, data.len() as u64);
+            self.splice_write_finish(desc, lblk, data.len() as u64);
         } else {
             // Transient cache shortage: the offsets are preassigned and
             // block rewrites are idempotent, so retry the same chunk at
             // the next tick.
-            self.ctr.splice.append_backoffs += 1;
-            self.trace
-                .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
-            self.span_note(desc, |s, _| s.note_backoff());
-            self.callout.schedule(
-                self.tick,
-                1,
-                KWork::SpliceAppend {
-                    desc,
-                    lblk,
-                    off,
-                    data,
-                },
-            );
+            let work = KWork::SpliceAppend {
+                desc,
+                lblk,
+                off,
+                data,
+            };
+            self.splice_backoff(desc, lblk, |c| &mut c.append_backoffs, 1, work);
         }
     }
 

@@ -31,7 +31,6 @@
 //! datagram pulls and sends), and `dev` (kdev framebuffer pulls and
 //! paced DAC delivery).
 
-use kbuf::BufId;
 use kfs::Ino;
 use knet::SockId;
 use kproc::Errno;
@@ -171,6 +170,16 @@ pub(crate) enum ReadPlan {
     },
 }
 
+impl ReadPlan {
+    /// Offset of the transfer within its first block (mapped plans).
+    pub(crate) fn first_boff(&self) -> usize {
+        match self {
+            ReadPlan::Mapped { first_boff, .. } => *first_boff,
+            ReadPlan::Stream { .. } => 0,
+        }
+    }
+}
+
 /// One unit of spliced data travelling from a source to a sink.
 ///
 /// Block sources deliver held cache buffers (whose data area the file
@@ -178,8 +187,10 @@ pub(crate) enum ReadPlan {
 /// sources deliver byte chunks. Every sink accepts both.
 #[derive(Debug)]
 pub enum Block {
-    /// A held buffer-cache block (block sources).
-    Buf(BufId),
+    /// A held buffer-cache block (block sources). The block's in-flight
+    /// record on its splice descriptor holds the buffer, so the work
+    /// carrying the block does not.
+    Held,
     /// A byte chunk (stream sources).
     Bytes(Bytes),
 }

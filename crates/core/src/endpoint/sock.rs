@@ -12,7 +12,7 @@
 use knet::{Datagram, NetErr, SockId};
 use ksim::{Bytes, Dur, TraceEvent};
 
-use crate::endpoint::Block;
+use crate::endpoint::{Block, DstEndpoint};
 use crate::event::{Event, KWork};
 use crate::kernel::Kernel;
 
@@ -74,40 +74,21 @@ impl Kernel {
 
     /// Socket-sink write side: packetize one arrived block.
     pub(crate) fn splice_sock_write(&mut self, desc: u64, lblk: u64, src: Block) {
-        // Abort drain: a held buffer is released via `src_bufs`; owned
-        // bytes just drop.
-        if self.splice_drain_write(desc, lblk, None) {
+        if !self.splice_write_begin(desc, lblk) {
             return;
         }
-        let Some(d) = self.splices.get(&desc) else {
-            if let Block::Buf(buf) = src {
-                self.release_buf(buf);
-            }
-            return;
-        };
-        let crate::endpoint::DstEndpoint::Sock { sock } = d.dst else {
+        let DstEndpoint::Sock { sock } = self.splices[&desc].dst else {
             panic!("splice_sock_write with non-socket sink")
         };
-        let (payload, buf) = match src {
-            Block::Bytes(data) => (data, None),
-            Block::Buf(buf) => {
-                let len = d.mapped_len(lblk);
-                let boff = if lblk == 0 { d.first_boff() } else { 0 };
-                (self.cache.data(buf).view(boff, len), Some(buf))
-            }
+        let payload = match src {
+            Block::Bytes(data) => data,
+            Block::Held => self.splice_held_view(desc, lblk),
         };
-        let now = self.q.now();
-        self.trace
-            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
-        self.note_write_issue_stage(desc, lblk);
+        self.splice_write_issue(desc, lblk);
         // The payload is a snapshot view, so the cache buffer can go back
         // before the wire is ready — holding it across a backpressure
         // backoff would starve the cache under high connection counts.
-        if let Some(buf) = buf {
-            let d = self.splices.get_mut(&desc).unwrap();
-            d.src_bufs.remove(&lblk);
-            self.release_buf(buf);
-        }
+        self.splice_release_held(desc, lblk);
         self.sock_send_or_backoff(desc, lblk, sock, payload);
     }
 
@@ -140,7 +121,7 @@ impl Kernel {
         }
         let bytes = payload.len() as u64;
         self.sock_send_payload(sock, payload);
-        self.splice_block_completed(desc, lblk, bytes);
+        self.splice_write_finish(desc, lblk, bytes);
     }
 
     /// Schedules the (single) drain callout for `host`'s parked queue at
@@ -168,9 +149,9 @@ impl Kernel {
     }
 
     /// Drains `host`'s parked-send queue: sends every payload that now
-    /// fits, skips entries whose splice was torn down or aborted while
-    /// parked, and re-arms one callout for the first payload that still
-    /// does not fit.
+    /// fits, drops entries whose splice started aborting while parked,
+    /// and re-arms one callout for the first payload that still does not
+    /// fit.
     pub(crate) fn splice_sock_drain(&mut self, host: u32) {
         self.park_drains.remove(&host);
         loop {
@@ -182,10 +163,9 @@ impl Kernel {
             else {
                 return;
             };
-            // The splice may have died while the payload waited.
-            let dead =
-                self.splice_drain_write(desc, lblk, None) || !self.splices.contains_key(&desc);
-            if dead {
+            // The splice may have started aborting while the payload
+            // waited.
+            if !self.splice_write_begin(desc, lblk) {
                 self.parked_sends.get_mut(&host).unwrap().pop_front();
                 continue;
             }
@@ -202,7 +182,7 @@ impl Kernel {
                 .unwrap();
             let bytes = p.payload.len() as u64;
             self.sock_send_payload(p.sock, p.payload);
-            self.splice_block_completed(p.desc, p.lblk, bytes);
+            self.splice_write_finish(p.desc, p.lblk, bytes);
         }
     }
 }

@@ -58,18 +58,17 @@ pub enum KWork {
         desc: u64,
         /// Logical block within the splice.
         lblk: u64,
-        /// The read-side buffer (held).
+        /// The read-side buffer (held; its block record takes it).
         buf: BufId,
     },
     /// Splice write side (§5.2.2), dispatched from softclock: allocate the
-    /// shared header and start the asynchronous write.
+    /// shared header over the block's held read-side buffer and start the
+    /// asynchronous write.
     SpliceWrite {
         /// Descriptor id.
         desc: u64,
         /// Logical block.
         lblk: u64,
-        /// The read-side buffer whose data area is shared.
-        src_buf: BufId,
     },
     /// Splice write completion handler (§5.2.2): free both buffers, run
     /// flow control (§5.2.3).
@@ -203,4 +202,19 @@ pub enum Event {
         /// Process taking the CPU.
         pid: Pid,
     },
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every event and unit of kernel work moves by value through the
+    /// event queue, the CPU engine and the callout table, so their size
+    /// is paid per queued entry: neither may grow past 56 bytes.
+    #[test]
+    fn queued_work_stays_small() {
+        let (work, event) = (size_of::<KWork>(), size_of::<Event>());
+        assert!(work <= 56, "KWork grew to {work} B");
+        assert!(event <= 56, "Event grew to {event} B");
+    }
 }

@@ -273,7 +273,8 @@ pub struct LatencyMetrics {
     pub bread: HistSummary,
     /// `bwrite` issue → `biodone`.
     pub bwrite: HistSummary,
-    /// Splice block round-trip: read issue → write completion.
+    /// Splice block round-trip: read issue → write completion (the
+    /// kstat `stages.end_to_end` digest).
     pub splice_block: HistSummary,
 }
 
@@ -443,7 +444,7 @@ impl Kernel {
                 read_wait: HistSummary::from(&self.kstat.read_wait),
                 bread: HistSummary::from(&self.kstat.bread_latency),
                 bwrite: HistSummary::from(&self.kstat.bwrite_latency),
-                splice_block: HistSummary::from(&self.kstat.splice_block_latency),
+                splice_block: HistSummary::from(&self.kstat.stages.end_to_end),
             },
             obs: {
                 let reqs = &self.kstat.requests;

@@ -31,17 +31,26 @@
 //!   socket buffer) when the disk side backs up.
 //!
 //! Because the accounting is shared, the kstat [`ksim::SpliceSpan`]
-//! lifecycle, gauge samples, and latency digests describe every splice,
-//! including the stream-sourced ones that historically bypassed them.
+//! lifecycle, occupancy gauges, and latency digests describe every
+//! splice, including the stream-sourced ones that historically bypassed
+//! them.
+//!
+//! **One record per in-flight block.** A block's stage instants, its held
+//! source buffer and its device-error attempts live in one
+//! `BlockRecord` on the descriptor, from its first read issue until it
+//! completes or is abandoned. Its phase changes are the engine methods
+//! below (read issue, arrival, write begin/issue/finish/abandon, read
+//! drop); the endpoint backends call them and never touch the record.
 
 use kbuf::BufId;
 use khw::CopyKind;
 use kproc::{Chan, ChanSpace, Errno, Pid, SpliceLen, SyscallRet, WorkClass};
-use ksim::{Dur, IdMap, TraceEvent};
+use ksim::{Bytes, Dur, IdMap, SimTime, TraceEvent};
 
 use crate::endpoint::{Block, DstEndpoint, ReadPlan, SrcEndpoint};
 use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
+use crate::metrics::SpliceTotals;
 use crate::objects::{CharDev, FileId};
 use crate::splice_ring::RingRoute;
 use crate::syscalls::{Cont, SyscallOutcome};
@@ -112,7 +121,9 @@ impl Default for FlowControl {
 /// One active splice, keyed by its descriptor id in `Kernel::splices`.
 /// Its pending-read and pending-write counts live on its span
 /// (`kstat.spans.live_mut(id)`), so flow control reads the same gauges
-/// whose time integrals the Little's-law audit checks.
+/// whose time integrals the Little's-law audit checks; the per-block
+/// records are the audit's other recorder, and neither is derived from
+/// the other.
 pub(crate) struct SpliceDesc {
     pub src: SrcEndpoint,
     pub dst: DstEndpoint,
@@ -128,26 +139,36 @@ pub(crate) struct SpliceDesc {
     pub blocks_done: usize,
     /// Bytes pulled from a stream source so far.
     pub stream_taken: u64,
-    /// Read-side buffers awaiting their write, by logical block.
-    pub src_bufs: IdMap<u64, BufId>,
-    /// Issue instants of in-flight blocks (latency accounting).
-    pub issued_at: IdMap<u64, ksim::SimTime>,
-    /// When each block's read side finished (stage accounting: the
-    /// read-done → write-issue gap).
-    pub read_done_at: IdMap<u64, ksim::SimTime>,
-    /// When each block's write was (last) issued to its sink backend
-    /// (stage accounting: write service time).
-    pub write_issued_at: IdMap<u64, ksim::SimTime>,
+    /// Every in-flight block, by logical block.
+    blocks: IdMap<u64, BlockRecord>,
     /// Append cursor for a byte-stream file sink.
     pub dst_off: u64,
-    /// Device-error retry attempts per logical block.
-    pub retries: IdMap<u64, u32>,
     /// Per-request retry budget (see [`MAX_SPLICE_RETRIES`]).
     pub retry_limit: u32,
     /// Set when the splice is aborting: no new work is issued and
     /// in-flight blocks drain without counting.
     pub error: Option<Errno>,
     pub done: bool,
+    /// Where the outcome goes at completion.
+    route: RingRoute,
+}
+
+/// One in-flight block of a splice, from its first read issue until it
+/// completes or is abandoned. A read that fails keeps its record (and
+/// attempt count) across the backoff to its retry.
+#[derive(Default)]
+pub(crate) struct BlockRecord {
+    /// When the current read attempt was issued (the end-to-end start).
+    issued: Option<SimTime>,
+    /// When the read side finished, until the first write issue.
+    read_done: Option<SimTime>,
+    /// When the write was last handed to the sink backend.
+    write_issued: Option<SimTime>,
+    /// The held source buffer (block sources): this record is its only
+    /// owner until it is released.
+    held: Option<BufId>,
+    /// Device-error attempts, read and write side together.
+    attempts: u32,
 }
 
 impl SpliceDesc {
@@ -156,14 +177,6 @@ impl SpliceDesc {
         match &self.plan {
             ReadPlan::Mapped { src_lens, .. } => src_lens[lblk as usize],
             ReadPlan::Stream { .. } => panic!("mapped_len on a stream splice"),
-        }
-    }
-
-    /// Offset of the transfer within its first block (mapped plans).
-    pub(crate) fn first_boff(&self) -> usize {
-        match &self.plan {
-            ReadPlan::Mapped { first_boff, .. } => *first_boff,
-            ReadPlan::Stream { .. } => 0,
         }
     }
 }
@@ -188,22 +201,27 @@ impl Kernel {
     /// Builds and launches a splice descriptor from an already-resolved
     /// request. **Every** entry path lands here — the synchronous
     /// `splice(2)` call, the `FASYNC`/`SIGIO` descriptor path, and ring
-    /// submissions — differing only in the completion [`RingRoute`] they
-    /// pass. Rejections are counted through
-    /// [`Kernel::splice_reject_note`]; the caller maps them onto its own
-    /// failure surface (errno return or error CQE).
+    /// submissions — differing only in the completion [`RingRoute`]
+    /// resolved here: ring submissions pass their CQE tag as
+    /// `user_data`; a legacy `splice(2)` entry on `ring` passes `None`,
+    /// is tagged with its descriptor id, and announces by `SIGIO`
+    /// instead of a CQE when either descriptor is `FASYNC`. Rejections
+    /// are counted through [`Kernel::splice_reject_note`]; the caller maps
+    /// them onto its own failure surface (errno return or error CQE).
     pub(crate) fn splice_begin(
         &mut self,
         sfid: FileId,
         dfid: FileId,
         len: SpliceLen,
         retry_limit: u32,
-        route: RingRoute,
+        ring: u64,
+        user_data: Option<u64>,
     ) -> SpliceBegin {
         let m = self.cfg.machine.clone();
         let sof = self.files.get(sfid).expect("resolved fid");
         let dof = self.files.get(dfid).expect("resolved fid");
         let (sobj, dobj) = (sof.obj, dof.obj);
+        let fasync = sof.fasync || dof.fasync;
 
         // An object participates only through a descriptor opened for
         // that direction: read on the source, write on the sink.
@@ -250,7 +268,7 @@ impl Kernel {
                     // Whole-block sharing needs aligned endpoints.
                     let bs = self.cfg.block_size as u64;
                     let dst_off = self.files.get(dfid).unwrap().offset;
-                    if plan_first_boff(&plan) != 0 || !dst_off.is_multiple_of(bs) {
+                    if plan.first_boff() != 0 || !dst_off.is_multiple_of(bs) {
                         return SpliceBegin::Rejected(self.splice_reject_note(Errno::Einval));
                     }
                     dst_map = match self.prepare_file_sink(ddisk, dino, dst_off, nblocks, total) {
@@ -297,27 +315,24 @@ impl Kernel {
             next_read: 0,
             blocks_done: 0,
             stream_taken: 0,
-            src_bufs: IdMap::default(),
-            issued_at: IdMap::default(),
-            read_done_at: IdMap::default(),
-            write_issued_at: IdMap::default(),
+            blocks: IdMap::default(),
             dst_off,
-            retries: IdMap::default(),
             retry_limit,
             error: None,
             done: false,
+            route: RingRoute {
+                ring,
+                user_data: user_data.unwrap_or(id),
+                sigio: user_data.is_none() && fasync,
+            },
         };
         self.splices.insert(id, desc);
         if let SrcEndpoint::Sock { sock } = src {
             self.rings.bind_sock(sock, id);
         }
-        self.rings.register(
-            id,
-            RingRoute {
-                user_data: Some(route.user_data.unwrap_or(id)),
-                ..route
-            },
-        );
+        if let Some(r) = self.rings.get_mut(ring) {
+            r.inflight += 1;
+        }
         self.ctr.splice.started += 1;
         let now = self.q.now();
         self.kstat.spans.start(id, now);
@@ -353,13 +368,7 @@ impl Kernel {
             sof.fasync || dof.fasync
         };
         let ring = self.rings.legacy_ring_for(pid);
-        let route = RingRoute {
-            ring,
-            user_data: None,
-            queue_cqe: !fasync,
-            sigio: fasync,
-        };
-        match self.splice_begin(sfid, dfid, len, retry_limit, route) {
+        match self.splice_begin(sfid, dfid, len, retry_limit, ring, None) {
             SpliceBegin::Rejected(e) => SyscallOutcome::Done {
                 cpu: m.syscall,
                 ret: SyscallRet::Err(e),
@@ -512,17 +521,15 @@ impl Kernel {
                             unreachable!("stream plans come from fb/socket sources")
                         }
                     };
-                    let now = self.q.now();
                     let d = self.splices.get_mut(&id).unwrap();
                     let lblk = d.next_read as u64;
                     d.next_read += 1;
-                    d.issued_at.insert(lblk, now);
+                    self.splice_read_issue(id, lblk);
                     self.ctr.splice.reads_issued += 1;
+                    let now = self.q.now();
                     self.trace
                         .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
-                    let span = self.kstat.spans.live_mut(id);
-                    span.pending_reads.enter(now);
-                    span.note_read_issued(now);
+                    self.kstat.spans.live_mut(id).note_read_issued(now);
                     self.enqueue_kwork(
                         WorkClass::Soft,
                         cost,
@@ -537,15 +544,9 @@ impl Kernel {
 
     pub(crate) fn apply_splice_work(&mut self, work: KWork) {
         match work {
-            KWork::SpliceReadDone { desc, lblk, buf } => {
-                self.splice_block_arrived(desc, lblk, Block::Buf(buf))
-            }
+            KWork::SpliceReadDone { desc, lblk, buf } => self.splice_read_done(desc, lblk, buf),
             KWork::SpliceStreamPull { desc, lblk } => self.splice_stream_pull(desc, lblk),
-            KWork::SpliceWrite {
-                desc,
-                lblk,
-                src_buf,
-            } => self.splice_write(desc, lblk, src_buf),
+            KWork::SpliceWrite { desc, lblk } => self.splice_write(desc, lblk),
             KWork::SpliceWriteDone { desc, lblk, hdr } => self.splice_write_done(desc, lblk, hdr),
             KWork::SpliceAppend {
                 desc,
@@ -593,7 +594,7 @@ impl Kernel {
         if d.done || d.error.is_some() || want == 0 {
             // The source closed, the splice is aborting, or the target
             // was reached while this pull was queued; release the slot.
-            self.drop_read_slot(desc, lblk);
+            self.splice_drop_read(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
@@ -605,51 +606,48 @@ impl Kernel {
         let Some(payload) = payload else {
             // Socket drained between issue and apply; the next delivery
             // re-arms via net_rx.
-            self.drop_read_slot(desc, lblk);
+            self.splice_drop_read(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         };
-        let d = self.splices.get_mut(&desc).unwrap();
+        let d = self.splices.get_mut(&desc).expect("live splice");
         d.stream_taken += payload.len() as u64;
         self.splice_block_arrived(desc, lblk, Block::Bytes(payload));
     }
 
-    /// §5.2.1's read handler, generalized: a source block arrived (from a
-    /// device read or a stream pull). Move it from the pending-read to
-    /// the pending-write column and dispatch it to the sink backend —
-    /// aligned file sinks at the head of the callout list, everything
-    /// else as kernel soft work.
+    /// §5.2.1's read handler: a mapped-source block read completed into
+    /// `buf`. A read that completed with `B_ERROR` never joins the write
+    /// column: the buffer goes back (brelse discards errored buffers, so
+    /// a retry re-misses and re-reads the device) and the retry/abort
+    /// policy runs. Otherwise the block's record takes the held buffer.
+    fn splice_read_done(&mut self, desc: u64, lblk: u64, buf: BufId) {
+        if self.cache.flags(buf).contains(kbuf::BufFlags::ERROR) {
+            self.release_buf(buf);
+            if self.splices.contains_key(&desc) {
+                self.splice_read_failed(desc, lblk);
+            }
+            return;
+        }
+        let Some(d) = self.splices.get_mut(&desc) else {
+            self.release_buf(buf);
+            return;
+        };
+        d.blocks.get_mut(&lblk).expect("issued block").held = Some(buf);
+        self.splice_block_arrived(desc, lblk, Block::Held);
+    }
+
+    /// Arrival: source block `lblk` is here (a held buffer or a pulled
+    /// chunk). Move it from the pending-read to the pending-write column
+    /// and dispatch it to the sink backend — aligned file sinks at the
+    /// head of the callout list, everything else as kernel soft work.
     fn splice_block_arrived(&mut self, desc: u64, lblk: u64, block: Block) {
         let m = self.cfg.machine.clone();
         let now = self.q.now();
-        // A read that completed with B_ERROR never joins the write
-        // column: release the buffer (brelse discards errored buffers,
-        // so a retry re-misses and re-reads the device) and run the
-        // retry/abort policy.
-        if let Block::Buf(buf) = &block {
-            let buf = *buf;
-            if self.cache.flags(buf).contains(kbuf::BufFlags::ERROR) {
-                self.release_buf(buf);
-                if self.splices.contains_key(&desc) {
-                    self.drop_read_slot(desc, lblk);
-                    self.splice_read_failed(desc, lblk);
-                }
-                return;
-            }
-        }
-        let Some(d) = self.splices.get_mut(&desc) else {
-            if let Block::Buf(buf) = block {
-                self.release_buf(buf);
-            }
-            return;
-        };
+        let d = self.splices.get_mut(&desc).expect("live splice");
         // Abort drain: the slot is dropped and the block discarded
         // without dispatching its write.
         if d.error.is_some() {
-            self.drop_read_slot(desc, lblk);
-            if let Block::Buf(buf) = block {
-                self.release_buf(buf);
-            }
+            self.splice_drop_read(desc, lblk);
             self.maybe_finish_abort(desc);
             return;
         }
@@ -657,35 +655,25 @@ impl Kernel {
         span.pending_reads.leave(now);
         span.pending_writes.enter(now);
         // Stage accounting: the read side of this block is done. The
-        // issue instant stays in `issued_at` for the end-to-end digest.
-        if let Some(&at) = d.issued_at.get(&lblk) {
+        // issue instant stays on the record for the end-to-end digest.
+        let rec = d.blocks.get_mut(&lblk).expect("issued block");
+        rec.read_done = Some(now);
+        if let Some(at) = rec.issued {
             self.kstat.stages.read_service.record(now.since(at).as_ns());
         }
         self.trace
             .emit(now, || TraceEvent::SpliceReadDone { desc, lblk });
-        let d = self.splices.get_mut(&desc).unwrap();
-        d.read_done_at.insert(lblk, now);
-        if let Block::Buf(buf) = &block {
-            d.src_bufs.insert(lblk, *buf);
-        }
         let len = match &block {
             Block::Bytes(b) => b.len(),
-            Block::Buf(_) => d.mapped_len(lblk),
+            Block::Held => d.mapped_len(lblk),
         };
-        let dst = d.dst;
-        match (dst, block) {
-            (DstEndpoint::File { .. }, Block::Buf(buf)) => {
+        match (d.dst, block) {
+            (DstEndpoint::File { .. }, Block::Held) => {
                 // §5.2.1: "schedules a write by placing a reference to
                 // the write handler at the head of the system callout
                 // list."
-                self.callout.schedule_head(
-                    self.tick,
-                    KWork::SpliceWrite {
-                        desc,
-                        lblk,
-                        src_buf: buf,
-                    },
-                );
+                self.callout
+                    .schedule_head(self.tick, KWork::SpliceWrite { desc, lblk });
                 self.trace
                     .emit(now, || TraceEvent::CalloutArm { delay_ticks: 0 });
             }
@@ -734,81 +722,141 @@ impl Kernel {
         self.span_note(desc, |s, now| s.note_write_issued(now));
     }
 
-    /// Stage accounting for the moment a block's write is handed to its
-    /// sink backend: closes the read-done → write-issue gap (first issue
-    /// only) and stamps the write-service start. Every sink backend —
-    /// shared-header file writes, stream appends, device pacing, socket
-    /// sends — calls this right before issuing, so retries re-stamp and
-    /// the service digest measures the attempt that completed; the time
-    /// the earlier attempts took is tallied as the span's `write_lost`.
-    pub(crate) fn note_write_issue_stage(&mut self, desc: u64, lblk: u64) {
+    // ----- the block record: one method per phase change -----------------------
+
+    /// Read issue: block `lblk`'s read (or pull) takes a pending-read
+    /// slot now. A retried read keeps its record and attempt count.
+    pub(crate) fn splice_read_issue(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
-            return;
-        };
-        if let Some(done_at) = d.read_done_at.remove(&lblk) {
-            self.kstat
-                .stages
-                .read_to_write
-                .record(now.since(done_at).as_ns());
-        }
-        let d = self.splices.get_mut(&desc).unwrap();
-        if let Some(prev) = d.write_issued_at.insert(lblk, now) {
-            self.kstat.spans.live_mut(desc).write_lost += now.since(prev).as_ns();
-        }
+        let d = self.splices.get_mut(&desc).expect("live splice");
+        d.blocks.entry(lblk).or_default().issued = Some(now);
+        self.kstat.spans.live_mut(desc).pending_reads.enter(now);
     }
 
-    /// Drops block `lblk`'s pending-read slot without a `read_service`
-    /// sample — a failed attempt, an empty pull, or a block an aborting
-    /// splice discards — tallying its time since issue as the span's
-    /// `read_lost`, so the gauge's area stays accounted for.
-    pub(crate) fn drop_read_slot(&mut self, desc: u64, lblk: u64) {
+    /// Read drop: block `lblk` gives up its pending-read slot without a
+    /// `read_service` sample — a failed or backed-off attempt, an empty
+    /// pull, or a block an aborting splice discards — tallying its time
+    /// since issue as the span's `read_lost`, so the gauge's area stays
+    /// accounted for. A held buffer goes back to the cache; the record
+    /// survives only if it counts failed attempts, for a retry to
+    /// continue from.
+    pub(crate) fn splice_drop_read(&mut self, desc: u64, lblk: u64) {
         let now = self.q.now();
-        let issued = self
-            .splices
-            .get_mut(&desc)
-            .and_then(|d| d.issued_at.remove(&lblk));
+        let d = self.splices.get_mut(&desc).expect("live splice");
+        let rec = d.blocks.get_mut(&lblk).expect("issued block");
+        let issued = rec.issued.take();
+        let held = rec.held.take();
+        if rec.attempts == 0 {
+            d.blocks.remove(&lblk);
+        }
         let span = self.kstat.spans.live_mut(desc);
         span.pending_reads.leave(now);
         if let Some(at) = issued {
             span.read_lost += now.since(at).as_ns();
         }
-    }
-
-    /// Drops block `lblk`'s pending-write slot without a `write_service`
-    /// sample — an abandoned write — tallying its time since the last
-    /// write issue (or since it arrived, if never issued) as the span's
-    /// `write_lost`.
-    pub(crate) fn drop_write_slot(&mut self, desc: u64, lblk: u64) {
-        let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
-            return;
-        };
-        d.issued_at.remove(&lblk);
-        let issued = d.write_issued_at.remove(&lblk);
-        let arrived = d.read_done_at.remove(&lblk);
-        let span = self.kstat.spans.live_mut(desc);
-        span.pending_writes.leave(now);
-        if let Some(at) = issued.or(arrived) {
-            span.write_lost += now.since(at).as_ns();
+        if let Some(buf) = held {
+            self.release_buf(buf);
         }
     }
 
-    /// Common completion/flow-control tail of the write side, for every
-    /// sink (§5.2.2–§5.2.3).
-    pub(crate) fn splice_block_completed(&mut self, desc: u64, lblk: u64, bytes: u64) {
+    /// Write begin: the entry check of every write-side handler. While
+    /// the splice is aborting, the block is abandoned instead of written
+    /// and `false` returned: the handler must stop. A pending write keeps
+    /// its splice live (no completion path runs while one is held).
+    pub(crate) fn splice_write_begin(&mut self, desc: u64, lblk: u64) -> bool {
+        debug_assert!(self.splices.contains_key(&desc), "splice {desc} gone");
+        let Some(d) = self.splices.get(&desc) else {
+            return false;
+        };
+        if d.error.is_none() {
+            return true;
+        }
+        self.splice_write_abandon(desc, lblk);
+        self.maybe_finish_abort(desc);
+        false
+    }
+
+    /// Write issue: block `lblk`'s write is handed to its sink backend
+    /// now. Traces the issue, closes the read-done → write-issue gap
+    /// (first issue only) and stamps the write-service start. Every sink
+    /// calls this right before issuing, so a re-issue re-stamps and the
+    /// service digest measures the attempt that completed; the time the
+    /// earlier attempts took is tallied as the span's `write_lost`.
+    pub(crate) fn splice_write_issue(&mut self, desc: u64, lblk: u64) {
+        let now = self.q.now();
+        self.trace
+            .emit(now, || TraceEvent::SpliceWriteIssue { desc, lblk });
+        let rec = self.block_mut(desc, lblk);
+        let done = rec.read_done.take();
+        let prev = rec.write_issued.replace(now);
+        if let Some(at) = done {
+            self.kstat
+                .stages
+                .read_to_write
+                .record(now.since(at).as_ns());
+        }
+        if let Some(at) = prev {
+            self.kstat.spans.live_mut(desc).write_lost += now.since(at).as_ns();
+        }
+    }
+
+    /// Gives block `lblk`'s held source buffer back to the cache, if it
+    /// still has one. The record is the buffer's only owner, so this is
+    /// the one place a held buffer is released.
+    pub(crate) fn splice_release_held(&mut self, desc: u64, lblk: u64) {
+        if let Some(buf) = self.block_mut(desc, lblk).held.take() {
+            self.release_buf(buf);
+        }
+    }
+
+    /// Block `lblk`'s held source buffer.
+    pub(crate) fn splice_held_buf(&self, desc: u64, lblk: u64) -> BufId {
+        self.splices[&desc].blocks[&lblk]
+            .held
+            .expect("a block-source block holds its buffer until written")
+    }
+
+    /// A view of the transfer's bytes of block `lblk` in its held buffer.
+    pub(crate) fn splice_held_view(&self, desc: u64, lblk: u64) -> Bytes {
+        let d = &self.splices[&desc];
+        let boff = if lblk == 0 { d.plan.first_boff() } else { 0 };
+        let buf = self.splice_held_buf(desc, lblk);
+        self.cache.data(buf).view(boff, d.mapped_len(lblk))
+    }
+
+    /// Write abandon: block `lblk` will never complete — its splice is
+    /// aborting, or its write failed for good. Its pending-write slot
+    /// goes without a `write_service` sample, tallying its time since
+    /// the last write issue (or since it arrived, if never issued) as the
+    /// span's `write_lost`, and its record goes with its held buffer.
+    pub(crate) fn splice_write_abandon(&mut self, desc: u64, lblk: u64) {
+        let now = self.q.now();
+        let d = self.splices.get_mut(&desc).expect("live splice");
+        let rec = d.blocks.remove(&lblk).expect("in-flight block");
+        let span = self.kstat.spans.live_mut(desc);
+        span.pending_writes.leave(now);
+        if let Some(at) = rec.write_issued.or(rec.read_done) {
+            span.write_lost += now.since(at).as_ns();
+        }
+        if let Some(buf) = rec.held {
+            self.release_buf(buf);
+        }
+    }
+
+    /// Write finish: block `lblk`'s `bytes` reached the sink. Releases
+    /// its held buffer, closes its record into the stage digests, and
+    /// runs the common completion/flow-control tail of the write side,
+    /// for every sink (§5.2.2–§5.2.3).
+    pub(crate) fn splice_write_finish(&mut self, desc: u64, lblk: u64, bytes: u64) {
+        self.splice_release_held(desc, lblk);
         let flow = self.cfg.flow;
         let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
-            return;
-        };
+        let d = self.splices.get_mut(&desc).expect("live splice");
+        let rec = d.blocks.remove(&lblk).expect("in-flight block");
         let span = self.kstat.spans.live_mut(desc);
         span.pending_writes.leave(now);
         d.blocks_done += 1;
         d.bytes_done += bytes;
-        let issued = d.issued_at.remove(&lblk);
-        let write_issued = d.write_issued_at.remove(&lblk);
-        d.read_done_at.remove(&lblk);
         // A write that lands while the splice is aborting still moved
         // its bytes (they count toward the partial-transfer total) but
         // never refills or finishes; the abort tail completes instead.
@@ -834,16 +882,14 @@ impl Kernel {
         if refill {
             self.trace.emit(now, || TraceEvent::SpliceRefill { desc });
         }
-        if let Some(at) = write_issued {
+        if let Some(at) = rec.write_issued {
             self.kstat
                 .stages
                 .write_service
                 .record(now.since(at).as_ns());
         }
-        if let Some(at) = issued {
-            let ns = now.since(at).as_ns();
-            self.kstat.splice_block_latency.record(ns);
-            self.kstat.stages.end_to_end.record(ns);
+        if let Some(at) = rec.issued {
+            self.kstat.stages.end_to_end.record(now.since(at).as_ns());
         }
         if finished {
             let cost = self.cfg.machine.signal_delivery;
@@ -857,30 +903,50 @@ impl Kernel {
         }
     }
 
-    // ----- failure handling: retry, backoff, abort ------------------------------
+    fn block_mut(&mut self, desc: u64, lblk: u64) -> &mut BlockRecord {
+        let d = self.splices.get_mut(&desc).expect("live splice");
+        d.blocks.get_mut(&lblk).expect("in-flight block")
+    }
 
-    /// A mapped-source block read completed with `B_ERROR`. The caller
-    /// already dropped the pending-read slot and released the buffer;
-    /// this counts the attempt and either arms the backoff retry callout
-    /// or aborts the splice with `EIO`.
-    fn splice_read_failed(&mut self, desc: u64, lblk: u64) {
+    // ----- failure handling: backoff, retry, abort ------------------------------
+
+    /// Transient-shortage backoff of block `lblk` — a busy buffer, cache
+    /// exhaustion, device pacing: counts it in `counter`, traces it,
+    /// notes it on the span, and re-arms `work` `ticks` from now.
+    pub(crate) fn splice_backoff(
+        &mut self,
+        desc: u64,
+        lblk: u64,
+        counter: fn(&mut SpliceTotals) -> &mut u64,
+        ticks: u64,
+        work: KWork,
+    ) {
+        *counter(&mut self.ctr.splice) += 1;
         let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
-            return;
-        };
+        self.trace
+            .emit(now, || TraceEvent::SpliceBackoff { desc, lblk });
+        self.span_note(desc, |s, _| s.note_backoff());
+        self.callout.schedule(self.tick, ticks, work);
+    }
+
+    /// The device-error policy, shared by failed reads and writes: count
+    /// block `lblk`'s attempt against the splice's retry budget and arm
+    /// `retry` after an exponential backoff of 1, 2, 4, 8, 16 ticks.
+    /// Returns `false`, arming nothing, when the splice is already
+    /// aborting or the budget is spent: the caller gives the block up and
+    /// aborts.
+    fn splice_retry(&mut self, desc: u64, lblk: u64, retry: KWork) -> bool {
+        let now = self.q.now();
+        let d = self.splices.get_mut(&desc).expect("live splice");
         if d.error.is_some() {
-            self.maybe_finish_abort(desc);
-            return;
+            return false;
         }
         let limit = d.retry_limit;
-        let attempt = {
-            let a = d.retries.entry(lblk).or_insert(0);
-            *a += 1;
-            *a
-        };
+        let rec = d.blocks.get_mut(&lblk).expect("in-flight block");
+        rec.attempts += 1;
+        let attempt = rec.attempts;
         if attempt > limit {
-            self.splice_abort(desc, Errno::Eio);
-            return;
+            return false;
         }
         self.ctr.splice.retries += 1;
         self.trace.emit(now, || TraceEvent::SpliceRetry {
@@ -889,16 +955,26 @@ impl Kernel {
             attempt,
         });
         self.span_note(desc, |s, _| s.note_backoff());
-        // Exponential backoff: 1, 2, 4, 8, 16 ticks.
         let delay = 1u64 << (attempt - 1);
         self.kstat
             .stages
             .retry_backoff
             .record(delay * self.cfg.machine.tick().as_ns());
-        self.callout
-            .schedule(self.tick, delay, KWork::SpliceRetryRead { desc, lblk });
+        self.callout.schedule(self.tick, delay, retry);
         self.trace
             .emit(now, || TraceEvent::CalloutArm { delay_ticks: delay });
+        true
+    }
+
+    /// A mapped-source block read completed with `B_ERROR` (its buffer
+    /// already released): the block gives up its pending-read slot and
+    /// is re-read after the backoff, or the splice aborts with `EIO`.
+    fn splice_read_failed(&mut self, desc: u64, lblk: u64) {
+        let retrying = self.splice_retry(desc, lblk, KWork::SpliceRetryRead { desc, lblk });
+        self.splice_drop_read(desc, lblk);
+        if !retrying {
+            self.splice_abort(desc, Errno::Eio);
+        }
     }
 
     /// Backoff expiry: re-issue one failed mapped-source read. The read
@@ -925,126 +1001,43 @@ impl Kernel {
     }
 
     /// A block-sink shared-header write completed with `B_ERROR`. The
-    /// source buffer is still held in `src_bufs` and block rewrites are
+    /// record still holds the source buffer and block rewrites are
     /// idempotent (a torn write is overwritten wholesale on the next
     /// attempt), so a retry re-runs just the write side of this block.
+    /// Past the budget the block's write has terminally failed: nothing
+    /// further will arrive for it, so it is abandoned before the abort
+    /// (which completes once the *other* in-flight blocks drain).
     pub(crate) fn splice_write_failed(&mut self, desc: u64, lblk: u64) {
-        let now = self.q.now();
-        let Some(d) = self.splices.get_mut(&desc) else {
-            return;
-        };
-        let src_buf = d.src_bufs.get(&lblk).copied();
-        if d.error.is_some() {
-            // Abort drain: drop the slot and the held source buffer.
-            d.src_bufs.remove(&lblk);
-            self.drop_write_slot(desc, lblk);
-            if let Some(buf) = src_buf {
-                self.release_buf(buf);
-            }
-            self.maybe_finish_abort(desc);
-            return;
-        }
-        let limit = d.retry_limit;
-        let attempt = {
-            let a = d.retries.entry(lblk).or_insert(0);
-            *a += 1;
-            *a
-        };
-        if attempt > limit {
-            // This block's write has terminally failed: nothing further
-            // will arrive for it, so surrender its slot before aborting
-            // (the abort completes once the *other* in-flight blocks
-            // drain).
-            d.src_bufs.remove(&lblk);
-            self.drop_write_slot(desc, lblk);
-            if let Some(buf) = src_buf {
-                self.release_buf(buf);
-            }
+        if !self.splice_retry(desc, lblk, KWork::SpliceWrite { desc, lblk }) {
+            self.splice_write_abandon(desc, lblk);
             self.splice_abort(desc, Errno::Eio);
-            return;
         }
-        let Some(src_buf) = src_buf else {
-            // The source buffer vanished (teardown race): drop the slot.
-            self.drop_write_slot(desc, lblk);
-            return;
-        };
-        self.ctr.splice.retries += 1;
-        self.trace.emit(now, || TraceEvent::SpliceRetry {
-            desc,
-            lblk,
-            attempt,
-        });
-        self.span_note(desc, |s, _| s.note_backoff());
-        let delay = 1u64 << (attempt - 1);
-        self.kstat
-            .stages
-            .retry_backoff
-            .record(delay * self.cfg.machine.tick().as_ns());
-        self.callout.schedule(
-            self.tick,
-            delay,
-            KWork::SpliceWrite {
-                desc,
-                lblk,
-                src_buf,
-            },
-        );
-        self.trace
-            .emit(now, || TraceEvent::CalloutArm { delay_ticks: delay });
-    }
-
-    /// Abort-drain check for write-side handlers: if the splice is
-    /// aborting, discard the block, surrender its pending-write slot and
-    /// any held source buffer, and try to finish the abort. Returns true
-    /// when the work was drained (the handler must return immediately).
-    pub(crate) fn splice_drain_write(
-        &mut self,
-        desc: u64,
-        lblk: u64,
-        block: Option<Block>,
-    ) -> bool {
-        let aborting = self
-            .splices
-            .get(&desc)
-            .map(|d| d.error.is_some())
-            .unwrap_or(false);
-        if !aborting {
-            return false;
-        }
-        self.drop_write_slot(desc, lblk);
-        let held = self.splices.get_mut(&desc).unwrap().src_bufs.remove(&lblk);
-        if let Some(buf) = held {
-            self.release_buf(buf);
-        } else if let Some(Block::Buf(buf)) = block {
-            self.release_buf(buf);
-        }
-        self.maybe_finish_abort(desc);
-        true
     }
 
     /// Transitions a splice into the aborting state: the typed errno is
     /// recorded, no further reads are issued, and in-flight work drains
-    /// without refilling. Completion (buffer release, wakeup/`SIGIO`) is
-    /// deferred until the last in-flight block lands.
+    /// without refilling. Completion (wakeup/`SIGIO`) is deferred until
+    /// the last in-flight block lands; an already-aborting splice just
+    /// checks for that.
     pub(crate) fn splice_abort(&mut self, desc: u64, e: Errno) {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
         };
-        if d.done || d.error.is_some() {
-            return;
+        if !d.done && d.error.is_none() {
+            d.error = Some(e);
+            self.ctr.splice.aborted += 1;
+            let now = self.q.now();
+            self.trace.emit(now, || TraceEvent::SpliceAbort {
+                desc,
+                errno: errno_name(e),
+            });
         }
-        d.error = Some(e);
-        self.ctr.splice.aborted += 1;
-        let now = self.q.now();
-        self.trace.emit(now, || TraceEvent::SpliceAbort {
-            desc,
-            errno: errno_name(e),
-        });
         self.maybe_finish_abort(desc);
     }
 
-    /// Completes an aborting splice once nothing is in flight, releasing
-    /// every still-held source buffer so the cache leaks nothing.
+    /// Completes an aborting splice once nothing is in flight. Every held
+    /// buffer goes with its block's pending-write slot, so none is left
+    /// by then; any that were would go back in block order.
     pub(crate) fn maybe_finish_abort(&mut self, desc: u64) {
         let Some(d) = self.splices.get_mut(&desc) else {
             return;
@@ -1057,12 +1050,15 @@ impl Kernel {
         {
             return;
         }
-        let bufs: Vec<BufId> = d.src_bufs.drain().map(|(_, b)| b).collect();
-        d.issued_at.clear();
-        d.read_done_at.clear();
-        d.write_issued_at.clear();
-        for b in bufs {
-            self.release_buf(b);
+        let mut held: Vec<(u64, BufId)> = d
+            .blocks
+            .iter_mut()
+            .filter_map(|(&lblk, r)| Some((lblk, r.held.take()?)))
+            .collect();
+        debug_assert!(held.is_empty(), "splice {desc} drained holding {held:?}");
+        held.sort_unstable_by_key(|&(lblk, _)| lblk);
+        for (_, buf) in held {
+            self.release_buf(buf);
         }
         self.complete_splice(desc);
     }
@@ -1105,8 +1101,8 @@ impl Kernel {
 
     /// Finalisation, one tail for every entry path: latch the outcome,
     /// tear down device streams and the socket index, then hand the
-    /// descriptor to [`Kernel::ring_deliver`], which queues the CQE /
-    /// posts `SIGIO` / wakes reapers per the entry's [`RingRoute`].
+    /// descriptor's [`RingRoute`] to [`Kernel::ring_deliver`], which
+    /// queues the CQE / posts `SIGIO` / wakes reapers.
     fn complete_splice(&mut self, desc: u64) {
         let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
@@ -1116,8 +1112,7 @@ impl Kernel {
             return;
         }
         d.done = true;
-        let dst = d.dst;
-        let src = d.src;
+        let (dst, src, route) = (d.dst, d.src, d.route);
         let outcome = SpliceOutcome {
             bytes_moved: d.bytes_done,
             error: d.error,
@@ -1149,7 +1144,7 @@ impl Kernel {
         self.kstat.spans.retire(desc, now, outcome.bytes_moved);
         self.trace.emit(now, || TraceEvent::SpliceComplete { desc });
         self.splices.remove(&desc);
-        self.ring_deliver(desc, outcome);
+        self.ring_deliver(route, outcome);
     }
 }
 
@@ -1172,13 +1167,6 @@ pub(crate) fn errno_name(e: Errno) -> &'static str {
         Errno::Enotconn => "ENOTCONN",
         Errno::Emsgsize => "EMSGSIZE",
         Errno::Eagain => "EAGAIN",
-    }
-}
-
-fn plan_first_boff(plan: &ReadPlan) -> usize {
-    match plan {
-        ReadPlan::Mapped { first_boff, .. } => *first_boff,
-        ReadPlan::Stream { .. } => 0,
     }
 }
 

@@ -15,7 +15,8 @@
 //! `FASYNC`/`SIGIO` descriptor path is a legacy-ring entry that posts
 //! `SIGIO` instead of queueing a CQE; and the socket→descriptor index
 //! that used to live in an ad-hoc `sock_splices` map on the kernel is
-//! part of the ring table's in-flight bookkeeping. There is exactly one
+//! part of the ring table. Each descriptor carries its own completion
+//! route, resolved once at admission. There is exactly one
 //! code path from a [`kproc::SpliceReq`] to a
 //! [`SpliceOutcome`] —
 //! [`splice_begin`](crate::splice_engine), reached from here.
@@ -43,19 +44,19 @@ use crate::syscalls::{Cont, SyscallOutcome};
 /// a bogus depth cannot make the kernel pin unbounded completion state.
 pub const RING_MAX_DEPTH: u32 = 1024;
 
-/// Completion routing for one in-flight splice descriptor: which ring it
-/// belongs to, the tag its CQE echoes, and how the owner is notified.
+/// Completion routing for one in-flight splice descriptor, kept on the
+/// descriptor: which ring it belongs to, the tag its CQE echoes, and how
+/// the owner is notified.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct RingRoute {
     /// Owning ring id.
     pub ring: u64,
-    /// CQE tag; `None` means "use the splice descriptor id" (legacy
-    /// synchronous entries, whose id is not known until admission).
-    pub user_data: Option<u64>,
-    /// Queue a CQE at completion (every path except legacy `FASYNC`,
-    /// which latches the outcome but announces by signal only).
-    pub queue_cqe: bool,
-    /// Post `SIGIO` to the owner at completion (legacy `FASYNC`).
+    /// CQE tag: the submission's, or the descriptor id for a legacy
+    /// `splice(2)` entry.
+    pub user_data: u64,
+    /// Post `SIGIO` to the owner at completion instead of queueing a CQE
+    /// (legacy `FASYNC`, which latches the outcome but announces by
+    /// signal only).
     pub sigio: bool,
 }
 
@@ -90,16 +91,13 @@ impl SpliceRing {
     }
 }
 
-/// The kernel's ring table: every ring, the in-flight routing table for
-/// all splice descriptors (whatever their entry path), and the
-/// socket→descriptor index for stream sources.
+/// The kernel's ring table: every ring, and the socket→descriptor index
+/// for stream sources.
 pub(crate) struct RingTable {
     rings: IdMap<u64, SpliceRing>,
     next_ring: u64,
     /// Implicit per-process rings backing the legacy entry points.
     legacy: IdMap<Pid, u64>,
-    /// Splice descriptor id → completion routing.
-    inflight: IdMap<u64, RingRoute>,
     /// Socket-sourced splices: src socket → descriptor (formerly the
     /// kernel's ad-hoc `sock_splices` map).
     socks: IdMap<SockId, u64>,
@@ -111,7 +109,6 @@ impl RingTable {
             rings: IdMap::default(),
             next_ring: 1,
             legacy: IdMap::default(),
-            inflight: IdMap::default(),
             socks: IdMap::default(),
         }
     }
@@ -150,24 +147,6 @@ impl RingTable {
         let id = self.create(pid, 0, false, true);
         self.legacy.insert(pid, id);
         id
-    }
-
-    /// Registers routing for an admitted splice descriptor.
-    pub fn register(&mut self, desc: u64, route: RingRoute) {
-        if let Some(r) = self.rings.get_mut(&route.ring) {
-            r.inflight += 1;
-        }
-        self.inflight.insert(desc, route);
-    }
-
-    /// Removes and returns the routing of a completing descriptor,
-    /// surrendering its in-flight slot.
-    pub fn complete(&mut self, desc: u64) -> Option<RingRoute> {
-        let route = self.inflight.remove(&desc)?;
-        if let Some(r) = self.rings.get_mut(&route.ring) {
-            r.inflight = r.inflight.saturating_sub(1);
-        }
-        Some(route)
     }
 
     /// Indexes a socket-sourced splice by its source socket.
@@ -278,12 +257,6 @@ impl Kernel {
             self.kstat.stages.sqe_wait.record(wait_ns);
             self.trace
                 .emit(now, || TraceEvent::RingSqeWait { ring, wait_ns });
-            let route = RingRoute {
-                ring,
-                user_data: Some(sqe.user_data),
-                queue_cqe: true,
-                sigio: false,
-            };
             let fids = (
                 self.files.resolve(pid, sqe.req.src),
                 self.files.resolve(pid, sqe.req.dst),
@@ -305,7 +278,8 @@ impl Kernel {
                     continue;
                 }
             };
-            match self.splice_begin(sfid, dfid, sqe.req.len, sqe.req.retry_limit, route) {
+            let (len, retry_limit) = (sqe.req.len, sqe.req.retry_limit);
+            match self.splice_begin(sfid, dfid, len, retry_limit, ring, Some(user_data)) {
                 SpliceBegin::Started { cpu: c, .. } => cpu += c,
                 SpliceBegin::Empty { cpu: c } => {
                     cpu += c;
@@ -414,17 +388,15 @@ impl Kernel {
     }
 
     /// Completion routing for a finished splice descriptor: surrender
-    /// the ring slot, queue the CQE / post `SIGIO` per the entry path,
-    /// and wake reapers. Completions into a dead ring (owner exited)
-    /// drain silently and reclaim the ring once it empties.
-    pub(crate) fn ring_deliver(&mut self, desc: u64, outcome: SpliceOutcome) {
-        let Some(route) = self.rings.complete(desc) else {
-            return;
-        };
+    /// its ring slot, queue the CQE / post `SIGIO` per its `route`, and
+    /// wake reapers. Completions into a dead ring (owner exited) drain
+    /// silently and reclaim the ring once it empties.
+    pub(crate) fn ring_deliver(&mut self, route: RingRoute, outcome: SpliceOutcome) {
         let ring = route.ring;
         let Some(r) = self.rings.get_mut(ring) else {
             return;
         };
+        r.inflight -= 1;
         if r.dead {
             if r.inflight == 0 {
                 self.rings.rings.remove(&ring);
@@ -432,22 +404,15 @@ impl Kernel {
             return;
         }
         let owner = r.owner;
-        if route.queue_cqe {
-            self.ring_push_cqe(
-                ring,
-                SpliceCqe {
-                    user_data: route.user_data.unwrap_or(desc),
-                    outcome,
-                },
-            );
-        } else {
+        if route.sigio {
             // Legacy FASYNC: no CQE (the outcome is in the recent
             // `splice_outcomes` window); wake anything polling the ring
             // anyway (harmless).
             self.wakeup(Chan::new(ChanSpace::Ring, ring));
-        }
-        if route.sigio {
             self.post_sigio(owner);
+        } else {
+            let user_data = route.user_data;
+            self.ring_push_cqe(ring, SpliceCqe { user_data, outcome });
         }
     }
 

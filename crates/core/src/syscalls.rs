@@ -617,8 +617,9 @@ impl Kernel {
         };
         if let Some(FileObj::Sock { sock }) = last.map(|of| of.obj) {
             // Closing the source of an active splice is its EOF: the
-            // ring in-flight table completes the descriptor so every
-            // entry path hears about it (sync wakeup, SIGIO, or CQE).
+            // ring table's socket index completes the descriptor so
+            // every entry path hears about it (sync wakeup, SIGIO, or
+            // CQE).
             // The splice completion lands its outcome on the request
             // record before the record closes.
             self.splice_sock_eof(sock);

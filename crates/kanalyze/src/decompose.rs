@@ -13,8 +13,8 @@
 //!
 //! The closure check is the whole point: the trace-derived total is
 //! compared against the `end_to_end` stage histogram, which the engine
-//! records through an independent bookkeeping path (`issued_at` map vs
-//! trace ring). If the two disagree beyond tolerance, either the trace
+//! records through an independent bookkeeping path (the descriptor's
+//! per-block records vs the trace ring). If the two disagree beyond tolerance, either the trace
 //! ring wrapped (partial spans — reported) or an accounting bug crept
 //! in.
 

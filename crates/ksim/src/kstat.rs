@@ -652,8 +652,6 @@ pub struct Kstat {
     pub bwrite_latency: Hist,
     /// Time a process spent asleep in `biowait` on the read path (ns).
     pub read_wait: Hist,
-    /// Splice per-block latency: read issue → write completion (ns).
-    pub splice_block_latency: Hist,
     /// Per-stage splice pipeline latency distributions.
     pub stages: StageHists,
 }

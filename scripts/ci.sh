@@ -64,22 +64,8 @@ echo "== end-to-end benchmark contract (perfbench, its own package) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== bench artifacts: every seeded producer, run twice, emits identical bytes =="
-# Each entry: producer command | artifacts it writes. The server row runs
-# at 10k connections only; the full sweep below runs once.
-BENCH="cargo run --release -p bench --bin"
-PRODUCERS=(
-    "$BENCH table1|BENCH_table1.json"
-    "$BENCH table2|BENCH_table2.json"
-    "$BENCH sweeps|BENCH_sweeps.json"
-    "$BENCH endpoint_matrix|BENCH_endpoints.json"
-    "$BENCH faults|BENCH_faults.json"
-    "$BENCH ring|BENCH_ring.json"
-    "env SERVER_CONNS=10000 $BENCH server|BENCH_server.json"
-    "$BENCH tracedump -- scp_ram|TRACE_scp_ram.json"
-    "$BENCH tracedump -- server|TRACE_server.json"
-    "$BENCH profile|BENCH_profile.json"
-    "$BENCH analyze|REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_ring.json REPORT_server.json"
-)
+# shellcheck source=scripts/producers.sh
+. scripts/producers.sh
 FIRST=$(mktemp -d)
 for entry in "${PRODUCERS[@]}"; do
     cmd=${entry%%|*}

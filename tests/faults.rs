@@ -250,38 +250,63 @@ fn splice_never_reports_success_after_unrecovered_errors() {
     }
 }
 
+/// An armed write-failure countdown on the audio DAC aborts a file →
+/// DAC splice with `EIO` after exactly the blocks it accepted, over a
+/// RAM-disk source (synchronous reads) and an RZ58 source (reads land
+/// at the completion interrupt). The abort drain leaks nothing — every
+/// cache buffer back, no callout armed — and Little's law still holds
+/// to the nanosecond, with the abandoned slots' time in a lost term.
 #[test]
 fn device_sink_write_failure_aborts_with_eio() {
     let len = 8 * 8192u64;
-    let mut k = KernelBuilder::new()
-        .disk("d0", DiskProfile::ramdisk())
-        .audio_dac("/dev/speaker", kdev::AudioDac::new(64 * 1024, 256 * 1024))
-        .tune(|cfg| cfg.update_interval = None)
-        .build();
-    k.setup_file("/d0/src", len, 13);
-    k.cold_cache();
-    // The DAC accepts two blocks, then its write path fails.
-    k.set_cdev_write_failure(0, 2 * 8192);
+    for profile in [DiskProfile::ramdisk(), DiskProfile::rz58()] {
+        let name = profile.name;
+        let mut k = KernelBuilder::new()
+            .disk("d0", profile)
+            .audio_dac("/dev/speaker", kdev::AudioDac::new(64 * 1024, 256 * 1024))
+            .tune(|cfg| cfg.update_interval = None)
+            .build();
+        k.setup_file("/d0/src", len, 13);
+        k.cold_cache();
+        let free_baseline = k.cache().free_count();
+        // The DAC accepts two blocks, then its write path fails.
+        k.set_cdev_write_failure(0, 2 * 8192);
 
-    let (pair, result) = EndpointPair::new(
-        EndSpec::read("/d0/src"),
-        EndSpec::write("/dev/speaker"),
-        SpliceLen::Eof,
-    );
-    let pid = k.spawn(Box::new(pair));
-    let horizon = k.horizon(600);
-    k.run_to_exit(horizon);
-    settle(&mut k);
+        let (pair, result) = EndpointPair::new(
+            EndSpec::read("/d0/src"),
+            EndSpec::write("/dev/speaker"),
+            SpliceLen::Eof,
+        );
+        let pid = k.spawn(Box::new(pair));
+        let horizon = k.horizon(600);
+        k.run_to_exit(horizon);
+        settle(&mut k);
 
-    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
-    assert_eq!(*result.borrow(), Some(SyscallRet::Err(Errno::Eio)));
-    let m = k.metrics();
-    assert_eq!(m.splice.aborted, 1);
-    assert!(m.io.errors > 0);
-    let out = k.splice_outcome(1).done().expect("outcome recorded");
-    assert_eq!(out.error, Some(Errno::Eio));
-    assert_eq!(out.bytes_moved, 2 * 8192);
-    assert_eq!(k.pending_callouts(), 0);
+        assert!(
+            matches!(k.procs().must(pid).state, ProcState::Exited(0)),
+            "{name}"
+        );
+        assert_eq!(
+            *result.borrow(),
+            Some(SyscallRet::Err(Errno::Eio)),
+            "{name}"
+        );
+        let m = k.metrics();
+        assert_eq!(m.splice.aborted, 1, "{name}");
+        assert!(m.io.errors > 0, "{name}");
+        let out = k.splice_outcome(1).done().expect("outcome recorded");
+        assert_eq!(out.error, Some(Errno::Eio), "{name}");
+        assert_eq!(out.bytes_moved, 2 * 8192, "{name}");
+        assert_eq!(k.cache().free_count(), free_baseline, "{name}");
+        assert_eq!(k.pending_callouts(), 0, "{name}");
+        let audit = bench::littles_law_audit(&k);
+        assert!(audit.pass(), "{name}: {}", audit.render());
+        let tally = k.kstat().spans.tally();
+        assert!(
+            tally.read_lost + tally.write_lost > 0,
+            "{name}: the abort held no slot"
+        );
+    }
 }
 
 #[test]
