@@ -23,8 +23,8 @@ use kfs::{Fs, FsIo};
 use khw::{Disk, DiskProfile, MachineProfile, RamDisk};
 use knet::Net;
 use kproc::{
-    Admit, Chan, ChanSpace, CpuEngine, Pid, ProcState, ProcTable, Program, RunKind, Scheduler, Sig,
-    Step, WorkClass,
+    Admit, Chan, ChanSpace, CpuEngine, Itimer, Pid, PidMap, ProcState, ProcTable, Program, RunKind,
+    Scheduler, Sig, Step, WorkClass,
 };
 use ksim::{Callout, Dur, EventQueue, IdMap, IdSet, SimTime, Trace, TraceEvent};
 
@@ -101,9 +101,9 @@ pub struct Kernel {
     pub(crate) splice_outcomes: VecDeque<(u64, crate::splice_engine::SpliceOutcome)>,
     pub(crate) next_splice: u64,
     /// What each waiting process resumes with, whether it sleeps on a
-    /// channel or until an instant. Written only by
-    /// [`Kernel::apply_syscall_outcome`].
-    pub(crate) conts: IdMap<Pid, Cont>,
+    /// channel or until an instant, in a slot indexed by pid. Written
+    /// only by [`Kernel::apply_syscall_outcome`].
+    pub(crate) conts: PidMap<Cont>,
     /// Where the process running a syscall-CPU chunk goes when the
     /// chunk ends. Kernel mode is not preempted, so at most one chunk
     /// is in flight.
@@ -118,7 +118,6 @@ pub struct Kernel {
     /// A wakeup boosted a process while a syscall chunk was on the CPU;
     /// reschedule at the next kernel exit.
     pub(crate) resched: bool,
-    pub(crate) itimer_callouts: IdMap<Pid, ksim::CalloutId>,
     /// In-flight SCSI requests: (disk, token) → (buffer, direction).
     pub(crate) io_tokens: IdMap<(usize, u64), (BufId, IoDir)>,
     pub(crate) next_io_token: u64,
@@ -175,7 +174,7 @@ impl Kernel {
             splices: IdMap::default(),
             splice_outcomes: VecDeque::new(),
             next_splice: 1,
-            conts: IdMap::default(),
+            conts: PidMap::default(),
             pending_after: None,
             iodone_map: IdMap::default(),
             next_tag: 1,
@@ -183,7 +182,6 @@ impl Kernel {
             deferred: VecDeque::new(),
             dispatch_pending: false,
             resched: false,
-            itimer_callouts: IdMap::default(),
             io_tokens: IdMap::default(),
             next_io_token: 1,
             parked_sends: IdMap::default(),
@@ -429,6 +427,7 @@ impl Kernel {
     }
 
     pub(crate) fn wakeup(&mut self, chan: Chan) {
+        debug_assert!(!chan.is_private(), "wakeup of private {chan:?}");
         for pid in self.procs.sleepers(chan) {
             self.make_runnable(pid);
         }
@@ -450,7 +449,7 @@ impl Kernel {
         if p.exited() || !p.catches(sig) {
             return;
         }
-        p.pending_sigs.push(sig);
+        p.pending_sigs.insert(sig);
         if let ProcState::Sleeping(chan) = p.state {
             if chan.space == ChanSpace::Pause {
                 self.make_runnable(pid);
@@ -777,7 +776,7 @@ impl Kernel {
         }
 
         // A blocked system call to resume?
-        if let Some(cont) = self.conts.remove(&pid) {
+        if let Some(cont) = self.conts.remove(pid) {
             let out = self.resume_cont(pid, cont);
             self.apply_syscall_outcome(pid, out, quantum_left);
             return;
@@ -854,8 +853,11 @@ impl Kernel {
         for fd in self.files.fds_of(pid) {
             self.close_fd(pid, fd);
         }
-        if let Some(id) = self.itimer_callouts.remove(&pid) {
-            self.callout.cancel(id);
+        // Disarm the interval timer. An expiry already past its callout
+        // (waiting in `deferred`) then finds no period and does not
+        // re-arm for the dead pid.
+        if let Some(t) = self.procs.must_mut(pid).itimer.take() {
+            self.callout.cancel(t.callout);
         }
         // Rings die with their owner; in-flight entries drain silently.
         self.ring_owner_exit(pid);
@@ -1070,14 +1072,10 @@ impl Kernel {
             }
             KWork::ItimerFire { pid } => {
                 self.post_signal(pid, Sig::Alrm);
-                // Re-arm if still active.
-                let period = self.procs.get(pid).and_then(|p| p.itimer);
-                if let Some(period) = period {
-                    let ticks = self.dur_to_ticks(period);
-                    let id = self
-                        .callout
-                        .schedule(self.tick, ticks, KWork::ItimerFire { pid });
-                    self.itimer_callouts.insert(pid, id);
+                // Re-arm if still active: a timer reset to zero, or
+                // disarmed by exit, has no period.
+                if let Some(t) = self.procs.must(pid).itimer {
+                    let ticks = self.arm_itimer(pid, t.period);
                     let now = self.q.now();
                     self.trace
                         .emit(now, || TraceEvent::CalloutArm { delay_ticks: ticks });
@@ -1089,6 +1087,17 @@ impl Kernel {
 
     pub(crate) fn dur_to_ticks(&self, d: Dur) -> u64 {
         (d.as_ns() / self.cfg.machine.tick().as_ns()).max(1)
+    }
+
+    /// Schedules `pid`'s next interval-timer expiry one `period` out and
+    /// records it on the process. Returns the delay in ticks.
+    pub(crate) fn arm_itimer(&mut self, pid: Pid, period: Dur) -> u64 {
+        let ticks = self.dur_to_ticks(period);
+        let callout = self
+            .callout
+            .schedule(self.tick, ticks, KWork::ItimerFire { pid });
+        self.procs.must_mut(pid).itimer = Some(Itimer { period, callout });
+        ticks
     }
 
     /// A timed sleep ended. What the process resumes with was stored

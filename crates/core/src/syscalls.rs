@@ -19,7 +19,6 @@ use knet::{Datagram, NetErr, SockId};
 use kproc::{Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, Sig, SyscallReq, SyscallRet};
 use ksim::{Bytes, Dur, SimTime, TraceEvent};
 
-use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
 use crate::objects::{CharDev, FileId, FileObj, OpenFile, NO_LBLK};
 
@@ -297,18 +296,11 @@ impl Kernel {
                 }
             }
             SyscallReq::SetItimer { interval } => {
-                if let Some(id) = self.itimer_callouts.remove(&pid) {
-                    self.callout.cancel(id);
+                if let Some(t) = self.procs.must_mut(pid).itimer.take() {
+                    self.callout.cancel(t.callout);
                 }
-                if interval.is_zero() {
-                    self.procs.must_mut(pid).itimer = None;
-                } else {
-                    self.procs.must_mut(pid).itimer = Some(interval);
-                    let ticks = self.dur_to_ticks(interval);
-                    let id = self
-                        .callout
-                        .schedule(self.tick, ticks, KWork::ItimerFire { pid });
-                    self.itimer_callouts.insert(pid, id);
+                if !interval.is_zero() {
+                    self.arm_itimer(pid, interval);
                 }
                 SyscallOutcome::Done {
                     cpu: base,

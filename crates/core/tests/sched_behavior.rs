@@ -3,7 +3,7 @@
 
 use khw::DiskProfile;
 use kproc::programs::{Cp, CpuBound, Scp};
-use kproc::Pid;
+use kproc::{Fd, Pid, Program, Sig, SockAddr, Step, SyscallReq, UserCtx};
 use ksim::Dur;
 use splice::{Kernel, KernelBuilder};
 
@@ -187,4 +187,70 @@ fn update_daemon_flushes_delayed_writes() {
     // The partial write is now on the medium.
     let got = k.dump_file("/d/f");
     assert_eq!(&got[..100], &[0xEE; 100]);
+}
+
+/// Plays a fixed list of steps, ignoring what each returns, then exits.
+struct Steps(std::vec::IntoIter<Step>);
+
+impl Program for Steps {
+    fn step(&mut self, _ctx: &mut UserCtx) -> Step {
+        self.0.next().unwrap_or(Step::Exit(0))
+    }
+}
+
+fn steps(v: Vec<Step>) -> Box<dyn Program> {
+    Box::new(Steps(v.into_iter()))
+}
+
+#[test]
+fn an_exiting_process_takes_its_interval_timer_with_it() {
+    // A process exits with a 4 ms periodic timer armed while the
+    // receive soft work of its sibling's flood of a bound loopback socket
+    // still fills every tick's budget, so a timer expiry waits in the
+    // deferred queue past the exit: it must not re-arm the timer for the
+    // dead pid.
+    let mut k = KernelBuilder::new().build();
+    let quiescent = k.pending_callouts();
+    let mut flood = vec![
+        Step::Syscall(SyscallReq::Socket),
+        Step::Syscall(SyscallReq::Bind { fd: Fd(3), port: 7 }),
+        Step::Syscall(SyscallReq::Socket),
+        Step::Syscall(SyscallReq::Connect {
+            fd: Fd(4),
+            addr: SockAddr { host: 1, port: 7 },
+        }),
+    ];
+    flood.extend((0..400).map(|_| {
+        Step::Syscall(SyscallReq::Send {
+            fd: Fd(4),
+            data: vec![0; 512],
+        })
+    }));
+    k.spawn(steps(flood));
+    let timer = k.spawn(steps(vec![
+        Step::Syscall(SyscallReq::Sigaction {
+            sig: Sig::Alrm,
+            catch: true,
+        }),
+        Step::Syscall(SyscallReq::SetItimer {
+            interval: Dur::from_ms(4),
+        }),
+        Step::Compute(Dur::from_ms(30)),
+    ]));
+    let horizon = k.horizon(10);
+    k.run_to_exit(horizon);
+    assert!(
+        k.procs().must(timer).itimer.is_none(),
+        "exit left the timer armed"
+    );
+    for _ in 0..2 {
+        let later = k.horizon(30);
+        k.run_until(later, |_| false);
+        assert_eq!(
+            k.pending_callouts(),
+            quiescent,
+            "a dead process's timer is still armed at {}",
+            k.now()
+        );
+    }
 }

@@ -35,10 +35,10 @@ pub mod sched;
 pub mod types;
 
 pub use cpu::{Admit, CpuEngine, CpuMetrics, KernelRun, WorkClass};
-pub use process::{ProcState, ProcTable, Process};
+pub use process::{Itimer, ProcState, ProcTable, Process};
 pub use program::{Program, Step, UserCtx};
 pub use sched::{CurrentRun, RunKind, Scheduler};
 pub use types::{
-    Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, Sig, SockAddr, SpliceCqe, SpliceLen,
-    SpliceOutcome, SpliceReq, SpliceSqe, SyscallReq, SyscallRet,
+    Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, PidMap, Sig, SigSet, SockAddr, SpliceCqe,
+    SpliceLen, SpliceOutcome, SpliceReq, SpliceSqe, SyscallReq, SyscallRet,
 };

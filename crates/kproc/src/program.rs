@@ -11,7 +11,7 @@
 
 use ksim::{Dur, SimTime};
 
-use crate::types::{Sig, SpliceReq, SyscallReq, SyscallRet};
+use crate::types::{Sig, SigSet, SpliceReq, SyscallReq, SyscallRet};
 
 /// What a program does next.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -37,8 +37,8 @@ impl Step {
 pub struct UserCtx {
     /// Return value of the syscall issued by the previous step, if any.
     pub ret: Option<SyscallRet>,
-    /// Signals delivered since the previous step, in delivery order.
-    pub signals: Vec<Sig>,
+    /// Signals delivered since the previous step.
+    pub signals: SigSet,
     /// Current simulated time. Programs should treat this as
     /// `gettimeofday` output — fine for pacing decisions, not a hidden
     /// side channel (measurement harnesses read the kernel clock
@@ -61,7 +61,7 @@ impl UserCtx {
 
     /// True if `sig` was delivered since the last step.
     pub fn got_signal(&self, sig: Sig) -> bool {
-        self.signals.contains(&sig)
+        self.signals.contains(sig)
     }
 }
 
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn signal_query() {
         let ctx = UserCtx {
-            signals: vec![Sig::Alrm],
+            signals: Sig::Alrm.into(),
             ..Default::default()
         };
         assert!(ctx.got_signal(Sig::Alrm));

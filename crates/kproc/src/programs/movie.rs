@@ -210,7 +210,7 @@ impl Program for MoviePlayer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::SpliceLen;
+    use crate::types::{SigSet, SpliceLen};
 
     fn drive_to_frames(p: &mut MoviePlayer, ctx: &mut UserCtx) {
         // Four opens.
@@ -276,7 +276,7 @@ mod tests {
         let s = p.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Pause)));
         ctx.ret = Some(SyscallRet::Val(0));
-        ctx.signals = vec![Sig::Alrm];
+        ctx.signals = Sig::Alrm.into();
         // Timer fired: next frame.
         let s = p.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Splice { .. })));
@@ -284,7 +284,7 @@ mod tests {
 
         // EOF ends playback and disarms the timer.
         ctx.ret = Some(SyscallRet::Val(0));
-        ctx.signals.clear();
+        ctx.signals = SigSet::EMPTY;
         let s = p.step(&mut ctx);
         assert!(matches!(
             s,

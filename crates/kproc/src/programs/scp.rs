@@ -262,7 +262,7 @@ mod tests {
         assert!(matches!(s, Step::Syscall(SyscallReq::Pause)));
         // SIGIO arrives: pause returns, program closes down.
         ctx.ret = Some(SyscallRet::Val(0));
-        ctx.signals = vec![Sig::Io];
+        ctx.signals = Sig::Io.into();
         let s = scp.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Close(_))));
     }
@@ -284,7 +284,7 @@ mod tests {
         scp.step(&mut ctx); // pause
                             // Woken by SIGALRM instead of SIGIO.
         ctx.ret = Some(SyscallRet::Val(0));
-        ctx.signals = vec![Sig::Alrm];
+        ctx.signals = Sig::Alrm.into();
         let s = scp.step(&mut ctx);
         assert!(matches!(s, Step::Syscall(SyscallReq::Pause)));
     }

@@ -490,12 +490,14 @@ impl Program for SpliceServer {
 mod tests {
     use ksim::SimTime;
 
+    use crate::types::SigSet;
+
     use super::*;
 
     fn ctx_with(ret: SyscallRet) -> UserCtx {
         UserCtx {
             ret: Some(ret),
-            signals: Vec::new(),
+            signals: SigSet::EMPTY,
             now: SimTime::ZERO,
         }
     }
@@ -527,7 +529,7 @@ mod tests {
         );
         let mut ctx = UserCtx {
             ret: None,
-            signals: Vec::new(),
+            signals: SigSet::EMPTY,
             now: SimTime::ZERO,
         };
         assert!(matches!(

@@ -18,9 +18,9 @@
 
 use std::collections::VecDeque;
 
-use ksim::{Dur, IdSet, SimTime};
+use ksim::{Dur, SimTime};
 
-use crate::types::Pid;
+use crate::types::{Pid, PidMap};
 
 /// Why the current process is on the CPU.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -84,7 +84,7 @@ pub struct Scheduler {
     /// Mirror of `runq` membership, so the never-queued-twice invariant
     /// is O(1) to check however long the queue grows (tens of thousands
     /// of runnable clients in the connection-scale scenarios).
-    queued_set: IdSet<Pid>,
+    queued_set: PidMap<()>,
     current: Option<CurrentRun>,
     quantum: Dur,
     next_gen: u64,
@@ -95,7 +95,7 @@ impl Scheduler {
     pub fn new(quantum: Dur) -> Scheduler {
         Scheduler {
             runq: VecDeque::new(),
-            queued_set: IdSet::default(),
+            queued_set: PidMap::default(),
             current: None,
             quantum,
             next_gen: 0,
@@ -114,7 +114,7 @@ impl Scheduler {
     /// Panics if the process is already queued or current.
     pub fn enqueue(&mut self, pid: Pid) {
         assert!(
-            self.queued_set.insert(pid),
+            self.queued_set.insert(pid, ()).is_none(),
             "{pid:?} already on the run queue"
         );
         assert!(
@@ -128,7 +128,7 @@ impl Scheduler {
     pub fn take_next(&mut self) -> Option<Pid> {
         let pid = self.runq.pop_front();
         if let Some(pid) = pid {
-            self.queued_set.remove(&pid);
+            self.queued_set.remove(pid);
         }
         pid
     }
@@ -141,7 +141,7 @@ impl Scheduler {
     /// Panics if the process is already queued or current.
     pub fn enqueue_front(&mut self, pid: Pid) {
         assert!(
-            self.queued_set.insert(pid),
+            self.queued_set.insert(pid, ()).is_none(),
             "{pid:?} already on the run queue"
         );
         assert!(

@@ -1,6 +1,6 @@
 //! Identifiers, syscall vocabulary, and error numbers.
 
-use ksim::{Bytes, Dur, SimTime};
+use ksim::{Bytes, ChunkVec, Dur, SimTime};
 
 /// Process identifier.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -18,6 +18,47 @@ pub enum Sig {
     Io,
     /// Interval timer expiry (`SIGALRM`) — the §4 movie player's pacing.
     Alrm,
+}
+
+/// A set of signals, one bit per [`Sig`]: a process's caught and pending
+/// signals, and the signals a program is told about at a step. A signal
+/// delivered twice before it is taken is pending once, as in UNIX.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct SigSet(u8);
+
+impl SigSet {
+    /// The empty set.
+    pub const EMPTY: SigSet = SigSet(0);
+
+    fn bit(sig: Sig) -> u8 {
+        1 << sig as u8
+    }
+
+    /// True if `sig` is in the set.
+    pub fn contains(self, sig: Sig) -> bool {
+        self.0 & SigSet::bit(sig) != 0
+    }
+
+    /// True if no signal is in the set.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// Adds `sig`.
+    pub fn insert(&mut self, sig: Sig) {
+        self.0 |= SigSet::bit(sig);
+    }
+
+    /// Removes `sig`.
+    pub fn remove(&mut self, sig: Sig) {
+        self.0 &= !SigSet::bit(sig);
+    }
+}
+
+impl From<Sig> for SigSet {
+    fn from(sig: Sig) -> SigSet {
+        SigSet(SigSet::bit(sig))
+    }
 }
 
 /// Namespaces for sleep/wakeup channels. The kernel maps kernel objects
@@ -39,10 +80,11 @@ pub enum ChanSpace {
     SockSend,
     /// A character device queue (audio/video DAC).
     Dev,
-    /// `pause(2)` — woken only by signal delivery.
+    /// `pause(2)`, one channel per pid — woken only by signal delivery,
+    /// never by `wakeup` (see [`Chan::is_private`]).
     Pause,
     /// A timed sleep, one channel per pid — woken only by its timer,
-    /// never by `wakeup`.
+    /// never by `wakeup` (see [`Chan::is_private`]).
     Timed,
     /// Per-process fsync completion.
     Fsync,
@@ -64,6 +106,45 @@ impl Chan {
     /// Builds a channel.
     pub fn new(space: ChanSpace, id: u64) -> Chan {
         Chan { space, id }
+    }
+
+    /// True for a channel private to one process (`pause(2)` and timed
+    /// sleeps, keyed by pid). `wakeup` never names one: the kernel wakes
+    /// its sleeper through the pid, so the sleep index leaves it out.
+    pub fn is_private(self) -> bool {
+        matches!(self.space, ChanSpace::Pause | ChanSpace::Timed)
+    }
+}
+
+/// One optional `T` per pid, in a slot indexed by the pid itself. Pids
+/// are handed out densely from 1 and never reused, so a lookup is a
+/// bounds-checked index rather than a hash, and the table grows with the
+/// number of processes ever spawned, like the process table.
+pub struct PidMap<T> {
+    slots: ChunkVec<Option<T>>,
+}
+
+impl<T> Default for PidMap<T> {
+    fn default() -> PidMap<T> {
+        PidMap {
+            slots: ChunkVec::new(),
+        }
+    }
+}
+
+impl<T> PidMap<T> {
+    /// Stores `v` for `pid`, returning what was there.
+    pub fn insert(&mut self, pid: Pid, v: T) -> Option<T> {
+        let i = pid.0 as usize;
+        while self.slots.len() <= i {
+            self.slots.push(None);
+        }
+        self.slots[i].replace(v)
+    }
+
+    /// Takes `pid`'s value out.
+    pub fn remove(&mut self, pid: Pid) -> Option<T> {
+        self.slots.get_mut(pid.0 as usize)?.take()
     }
 }
 
@@ -536,6 +617,43 @@ mod tests {
         let cr = OpenFlags::CREATE;
         assert!(ro.read && !ro.write);
         assert!(cr.create && cr.trunc);
+    }
+
+    #[test]
+    fn sig_set_holds_each_signal_once() {
+        let mut s = SigSet::EMPTY;
+        assert!(s.is_empty());
+        s.insert(Sig::Alrm);
+        s.insert(Sig::Alrm);
+        assert!(s.contains(Sig::Alrm) && !s.contains(Sig::Io));
+        s.insert(Sig::Io);
+        s.remove(Sig::Alrm);
+        assert_eq!(s, SigSet::from(Sig::Io));
+        s.remove(Sig::Io);
+        assert!(s.is_empty());
+    }
+
+    #[test]
+    fn pid_map_slots_are_independent() {
+        let mut m = PidMap::default();
+        assert_eq!(m.remove(Pid(3)), None);
+        assert_eq!(m.insert(Pid(3), 'c'), None);
+        assert_eq!(m.insert(Pid(1), 'a'), None);
+        assert_eq!(m.insert(Pid(3), 'C'), Some('c'));
+        assert_eq!(m.remove(Pid(2)), None);
+        assert_eq!(m.remove(Pid(3)), Some('C'));
+        assert_eq!(m.remove(Pid(3)), None);
+        assert_eq!(m.remove(Pid(1)), Some('a'));
+        assert_eq!(m.remove(Pid(u32::MAX)), None);
+    }
+
+    #[test]
+    fn only_pid_keyed_channels_are_private() {
+        assert!(Chan::new(ChanSpace::Pause, 1).is_private());
+        assert!(Chan::new(ChanSpace::Timed, 1).is_private());
+        for space in [ChanSpace::Buf, ChanSpace::SockRecv, ChanSpace::Fsync] {
+            assert!(!Chan::new(space, 1).is_private());
+        }
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //!
 //! Entries live in a slab indexed by [`CalloutId`] (slot index plus a
 //! generation tag, so a stale handle can never cancel a recycled slot).
+//! The slab is a [`ChunkVec`]: one armed timer per waiting client costs
+//! one slot, not a doubled `Vec`'s share of unused ones.
 //! Pending entries hang off a BSD `callwheel`-style hierarchical wheel:
 //! `LEVELS` levels of `BUCKETS` buckets each, level `l` covering
 //! `BUCKETS^(l+1)` ticks ahead of the wheel base, with entries past the
@@ -42,6 +44,8 @@
 
 #[cfg(any(test, feature = "props"))]
 use std::collections::BTreeMap;
+
+use crate::chunked::ChunkVec;
 
 /// Handle to a pending callout, usable with [`Callout::cancel`].
 ///
@@ -97,7 +101,7 @@ struct Slot<C> {
 
 /// The callout table: pending timer-driven kernel work, tick-granular.
 pub struct Callout<C> {
-    slots: Vec<Slot<C>>,
+    slots: ChunkVec<Slot<C>>,
     free_head: u32,
     /// Intrusive list heads, `buckets[level][index]`.
     buckets: [[u32; BUCKETS]; LEVELS],
@@ -125,7 +129,7 @@ impl<C> Callout<C> {
     /// Creates an empty callout table.
     pub fn new() -> Self {
         Callout {
-            slots: Vec::new(),
+            slots: ChunkVec::new(),
             free_head: NIL,
             buckets: [[NIL; BUCKETS]; LEVELS],
             occupancy: [0; LEVELS],

@@ -10,7 +10,8 @@
 //! ([`kstat`]), shared immutable byte views for syscall and network
 //! payloads ([`Bytes`]), a dependency-free JSON value ([`Json`]) for the bench
 //! emitters, a deterministic hasher for id-keyed maps ([`IdMap`],
-//! [`IdSet`]), and a typed trace ring ([`Trace`]) with structured
+//! [`IdSet`]), a chunked array for dense id-indexed tables
+//! ([`ChunkVec`]), and a typed trace ring ([`Trace`]) with structured
 //! tracepoints ([`TraceEvent`]), causal per-block splice spans
 //! ([`trace::BlockSpan`]), and Chrome trace-event export.
 //!
@@ -21,6 +22,7 @@
 
 pub mod bytes;
 pub mod callout;
+pub mod chunked;
 pub mod event;
 pub mod hash;
 pub mod hist;
@@ -33,6 +35,7 @@ pub use bytes::Bytes;
 #[cfg(any(test, feature = "props"))]
 pub use callout::BTreeCallout;
 pub use callout::{Callout, CalloutId};
+pub use chunked::ChunkVec;
 pub use event::{EventId, EventQueue};
 pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
