@@ -114,23 +114,9 @@ impl Kernel {
         }
         self.splice_read_issue(id, lblk);
 
-        let work = KWork::SpliceReadDone {
-            desc: id,
-            lblk,
-            buf: kbuf::BufId(u32::MAX), // patched below on miss
-        };
         let sref = SpliceRef { desc: id, lblk };
-        let tag = self.new_iodone(work);
         let mut fx = Vec::new();
-        let out = self.cache.bread_call(dev, pblk, bs, tag, sref, &mut fx);
-        // Patch the handler with the buffer identity *before* applying
-        // effects: a synchronous (RAM-disk) completion dispatches the
-        // handler during effect application.
-        if let BreadOutcome::Miss(buf) = out {
-            if let Some(KWork::SpliceReadDone { buf: b, .. }) = self.iodone_map.get_mut(&tag) {
-                *b = buf;
-            }
-        }
+        let out = self.cache.bread_call(dev, pblk, bs, sref, &mut fx);
         let cpu = self.apply_cache_effects(fx, ctx) + m.buf_op;
         let now = self.q.now();
         match out {
@@ -143,7 +129,6 @@ impl Kernel {
             }
             BreadOutcome::Hit(buf) => {
                 // Already cached: the handler runs straight away.
-                self.iodone_map.remove(&tag);
                 self.ctr.splice.read_hits += 1;
                 self.trace
                     .emit(now, || TraceEvent::SpliceReadIssue { desc: id, lblk });
@@ -161,7 +146,6 @@ impl Kernel {
             }
             BreadOutcome::Busy(_) | BreadOutcome::NoBuffers => {
                 // Back off a tick and retry.
-                self.iodone_map.remove(&tag);
                 if !retry {
                     self.splices.get_mut(&id).expect("live splice").next_read -= 1;
                 }
@@ -199,9 +183,8 @@ impl Kernel {
             Some(hdr) => {
                 self.ctr.splice.shared_writes += 1;
                 self.splice_write_issue(desc, lblk);
-                let tag = self.new_iodone(KWork::SpliceWriteDone { desc, lblk, hdr });
                 let mut fx = Vec::new();
-                self.cache.bawrite_call(hdr, tag, &mut fx);
+                self.cache.bawrite_call(hdr, &mut fx);
                 let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
                 debug_assert!(sync.is_zero());
             }

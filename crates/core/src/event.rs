@@ -11,7 +11,7 @@
 //!   [`Event::Apply`]. Splice handler chains, RAM-disk strategy calls,
 //!   interrupt bottom halves and callout payloads are all `KWork`.
 
-use kbuf::{BufId, IoDir};
+use kbuf::BufId;
 use knet::{Datagram, SockId};
 use kproc::Pid;
 use ksim::Bytes;
@@ -22,27 +22,21 @@ use crate::endpoint::Block;
 #[derive(Debug)]
 pub enum KWork {
     /// A SCSI disk transfer completed: fill/teardown the buffer, run
-    /// `biodone` and whatever it triggers.
+    /// `biodone` and whatever it triggers. The buffer's transfer record
+    /// names the disk and direction.
     DiskDone {
-        /// Disk index.
-        disk: usize,
         /// Buffer involved.
         buf: BufId,
         /// The block read, shared with the medium (successful reads only).
         data: Option<khw::Block>,
-        /// Direction.
-        dir: IoDir,
         /// The transfer failed (`B_ERROR` at `biodone`).
         error: bool,
     },
     /// A RAM-disk strategy call: perform the driver `bcopy` and complete.
+    /// The buffer's transfer record names the disk and direction.
     RamIo {
-        /// Disk index.
-        disk: usize,
         /// Buffer involved.
         buf: BufId,
-        /// Direction.
-        dir: IoDir,
     },
     /// Protocol receive processing for one datagram.
     NetRx {
@@ -170,9 +164,9 @@ pub enum Event {
     DiskIntr {
         /// Disk index.
         disk: usize,
-        /// Request token (cross-checked against the drive's active
-        /// request).
-        token: u64,
+        /// The active request's buffer (its index is the request token,
+        /// cross-checked against the drive's active request).
+        buf: BufId,
     },
     /// Apply a unit of kernel work whose execution window ended now.
     Apply(KWork),

@@ -18,7 +18,7 @@
 
 use std::collections::VecDeque;
 
-use kbuf::{BufData, BufId, Cache, DevId, IoDir, IodoneTag};
+use kbuf::{BufData, BufId, Cache, DevId, IoDir, SpliceRef};
 use kfs::{Fs, FsIo};
 use khw::{Disk, DiskProfile, MachineProfile, RamDisk};
 use knet::Net;
@@ -108,8 +108,6 @@ pub struct Kernel {
     /// chunk ends. Kernel mode is not preempted, so at most one chunk
     /// is in flight.
     pub(crate) pending_after: Option<(Pid, AfterCpu)>,
-    pub(crate) iodone_map: IdMap<IodoneTag, KWork>,
-    pub(crate) next_tag: u64,
     /// Splice rings plus the unified in-flight routing table (every
     /// splice entry path) and the socket→descriptor index.
     pub(crate) rings: crate::splice_ring::RingTable,
@@ -118,9 +116,10 @@ pub struct Kernel {
     /// A wakeup boosted a process while a syscall chunk was on the CPU;
     /// reschedule at the next kernel exit.
     pub(crate) resched: bool,
-    /// In-flight SCSI requests: (disk, token) → (buffer, direction).
-    pub(crate) io_tokens: IdMap<(usize, u64), (BufId, IoDir)>,
-    pub(crate) next_io_token: u64,
+    /// One record per busy buffer with a device transfer in flight,
+    /// from [`Kernel::start_io`] to [`Kernel::finish_io`]. A SCSI
+    /// request's token is its buffer's index.
+    pub(crate) transfers: IdMap<BufId, Transfer>,
     /// Splice payloads waiting for a destination host's link backlog to
     /// drain below the send-buffer limit, FIFO per host. At most one
     /// [`KWork::SpliceSockDrain`] callout is in flight per host (its
@@ -139,12 +138,21 @@ pub struct Kernel {
     /// Structured statistics: splice spans plus latency histograms
     /// (exposed through [`Kernel::kstat`] and [`Kernel::metrics`]).
     pub(crate) kstat: ksim::Kstat,
-    /// Issue times of in-flight buffer transfers, for the bread/bwrite
-    /// completion histograms.
-    pub(crate) io_issued: IdMap<BufId, SimTime>,
     pub(crate) trace: Trace,
     /// The off-CPU traffic source of a served scenario, if attached.
     pub(crate) source: Option<Box<crate::traffic::TrafficSource>>,
+}
+
+/// A device transfer in flight for one busy buffer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Transfer {
+    /// Disk index.
+    pub(crate) disk: usize,
+    /// Direction.
+    pub(crate) dir: IoDir,
+    /// When the transfer was issued (bread/bwrite latency, read queue
+    /// wait).
+    pub(crate) issued: SimTime,
 }
 
 /// Default trace-ring capacity when tracing is toggled on without the
@@ -176,21 +184,17 @@ impl Kernel {
             next_splice: 1,
             conts: PidMap::default(),
             pending_after: None,
-            iodone_map: IdMap::default(),
-            next_tag: 1,
             rings: crate::splice_ring::RingTable::new(),
             deferred: VecDeque::new(),
             dispatch_pending: false,
             resched: false,
-            io_tokens: IdMap::default(),
-            next_io_token: 1,
+            transfers: IdMap::default(),
             parked_sends: IdMap::default(),
             park_drains: IdSet::default(),
             handles: IdMap::default(),
             next_handle: 1,
             ctr: Default::default(),
             kstat: ksim::Kstat::new(),
-            io_issued: IdMap::default(),
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
             source: None,
         };
@@ -497,14 +501,6 @@ impl Kernel {
         self.q.schedule(w.end, Event::Apply(work));
     }
 
-    /// Allocates a completion-handler tag bound to `work`.
-    pub(crate) fn new_iodone(&mut self, work: KWork) -> IodoneTag {
-        let tag = IodoneTag(self.next_tag);
-        self.next_tag += 1;
-        self.iodone_map.insert(tag, work);
-        tag
-    }
-
     // ----- cache effect handling ---------------------------------------------
 
     /// Carries out buffer-cache effects. Returns the synchronous CPU cost
@@ -547,7 +543,15 @@ impl Kernel {
     ) -> Dur {
         let disk_idx = *self.devmap.get(&dev).expect("I/O to unknown device");
         let now = self.q.now();
-        self.io_issued.insert(buf, now);
+        let prev = self.transfers.insert(
+            buf,
+            Transfer {
+                disk: disk_idx,
+                dir,
+                issued: now,
+            },
+        );
+        debug_assert!(prev.is_none(), "second transfer on busy {buf:?}");
         self.trace.emit(now, || TraceEvent::DiskIssue {
             disk: disk_idx as u32,
             blkno,
@@ -573,17 +577,14 @@ impl Kernel {
                     IoDir::Write => khw::IoOp::Write,
                 };
                 let data = (dir == IoDir::Write).then(|| self.cache.data(buf).snapshot());
-                let token = self.next_io_token;
-                self.next_io_token += 1;
-                self.io_tokens.insert((disk_idx, token), (buf, dir));
                 self.ctr.copy.driver_bytes += len as u64;
-                match d.submit(now, token, op, sector, len, data) {
+                match d.submit(now, buf.0 as u64, op, sector, len, data) {
                     Some(started) => {
                         self.q.schedule(
                             started.finish,
                             Event::DiskIntr {
                                 disk: disk_idx,
-                                token: started.token,
+                                buf,
                             },
                         );
                     }
@@ -599,20 +600,12 @@ impl Kernel {
                         let (cost, error) =
                             ram_transfer(rd, &self.cache.data(buf), sector, len, dir);
                         self.ctr.copy.driver_bytes += len as u64;
-                        self.finish_io(disk_idx, buf, dir, error);
+                        self.finish_io(buf, error);
                         cost
                     }
                     IoCtx::Kernel => {
                         let cost = rd.copy_cost(len);
-                        self.enqueue_kwork(
-                            WorkClass::Soft,
-                            cost,
-                            KWork::RamIo {
-                                disk: disk_idx,
-                                buf,
-                                dir,
-                            },
-                        );
+                        self.enqueue_kwork(WorkClass::Soft, cost, KWork::RamIo { buf });
                         Dur::ZERO
                     }
                 }
@@ -624,16 +617,22 @@ impl Kernel {
         cost
     }
 
-    /// Completion bookkeeping common to all devices: inflight counts,
-    /// fsync wakeups, `biodone` (with `B_ERROR` when the device failed)
-    /// and handler dispatch.
-    pub(crate) fn finish_io(&mut self, disk_idx: usize, buf: BufId, dir: IoDir, error: bool) {
-        if let Some(at) = self.io_issued.remove(&buf) {
-            let lat = self.q.now().since(at).as_ns();
-            match dir {
-                IoDir::Read => self.kstat.bread_latency.record(lat),
-                IoDir::Write => self.kstat.bwrite_latency.record(lat),
-            }
+    /// Completion bookkeeping common to all devices: takes `buf`'s
+    /// transfer record, then inflight counts, fsync wakeups, `biodone`
+    /// (with `B_ERROR` when the device failed) and handler dispatch.
+    pub(crate) fn finish_io(&mut self, buf: BufId, error: bool) {
+        let Transfer {
+            disk: disk_idx,
+            dir,
+            issued,
+        } = self
+            .transfers
+            .remove(&buf)
+            .expect("completion without a transfer record");
+        let lat = self.q.now().since(issued).as_ns();
+        match dir {
+            IoDir::Read => self.kstat.bread_latency.record(lat),
+            IoDir::Write => self.kstat.bwrite_latency.record(lat),
         }
         if dir == IoDir::Write {
             let d = &mut self.disks[disk_idx];
@@ -655,20 +654,26 @@ impl Kernel {
         self.trace
             .emit(now, || TraceEvent::CacheBiodone { buf: buf.0 });
         let mut fx = Vec::new();
-        let tag = self.cache.biodone(buf, error, &mut fx);
+        let call = self.cache.biodone(buf, error, &mut fx);
         let sync = self.apply_cache_effects(fx, IoCtx::Kernel);
         debug_assert!(sync.is_zero(), "biodone must not start sync I/O");
-        if error && dir == IoDir::Write && tag.is_none() {
+        if error && dir == IoDir::Write && call.is_none() {
             // A failed write with no completion handler (write-behind,
             // a flush) reaches no caller: record it for the next fsync
             // of a file on this disk.
             self.disks[disk_idx].wb_err += 1;
         }
-        if let Some(tag) = tag {
-            let work = self
-                .iodone_map
-                .remove(&tag)
-                .expect("B_CALL tag without registered handler");
+        if let Some(SpliceRef { desc, lblk }) = call {
+            // The `B_CALL` handler (§5.2.1): the buffer header names the
+            // block, the transfer's direction names the handler.
+            let work = match dir {
+                IoDir::Read => KWork::SpliceReadDone { desc, lblk, buf },
+                IoDir::Write => KWork::SpliceWriteDone {
+                    desc,
+                    lblk,
+                    hdr: buf,
+                },
+            };
             let cost = self.cfg.machine.splice_handler;
             self.enqueue_kwork(WorkClass::Soft, cost, work);
         }
@@ -1012,19 +1017,14 @@ impl Kernel {
 
     fn on_apply(&mut self, work: KWork) {
         match work {
-            KWork::DiskDone {
-                disk,
-                buf,
-                data,
-                dir,
-                error,
-            } => {
-                if let (IoDir::Read, Some(block)) = (dir, data) {
+            KWork::DiskDone { buf, data, error } => {
+                if let Some(block) = data {
                     self.cache.data(buf).install(block);
                 }
-                self.finish_io(disk, buf, dir, error);
+                self.finish_io(buf, error);
             }
-            KWork::RamIo { disk, buf, dir } => {
+            KWork::RamIo { buf } => {
+                let Transfer { disk, dir, .. } = self.transfers[&buf];
                 // The copy cost was charged at admission; move the bytes.
                 let sector = {
                     let (dev, blkno) = self
@@ -1040,7 +1040,7 @@ impl Kernel {
                 };
                 let (_, error) = ram_transfer(rd, &self.cache.data(buf), sector, len, dir);
                 self.ctr.copy.driver_bytes += len as u64;
-                self.finish_io(disk, buf, dir, error);
+                self.finish_io(buf, error);
             }
             KWork::NetRx { dst, dgram } => self.net_rx(dst, dgram),
             KWork::UpdateFlush => {
@@ -1113,42 +1113,36 @@ impl Kernel {
     fn dispatch_event(&mut self, ev: Event) {
         match ev {
             Event::Tick => self.on_tick(),
-            Event::DiskIntr { disk, token } => {
+            Event::DiskIntr { disk, buf } => {
                 let now = self.q.now();
                 self.trace.emit(now, || TraceEvent::DiskIntr {
                     disk: disk as u32,
-                    token,
+                    buf: buf.0,
                 });
                 let DiskUnitKind::Scsi(d) = &mut self.disks[disk].kind else {
                     panic!("DiskIntr for a RAM disk");
                 };
                 let (done, next) = d.complete(now);
-                debug_assert_eq!(done.token, token, "interrupt/active mismatch");
+                debug_assert_eq!(done.token, buf.0 as u64, "interrupt/active mismatch");
                 if let Some(started) = next {
                     // A queued request entered service: its queue wait ends
                     // here (reads feed the stage histogram).
-                    if let Some(&(nbuf, ndir)) = self.io_tokens.get(&(disk, started.token)) {
-                        if ndir == IoDir::Read {
-                            if let Some(&at) = self.io_issued.get(&nbuf) {
-                                self.kstat
-                                    .stages
-                                    .read_queue_wait
-                                    .record(now.since(at).as_ns());
-                            }
-                        }
+                    let nbuf = BufId(started.token as u32);
+                    let t = self.transfers.get(&nbuf).expect("started unknown request");
+                    if t.dir == IoDir::Read {
+                        self.kstat
+                            .stages
+                            .read_queue_wait
+                            .record(now.since(t.issued).as_ns());
                     }
-                    self.q.schedule(
-                        started.finish,
-                        Event::DiskIntr {
-                            disk,
-                            token: started.token,
-                        },
-                    );
+                    self.q
+                        .schedule(started.finish, Event::DiskIntr { disk, buf: nbuf });
                 }
-                let (buf, dir) = self
-                    .io_tokens
-                    .remove(&(disk, done.token))
+                let t = self
+                    .transfers
+                    .get(&buf)
                     .expect("completion for unknown request");
+                debug_assert_eq!(t.disk, disk, "interrupt from the wrong disk");
                 // Interrupt service + pseudo-DMA bounce copy, then the
                 // bottom half.
                 let cost = self.cfg.machine.interrupt + done.host_cpu;
@@ -1156,10 +1150,8 @@ impl Kernel {
                     WorkClass::Intr,
                     cost,
                     KWork::DiskDone {
-                        disk,
                         buf,
                         data: done.data,
-                        dir,
                         error: done.error,
                     },
                 );

@@ -11,7 +11,7 @@ use ksim::IdMap;
 
 use crate::data::BufData;
 use crate::flags::BufFlags;
-use crate::{BufId, DevId, IodoneTag, SpliceRef};
+use crate::{BufId, DevId, SpliceRef};
 
 /// Direction of a device transfer requested by the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -100,7 +100,6 @@ struct Buf {
     bcount: usize,
     flags: BufFlags,
     data: BufData,
-    iodone: Option<IodoneTag>,
     splice: Option<SpliceRef>,
     /// True for the fixed pool buffers that own real cache memory; false
     /// for splice write headers, which share another buffer's data area.
@@ -183,7 +182,6 @@ impl Cache {
                 bcount: bufsize,
                 flags: BufFlags::empty(),
                 data: BufData::zeroed(bufsize),
-                iodone: None,
                 splice: None,
                 pool: true,
                 dead: false,
@@ -458,7 +456,6 @@ impl Cache {
             b.blkno = blkno;
             b.bcount = len;
             b.flags = BufFlags::BUSY;
-            b.iodone = None;
             b.splice = None;
             self.hash.insert((dev, blkno), victim);
             return GetblkOutcome::Held(victim);
@@ -505,15 +502,15 @@ impl Cache {
     }
 
     /// The paper's modified `bread` (§5.2.1): like [`Cache::bread`] but the
-    /// completion invokes handler `tag` instead of waking a sleeping
-    /// process — "a call to the new `bread()` will schedule a read request
-    /// and return immediately, instead of blocking in `biowait()`".
+    /// completion hands `sref` to the kernel's read handler instead of
+    /// waking a sleeping process — "a call to the new `bread()` will
+    /// schedule a read request and return immediately, instead of blocking
+    /// in `biowait()`".
     pub fn bread_call(
         &mut self,
         dev: DevId,
         blkno: u64,
         len: usize,
-        tag: IodoneTag,
         sref: SpliceRef,
         effects: &mut Vec<Effect>,
     ) -> BreadOutcome {
@@ -522,7 +519,6 @@ impl Cache {
             let b = self.buf_mut(id);
             b.splice = Some(sref);
             if matches!(out, BreadOutcome::Miss(_)) {
-                b.iodone = Some(tag);
                 b.flags.insert(BufFlags::CALL);
             }
         }
@@ -595,14 +591,11 @@ impl Cache {
         });
     }
 
-    /// Asynchronous write whose completion runs handler `tag` (the splice
-    /// write side: `b_iodone` assigned, then `bawrite`, §5.2.2).
-    pub fn bawrite_call(&mut self, id: BufId, tag: IodoneTag, effects: &mut Vec<Effect>) {
-        {
-            let b = self.buf_mut(id);
-            b.iodone = Some(tag);
-            b.flags.insert(BufFlags::CALL);
-        }
+    /// Asynchronous write whose completion runs the kernel's write handler
+    /// for the header's splice ref (the splice write side: `b_iodone`
+    /// assigned, then `bawrite`, §5.2.2).
+    pub fn bawrite_call(&mut self, id: BufId, effects: &mut Vec<Effect>) {
+        self.buf_mut(id).flags.insert(BufFlags::CALL);
         let (dev, blkno, len) = self.write_common(id);
         effects.push(Effect::StartIo {
             buf: id,
@@ -649,7 +642,6 @@ impl Cache {
         }
         b.flags
             .remove(BufFlags::BUSY | BufFlags::WANTED | BufFlags::ASYNC | BufFlags::CALL);
-        b.iodone = None;
 
         if !b.pool {
             // Splice write header: restore of the saved data pointer means
@@ -692,16 +684,16 @@ impl Cache {
         }
     }
 
-    /// Marks the buffer's I/O complete (`biodone`). Returns the completion
-    /// handler tag if `B_CALL` was set — the kernel must run that handler,
-    /// and the buffer stays checked out for it. Otherwise async buffers are
-    /// released and sleepers woken.
+    /// Marks the buffer's I/O complete (`biodone`). If `B_CALL` was set,
+    /// returns the buffer's splice ref — the kernel must run the handler
+    /// for that block, and the buffer stays checked out for it. Otherwise
+    /// async buffers are released and sleepers woken.
     pub fn biodone(
         &mut self,
         id: BufId,
         error: bool,
         effects: &mut Vec<Effect>,
-    ) -> Option<IodoneTag> {
+    ) -> Option<SpliceRef> {
         let call = {
             let b = self.buf_mut(id);
             assert!(b.flags.contains(BufFlags::BUSY), "biodone on idle buffer");
@@ -716,8 +708,7 @@ impl Cache {
             self.stats.bcall_completions += 1;
             let b = self.buf_mut(id);
             b.flags.remove(BufFlags::CALL);
-            let tag = b.iodone.take().expect("B_CALL without b_iodone");
-            return Some(tag);
+            return Some(b.splice.expect("B_CALL buffer without splice ref"));
         }
         if self.buf(id).flags.contains(BufFlags::ASYNC) {
             self.brelse(id, effects);
@@ -782,7 +773,6 @@ impl Cache {
                 bcount: 0,
                 flags: BufFlags::empty(),
                 data: BufData::zeroed(0),
-                iodone: None,
                 splice: None,
                 pool: false,
                 dead: true,
@@ -799,7 +789,6 @@ impl Cache {
         b.bcount = len;
         b.flags = BufFlags::BUSY;
         b.data = data;
-        b.iodone = None;
         b.splice = Some(sref);
         self.hash.insert((dev, blkno), id);
         Some(id)
@@ -1121,20 +1110,37 @@ mod tests {
     }
 
     #[test]
-    fn bread_call_returns_tag_on_completion() {
+    fn bread_call_miss_returns_splice_ref_on_completion() {
         let mut c = Cache::new(4, BS);
         let mut fx = Vec::new();
-        let tag = IodoneTag(77);
         let sref = SpliceRef { desc: 1, lblk: 4 };
-        let BreadOutcome::Miss(id) = c.bread_call(DEV, 10, BS, tag, sref, &mut fx) else {
+        let BreadOutcome::Miss(id) = c.bread_call(DEV, 10, BS, sref, &mut fx) else {
             panic!()
         };
         assert_eq!(c.splice_ref(id), Some(sref));
         fx.clear();
-        let got = c.biodone(id, false, &mut fx);
-        assert_eq!(got, Some(tag));
+        assert_eq!(c.biodone(id, false, &mut fx), Some(sref));
         // Buffer stays busy for the handler.
         assert!(c.flags(id).contains(BufFlags::BUSY));
+        assert_eq!(c.stats().bcall_completions, 1);
+        c.check_invariants();
+    }
+
+    #[test]
+    fn bcall_buffer_purged_mid_transfer_keeps_its_splice_ref() {
+        let mut c = Cache::new(4, BS);
+        let mut fx = Vec::new();
+        let sref = SpliceRef { desc: 2, lblk: 7 };
+        let BreadOutcome::Miss(id) = c.bread_call(DEV, 3, BS, sref, &mut fx) else {
+            panic!()
+        };
+        // The source file's blocks are freed while the read is in flight.
+        assert_eq!(c.purge_blocks(DEV, [3u64].into_iter()), (0, 1));
+        // The detached buffer still names its block: the handler runs.
+        assert_eq!(c.biodone(id, false, &mut fx), Some(sref));
+        assert!(c.flags(id).contains(BufFlags::INVAL));
+        c.brelse(id, &mut fx);
+        assert!(!c.incore(DEV, 3));
         c.check_invariants();
     }
 
@@ -1154,9 +1160,8 @@ mod tests {
             .expect("fresh destination block");
         assert!(c.data(hdr).shares_with(&data), "no copy between buffers");
         // Async write with completion handler.
-        c.bawrite_call(hdr, IodoneTag(5), &mut fx);
-        let tag = c.biodone(hdr, false, &mut fx);
-        assert_eq!(tag, Some(IodoneTag(5)));
+        c.bawrite_call(hdr, &mut fx);
+        assert_eq!(c.biodone(hdr, false, &mut fx), Some(sref));
         // Handler frees both.
         c.brelse(hdr, &mut fx);
         c.brelse(src, &mut fx);

@@ -34,10 +34,6 @@ pub struct BufId(pub u32);
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct DevId(pub u32);
 
-/// Opaque completion-handler tag (`b_iodone`); the kernel interprets it.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct IodoneTag(pub u64);
-
 /// The splice bookkeeping the paper adds to the buffer header (§5.2.2):
 /// "New fields in the buffer header structure indicate the splice
 /// descriptor and logical block number a buffer's data is associated with."

@@ -274,8 +274,8 @@ proptest! {
                         continue;
                     }
                     let (buf, dir) = dev_model.pending.remove(0);
-                    let tag = cache.biodone(buf, false, &mut fx);
-                    prop_assert!(tag.is_none(), "no B_CALL in this model");
+                    let sref = cache.biodone(buf, false, &mut fx);
+                    prop_assert!(sref.is_none(), "no B_CALL in this model");
                     dev_model.absorb(&fx);
                     if let Some((d, b)) = cache.identity(buf) {
                         if dir == IoDir::Read {

@@ -103,8 +103,9 @@ pub enum TraceEvent {
     DiskIntr {
         /// Disk index.
         disk: u32,
-        /// Completed request token.
-        token: u64,
+        /// The completed request's buffer (the `buf` of its
+        /// [`TraceEvent::CacheBiodone`]).
+        buf: u32,
     },
     /// A device transfer failed: `biodone` ran with `B_ERROR` set.
     DiskError {
@@ -353,9 +354,9 @@ impl TraceEvent {
                 .with("blkno", num(blkno))
                 .with("len", num(len as u64))
                 .with("write", Json::Bool(write)),
-            TraceEvent::DiskIntr { disk, token } => Json::obj()
+            TraceEvent::DiskIntr { disk, buf } => Json::obj()
                 .with("disk", num(disk as u64))
-                .with("token", num(token)),
+                .with("buf", num(buf as u64)),
             TraceEvent::DiskError { disk, blkno, write } => Json::obj()
                 .with("disk", num(disk as u64))
                 .with("blkno", num(blkno))
@@ -430,7 +431,7 @@ impl fmt::Display for TraceEvent {
                 let dir = if write { "write" } else { "read" };
                 write!(f, " disk={disk} blkno={blkno} len={len} dir={dir}")
             }
-            TraceEvent::DiskIntr { disk, token } => write!(f, " disk={disk} token={token}"),
+            TraceEvent::DiskIntr { disk, buf } => write!(f, " disk={disk} buf={buf}"),
             TraceEvent::DiskError { disk, blkno, write } => {
                 let dir = if write { "write" } else { "read" };
                 write!(f, " disk={disk} blkno={blkno} dir={dir}")

@@ -6,10 +6,11 @@
 //! A spliced run's profile must account every device and process, and
 //! its stage histograms the whole pipeline.
 
+use khw::DiskProfile;
 use kproc::programs::Scp;
 use kproc::ProcState;
 use ksim::Hist;
-use splice::{Kernel, KernelBuilder};
+use splice::{Kernel, KernelBuilder, KernelConfig};
 
 const MB: u64 = 1024 * 1024;
 
@@ -100,10 +101,10 @@ fn hist_saturates_at_top_bucket() {
 
 // ----- profile snapshot ---------------------------------------------------
 
-/// One cold-cache 2 MB disk→disk splice.
-fn spliced_kernel() -> Kernel {
-    let mut k = KernelBuilder::paper_machine_ram().build();
-    k.setup_file("/d0/src", 2 * MB, 5);
+/// One cold-cache disk→disk splice of `bytes` on two `disk`s.
+fn spliced_kernel(disk: DiskProfile, bytes: u64) -> Kernel {
+    let mut k = KernelBuilder::paper_machine(disk).build();
+    k.setup_file("/d0/src", bytes, 5);
     k.cold_cache();
     let pid = k.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
     let horizon = k.horizon(300);
@@ -112,15 +113,22 @@ fn spliced_kernel() -> Kernel {
     k
 }
 
+/// Device block reads the kernel issued.
+fn block_reads(k: &Kernel) -> u64 {
+    k.metrics().io.read_bytes / KernelConfig::default().block_size as u64
+}
+
 #[test]
 fn profile_accounts_stages_and_devices() {
-    let k = spliced_kernel();
+    let k = spliced_kernel(DiskProfile::ramdisk(), 2 * MB);
     let prof = k.profile();
 
     // Per-stage histograms: a RAM-disk splice exercises the whole
     // pipeline except retries.
     let stages = &k.kstat().stages;
-    assert!(stages.read_queue_wait.count() > 0, "no queue-wait samples");
+    // Every device read is stamped once; a RAM-disk read never queues.
+    assert_eq!(stages.read_queue_wait.count(), block_reads(&k));
+    assert_eq!(stages.read_queue_wait.sum(), 0, "RAM-disk read queued");
     assert!(stages.read_service.count() > 0, "no read-service samples");
     assert!(stages.read_to_write.count() > 0, "no gap samples");
     assert!(stages.write_service.count() > 0, "no write-service samples");
@@ -150,4 +158,11 @@ fn profile_accounts_stages_and_devices() {
     for key in ["count", "p50", "p90", "p99"] {
         assert!(e2e.get(key).is_some(), "stage digest missing {key}");
     }
+
+    // On a SCSI drive, reads the engine issues behind the active request
+    // queue; each is stamped when it enters service.
+    let k = spliced_kernel(DiskProfile::rz58(), MB);
+    let wait = &k.kstat().stages.read_queue_wait;
+    assert_eq!(wait.count(), block_reads(&k));
+    assert!(wait.sum() > 0, "no queued SCSI read was stamped");
 }
