@@ -2,7 +2,7 @@
 //!
 //! These measure *host* events-per-second of the simulator itself — the
 //! quantity the timing-wheel callout, the slab event queue and its near
-//! set, and the pooled buffer arena exist to improve. The `simspeed`
+//! set, and copy-on-write buffer areas exist to improve. The `simspeed`
 //! binary pins their numbers into `BENCH_simspeed.json`.
 //!
 //! The churn loops keep a large pending population (the regime where the
@@ -174,7 +174,7 @@ fn ram_copy_run(bytes: u64, copy: fn(&str, &str) -> Box<dyn kproc::Program>) -> 
     bytes / 8192
 }
 
-/// `warmup` unmeasured runs (to populate the buffer arena and fault in
+/// `warmup` unmeasured runs (to warm the allocator and fault in
 /// code), then `runs` measured cold-cache copies of `bytes` each.
 fn ram_copy_e2e(
     warmup: u32,
@@ -197,7 +197,7 @@ fn ram_copy_e2e(
 }
 
 /// End-to-end simulator speed of the splice path: `warmup` unmeasured
-/// runs (to populate the buffer arena and fault in code), then `runs`
+/// runs (to warm the allocator and fault in code), then `runs`
 /// measured cold-cache `scp` copies of `bytes` each.
 pub fn scp_ram_e2e(warmup: u32, runs: u32, bytes: u64) -> E2eRate {
     ram_copy_e2e(warmup, runs, bytes, |src, dst| {

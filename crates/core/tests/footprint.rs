@@ -11,13 +11,18 @@
 //! spawn and is not counted here; `process_layout_stays_small` in `kproc`
 //! pins its size.
 //!
+//! It first checks that no kernel state outlives its kernel: a RAM-disk
+//! machine that copies a 1 MB file with `scp` returns every heap byte
+//! when it is dropped.
+//!
 //! It is its own test binary with a single test, so nothing else
 //! allocates while it counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use kproc::{Program, Sig, Step, SyscallReq, UserCtx};
+use kproc::programs::{util::pattern_check, Scp};
+use kproc::{ProcState, Program, Sig, Step, SyscallReq, UserCtx};
 use ksim::Dur;
 use splice::KernelBuilder;
 
@@ -56,6 +61,26 @@ unsafe impl GlobalAlloc for Counting {
 
 #[global_allocator]
 static COUNTING: Counting = Counting;
+
+/// Live heap bytes a RAM-disk machine leaves behind once it has copied a
+/// 1 MB file with `scp` and been dropped.
+fn heap_left_after_teardown() -> isize {
+    // The two per-thread blocks that outlive a kernel on purpose: the
+    // pattern memo at its largest size, and the empty payload's block.
+    let warm = pattern_check(1, 0, &vec![0; 64 * 1024]);
+    drop((warm, ksim::Bytes::new()));
+    let before = LIVE.load(Ordering::Relaxed);
+    let mut k = KernelBuilder::paper_machine_ram().build();
+    k.setup_file("/d0/src", 1 << 20, 7);
+    k.cold_cache();
+    let pid = k.spawn(Box::new(Scp::new("/d0/src", "/d1/dst")));
+    let horizon = k.horizon(60);
+    k.run_to_exit(horizon);
+    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+    assert_eq!(k.verify_pattern_file("/d1/dst", 1 << 20, 7), None);
+    drop(k);
+    LIVE.load(Ordering::Relaxed) as isize - before as isize
+}
 
 /// perfbench's open-loop client up to its wait: catch `SIGALRM`, arm
 /// the timer at the arrival time (here beyond the run), `pause(2)`.
@@ -110,6 +135,9 @@ const MAX_BYTES_PER_WAITER: f64 = 130.0;
 
 #[test]
 fn waiting_process_footprint_is_small_and_flat() {
+    // First, before anything prints into the captured output.
+    let left = heap_left_after_teardown();
+    assert_eq!(left, 0, "a dropped kernel left {left} heap bytes behind");
     let small = bytes_per_waiting_process(10_000);
     let large = bytes_per_waiting_process(50_000);
     eprintln!("kernel heap per waiting process: {small:.1} B at 10k, {large:.1} B at 50k");

@@ -7,6 +7,8 @@
 //! expressed as an outcome (`Busy`, `NoBuffers`) that tells the caller to
 //! sleep and retry — processes via the scheduler, splice via a callout.
 
+use std::rc::Rc;
+
 use ksim::IdMap;
 
 use crate::data::BufData;
@@ -159,7 +161,10 @@ pub struct Cache {
     free_len: usize,
     /// Recycled non-pool header slots.
     free_headers: Vec<BufId>,
-    bufsize: usize,
+    /// One buffer's worth of zeros: every fresh data area starts over it
+    /// and copies it on first write, so it stays zero and sets the
+    /// buffer size.
+    zero: Rc<Vec<u8>>,
     pool_size: usize,
     stats: CacheStats,
     /// Opt-in trace event log; empty and untouched unless enabled.
@@ -174,6 +179,7 @@ impl Cache {
     /// buffers.
     pub fn new(nbufs: usize, bufsize: usize) -> Self {
         assert!(nbufs > 0 && bufsize > 0);
+        let zero = Rc::new(vec![0; bufsize]);
         let mut bufs = Vec::with_capacity(nbufs);
         for i in 0..nbufs {
             bufs.push(Buf {
@@ -181,7 +187,7 @@ impl Cache {
                 blkno: 0,
                 bcount: bufsize,
                 flags: BufFlags::empty(),
-                data: BufData::zeroed(bufsize),
+                data: BufData::over(Rc::clone(&zero)),
                 splice: None,
                 pool: true,
                 dead: false,
@@ -202,7 +208,7 @@ impl Cache {
             lru_tail: (nbufs - 1) as u32,
             free_len: nbufs,
             free_headers: Vec::new(),
-            bufsize,
+            zero,
             pool_size: nbufs,
             stats: CacheStats::default(),
             log: Vec::new(),
@@ -226,7 +232,7 @@ impl Cache {
 
     /// The configured buffer size in bytes.
     pub fn bufsize(&self) -> usize {
-        self.bufsize
+        self.zero.len()
     }
 
     /// Counters accumulated so far.
@@ -385,7 +391,7 @@ impl Cache {
         len: usize,
         effects: &mut Vec<Effect>,
     ) -> GetblkOutcome {
-        assert!(len > 0 && len <= self.bufsize, "bad block length {len}");
+        assert!(len > 0 && len <= self.bufsize(), "bad block length {len}");
         if let Some(&id) = self.hash.get(&(dev, blkno)) {
             let b = self.buf_mut(id);
             if b.flags.contains(BufFlags::BUSY) {
@@ -441,16 +447,11 @@ impl Cache {
                     });
                 }
             }
-            let fresh_data = {
-                let b = self.buf(victim);
-                b.data.sharers() > 1
-            };
-            let bufsize = self.bufsize;
-            let b = self.buf_mut(victim);
-            if fresh_data {
+            let b = &mut self.bufs[victim.0 as usize];
+            if b.data.sharers() > 1 {
                 // The old data area is still aliased by a splice header;
                 // give this buffer a private area instead of clobbering it.
-                b.data = BufData::zeroed(bufsize);
+                b.data = BufData::over(Rc::clone(&self.zero));
             }
             b.dev = Some(dev);
             b.blkno = blkno;
@@ -650,7 +651,7 @@ impl Cache {
             b.dead = true;
             b.dev = None;
             b.splice = None;
-            b.data = BufData::zeroed(0);
+            b.data = BufData::from_vec(Vec::new());
             if let Some(key) = key {
                 if self.hash.get(&key) == Some(&id) {
                     self.hash.remove(&key);
@@ -715,15 +716,8 @@ impl Cache {
             return None;
         }
         // Synchronous I/O: wake the biowait sleeper(s).
-        let b = self.buf_mut(id);
-        if b.flags.contains(BufFlags::WANTED) {
-            b.flags.remove(BufFlags::WANTED);
-            effects.push(Effect::Wakeup { buf: id });
-        } else {
-            // biowait may not have gone to sleep yet; emit anyway so the
-            // kernel's sleep bookkeeping stays simple.
-            effects.push(Effect::Wakeup { buf: id });
-        }
+        self.buf_mut(id).flags.remove(BufFlags::WANTED);
+        effects.push(Effect::Wakeup { buf: id });
         None
     }
 
@@ -772,7 +766,7 @@ impl Cache {
                 blkno: 0,
                 bcount: 0,
                 flags: BufFlags::empty(),
-                data: BufData::zeroed(0),
+                data: BufData::from_vec(Vec::new()),
                 splice: None,
                 pool: false,
                 dead: true,
@@ -1166,6 +1160,39 @@ mod tests {
         c.brelse(hdr, &mut fx);
         c.brelse(src, &mut fx);
         assert!(!c.incore(dst_dev, 99), "splice header must not linger");
+        c.check_invariants();
+    }
+
+    #[test]
+    fn recycled_victim_gets_a_fresh_area_over_the_zero_block() {
+        let mut c = Cache::new(2, BS);
+        let mut fx = Vec::new();
+        let BreadOutcome::Miss(src) = c.bread(DEV, 0, BS, &mut fx) else {
+            panic!()
+        };
+        c.data(src).install(Rc::new(vec![7u8; BS]));
+        c.biodone(src, false, &mut fx);
+        let sref = SpliceRef { desc: 1, lblk: 0 };
+        let hdr = c
+            .alloc_shared_header(DevId(2), 99, c.data(src), BS, sref)
+            .expect("fresh destination block");
+        c.brelse(src, &mut fx);
+        // The write header still aliases the victim's old area.
+        let GetblkOutcome::Held(id) = c.getblk(DEV, 1, BS, &mut fx) else {
+            panic!()
+        };
+        let GetblkOutcome::Held(victim) = c.getblk(DEV, 2, BS, &mut fx) else {
+            panic!()
+        };
+        assert_eq!(victim, src, "LRU order");
+        assert!(!c.data(victim).shares_with(&c.data(hdr)));
+        assert!(
+            Rc::ptr_eq(&c.data(victim).snapshot(), &c.data(id).snapshot()),
+            "a fresh area starts over the cache's zero block"
+        );
+        c.data(victim).write_at(0, &[1u8; 16]);
+        assert_eq!(*c.data(hdr).bytes(), vec![7u8; BS], "header clobbered");
+        assert_eq!(*c.data(id).bytes(), vec![0u8; BS], "zero block written");
         c.check_invariants();
     }
 

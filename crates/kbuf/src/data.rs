@@ -1,5 +1,4 @@
-//! Buffer data areas: aliased data pointers over copy-on-write blocks,
-//! recycled through a free-list arena.
+//! Buffer data areas: aliased data pointers over copy-on-write blocks.
 //!
 //! The key trick of the paper's write side (§5.2.2): "The data pointer in
 //! the new buffer header is saved and altered to point to the same address
@@ -33,138 +32,34 @@
 //!   the whole area ([`BufData::fill_from`], [`BufData::write_at`]) and
 //!   [`BufData::zero`] replace a shared block instead of copying it first.
 //!
-//! # Arena
+//! # Fresh areas
 //!
-//! Steady-state splice traffic retires one data area and allocates one
-//! fresh one per spliced block (the destination header keeps aliasing the
-//! source's area, so `getblk` must give the source a new one). Rather than
-//! hitting the allocator each time, dead areas — last handle dropped —
-//! are parked on a thread-local free list keyed by block size, and
-//! [`BufData::zeroed`] reuses a parked area of the same size when one
-//! exists. A parked area drops its block for the size class's shared zero
-//! block, so the arena never pins a medium's block, and `zeroed` costs no
-//! memset: the zero block is copied only when first written. The
-//! simulation is single-threaded by design, so a thread-local pool is
-//! exact; recycling is capped per size class so the arena cannot outgrow
-//! the working set. Observable behaviour (zeroed contents, sharing,
-//! lengths) is identical to plain allocation — the differential property
-//! suite in `tests/props.rs` pins that.
+//! A fresh area starts over a zero block its creator owns
+//! ([`BufData::over`]); the buffer cache keeps one of its buffer size.
+//! Starting a buffer writes no bytes and allocates only the area's
+//! handle: the first write through the area copies the block, as for any
+//! shared block, so the zero block itself never changes. The property suite in
+//! `tests/props.rs` checks this against a model that copies everything.
 
 use std::cell::{Ref, RefCell, RefMut};
 use std::rc::Rc;
 
-use ksim::{Bytes, IdMap};
-
-/// Smallest data area worth pooling: tiny and empty areas (dead headers,
-/// odd-sized device scratch) go straight to the allocator.
-const POOL_MIN_LEN: usize = 512;
-/// Parked areas retained per size class; beyond this, dead areas are freed.
-const POOL_CAP_PER_CLASS: usize = 1024;
-
-/// One data area: the aliased outer cell around a copy-on-write block.
-type Area = Rc<RefCell<Rc<Vec<u8>>>>;
-
-struct Class {
-    /// The block every fresh or parked area of this size holds.
-    zero: Rc<Vec<u8>>,
-    parked: Vec<Area>,
-}
-
-#[derive(Default)]
-struct Pool {
-    classes: IdMap<usize, Class>,
-    reused: u64,
-    recycled: u64,
-}
-
-impl Pool {
-    fn class(&mut self, len: usize) -> &mut Class {
-        self.classes.entry(len).or_insert_with(|| Class {
-            zero: Rc::new(vec![0; len]),
-            parked: Vec::new(),
-        })
-    }
-}
-
-thread_local! {
-    static POOL: RefCell<Pool> = RefCell::new(Pool::default());
-}
-
-/// `(reused, recycled)` counters for this thread's arena: areas handed back
-/// out by [`BufData::zeroed`], and dead areas parked for reuse. Test hook.
-pub fn pool_counters() -> (u64, u64) {
-    POOL.with(|p| {
-        let p = p.borrow();
-        (p.reused, p.recycled)
-    })
-}
-
-/// A zero block of `len` bytes: the size class's shared one when `len` is
-/// poolable.
-fn zero_block(len: usize) -> Rc<Vec<u8>> {
-    if len < POOL_MIN_LEN {
-        return Rc::new(vec![0; len]);
-    }
-    POOL.with(|p| Rc::clone(&p.borrow_mut().class(len).zero))
-}
+use ksim::Bytes;
 
 /// A buffer's data pointer: an aliased handle to a copy-on-write block.
-pub struct BufData(Area);
-
-impl Clone for BufData {
-    fn clone(&self) -> Self {
-        BufData(Rc::clone(&self.0))
-    }
-}
-
-impl Drop for BufData {
-    fn drop(&mut self) {
-        // Last handle to a poolable area: park it for reuse instead of
-        // freeing. (`try_with` so thread teardown never panics.)
-        if Rc::strong_count(&self.0) != 1 {
-            return;
-        }
-        let len = self.len();
-        if len < POOL_MIN_LEN {
-            return;
-        }
-        let _ = POOL.try_with(|p| {
-            let mut p = p.borrow_mut();
-            let class = p.class(len);
-            if class.parked.len() < POOL_CAP_PER_CLASS {
-                // Let go of the area's block (possibly a medium's) now.
-                *self.0.borrow_mut() = Rc::clone(&class.zero);
-                class.parked.push(Rc::clone(&self.0));
-                p.recycled += 1;
-            }
-        });
-    }
-}
+#[derive(Clone)]
+pub struct BufData(Rc<RefCell<Rc<Vec<u8>>>>);
 
 impl BufData {
-    /// A zeroed data area of `len` bytes, reusing a same-sized area from
-    /// the arena when one is parked there. No bytes are written: the area
-    /// starts on a shared zero block.
-    pub fn zeroed(len: usize) -> Self {
-        if len < POOL_MIN_LEN {
-            return BufData::from_vec(vec![0; len]);
-        }
-        POOL.with(|p| {
-            let mut p = p.borrow_mut();
-            let class = p.class(len);
-            match class.parked.pop() {
-                Some(area) => {
-                    p.reused += 1;
-                    BufData(area)
-                }
-                None => BufData(Rc::new(RefCell::new(Rc::clone(&class.zero)))),
-            }
-        })
+    /// A new area whose contents are `block`, shared copy-on-write: the
+    /// first write through the area copies it, so `block` never changes.
+    pub fn over(block: Rc<Vec<u8>>) -> Self {
+        BufData(Rc::new(RefCell::new(block)))
     }
 
     /// Wraps existing bytes.
     pub fn from_vec(v: Vec<u8>) -> Self {
-        BufData(Rc::new(RefCell::new(Rc::new(v))))
+        BufData::over(Rc::new(v))
     }
 
     /// Length of the data area.
@@ -217,14 +112,14 @@ impl BufData {
         }
     }
 
-    /// Zero-fills the area; a shared block is swapped for a zero block
-    /// rather than copied just to be cleared.
+    /// Zero-fills the area; a shared block is swapped for a fresh zero
+    /// block rather than copied just to be cleared.
     pub fn zero(&self) {
         let mut block = self.0.borrow_mut();
         let len = block.len();
         match Rc::get_mut(&mut block) {
             Some(own) => own.fill(0),
-            None => *block = zero_block(len),
+            None => *block = Rc::new(vec![0; len]),
         }
     }
 
@@ -290,10 +185,29 @@ mod tests {
     use super::*;
 
     #[test]
-    fn zeroed_allocation() {
-        let d = BufData::zeroed(16);
-        assert_eq!(d.len(), 16);
-        assert!(d.bytes().iter().all(|&b| b == 0));
+    fn fresh_areas_copy_their_zero_block_on_first_write() {
+        let zero = Rc::new(vec![0u8; 16]);
+        let a = BufData::over(Rc::clone(&zero));
+        let b = BufData::over(Rc::clone(&zero));
+        assert!(!a.shares_with(&b), "two fresh areas alias");
+        assert!(Rc::ptr_eq(&a.snapshot(), &zero), "a fresh area copied");
+        a.bytes_mut()[3] = 7;
+        b.zero();
+        assert_eq!(a.bytes()[3], 7);
+        assert_eq!(*zero, vec![0u8; 16], "a write reached the zero block");
+    }
+
+    #[test]
+    fn shared_areas_are_not_recycled_while_alive() {
+        let zero = Rc::new(vec![0u8; 4096]);
+        let a = BufData::over(Rc::clone(&zero));
+        let b = a.clone();
+        drop(a);
+        // `b` still holds the area: a fresh area must not alias it.
+        b.bytes_mut()[0] = 7;
+        let c = BufData::over(Rc::clone(&zero));
+        assert!(!c.shares_with(&b));
+        assert_eq!(b.bytes()[0], 7);
     }
 
     #[test]
@@ -315,60 +229,15 @@ mod tests {
 
     #[test]
     fn fill_from_replaces() {
-        let d = BufData::zeroed(4);
+        let d = BufData::from_vec(vec![0; 4]);
         d.fill_from(&[7, 8]);
         assert_eq!(*d.bytes(), vec![7, 8]);
     }
 
     #[test]
-    fn dead_areas_are_recycled_zeroed() {
-        let (reused0, _) = pool_counters();
-        let d = BufData::zeroed(8192);
-        d.bytes_mut()[17] = 0xAB;
-        drop(d);
-        // Same size class: must come back from the arena, re-zeroed.
-        let e = BufData::zeroed(8192);
-        let (reused1, _) = pool_counters();
-        assert!(reused1 > reused0, "dead 8 KB area was not reused");
-        assert_eq!(e.len(), 8192);
-        assert!(
-            e.bytes().iter().all(|&b| b == 0),
-            "recycled area not zeroed"
-        );
-    }
-
-    #[test]
-    fn shared_areas_are_not_recycled_while_alive() {
-        let a = BufData::zeroed(4096);
-        let b = a.clone();
-        drop(a);
-        // `b` still holds the area: a fresh zeroed(4096) must not alias it.
-        b.bytes_mut()[0] = 7;
-        let c = BufData::zeroed(4096);
-        assert!(!c.shares_with(&b));
-        assert_eq!(b.bytes()[0], 7);
-    }
-
-    #[test]
-    fn parked_area_releases_the_medium_block() {
-        let medium = Rc::new(vec![7u8; 8192]);
-        let a = BufData::zeroed(8192);
-        a.install(Rc::clone(&medium));
-        assert_eq!(Rc::strong_count(&medium), 2);
-        let (_, recycled0) = pool_counters();
-        drop(a);
-        let (_, recycled1) = pool_counters();
-        assert!(recycled1 > recycled0, "dead area was not parked");
-        assert_eq!(Rc::strong_count(&medium), 1, "the arena pins the block");
-        let b = BufData::zeroed(8192);
-        assert!(b.bytes().iter().all(|&x| x == 0));
-        assert_eq!(*medium, vec![7u8; 8192]);
-    }
-
-    #[test]
     fn writes_copy_a_shared_block_once() {
         let medium = Rc::new(vec![1u8; 4096]);
-        let a = BufData::zeroed(4096);
+        let a = BufData::from_vec(vec![0; 4096]);
         let alias = a.clone();
         a.install(Rc::clone(&medium));
         assert!(Rc::ptr_eq(&a.snapshot(), &medium), "install copied");
@@ -385,7 +254,7 @@ mod tests {
     #[test]
     fn whole_area_writes_and_zeroing_replace_a_shared_block() {
         let medium = Rc::new(vec![1u8; 4096]);
-        let a = BufData::zeroed(4096);
+        let a = BufData::from_vec(vec![0; 4096]);
         a.install(Rc::clone(&medium));
         a.write_at(0, &[2u8; 4096]);
         assert_eq!(*a.bytes(), vec![2u8; 4096]);
@@ -401,7 +270,7 @@ mod tests {
     #[test]
     fn views_are_snapshots_and_whole_blocks_install() {
         let medium = Rc::new(vec![1u8; 4096]);
-        let a = BufData::zeroed(4096);
+        let a = BufData::from_vec(vec![0; 4096]);
         a.install(Rc::clone(&medium));
         let whole = a.view(0, 4096);
         let part = a.view(8, 4);
@@ -413,7 +282,7 @@ mod tests {
         assert_eq!(whole, vec![1u8; 4096], "a view saw a later write");
         assert_eq!(part, vec![1u8; 4]);
 
-        let dst = BufData::zeroed(4096);
+        let dst = BufData::from_vec(vec![0; 4096]);
         dst.write_bytes(0, &whole);
         assert!(Rc::ptr_eq(&dst.snapshot(), &medium), "whole block copied");
         dst.write_bytes(0, &part);
@@ -427,14 +296,5 @@ mod tests {
             vec![1u8; 4096],
             "a partial write reached the source"
         );
-    }
-
-    #[test]
-    fn tiny_areas_bypass_the_pool() {
-        let (_, recycled0) = pool_counters();
-        drop(BufData::zeroed(0));
-        drop(BufData::zeroed(16));
-        let (_, recycled1) = pool_counters();
-        assert_eq!(recycled0, recycled1, "sub-{POOL_MIN_LEN}-byte area pooled");
     }
 }

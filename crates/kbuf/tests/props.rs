@@ -49,23 +49,25 @@ impl FakeDevice {
     }
 }
 
+/// Length of the zero block fresh areas start over, a buffer's size.
+const ZERO_LEN: usize = 8192;
+
 /// Operations on a set of live [`BufData`] areas, driven against an
 /// explicit-copy model: a plain `Vec<u8>` per sharing group (clones of
 /// one area alias) and a recorded copy of every snapshot. The real areas
-/// share copy-on-write blocks with their snapshots and recycle dead areas
-/// through a thread-local arena, so this checks that a write never
-/// reaches a snapshot or another group, that the arena never leaks stale
-/// bytes (`zeroed` really is zero) or recycles an area that still has
-/// sharers, and that aliasing is identical to a plain shared `Vec`.
+/// share copy-on-write blocks with their snapshots and with the zero
+/// block fresh areas start over, as the buffer cache's do, so this checks
+/// that a write never reaches a snapshot, the zero block or another
+/// group, and that aliasing is identical to a plain shared `Vec`.
 #[derive(Clone, Debug)]
 enum DOp {
-    /// New zeroed area; lengths straddle the 512-byte pool threshold.
-    Zeroed(usize),
+    /// New area over the shared zero block.
+    Over,
     /// New area with patterned contents.
     FromVec(usize, u8),
     /// Clone of the n-th live area (modulo): shares the same bytes.
     CloneOf(usize),
-    /// Drop the n-th live area (modulo); may recycle it into the pool.
+    /// Drop the n-th live area (modulo).
     Drop(usize),
     /// Write one byte through the n-th live area.
     Write(usize, usize, u8),
@@ -85,11 +87,10 @@ enum DOp {
 }
 
 fn dop() -> impl Strategy<Value = DOp> {
-    let len = prop_oneof![Just(0usize), 1usize..64, 480usize..560, 8192usize..8200];
-    let len2 = prop_oneof![Just(0usize), 1usize..64, 480usize..560, 8192usize..8200];
+    let len = prop_oneof![Just(0usize), 1usize..64, 8192usize..8200];
     prop_oneof![
-        3 => len.prop_map(DOp::Zeroed),
-        2 => (len2, any::<u8>()).prop_map(|(l, b)| DOp::FromVec(l, b)),
+        3 => Just(DOp::Over),
+        2 => (len, any::<u8>()).prop_map(|(l, b)| DOp::FromVec(l, b)),
         2 => any::<usize>().prop_map(DOp::CloneOf),
         3 => any::<usize>().prop_map(DOp::Drop),
         3 => (any::<usize>(), any::<usize>(), any::<u8>())
@@ -109,10 +110,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn pooled_buf_data_matches_plain_model(ops in prop::collection::vec(dop(), 1..120)) {
+    fn buf_data_matches_plain_model(ops in prop::collection::vec(dop(), 1..120)) {
         // Live areas: (handle, sharing-group id). The model holds each
         // group's expected bytes, and each snapshot with the bytes it
         // held when taken.
+        let zero = Rc::new(vec![0u8; ZERO_LEN]);
         let mut live: Vec<(BufData, usize)> = Vec::new();
         let mut model: HashMap<usize, Vec<u8>> = HashMap::new();
         let mut snaps: Vec<(Rc<Vec<u8>>, Vec<u8>)> = Vec::new();
@@ -120,9 +122,9 @@ proptest! {
 
         for op in ops {
             match op {
-                DOp::Zeroed(len) => {
-                    live.push((BufData::zeroed(len), next_group));
-                    model.insert(next_group, vec![0u8; len]);
+                DOp::Over => {
+                    live.push((BufData::over(Rc::clone(&zero)), next_group));
+                    model.insert(next_group, vec![0u8; ZERO_LEN]);
                     next_group += 1;
                 }
                 DOp::FromVec(len, byte) => {
@@ -219,8 +221,8 @@ proptest! {
             }
 
             // Every live handle sees exactly its group's bytes — writes
-            // through one sharer are visible to all, recycled areas are
-            // fully zeroed, and no area aliases another group.
+            // through one sharer are visible to all, and no area aliases
+            // another group.
             for (bd, g) in &live {
                 prop_assert_eq!(&*bd.bytes(), model.get(g).unwrap());
             }
@@ -232,10 +234,12 @@ proptest! {
                     prop_assert_eq!(bi.shares_with(bj), gi == gj);
                 }
             }
-            // A snapshot never changes, whatever its areas did since.
+            // A snapshot never changes, whatever its areas did since, and
+            // no write reaches the zero block.
             for (block, bytes) in &snaps {
                 prop_assert_eq!(&**block, bytes);
             }
+            prop_assert!(zero.iter().all(|&b| b == 0), "a write reached the zero block");
         }
     }
 
