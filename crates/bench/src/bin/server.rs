@@ -2,8 +2,7 @@
 //! cp-relay, swept over connection count.
 //!
 //! For each nominal connection count (1k, 10k, 100k, 1M) and each serve
-//! mode — one-at-a-time `splice(2)`, depth-64 splice ring, cp-relay —
-//! an open-loop traffic source with no CPU of its own (constant offered
+//! mode — one `splice(2)` per connection, cp-relay — an open-loop traffic source with no CPU of its own (constant offered
 //! rate, seeded arrivals) fetches one 8 KB file per arrival over a
 //! modeled 1 Gb/s link, while the §6.2 fixed-work compute program
 //! contends for the CPU. Reported per row: arrival→last-byte
@@ -26,8 +25,6 @@ use splice::{KernelBuilder, ServeScenario};
 
 /// Pattern seed; the arrival and link seed is `SEED ^ nominal`.
 const SEED: u64 = 0x5e12;
-/// Ring depth for the batched mode.
-const DEPTH: u32 = 64;
 
 /// The sweep: nominal count and the host-speed smoke count it runs at
 /// by default.
@@ -45,14 +42,10 @@ struct Mode {
     mode: ServeMode,
 }
 
-const MODES: [Mode; 3] = [
+const MODES: [Mode; 2] = [
     Mode {
         name: "splice",
         mode: ServeMode::Splice,
-    },
-    Mode {
-        name: "ring",
-        mode: ServeMode::Ring { depth: DEPTH },
     },
     Mode {
         name: "cp-relay",
@@ -234,14 +227,11 @@ fn main() {
                 .map(|r| r.compute_share)
                 .unwrap()
         };
-        let relay = share("cp-relay");
-        for m in ["splice", "ring"] {
-            assert!(
-                share(m) > relay,
-                "{m} compute share {:.3} not above cp-relay {relay:.3} at {nominal}",
-                share(m)
-            );
-        }
+        let (splice, relay) = (share("splice"), share("cp-relay"));
+        assert!(
+            splice > relay,
+            "splice compute share {splice:.3} not above cp-relay {relay:.3} at {nominal}"
+        );
     }
     // Tail latency must not improve as load is added.
     for mode in MODES {

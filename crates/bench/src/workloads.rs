@@ -8,7 +8,7 @@
 
 use kdev::{AudioDac, VideoDac};
 use khw::DiskProfile;
-use kproc::programs::{EndSpec, EndpointPair, MoviePlayer, RingScp, Scp, ServeMode, UdpSource};
+use kproc::programs::{EndSpec, EndpointPair, MoviePlayer, Scp, ServeMode, UdpSource};
 use kproc::{ProcState, SockAddr, SpliceLen, SyscallRet};
 use ksim::Dur;
 use splice::{Kernel, KernelBuilder, ServeScenario};
@@ -17,21 +17,10 @@ use splice::{Kernel, KernelBuilder, ServeScenario};
 const TRACE_CAP: usize = 1 << 20;
 
 /// The named workloads, in the order `tracedump` runs them by default.
-pub const ALL: &[&str] = &["scp_ram", "spool", "movie", "ring", "server"];
-
-/// File pairs the `ring` workload copies in one batched wave set.
-const RING_PAIRS: usize = 256;
-/// Bytes per `ring` source file (one block each).
-const RING_FILE_BYTES: u64 = 8 * 1024;
-/// Submission depth of the `ring` workload's splice ring.
-const RING_DEPTH: u32 = 64;
-/// Base pattern seed for the `ring` workload (file `i` uses `base ^ i`).
-const RING_SEED: u64 = 0x51ce;
+pub const ALL: &[&str] = &["scp_ram", "spool", "movie", "server"];
 
 /// Connections the `server` workload serves.
 const SERVER_CONNS: usize = 512;
-/// Splice-ring depth (wave size) of the `server` workload.
-const SERVER_DEPTH: u32 = 64;
 /// Pattern + arrival + link seed of the `server` workload.
 const SERVER_SEED: u64 = 0x5e12;
 /// Arrival window the `server` workload's fetches spread over.
@@ -44,8 +33,7 @@ const SERVER_WINDOW: Dur = Dur::from_ms(100);
 pub struct WorkloadMeta {
     /// Workload name, as in [`ALL`].
     pub name: &'static str,
-    /// Pattern seeds, in setup order (the `ring` workload XORs the
-    /// pair index into its single base seed).
+    /// Pattern seeds, in setup order.
     pub seeds: Vec<u64>,
     /// Bytes the workload must move for its own checks to pass.
     pub expected_bytes: u64,
@@ -74,11 +62,6 @@ pub fn meta(name: &str) -> WorkloadMeta {
             // Audio samples for 30 frames at 30 fps plus 30 video frames.
             expected_bytes: 8_000 + 30 * 64 * 1024,
         },
-        "ring" => WorkloadMeta {
-            name: "ring",
-            seeds: vec![RING_SEED],
-            expected_bytes: RING_PAIRS as u64 * RING_FILE_BYTES,
-        },
         "server" => WorkloadMeta {
             name: "server",
             seeds: vec![SERVER_SEED],
@@ -100,7 +83,6 @@ pub fn run(name: &str) -> Kernel {
         "scp_ram" => scp_ram(),
         "spool" => spool(),
         "movie" => movie(),
-        "ring" => ring(),
         "server" => server(),
         other => panic!("unknown workload `{other}` (known: {})", ALL.join(", ")),
     }
@@ -201,48 +183,14 @@ fn movie() -> Kernel {
     k
 }
 
-/// Batched ring submission: 256 one-block file→file copies moved
-/// through a depth-64 splice ring in submit/reap waves — the workload
-/// that exercises the `sqe_wait` stage and ring tracepoints.
-fn ring() -> Kernel {
-    let mut k = KernelBuilder::paper_machine_ram().trace(TRACE_CAP).build();
-    for i in 0..RING_PAIRS {
-        k.setup_file(&format!("/d0/f{i}"), RING_FILE_BYTES, RING_SEED ^ i as u64);
-    }
-    k.cold_cache();
-    let pid = k.spawn(Box::new(RingScp::new(
-        "/d0/f", "/d1/c", RING_PAIRS, RING_DEPTH,
-    )));
-    let horizon = k.horizon(3600);
-    k.run_to_exit(horizon);
-    assert!(
-        matches!(k.procs().must(pid).state, ProcState::Exited(0)),
-        "ring: copier failed"
-    );
-    for i in 0..RING_PAIRS {
-        assert_eq!(
-            k.verify_pattern_file(&format!("/d1/c{i}"), RING_FILE_BYTES, RING_SEED ^ i as u64),
-            None,
-            "ring: copy {i} corrupted"
-        );
-    }
-    k
-}
-
-/// The connection-scale scenario: a splice-ring server fetches one
+/// The connection-scale scenario: a `splice(2)` server fetches one
 /// 8 KB file to each of 512 open-loop fetches over a lossless modeled
 /// link — the workload behind `bench --bin server`'s sweep, at a
 /// tracedump-friendly size.
 fn server() -> Kernel {
     let sc = ServeScenario {
         window: SERVER_WINDOW,
-        ..ServeScenario::new(
-            SERVER_CONNS,
-            ServeMode::Ring {
-                depth: SERVER_DEPTH,
-            },
-            SERVER_SEED,
-        )
+        ..ServeScenario::new(SERVER_CONNS, ServeMode::Splice, SERVER_SEED)
     };
     sc.serve(
         KernelBuilder::paper_machine_ram().trace(TRACE_CAP),

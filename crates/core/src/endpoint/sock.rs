@@ -17,6 +17,30 @@ use crate::event::{Event, KWork};
 use crate::kernel::Kernel;
 
 impl Kernel {
+    /// Source-socket close is EOF for the splice draining it: clamp the
+    /// target and complete once in-flight work lands.
+    pub(crate) fn splice_sock_eof(&mut self, sock: SockId) {
+        if let Some(desc) = self.sock_splices.remove(&sock) {
+            self.finish_splice_now(desc);
+        }
+    }
+
+    /// A datagram landed on `sock`: if a splice is draining the socket,
+    /// re-arm the engine's read side (the arrival funds one more stream
+    /// pull, watermarks permitting) and return `true`; otherwise the
+    /// caller wakes sleeping receivers.
+    pub(crate) fn splice_sock_feed(&mut self, sock: SockId) -> bool {
+        let Some(&desc) = self.sock_splices.get(&sock) else {
+            return false;
+        };
+        self.enqueue_kwork(
+            kproc::WorkClass::Soft,
+            self.cfg.machine.splice_handler,
+            KWork::SpliceIssueReads { desc },
+        );
+        true
+    }
+
     /// Pulls the next queued datagram, truncated to `want` bytes.
     /// `None` if the queue drained between issue and apply.
     pub(crate) fn sock_pull(&mut self, sock: SockId, want: usize) -> Option<Bytes> {

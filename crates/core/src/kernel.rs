@@ -21,7 +21,7 @@ use std::collections::VecDeque;
 use kbuf::{BufData, BufId, Cache, DevId, IoDir, SpliceRef};
 use kfs::{Fs, FsIo};
 use khw::{Disk, DiskProfile, MachineProfile, RamDisk};
-use knet::Net;
+use knet::{Net, SockId};
 use kproc::{
     Admit, Chan, ChanSpace, CpuEngine, Itimer, Pid, PidMap, ProcState, ProcTable, Program, RunKind,
     Scheduler, Sig, Step, WorkClass,
@@ -96,9 +96,18 @@ pub struct Kernel {
     pub(crate) splices: IdMap<u64, SpliceDesc>,
     /// How the last [`ksim::RECENT_SPANS`] finished splices ended (bytes
     /// moved + errno), oldest first, kept after the descriptor is torn
-    /// down for partial-transfer audits. No syscall reads it: a
-    /// synchronous splice takes its result from its CQE.
+    /// down for partial-transfer audits. No syscall reads it: 64 later
+    /// completions can evict an outcome before its caller resumes.
     pub(crate) splice_outcomes: VecDeque<(u64, crate::splice_engine::SpliceOutcome)>,
+    /// The outcome of each finished splice whose caller sleeps in
+    /// `splice(2)`, by descriptor: filled at completion, taken when the
+    /// caller resumes. A blocked caller cannot exit or be interrupted,
+    /// so every slot is taken.
+    pub(crate) sync_outcomes: IdMap<u64, crate::splice_engine::SpliceOutcome>,
+    /// Socket-sourced splices: source socket → descriptor, so a datagram
+    /// arrival re-arms the splice and a close ends it
+    /// ([`Kernel::splice_sock_feed`], [`Kernel::splice_sock_eof`]).
+    pub(crate) sock_splices: IdMap<SockId, u64>,
     pub(crate) next_splice: u64,
     /// What each waiting process resumes with, whether it sleeps on a
     /// channel or until an instant, in a slot indexed by pid. Written
@@ -108,9 +117,6 @@ pub struct Kernel {
     /// chunk ends. Kernel mode is not preempted, so at most one chunk
     /// is in flight.
     pub(crate) pending_after: Option<(Pid, AfterCpu)>,
-    /// Splice rings plus the unified in-flight routing table (every
-    /// splice entry path) and the socket→descriptor index.
-    pub(crate) rings: crate::splice_ring::RingTable,
     pub(crate) deferred: VecDeque<(Dur, KWork)>,
     pub(crate) dispatch_pending: bool,
     /// A wakeup boosted a process while a syscall chunk was on the CPU;
@@ -181,10 +187,11 @@ impl Kernel {
             files: FileTable::new(),
             splices: IdMap::default(),
             splice_outcomes: VecDeque::new(),
+            sync_outcomes: IdMap::default(),
+            sock_splices: IdMap::default(),
             next_splice: 1,
             conts: PidMap::default(),
             pending_after: None,
-            rings: crate::splice_ring::RingTable::new(),
             deferred: VecDeque::new(),
             dispatch_pending: false,
             resched: false,
@@ -864,8 +871,6 @@ impl Kernel {
         if let Some(t) = self.procs.must_mut(pid).itimer.take() {
             self.callout.cancel(t.callout);
         }
-        // Rings die with their owner; in-flight entries drain silently.
-        self.ring_owner_exit(pid);
         let now = self.q.now();
         self.procs.must_mut(pid).ended = Some(now);
         self.procs.set_state(pid, ProcState::Exited(code));

@@ -71,7 +71,6 @@ pub mod metrics;
 pub mod objects;
 pub mod profile;
 pub mod splice_engine;
-pub mod splice_ring;
 pub mod syscalls;
 mod traffic;
 
@@ -87,4 +86,3 @@ pub use metrics::{
 pub use objects::{DiskUnitKind, FileId, FileObj};
 pub use profile::{CacheOccupancy, CpuClassProfile, DeviceProfile, ProcProfile, ProfileSnapshot};
 pub use splice_engine::{FlowControl, OutcomeStatus, SpliceOutcome, MAX_SPLICE_RETRIES};
-pub use splice_ring::RING_MAX_DEPTH;

@@ -6,9 +6,10 @@
 //! read plan (a §5.2 physical block table for files, a pull-chunk size
 //! for streams), destination block tables obtained with the allocating
 //! `bmap` (§5.2), watermark counters (§5.2.3), and completion routing
-//! (`FASYNC`/`SIGIO` or a sleeping synchronous caller). "Placing all
-//! necessary information in this descriptor allows I/O to proceed without
-//! requiring the calling process context to be available."
+//! (`Route`: `FASYNC`/`SIGIO` or a sleeping synchronous caller).
+//! "Placing all necessary information in this descriptor allows I/O to
+//! proceed without requiring the calling process context to be
+//! available."
 //!
 //! **One engine loop serves every src×dst pair.** The data path runs
 //! entirely in kernel completion context:
@@ -52,7 +53,6 @@ use crate::event::KWork;
 use crate::kernel::{IoCtx, Kernel};
 use crate::metrics::SpliceTotals;
 use crate::objects::{CharDev, FileId};
-use crate::splice_ring::RingRoute;
 use crate::syscalls::{Cont, SyscallOutcome};
 
 /// Pull granularity for stream sources (one datagram or framebuffer
@@ -62,8 +62,8 @@ pub(crate) const STREAM_CHUNK: usize = 8192;
 /// Default per-block retry budget for transient device errors. The
 /// first retry waits one tick; each further attempt doubles the backoff
 /// (1, 2, 4, 8, 16 ticks). A block that still fails after this many
-/// attempts aborts the whole splice with `EIO`. Ring submissions can
-/// override the budget per request ([`kproc::SpliceReq::retries`]).
+/// attempts aborts the whole splice with `EIO`. A request can override
+/// the budget ([`kproc::SpliceReq::retries`]).
 pub const MAX_SPLICE_RETRIES: u32 = kproc::SpliceReq::DEFAULT_RETRIES;
 
 pub use kproc::SpliceOutcome;
@@ -150,7 +150,19 @@ pub(crate) struct SpliceDesc {
     pub error: Option<Errno>,
     pub done: bool,
     /// Where the outcome goes at completion.
-    route: RingRoute,
+    route: Route,
+}
+
+/// Where a splice's outcome goes when it completes (§3): to the caller
+/// blocked in `splice(2)`, or by `SIGIO` when either descriptor is
+/// `FASYNC`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Route {
+    /// The caller sleeps on `Chan(Splice, desc)` until the outcome is
+    /// latched in [`Kernel::sync_outcomes`](crate::kernel::Kernel).
+    Wait,
+    /// Completion posts `SIGIO` to this process, and nothing else.
+    Sigio(Pid),
 }
 
 /// One in-flight block of a splice, from its first read issue until it
@@ -181,60 +193,49 @@ impl SpliceDesc {
     }
 }
 
-/// What [`Kernel::splice_begin`] did with a request: admitted it as an
-/// in-flight descriptor, finished it on the spot (zero-length), or
-/// refused it. CPU charges *exclude* the syscall crossing — the entry
-/// point (one `splice(2)` trap or one amortized ring-submit crossing)
-/// adds its own.
-pub(crate) enum SpliceBegin {
-    /// The splice is in flight; `desc` identifies it.
-    Started { desc: u64, cpu: Dur },
-    /// Nothing to move (zero-length transfer): done immediately.
-    Empty { cpu: Dur },
-    /// Refused with this errno (already counted through the funnel).
-    Rejected(Errno),
-}
-
 impl Kernel {
-    // ----- the unified splice entry point ------------------------------------
+    // ----- the splice(2) entry point -------------------------------------------
 
-    /// Builds and launches a splice descriptor from an already-resolved
-    /// request. **Every** entry path lands here — the synchronous
-    /// `splice(2)` call, the `FASYNC`/`SIGIO` descriptor path, and ring
-    /// submissions — differing only in the completion [`RingRoute`]
-    /// resolved here: ring submissions pass their CQE tag as
-    /// `user_data`; a legacy `splice(2)` entry on `ring` passes `None`,
-    /// is tagged with its descriptor id, and announces by `SIGIO`
-    /// instead of a CQE when either descriptor is `FASYNC`. Rejections
-    /// are counted through [`Kernel::splice_reject_note`]; the caller maps
-    /// them onto its own failure surface (errno return or error CQE).
-    pub(crate) fn splice_begin(
+    /// `splice(2)`: builds and launches a splice descriptor. Without
+    /// `FASYNC` the caller blocks on the descriptor's channel until the
+    /// transfer completes; with `FASYNC` on either descriptor the call
+    /// returns at once and completion is announced with `SIGIO` (the
+    /// outcome is kept among the recent ones [`Kernel::splice_outcome`]
+    /// reports). Every refusal passes through [`Kernel::splice_reject`].
+    pub(crate) fn sys_splice(
         &mut self,
+        pid: Pid,
         sfid: FileId,
         dfid: FileId,
         len: SpliceLen,
         retry_limit: u32,
-        ring: u64,
-        user_data: Option<u64>,
-    ) -> SpliceBegin {
+    ) -> SyscallOutcome {
         let m = self.cfg.machine.clone();
         let sof = self.files.get(sfid).expect("resolved fid");
         let dof = self.files.get(dfid).expect("resolved fid");
         let (sobj, dobj) = (sof.obj, dof.obj);
-        let fasync = sof.fasync || dof.fasync;
+        let route = if sof.fasync || dof.fasync {
+            Route::Sigio(pid)
+        } else {
+            Route::Wait
+        };
+        let empty = SyscallOutcome::Done {
+            cpu: m.syscall,
+            ret: SyscallRet::Val(0),
+        };
 
         // An object participates only through a descriptor opened for
         // that direction: read on the source, write on the sink.
         if !sof.readable || !dof.writable {
-            return SpliceBegin::Rejected(self.splice_reject_note(Errno::Ebadf));
+            return self.splice_reject(Errno::Ebadf);
         }
         let src = match self.resolve_src(sobj) {
             Ok(s) => s,
-            Err(e) => return SpliceBegin::Rejected(self.splice_reject_note(e)),
+            Err(e) => return self.splice_reject(e),
         };
         let dst = match self.resolve_dst(dobj) {
             Ok(d) => d,
-            Err(e) => return SpliceBegin::Rejected(self.splice_reject_note(e)),
+            Err(e) => return self.splice_reject(e),
         };
 
         // Resolve the transfer size and build the source read plan.
@@ -249,11 +250,11 @@ impl Kernel {
                     SpliceLen::Eof => avail,
                 };
                 if total == 0 {
-                    return SpliceBegin::Empty { cpu: Dur::ZERO };
+                    return empty;
                 }
                 let plan = match self.prepare_file_source(disk, ino, offset, total) {
                     Ok(p) => p,
-                    Err(e) => return SpliceBegin::Rejected(self.splice_reject_note(e)),
+                    Err(e) => return self.splice_reject(e),
                 };
                 let nblocks = match &plan {
                     ReadPlan::Mapped { src_map, .. } => src_map.len(),
@@ -269,11 +270,11 @@ impl Kernel {
                     let bs = self.cfg.block_size as u64;
                     let dst_off = self.files.get(dfid).unwrap().offset;
                     if plan.first_boff() != 0 || !dst_off.is_multiple_of(bs) {
-                        return SpliceBegin::Rejected(self.splice_reject_note(Errno::Einval));
+                        return self.splice_reject(Errno::Einval);
                     }
                     dst_map = match self.prepare_file_sink(ddisk, dino, dst_off, nblocks, total) {
                         Ok(map) => map,
-                        Err(e) => return SpliceBegin::Rejected(self.splice_reject_note(e)),
+                        Err(e) => return self.splice_reject(e),
                     };
                     self.files.get_mut(dfid).unwrap().offset += total;
                 }
@@ -286,10 +287,10 @@ impl Kernel {
             SrcEndpoint::Fb { .. } | SrcEndpoint::Sock { .. } => {
                 let SpliceLen::Bytes(total) = len else {
                     // A stream source has no EOF to reach.
-                    return SpliceBegin::Rejected(self.splice_reject_note(Errno::Einval));
+                    return self.splice_reject(Errno::Einval);
                 };
                 if total == 0 {
-                    return SpliceBegin::Empty { cpu: Dur::ZERO };
+                    return empty;
                 }
                 // Byte-stream file sinks append from the current size.
                 let dst_off = match dst {
@@ -320,18 +321,11 @@ impl Kernel {
             retry_limit,
             error: None,
             done: false,
-            route: RingRoute {
-                ring,
-                user_data: user_data.unwrap_or(id),
-                sigio: user_data.is_none() && fasync,
-            },
+            route,
         };
         self.splices.insert(id, desc);
         if let SrcEndpoint::Sock { sock } = src {
-            self.rings.bind_sock(sock, id);
-        }
-        if let Some(r) = self.rings.get_mut(ring) {
-            r.inflight += 1;
+            self.sock_splices.insert(sock, id);
         }
         self.ctr.splice.started += 1;
         let now = self.q.now();
@@ -342,111 +336,53 @@ impl Kernel {
         });
 
         // Initial reads/pulls are issued in the caller's context.
-        cpu += self.splice_issue_reads(id, IoCtx::Process);
-        SpliceBegin::Started { desc: id, cpu }
-    }
-
-    /// The legacy `splice(2)` entry point, re-expressed on the ring path:
-    /// a depth-1 submit on the process's implicit legacy ring. Without
-    /// `FASYNC` the caller blocks on the ring channel until its entry
-    /// completes; with `FASYNC` the call returns immediately and
-    /// completion is announced with `SIGIO` (no CQE is queued — the
-    /// outcome is kept among the recent ones [`Kernel::splice_outcome`]
-    /// reports).
-    pub(crate) fn sys_splice(
-        &mut self,
-        pid: Pid,
-        sfid: FileId,
-        dfid: FileId,
-        len: SpliceLen,
-        retry_limit: u32,
-    ) -> SyscallOutcome {
-        let m = self.cfg.machine.clone();
-        let fasync = {
-            let sof = self.files.get(sfid).expect("resolved fid");
-            let dof = self.files.get(dfid).expect("resolved fid");
-            sof.fasync || dof.fasync
-        };
-        let ring = self.rings.legacy_ring_for(pid);
-        match self.splice_begin(sfid, dfid, len, retry_limit, ring, None) {
-            SpliceBegin::Rejected(e) => SyscallOutcome::Done {
-                cpu: m.syscall,
-                ret: SyscallRet::Err(e),
-            },
-            SpliceBegin::Empty { cpu } => SyscallOutcome::Done {
-                cpu: m.syscall + cpu,
+        cpu += m.syscall + self.splice_issue_reads(id, IoCtx::Process);
+        match route {
+            Route::Sigio(_) => SyscallOutcome::Done {
+                cpu,
                 ret: SyscallRet::Val(0),
             },
-            SpliceBegin::Started { desc, cpu } => {
-                if fasync {
-                    SyscallOutcome::Done {
-                        cpu: m.syscall + cpu,
-                        ret: SyscallRet::Val(0),
-                    }
-                } else {
-                    SyscallOutcome::Block {
-                        cpu: m.syscall + cpu,
-                        chan: Chan::new(ChanSpace::Ring, ring),
-                        cont: Cont::SpliceSync { ring, desc },
-                    }
-                }
-            }
+            Route::Wait => SyscallOutcome::Block {
+                cpu,
+                chan: Chan::new(ChanSpace::Splice, id),
+                cont: Cont::SpliceSync { desc: id },
+            },
         }
     }
 
     /// Counts and traces a splice rejection — the single funnel every
-    /// refused request passes through, whether it surfaces as an errno
-    /// return (`splice(2)`, ring syscalls) or an error CQE (per-entry
-    /// ring submission failures). Returns the errno for convenience.
-    pub(crate) fn splice_reject_note(&mut self, e: Errno) -> Errno {
+    /// refused request passes through — and returns the errno charged
+    /// at one crossing.
+    pub(crate) fn splice_reject(&mut self, e: Errno) -> SyscallOutcome {
         self.ctr.splice.rejected += 1;
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SpliceReject {
             errno: errno_name(e),
         });
-        e
-    }
-
-    /// Rejection as a syscall outcome: the funnel plus the errno return
-    /// charged at one crossing.
-    pub(crate) fn splice_reject(&mut self, e: Errno) -> SyscallOutcome {
-        let e = self.splice_reject_note(e);
         SyscallOutcome::Done {
             cpu: self.cfg.machine.syscall,
             ret: SyscallRet::Err(e),
         }
     }
 
-    /// A synchronous splice caller woke up: deliver the byte count if the
-    /// transfer finished, or go back to sleep. An aborted splice reports
-    /// its typed errno — never a success value — and leaves the exact
-    /// partial byte count in [`Kernel::splice_outcome`].
-    pub(crate) fn resume_splice_sync(&mut self, ring: u64, desc: u64) -> SyscallOutcome {
-        // The blocking caller *is* the reaper for its depth-1 entry: it
-        // takes the result from the CQE latched on its legacy ring.
-        if let Some(cqe) = self.rings.take_cqe(ring, desc) {
-            let o = cqe.outcome;
-            let ret = match o.error {
-                Some(e) => SyscallRet::Err(e),
-                None => SyscallRet::Val(o.bytes_moved as i64),
-            };
-            return SyscallOutcome::Done {
-                cpu: self.cfg.machine.buf_op,
-                ret,
-            };
-        }
-        if self.splices.contains_key(&desc) {
-            return SyscallOutcome::Block {
-                cpu: Dur::ZERO,
-                chan: Chan::new(ChanSpace::Ring, ring),
-                cont: Cont::SpliceSync { ring, desc },
-            };
-        }
-        // The descriptor vanished without queueing a completion (it
-        // cannot under normal operation): report zero, don't hang.
+    /// A synchronous splice caller woke up: its transfer finished, so
+    /// deliver the byte count. An aborted splice reports its typed errno
+    /// — never a success value — and leaves the exact partial byte count
+    /// in [`Kernel::splice_outcome`].
+    pub(crate) fn resume_splice_sync(&mut self, desc: u64) -> SyscallOutcome {
+        // Only `complete_splice` wakes `Chan(Splice, desc)`, after it
+        // latches the outcome.
+        let o = self
+            .sync_outcomes
+            .remove(&desc)
+            .expect("a woken splice(2) caller finds its outcome latched");
+        let ret = match o.error {
+            Some(e) => SyscallRet::Err(e),
+            None => SyscallRet::Val(o.bytes_moved as i64),
+        };
         SyscallOutcome::Done {
             cpu: self.cfg.machine.buf_op,
-            ret: SyscallRet::Val(0),
+            ret,
         }
     }
 
@@ -1099,10 +1035,10 @@ impl Kernel {
         // the clamped total and completes the splice.
     }
 
-    /// Finalisation, one tail for every entry path: latch the outcome,
-    /// tear down device streams and the socket index, then hand the
-    /// descriptor's [`RingRoute`] to [`Kernel::ring_deliver`], which
-    /// queues the CQE / posts `SIGIO` / wakes reapers.
+    /// Finalisation, one tail for every splice: latch the outcome, tear
+    /// down device streams and the socket index, then follow the
+    /// descriptor's [`Route`]: hand the outcome to the waiting caller
+    /// and wake it, or post `SIGIO`.
     fn complete_splice(&mut self, desc: u64) {
         let now = self.q.now();
         let Some(d) = self.splices.get_mut(&desc) else {
@@ -1136,7 +1072,7 @@ impl Kernel {
             }
         }
         if let SrcEndpoint::Sock { sock } = src {
-            self.rings.unbind_sock(sock);
+            self.sock_splices.remove(&sock);
         }
         if outcome.error.is_none() {
             self.ctr.splice.completed += 1;
@@ -1144,7 +1080,13 @@ impl Kernel {
         self.kstat.spans.retire(desc, now, outcome.bytes_moved);
         self.trace.emit(now, || TraceEvent::SpliceComplete { desc });
         self.splices.remove(&desc);
-        self.ring_deliver(route, outcome);
+        match route {
+            Route::Wait => {
+                self.sync_outcomes.insert(desc, outcome);
+                self.wakeup(Chan::new(ChanSpace::Splice, desc));
+            }
+            Route::Sigio(pid) => self.post_sigio(pid),
+        }
     }
 }
 

@@ -75,11 +75,8 @@ pub(crate) enum Cont {
     Write(Box<WriteCont>),
     /// `fsync(2)` waiting for in-flight writes.
     Fsync { fid: FileId },
-    /// Synchronous `splice(2)` waiting for its depth-1 legacy-ring entry
-    /// to complete.
-    SpliceSync { ring: u64, desc: u64 },
-    /// `sys_ring_reap` waiting for `min` completions.
-    RingReap { ring: u64, min: u32 },
+    /// Synchronous `splice(2)` waiting for its descriptor to complete.
+    SpliceSync { desc: u64 },
     /// `pause(2)`.
     Pause,
     /// `recv` waiting for a datagram.
@@ -252,9 +249,6 @@ impl Kernel {
                 };
                 self.sys_splice(pid, sfid, dfid, req.len, req.retry_limit)
             }
-            SyscallReq::RingCreate { depth, sigio } => self.sys_ring_create(pid, depth, sigio),
-            SyscallReq::RingSubmit { ring, sqes } => self.sys_ring_submit(pid, ring, sqes),
-            SyscallReq::RingReap { ring, min } => self.sys_ring_reap(pid, ring, min),
             SyscallReq::Fsync(fd) => {
                 let Some(fid) = self.fid_of(pid, fd) else {
                     return self.err(Errno::Ebadf);
@@ -464,8 +458,7 @@ impl Kernel {
             Cont::Read(c) => self.do_read(*c, Dur::ZERO),
             Cont::Write(c) => self.do_write(*c, Dur::ZERO),
             Cont::Fsync { fid } => self.do_fsync(fid, Dur::ZERO),
-            Cont::SpliceSync { ring, desc } => self.resume_splice_sync(ring, desc),
-            Cont::RingReap { ring, min } => self.ring_try_reap(ring, min, Dur::ZERO),
+            Cont::SpliceSync { desc } => self.resume_splice_sync(desc),
             Cont::Pause => SyscallOutcome::Done {
                 cpu: self.cfg.machine.buf_op,
                 ret: SyscallRet::Val(0),
@@ -608,11 +601,8 @@ impl Kernel {
             return false;
         };
         if let Some(FileObj::Sock { sock }) = last.map(|of| of.obj) {
-            // Closing the source of an active splice is its EOF: the
-            // ring table's socket index completes the descriptor so
-            // every entry path hears about it (sync wakeup, SIGIO, or
-            // CQE).
-            // The splice completion lands its outcome on the request
+            // Closing the source of an active splice is its EOF, and
+            // the splice completion lands its outcome on the request
             // record before the record closes.
             self.splice_sock_eof(sock);
             self.kstat.requests.close(self.q.now(), sock.0);

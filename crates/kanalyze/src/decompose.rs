@@ -7,9 +7,8 @@
 //! **exactly** — read phase + handoff + write phase = total, with no
 //! gaps and no overlaps, by arithmetic on the same timestamps. The
 //! decomposition then refines the read phase with the separately
-//! recorded device-queue wait, and attaches the two *overlapping*
-//! measures (virtual SQE-admission wait, retry backoff) as
-//! informational rows that never enter the closure sum.
+//! recorded device-queue wait, and attaches the *overlapping* retry
+//! backoff as an informational row that never enters the closure sum.
 //!
 //! The closure check is the whole point: the trace-derived total is
 //! compared against the `end_to_end` stage histogram, which the engine
@@ -75,7 +74,7 @@ impl PhaseBreakdown {
 #[derive(Clone, Debug)]
 pub struct StageRow {
     /// Stage name (`read_queue`, `read_service`, `handoff`,
-    /// `write_service`, `sqe_wait`, `retry_backoff`).
+    /// `write_service`, `retry_backoff`).
     pub stage: &'static str,
     /// Total nanoseconds attributed to this stage across all blocks.
     pub total_ns: u128,
@@ -86,8 +85,8 @@ pub struct StageRow {
     pub mean_ns: f64,
     /// `total_ns` as a fraction of the end-to-end total.
     pub share: f64,
-    /// True for overlapping sub-attributions (virtual SQE wait, retry
-    /// backoff) that are excluded from the gap-free closure sum.
+    /// True for overlapping sub-attributions (retry backoff) that are
+    /// excluded from the gap-free closure sum.
     pub informational: bool,
 }
 
@@ -161,9 +160,8 @@ pub const CLOSURE_TOLERANCE: f64 = 0.01;
 /// (clamped to it — the queue-wait histogram also sees non-splice
 /// reads), `read_service` is the remainder of the read phase,
 /// `handoff` and `write_service` are the other two phases verbatim.
-/// `sqe_wait` (virtual submission-crossing offset) and `retry_backoff`
-/// (waits between re-issues, overlapping the read phase) are attached
-/// as informational rows.
+/// `retry_backoff` (waits between re-issues, overlapping the read
+/// phase) is attached as an informational row.
 pub fn decompose(spans: &[BlockSpan], stages: &StageHists, tolerance: f64) -> Decomposition {
     let phases = PhaseBreakdown::from_spans(spans);
     let e2e = phases.total_ns;
@@ -174,13 +172,6 @@ pub fn decompose(spans: &[BlockSpan], stages: &StageHists, tolerance: f64) -> De
         StageRow::new("read_service", read_service, phases.blocks, e2e, false),
         StageRow::new("handoff", phases.handoff_ns, phases.blocks, e2e, false),
         StageRow::new("write_service", phases.write_ns, phases.blocks, e2e, false),
-        StageRow::new(
-            "sqe_wait",
-            stages.sqe_wait.sum(),
-            stages.sqe_wait.count(),
-            e2e,
-            true,
-        ),
         StageRow::new(
             "retry_backoff",
             stages.retry_backoff.sum(),

@@ -6,8 +6,8 @@
 //!
 //! - [`decompose()`]: walks every stitched [`ksim::BlockSpan`] into an
 //!   exhaustive, gap-free per-block latency breakdown (read queue, read
-//!   service, read→write handoff, write service, with SQE-admission
-//!   wait and retry backoff as overlapping sub-attributions), aggregates
+//!   service, read→write handoff, write service, with retry backoff as
+//!   an overlapping sub-attribution), aggregates
 //!   per workload into a ranked bottleneck table, and cross-checks the
 //!   trace-derived total against the independently recorded
 //!   `end_to_end` stage histogram.

@@ -165,6 +165,9 @@ pub struct Cache {
     /// and copies it on first write, so it stays zero and sets the
     /// buffer size.
     zero: Rc<Vec<u8>>,
+    /// The empty area every dead splice header points at, so releasing
+    /// a header drops its alias without allocating.
+    dead_area: BufData,
     pool_size: usize,
     stats: CacheStats,
     /// Opt-in trace event log; empty and untouched unless enabled.
@@ -209,6 +212,7 @@ impl Cache {
             free_len: nbufs,
             free_headers: Vec::new(),
             zero,
+            dead_area: BufData::from_vec(Vec::new()),
             pool_size: nbufs,
             stats: CacheStats::default(),
             log: Vec::new(),
@@ -651,7 +655,7 @@ impl Cache {
             b.dead = true;
             b.dev = None;
             b.splice = None;
-            b.data = BufData::from_vec(Vec::new());
+            b.data = self.dead_area.clone();
             if let Some(key) = key {
                 if self.hash.get(&key) == Some(&id) {
                     self.hash.remove(&key);
@@ -766,7 +770,7 @@ impl Cache {
                 blkno: 0,
                 bcount: 0,
                 flags: BufFlags::empty(),
-                data: BufData::from_vec(Vec::new()),
+                data: self.dead_area.clone(),
                 splice: None,
                 pool: false,
                 dead: true,

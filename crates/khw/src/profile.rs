@@ -213,14 +213,6 @@ pub struct MachineProfile {
     pub udp_packet: Dur,
     /// Network copy rate (socket buffer ↔ mbuf), bytes/s.
     pub net_copy_bps: u64,
-    /// CPU cost of validating and queueing one splice-ring submission
-    /// entry (copyin of the SQE, descriptor checks) — charged per entry
-    /// on top of the single `syscall` crossing for the whole batch.
-    pub ring_submit_entry: Dur,
-    /// CPU cost of copying one splice-ring completion entry out to the
-    /// reaper — charged per entry on top of the single `syscall`
-    /// crossing for the whole batch.
-    pub ring_reap_entry: Dur,
 }
 
 impl MachineProfile {
@@ -248,10 +240,6 @@ impl MachineProfile {
             page_size: 4096,
             udp_packet: Dur::from_us(180),
             net_copy_bps: 10_200_000,
-            // A fraction of the full crossing: no trap, just per-entry
-            // copy + validation inside an already-entered kernel.
-            ring_submit_entry: Dur::from_us(6),
-            ring_reap_entry: Dur::from_us(3),
         }
     }
 

@@ -39,6 +39,6 @@ pub use process::{Itimer, ProcState, ProcTable, Process};
 pub use program::{Program, Step, UserCtx};
 pub use sched::{CurrentRun, RunKind, Scheduler};
 pub use types::{
-    Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, PidMap, Sig, SigSet, SockAddr, SpliceCqe,
-    SpliceLen, SpliceOutcome, SpliceReq, SpliceSqe, SyscallReq, SyscallRet,
+    Chan, ChanSpace, Errno, FcntlCmd, Fd, OpenFlags, Pid, PidMap, Sig, SigSet, SockAddr, SpliceLen,
+    SpliceOutcome, SpliceReq, SyscallReq, SyscallRet,
 };

@@ -10,15 +10,12 @@
 //!   `fsync` on the destination (§6.1's CP environment).
 //! * [`Scp`] — `scp`: the splice-based copy, synchronous or
 //!   `FASYNC`+`SIGIO` (§6.1's SCP environment).
-//! * [`RingScp`] — batched splice copies through a splice ring (one
-//!   submit/reap crossing per wave), with a legacy one-at-a-time mode
-//!   for crossings-per-byte comparisons.
 //! * [`MoviePlayer`] — the §4 example: async audio splice plus
 //!   interval-timer-paced video frame splices.
 //! * [`net`] — UDP senders/sinks and the two relay variants
 //!   (read/write vs splice) for the socket-to-socket data path (§5.1).
 //! * [`server`] — the connection-scale scenario: a listening
-//!   [`SpliceServer`] (splice, splice-ring, or cp-relay modes) serving
+//!   [`SpliceServer`] (`splice(2)` or cp-relay mode) serving
 //!   one file per connection to an open-loop load drawn by
 //!   [`open_loop_delays`]. The load itself is no program: the kernel's
 //!   traffic source offers it from the link, on no simulated CPU.
@@ -33,7 +30,6 @@ pub mod endpoint;
 pub mod movie;
 pub mod net;
 pub mod repeat;
-pub mod ring_scp;
 pub mod scp;
 pub mod server;
 pub mod util;
@@ -45,7 +41,6 @@ pub use endpoint::{EndSpec, EndpointPair};
 pub use movie::MoviePlayer;
 pub use net::{UdpRelayRw, UdpRelaySplice, UdpSink, UdpSource};
 pub use repeat::Repeat;
-pub use ring_scp::RingScp;
 pub use scp::{Scp, ScpMode};
 pub use server::{
     open_loop_delays, scenario_stats, ScenarioStats, ServeMode, SharedScenario, SpliceServer,

@@ -2,12 +2,11 @@
 //! that serves one file per connection, and the shared pieces of the
 //! open-loop load offered to it.
 //!
-//! Three serving modes reproduce the paper's comparison at connection
-//! scale: one-at-a-time `splice(2)` per connection (a 1993 `sendfile`),
-//! batched submission through a depth-k splice ring (one crossing per
-//! wave), and a user-space `cp`-relay baseline (`read` into a user
-//! buffer, `write` back out to the connection — the double-copy path
-//! splice exists to remove).
+//! Two serving modes reproduce the paper's comparison at connection
+//! scale: one `splice(2)` per connection (a 1993 `sendfile`), and a
+//! user-space `cp`-relay baseline (`read` into a user buffer, `write`
+//! back out to the connection — the double-copy path splice exists to
+//! remove).
 //!
 //! The load is **open-loop** ([`open_loop_delays`]: seeded arrivals
 //! that never depend on how fast the server answers). No process plays
@@ -78,13 +77,6 @@ pub fn open_loop_delays(n: usize, window: Dur, seed: u64) -> Vec<Dur> {
 pub enum ServeMode {
     /// One synchronous `splice(2)` per connection.
     Splice,
-    /// Batched: waves of up to `depth` accepted connections submitted
-    /// through one splice ring (one submit + one reap crossing per
-    /// wave).
-    Ring {
-        /// Ring depth (also the wave size and file-descriptor pool).
-        depth: u32,
-    },
     /// User-space baseline: `read` 8 KB into a user buffer, `write` it to
     /// the connection (`send` without flags) — two copies per block.
     CpRelay,
@@ -111,13 +103,8 @@ pub struct SpliceServer {
     st: u32,
     lfd: Option<Fd>,
     ffd: Option<Fd>,
-    ring: u64,
-    file_fds: Vec<Fd>,
-    conn_fds: Vec<Fd>,
     conn: Option<Fd>,
     served: usize,
-    wave: usize,
-    i: usize,
     sent: u64,
 }
 
@@ -144,13 +131,8 @@ impl SpliceServer {
             st: 0,
             lfd: None,
             ffd: None,
-            ring: 0,
-            file_fds: Vec::new(),
-            conn_fds: Vec::new(),
             conn: None,
             served: 0,
-            wave: 0,
-            i: 0,
             sent: 0,
         }
     }
@@ -161,24 +143,13 @@ impl SpliceServer {
         self
     }
 
-    /// First syscall of the mode-specific open phase.
+    /// Opens the served file (one descriptor, rewound per connection).
     fn open_phase(&mut self) -> Step {
-        match self.mode {
-            ServeMode::Splice | ServeMode::CpRelay => {
-                self.st = 10;
-                Step::Syscall(SyscallReq::Open {
-                    path: self.path.clone(),
-                    flags: OpenFlags::RDONLY,
-                })
-            }
-            ServeMode::Ring { depth } => {
-                self.st = 30;
-                Step::Syscall(SyscallReq::RingCreate {
-                    depth,
-                    sigio: false,
-                })
-            }
-        }
+        self.st = 10;
+        Step::Syscall(SyscallReq::Open {
+            path: self.path.clone(),
+            flags: OpenFlags::RDONLY,
+        })
     }
 
     /// One connection finished: count it, then accept the next or wind
@@ -195,19 +166,6 @@ impl SpliceServer {
             self.st = 15;
             Step::Syscall(SyscallReq::Close(self.lfd.unwrap()))
         }
-    }
-
-    /// Starts a ring wave: accept up to `depth` connections.
-    fn start_wave(&mut self) -> Step {
-        let ServeMode::Ring { depth } = self.mode else {
-            unreachable!()
-        };
-        self.wave = (depth as usize).min(self.n_conns - self.served);
-        self.conn_fds.clear();
-        self.st = 33;
-        Step::Syscall(SyscallReq::Accept {
-            fd: self.lfd.unwrap(),
-        })
     }
 }
 
@@ -272,7 +230,7 @@ impl Program for SpliceServer {
                 self.open_phase()
             }
 
-            // ---- splice / cp-relay: one connection at a time ----------
+            // ---- one connection at a time ------------------------------
             10 => {
                 self.ffd = ctx.take_ret().as_fd();
                 if self.n_conns == 0 {
@@ -366,121 +324,6 @@ impl Program for SpliceServer {
                 }
             }
 
-            // ---- ring mode: waves of depth connections ----------------
-            30 => {
-                let ret = ctx.take_ret();
-                if ret.as_val() < 0 {
-                    return Step::Exit(2);
-                }
-                self.ring = ret.as_val() as u64;
-                // One source fd per in-flight splice: concurrent splices
-                // advance their descriptor offsets independently.
-                let ServeMode::Ring { depth } = self.mode else {
-                    unreachable!()
-                };
-                let nfds = (depth as usize).min(self.n_conns.max(1));
-                self.file_fds.clear();
-                self.i = nfds;
-                self.st = 31;
-                Step::Syscall(SyscallReq::Open {
-                    path: self.path.clone(),
-                    flags: OpenFlags::RDONLY,
-                })
-            }
-            31 => {
-                self.file_fds.push(ctx.take_ret().as_fd().unwrap());
-                if self.file_fds.len() < self.i {
-                    return Step::Syscall(SyscallReq::Open {
-                        path: self.path.clone(),
-                        flags: OpenFlags::RDONLY,
-                    });
-                }
-                if self.n_conns == 0 {
-                    self.st = 15;
-                    return Step::Syscall(SyscallReq::Close(self.lfd.unwrap()));
-                }
-                self.start_wave()
-            }
-            33 => {
-                let fd = ctx.take_ret().as_fd();
-                let Some(fd) = fd else {
-                    return Step::Exit(2);
-                };
-                self.conn_fds.push(fd);
-                if self.conn_fds.len() < self.wave {
-                    return Step::Syscall(SyscallReq::Accept {
-                        fd: self.lfd.unwrap(),
-                    });
-                }
-                self.i = 0;
-                self.st = 34;
-                Step::Syscall(SyscallReq::Lseek {
-                    fd: self.file_fds[0],
-                    pos: 0,
-                })
-            }
-            34 => {
-                ctx.take_ret();
-                self.i += 1;
-                if self.i < self.wave {
-                    return Step::Syscall(SyscallReq::Lseek {
-                        fd: self.file_fds[self.i],
-                        pos: 0,
-                    });
-                }
-                let sqes = (0..self.wave)
-                    .map(|j| {
-                        SpliceReq::new(self.file_fds[j], self.conn_fds[j])
-                            .bytes(self.file_bytes)
-                            .sqe(j as u64)
-                    })
-                    .collect();
-                self.st = 35;
-                Step::Syscall(SyscallReq::RingSubmit {
-                    ring: self.ring,
-                    sqes,
-                })
-            }
-            35 => {
-                if ctx.take_ret().as_val() != self.wave as i64 {
-                    return Step::Exit(2);
-                }
-                self.st = 36;
-                Step::Syscall(SyscallReq::RingReap {
-                    ring: self.ring,
-                    min: self.wave as u32,
-                })
-            }
-            36 => {
-                let SyscallRet::Cqes(cqes) = ctx.take_ret() else {
-                    return Step::Exit(2);
-                };
-                if cqes.len() != self.wave
-                    || cqes.iter().any(|c| {
-                        c.outcome.error.is_some() || c.outcome.bytes_moved != self.file_bytes
-                    })
-                {
-                    return Step::Exit(2);
-                }
-                self.i = 0;
-                self.st = 37;
-                Step::Syscall(SyscallReq::Close(self.conn_fds[0]))
-            }
-            37 => {
-                ctx.take_ret();
-                self.served += 1;
-                self.stats.borrow_mut().served += 1;
-                self.i += 1;
-                if self.i < self.wave {
-                    return Step::Syscall(SyscallReq::Close(self.conn_fds[self.i]));
-                }
-                if self.served < self.n_conns {
-                    self.start_wave()
-                } else {
-                    self.st = 15;
-                    Step::Syscall(SyscallReq::Close(self.lfd.unwrap()))
-                }
-            }
             _ => unreachable!("server state {}", self.st),
         }
     }
@@ -591,102 +434,6 @@ mod tests {
         ctx.ret = Some(SyscallRet::Val(0));
         assert!(matches!(s.step(&mut ctx), Step::Exit(0)));
         assert_eq!(stats.borrow().served, 1);
-    }
-
-    #[test]
-    fn ring_server_submits_waves() {
-        let stats = scenario_stats();
-        let mut s = SpliceServer::new(
-            80,
-            "/d0/f",
-            8192,
-            2,
-            8,
-            ServeMode::Ring { depth: 2 },
-            Rc::clone(&stats),
-        );
-        let mut ctx = ctx_with(SyscallRet::Val(0));
-        ctx.ret = None;
-        s.step(&mut ctx); // Socket
-        ctx.ret = Some(SyscallRet::NewFd(Fd(3)));
-        s.step(&mut ctx); // Bind
-        ctx.ret = Some(SyscallRet::Val(0));
-        s.step(&mut ctx); // Listen
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::RingCreate { depth: 2, .. })
-        ));
-        ctx.ret = Some(SyscallRet::Val(9)); // ring id
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Open { .. })
-        ));
-        ctx.ret = Some(SyscallRet::NewFd(Fd(4)));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Open { .. })
-        ));
-        ctx.ret = Some(SyscallRet::NewFd(Fd(5)));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Accept { .. })
-        ));
-        ctx.ret = Some(SyscallRet::NewFd(Fd(6)));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Accept { .. })
-        ));
-        ctx.ret = Some(SyscallRet::NewFd(Fd(7)));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Lseek { fd: Fd(4), .. })
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Lseek { fd: Fd(5), .. })
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        let submit = s.step(&mut ctx);
-        let Step::Syscall(SyscallReq::RingSubmit { ring: 9, sqes }) = submit else {
-            panic!("expected submit, got {submit:?}")
-        };
-        assert_eq!(sqes.len(), 2);
-        assert_eq!(sqes[0].req.src, Fd(4));
-        assert_eq!(sqes[0].req.dst, Fd(6));
-        ctx.ret = Some(SyscallRet::Val(2));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::RingReap { ring: 9, min: 2 })
-        ));
-        use crate::types::{SpliceCqe, SpliceOutcome};
-        let cqe = |ud| SpliceCqe {
-            user_data: ud,
-            outcome: SpliceOutcome {
-                bytes_moved: 8192,
-                error: None,
-            },
-        };
-        ctx.ret = Some(SyscallRet::Cqes(vec![cqe(0), cqe(1)]));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Close(Fd(6)))
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Close(Fd(7)))
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        // Both served: listener close, then exit.
-        assert!(matches!(
-            s.step(&mut ctx),
-            Step::Syscall(SyscallReq::Close(Fd(3)))
-        ));
-        ctx.ret = Some(SyscallRet::Val(0));
-        assert!(matches!(s.step(&mut ctx), Step::Exit(0)));
-        assert_eq!(stats.borrow().served, 2);
     }
 
     #[test]

@@ -71,9 +71,6 @@ pub enum ChanSpace {
     AnyBuf,
     /// A splice descriptor (synchronous splice completion).
     Splice,
-    /// A splice ring's completion queue (reapers sleep here; the queue
-    /// going non-empty is the wakeup).
-    Ring,
     /// A socket's receive side.
     SockRecv,
     /// A socket's send side (buffer space).
@@ -207,10 +204,9 @@ pub enum SpliceLen {
 /// The unified splice request: endpoint pair, transfer size, and the
 /// fault/retry policy, as a typed builder.
 ///
-/// Every splice entry path — the synchronous `splice(2)` call, the
-/// `FASYNC`/`SIGIO` descriptor path, and batched ring submissions
-/// ([`SpliceSqe`]) — carries one of these; the kernel has exactly one
-/// code path from a `SpliceReq` to a [`SpliceOutcome`].
+/// Both splice entry paths — the synchronous `splice(2)` call and the
+/// `FASYNC`/`SIGIO` descriptor path — carry one of these; the kernel has
+/// exactly one code path from a `SpliceReq` to a [`SpliceOutcome`].
 ///
 /// ```
 /// use kproc::{Fd, SpliceLen, SpliceReq, SyscallReq};
@@ -220,8 +216,6 @@ pub enum SpliceLen {
 /// let one_frame = SpliceReq::new(Fd(3), Fd(4)).bytes(64 * 1024);
 /// let req: SyscallReq = one_frame.req();
 /// assert!(matches!(req, SyscallReq::Splice { .. }));
-/// let sqe = SpliceReq::new(Fd(3), Fd(4)).bytes(8192).sqe(7);
-/// assert_eq!(sqe.user_data, 7);
 /// ```
 ///
 /// There is no flags word: per §3 the asynchronous-completion choice
@@ -277,14 +271,6 @@ impl SpliceReq {
     pub fn req(self) -> SyscallReq {
         SyscallReq::Splice { req: self }
     }
-
-    /// Wraps the request as a ring submission tagged `user_data`.
-    pub fn sqe(self, user_data: u64) -> SpliceSqe {
-        SpliceSqe {
-            user_data,
-            req: self,
-        }
-    }
 }
 
 impl From<SpliceReq> for SyscallReq {
@@ -302,25 +288,6 @@ pub struct SpliceOutcome {
     pub bytes_moved: u64,
     /// `None` for a clean completion, the typed errno for an abort.
     pub error: Option<Errno>,
-}
-
-/// One splice-ring submission: a [`SpliceReq`] plus an opaque tag the
-/// completion ([`SpliceCqe`]) echoes back, io_uring style.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpliceSqe {
-    /// Caller-chosen tag; the matching CQE carries the same value.
-    pub user_data: u64,
-    /// The transfer to perform.
-    pub req: SpliceReq,
-}
-
-/// One splice-ring completion: the submission's tag and its outcome.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SpliceCqe {
-    /// The tag of the [`SpliceSqe`] this completes.
-    pub user_data: u64,
-    /// How the transfer ended.
-    pub outcome: SpliceOutcome,
 }
 
 /// A UDP endpoint (host, port) in the simulated network.
@@ -372,35 +339,6 @@ pub enum SyscallReq {
     Splice {
         /// The unified request (endpoints, size, retry policy).
         req: SpliceReq,
-    },
-    /// Create a splice ring: a bounded submission/completion queue pair
-    /// through which many splices are posted and reaped in single
-    /// crossings. Returns the ring id as `Val`.
-    RingCreate {
-        /// Maximum entries in flight + unreaped completions. Zero is
-        /// `EINVAL`.
-        depth: u32,
-        /// Deliver `SIGIO` when the completion queue goes non-empty.
-        sigio: bool,
-    },
-    /// Post a batch of submissions in **one** syscall crossing. Returns
-    /// `Val(accepted)`; fewer than `sqes.len()` when the ring fills
-    /// mid-batch, `EAGAIN` when no entry fits at all.
-    RingSubmit {
-        /// Ring id from [`SyscallReq::RingCreate`].
-        ring: u64,
-        /// The submissions, in order.
-        sqes: Vec<SpliceSqe>,
-    },
-    /// Reap queued completions in **one** crossing. Blocks until at
-    /// least `min` CQEs are available (clamped to what can still
-    /// arrive); `min = 0` polls. Returns [`SyscallRet::Cqes`] in
-    /// completion order.
-    RingReap {
-        /// Ring id from [`SyscallReq::RingCreate`].
-        ring: u64,
-        /// Minimum completions to wait for.
-        min: u32,
     },
     /// Flush a file's dirty blocks (and metadata) to the device.
     Fsync(Fd),
@@ -529,8 +467,6 @@ pub enum SyscallRet {
     Data(Bytes),
     /// Current simulated time.
     Time(SimTime),
-    /// Reaped ring completions, in completion order.
-    Cqes(Vec<SpliceCqe>),
     /// Failure.
     Err(Errno),
 }
@@ -544,7 +480,6 @@ impl SyscallRet {
             SyscallRet::NewFd(fd) => fd.0 as i64,
             SyscallRet::Data(d) => d.len() as i64,
             SyscallRet::Time(_) => 0,
-            SyscallRet::Cqes(c) => c.len() as i64,
             SyscallRet::Err(_) => -1,
         }
     }
@@ -569,7 +504,7 @@ pub enum Errno {
     Ebadf,
     /// Invalid argument.
     Einval,
-    /// Resource temporarily unavailable (a full submission queue).
+    /// Resource temporarily unavailable (a send that would block).
     Eagain,
     /// No space left on device.
     Enospc,

@@ -584,15 +584,6 @@ impl HistSummary {
 /// overlaps `read_service`).
 #[derive(Clone, Debug, Default)]
 pub struct StageHists {
-    /// Submission-queue admission wait: how far into its
-    /// `sys_ring_submit` crossing's CPU charge an SQE sat before the
-    /// engine dispatched it. The simulated clock does not advance
-    /// inside one crossing, so this is the *virtual* offset — later
-    /// entries in a batch wait behind the admission and launch CPU of
-    /// the entries ahead of them. Empty for workloads that never use
-    /// an explicit ring (the legacy `splice(2)` path has no batch to
-    /// wait in).
-    pub sqe_wait: Hist,
     /// Time a buffer read spent queued at the device before service
     /// began (0 for requests that started immediately, and for the
     /// synchronous RAM-disk path).
@@ -617,7 +608,6 @@ impl StageHists {
     /// Iterates `(stage name, histogram)` in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &Hist)> {
         [
-            ("sqe_wait", &self.sqe_wait),
             ("read_queue_wait", &self.read_queue_wait),
             ("read_service", &self.read_service),
             ("read_to_write", &self.read_to_write),

@@ -224,30 +224,6 @@ pub enum TraceEvent {
         /// Splice descriptor id.
         desc: u64,
     },
-    /// One `sys_ring_submit` crossing accepted a batch of SQEs.
-    RingSubmit {
-        /// Ring id.
-        ring: u64,
-        /// SQEs accepted in this crossing.
-        entries: u32,
-    },
-    /// An admitted SQE reached its `splice_begin` dispatch: `wait_ns`
-    /// is the virtual CPU offset it waited inside the submit crossing
-    /// (the clock does not advance within one crossing, so later batch
-    /// entries wait behind the admission work of earlier ones).
-    RingSqeWait {
-        /// Ring id.
-        ring: u64,
-        /// Virtual wait from crossing start to dispatch, nanoseconds.
-        wait_ns: u64,
-    },
-    /// One `sys_ring_reap` crossing drained a batch of CQEs.
-    RingReap {
-        /// Ring id.
-        ring: u64,
-        /// CQEs handed to the reaper in this crossing.
-        entries: u32,
-    },
 }
 
 impl TraceEvent {
@@ -283,9 +259,6 @@ impl TraceEvent {
             TraceEvent::SpliceRetry { .. } => "splice.retry",
             TraceEvent::SpliceAbort { .. } => "splice.abort",
             TraceEvent::SpliceComplete { .. } => "splice.complete",
-            TraceEvent::RingSubmit { .. } => "ring.submit",
-            TraceEvent::RingSqeWait { .. } => "ring.sqe_wait",
-            TraceEvent::RingReap { .. } => "ring.reap",
         }
     }
 
@@ -397,14 +370,6 @@ impl TraceEvent {
             TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc } => {
                 Json::obj().with("desc", num(desc))
             }
-            TraceEvent::RingSubmit { ring, entries } | TraceEvent::RingReap { ring, entries } => {
-                Json::obj()
-                    .with("ring", num(ring))
-                    .with("entries", num(entries as u64))
-            }
-            TraceEvent::RingSqeWait { ring, wait_ns } => Json::obj()
-                .with("ring", num(ring))
-                .with("wait_ns", num(wait_ns)),
         }
     }
 }
@@ -458,12 +423,6 @@ impl fmt::Display for TraceEvent {
             TraceEvent::SpliceAbort { desc, errno } => write!(f, " desc={desc} errno={errno}"),
             TraceEvent::SpliceRefill { desc } | TraceEvent::SpliceComplete { desc } => {
                 write!(f, " desc={desc}")
-            }
-            TraceEvent::RingSubmit { ring, entries } | TraceEvent::RingReap { ring, entries } => {
-                write!(f, " ring={ring} entries={entries}")
-            }
-            TraceEvent::RingSqeWait { ring, wait_ns } => {
-                write!(f, " ring={ring} wait_ns={wait_ns}")
             }
         }
     }
@@ -1114,21 +1073,5 @@ mod tests {
         });
         let s = tr2.query().span_of(9, 5).unwrap();
         assert!(!s.ordered(), "missing middle phase before a later one");
-    }
-
-    #[test]
-    fn ring_sqe_wait_event_round_trips() {
-        let mut tr = Trace::new(8);
-        tr.set_enabled(true);
-        tr.emit(SimTime::ZERO, || TraceEvent::RingSqeWait {
-            ring: 3,
-            wait_ns: 41_000,
-        });
-        let recs = tr.query().named("ring.sqe_wait");
-        assert_eq!(recs.len(), 1);
-        assert!(tr.dump().contains("ring=3 wait_ns=41000"), "{}", tr.dump());
-        let doc = tr.to_chrome_json();
-        let parsed = Json::parse(&doc.render()).expect("chrome json parses");
-        assert_eq!(parsed, doc);
     }
 }

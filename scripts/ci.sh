@@ -43,8 +43,8 @@ FAULT_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')
 echo "-- FAULT_SEED=$FAULT_SEED"
 FAULT_SEED="$FAULT_SEED" cargo test -q --test faults any_seed_transient_faults_recover ||
     { echo "fault suite FAILED with FAULT_SEED=$FAULT_SEED (export it to reproduce)"; exit 1; }
-FAULT_SEED="$FAULT_SEED" cargo test -q --test ring ring_runs_are_deterministic_under_fault_seed ||
-    { echo "ring suite FAILED with FAULT_SEED=$FAULT_SEED (export it to reproduce)"; exit 1; }
+FAULT_SEED="$FAULT_SEED" cargo test -q --test faults concurrent_splices_replay_identically_under_fault_seed ||
+    { echo "concurrent fault replay FAILED with FAULT_SEED=$FAULT_SEED (export it to reproduce)"; exit 1; }
 
 echo "== server scenario replays (scenario and request records), randomized seed =="
 SERVER_SEED=$(od -An -N4 -tu4 /dev/urandom | tr -d ' ')

@@ -11,10 +11,9 @@ PRODUCERS=(
     "$BENCH sweeps|BENCH_sweeps.json"
     "$BENCH endpoint_matrix|BENCH_endpoints.json"
     "$BENCH faults|BENCH_faults.json"
-    "$BENCH ring|BENCH_ring.json"
     "env SERVER_CONNS=10000 $BENCH server|BENCH_server.json"
     "$BENCH tracedump -- scp_ram|TRACE_scp_ram.json"
     "$BENCH tracedump -- server|TRACE_server.json"
     "$BENCH profile|BENCH_profile.json"
-    "$BENCH analyze|REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_ring.json REPORT_server.json"
+    "$BENCH analyze|REPORT_scp_ram.json REPORT_spool.json REPORT_movie.json REPORT_server.json"
 )

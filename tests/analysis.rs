@@ -11,7 +11,7 @@ use kanalyze::{
     byte_conservation, compare, decompose, utilization_law, DeviceAccounting, DiffRules, Tolerance,
 };
 use khw::{DiskProfile, FaultOp, FaultPlan, SECTOR_SIZE};
-use kproc::programs::{RingScp, Scp, ScpMode};
+use kproc::programs::{Scp, ScpMode};
 use kproc::ProcState;
 use ksim::Json;
 use splice::{Kernel, KernelBuilder};
@@ -30,17 +30,34 @@ fn scp_kernel() -> Kernel {
     k
 }
 
-/// A small batched-ring copy (8 one-block pairs, depth 4).
-fn ring_kernel() -> Kernel {
+/// Four concurrent `FASYNC` copies of separate 64 KB files: their
+/// splices share both pipeline sides.
+fn concurrent_kernel() -> Kernel {
     let mut k = KernelBuilder::paper_machine_ram().trace(1 << 20).build();
-    for i in 0..8 {
-        k.setup_file(&format!("/d0/f{i}"), 8 * 1024, 7 ^ i as u64);
+    for i in 0..4 {
+        k.setup_file(&format!("/d0/f{i}"), 64 * 1024, 7 ^ i);
     }
     k.cold_cache();
-    let pid = k.spawn(Box::new(RingScp::new("/d0/f", "/d1/c", 8, 4)));
+    let pids: Vec<_> = (0..4)
+        .map(|i| {
+            k.spawn(Box::new(Scp::with_options(
+                &format!("/d0/f{i}"),
+                &format!("/d1/c{i}"),
+                ScpMode::Async,
+                1,
+            )))
+        })
+        .collect();
     let horizon = k.horizon(600);
     k.run_to_exit(horizon);
-    assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+    for (i, pid) in pids.into_iter().enumerate() {
+        assert!(matches!(k.procs().must(pid).state, ProcState::Exited(0)));
+        let seed = 7 ^ i as u64;
+        assert_eq!(
+            k.verify_pattern_file(&format!("/d1/c{i}"), 64 * 1024, seed),
+            None
+        );
+    }
     k
 }
 
@@ -168,7 +185,7 @@ fn decomposition_closes_on_live_run() {
 fn queueing_laws_hold_on_live_run() {
     let k = scp_kernel();
     assert_littles_law(&k);
-    assert_littles_law(&ring_kernel());
+    assert_littles_law(&concurrent_kernel());
 
     // Utilization law: busy time vs the service digest, recorded side
     // by side per request through the unified accounting source.
@@ -193,30 +210,6 @@ fn queueing_laws_hold_on_live_run() {
     // 2 MB the workload wrote.
     let o = byte_conservation(&k.kstat().spans.tally(), 2 * MB);
     assert!(o.pass, "{}: {}", o.law, o.detail);
-}
-
-#[test]
-fn sqe_wait_is_informational_and_ring_only() {
-    // The legacy splice(2) path records no submission-queue wait…
-    let scp = scp_kernel();
-    assert_eq!(scp.kstat().stages.sqe_wait.count(), 0);
-
-    // …while the batched ring records one sample per admitted SQE, and
-    // the decomposition attaches it as an informational row that never
-    // breaks closure.
-    let ring = ring_kernel();
-    assert_eq!(ring.kstat().stages.sqe_wait.count(), 8);
-    let spans = ring.trace().query().all_block_spans();
-    let d = decompose(
-        &spans,
-        &ring.kstat().stages,
-        kanalyze::decompose::CLOSURE_TOLERANCE,
-    );
-    assert!(d.closure_pass, "closure error {}", d.closure_error);
-    let row = d.table.iter().find(|r| r.stage == "sqe_wait").unwrap();
-    assert!(row.informational);
-    assert_eq!(row.count, 8);
-    assert!(row.total_ns > 0);
 }
 
 #[test]

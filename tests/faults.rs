@@ -13,7 +13,7 @@ use kproc::programs::{Cp, EndSpec, EndpointPair, Scp, ScpMode};
 use kproc::{
     Errno, Fd, OpenFlags, ProcState, Program, SpliceLen, Step, SyscallReq, SyscallRet, UserCtx,
 };
-use ksim::Dur;
+use ksim::{Dur, RECENT_SPANS};
 use splice::baselines::{HandleCopy, MmapCopy};
 use splice::{Kernel, KernelBuilder, MAX_SPLICE_RETRIES};
 
@@ -32,6 +32,16 @@ fn sector_of(k: &Kernel, disk: usize, path: &str, lblk: u64) -> u64 {
     let ino = k.disks()[disk].fs.lookup(path).expect("file exists");
     let pblk = k.disks()[disk].fs.bmap(ino, lblk).expect("mapped block");
     pblk * (8192 / SECTOR_SIZE as u64)
+}
+
+/// The plan seed of the randomized replays: `FAULT_SEED` when set —
+/// `scripts/ci.sh` runs them a second time with a randomized seed
+/// (printed on failure) — else a fixed one.
+fn fault_seed() -> u64 {
+    std::env::var("FAULT_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xD15C)
 }
 
 /// Runs the sim a little longer so backoff callouts and soft work fully
@@ -365,17 +375,12 @@ fn fault_runs_are_deterministic_per_seed() {
     );
 }
 
-/// The seed comes from `FAULT_SEED` when set — `scripts/ci.sh` runs the
-/// suite a second time with a randomized seed (printed on failure) — and
-/// defaults to a fixed one. The contract is seed-independent: transient
-/// faults recover byte-exact for *every* plan seed, because each retry
-/// draws a fresh occurrence.
+/// The seed comes from [`fault_seed`]. The contract is
+/// seed-independent: transient faults recover byte-exact for *every*
+/// plan seed, because each retry draws a fresh occurrence.
 #[test]
 fn any_seed_transient_faults_recover() {
-    let seed: u64 = std::env::var("FAULT_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xD15C);
+    let seed = fault_seed();
     let len = MB;
     let mut k = quiet_machine();
     k.setup_file("/d0/src", len, 7);
@@ -406,6 +411,105 @@ fn any_seed_transient_faults_recover() {
         "FAULT_SEED={seed}: transient faults must never abort"
     );
     assert!(k.fsck_all().is_empty(), "FAULT_SEED={seed}: fsck dirty");
+}
+
+/// Four concurrent `FASYNC` copies replay identically for a given plan
+/// seed ([`fault_seed`]), and recover byte-exact from transient read
+/// faults for any seed.
+#[test]
+fn concurrent_splices_replay_identically_under_fault_seed() {
+    let seed = fault_seed();
+    let len = 32 * 8192;
+    let run = || {
+        let mut k = quiet_machine();
+        for i in 0..4 {
+            k.setup_file(&format!("/d0/f{i}"), len, 40 + i);
+        }
+        k.cold_cache();
+        k.set_fault_plan(0, FaultPlan::new(seed).transient_eio(FaultOp::Read, 0.02));
+        let pids: Vec<_> = (0..4)
+            .map(|i| {
+                k.spawn(Box::new(Scp::with_options(
+                    &format!("/d0/f{i}"),
+                    &format!("/d1/c{i}"),
+                    ScpMode::Async,
+                    1,
+                )))
+            })
+            .collect();
+        let horizon = k.horizon(600);
+        let end = k.run_to_exit(horizon);
+        for (i, pid) in pids.into_iter().enumerate() {
+            assert!(
+                matches!(k.procs().must(pid).state, ProcState::Exited(0)),
+                "FAULT_SEED={seed}: copy {i} failed"
+            );
+            assert_eq!(
+                k.verify_pattern_file(&format!("/d1/c{i}"), len, 40 + i as u64),
+                None,
+                "FAULT_SEED={seed}: copy {i} corrupt"
+            );
+        }
+        let m = k.metrics();
+        assert_eq!(
+            m.splice.aborted, 0,
+            "FAULT_SEED={seed}: transient faults must never abort"
+        );
+        (
+            end.as_ns(),
+            m.io.errors,
+            m.splice.retries,
+            m.splice.completed,
+        )
+    };
+    assert_eq!(run(), run(), "FAULT_SEED={seed}: replay diverged");
+}
+
+/// A blocking `splice(2)` returns its own outcome however many other
+/// splices complete while it sleeps — more than the [`RECENT_SPANS`]
+/// outcomes the kernel keeps for audits: a clean one its exact byte
+/// count, an aborted one its errno.
+#[test]
+fn blocking_splice_returns_its_outcome_after_many_others_complete() {
+    let len = 256 * 8192;
+    let copies = RECENT_SPANS as u32 + 16;
+    for bad_block in [false, true] {
+        let mut k = KernelBuilder::new()
+            .disk("d0", DiskProfile::rz58())
+            .disk("d1", DiskProfile::ramdisk())
+            .tune(|cfg| cfg.update_interval = None)
+            .build();
+        k.setup_file("/d0/src", len, 5);
+        k.setup_file("/d1/small", 8192, 6);
+        k.cold_cache();
+        if bad_block {
+            let sector = sector_of(&k, 0, "/src", 200);
+            k.set_fault_plan(0, FaultPlan::new(1).bad_block(FaultOp::Read, sector));
+        }
+        let (pair, result) = EndpointPair::new(
+            EndSpec::read("/d0/src"),
+            EndSpec::create("/d0/dst"),
+            SpliceLen::Eof,
+        );
+        k.spawn(Box::new(pair));
+        let copier = k.spawn(Box::new(Scp::with_options(
+            "/d1/small",
+            "/d1/copy",
+            ScpMode::Async,
+            copies,
+        )));
+        let horizon = k.horizon(600);
+        k.run_until_exit_of(copier, horizon);
+        assert_eq!(*result.borrow(), None, "the blocking splice finished first");
+        assert!(k.metrics().splice.completed >= u64::from(copies));
+        k.run_to_exit(horizon);
+        let want = if bad_block {
+            SyscallRet::Err(Errno::Eio)
+        } else {
+            SyscallRet::Val(len as i64)
+        };
+        assert_eq!(*result.borrow(), Some(want), "bad block: {bad_block}");
+    }
 }
 
 #[test]

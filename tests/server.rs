@@ -2,8 +2,7 @@
 //! `kproc::programs::server`, wired by [`splice::ServeScenario`] and
 //! driven end to end through the kernel — no process per client,
 //! backlog overflow accounting, connection lifecycle reclaim,
-//! byte-exact service at depth 1 vs a depth-64 ring vs the user-space
-//! cp-relay, tail-latency monotonicity in connection count, and seeded
+//! byte-exact service by `splice(2)` vs the user-space cp-relay, tail-latency monotonicity in connection count, and seeded
 //! replay determinism of the scenario and its request records
 //! (`SERVER_SEED` is randomized by `scripts/ci.sh`).
 
@@ -180,20 +179,17 @@ fn serve_fleet(conns: usize, mode: ServeMode) -> MetricsSnapshot {
     k.metrics()
 }
 
-/// One-at-a-time `splice(2)` service, depth-64 ring service and the
-/// user-space cp-relay deliver the identical bytes to the identical
-/// fleet — the batching machinery and the copy path change scheduling
-/// and cost, never data.
+/// `splice(2)` service and the user-space cp-relay deliver the
+/// identical bytes to the identical fleet — the copy path changes
+/// scheduling and cost, never data.
 #[test]
-fn depth1_splice_and_ring64_serve_byte_exact() {
+fn splice_and_cp_relay_serve_byte_exact() {
     let conns = 128usize;
     let file_bytes = ServeScenario::FILE_BYTES;
     let sync = serve_fleet(conns, ServeMode::Splice);
-    let ring = serve_fleet(conns, ServeMode::Ring { depth: 64 });
     let relay = serve_fleet(conns, ServeMode::CpRelay);
-    // Both in-kernel paths run exactly one splice per connection.
+    // The in-kernel path runs exactly one splice per connection.
     assert_eq!(sync.splice.started, conns as u64);
-    assert_eq!(ring.splice.started, conns as u64);
     // The relay runs none: it reads every byte out to user space and
     // sends it back in. Its send(2) copy is the only one on the socket
     // path: the traffic source receives without a copy.
@@ -204,10 +200,10 @@ fn depth1_splice_and_ring64_serve_byte_exact() {
     assert_eq!(relay.copy.net_bytes, conns as u64 * file_bytes);
 }
 
-/// Runs a ring-served open-loop fleet and reports the p99 of the
-/// arrival→last-byte latency histogram.
+/// Runs a `splice(2)`-served open-loop fleet and reports the p99 of
+/// the arrival→last-byte latency histogram.
 fn p99_at(conns: usize) -> u64 {
-    let sc = ServeScenario::new(conns, ServeMode::Ring { depth: 64 }, SEED);
+    let sc = ServeScenario::new(conns, ServeMode::Splice, SEED);
     let (_, run) = sc.serve(KernelBuilder::paper_machine_ram(), "p99");
     let p99 = run.stats.borrow().latency.p99().unwrap();
     p99
@@ -232,7 +228,7 @@ fn p99_is_monotone_in_connection_count() {
 #[test]
 fn server_scenario_replays_identically_under_seed() {
     let seed = server_seed();
-    let sc = ServeScenario::new(400, ServeMode::Ring { depth: 64 }, seed);
+    let sc = ServeScenario::new(400, ServeMode::Splice, seed);
     let run = || {
         let b = KernelBuilder::paper_machine_ram().trace(1 << 16);
         let (k, run) = sc.serve(b, format_args!("SERVER_SEED={seed}"));
