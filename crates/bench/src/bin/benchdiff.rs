@@ -34,7 +34,7 @@ const BASELINE_DIR: &str = "baselines";
 fn rules_for(name: &str) -> DiffRules {
     let mut rules = DiffRules::default();
     if name == "BENCH_simspeed.json" {
-        rules.informational = vec!["secs".into(), "per_sec".into()];
+        rules.informational = vec!["secs".into(), "per_sec".into(), "ns_per".into()];
     }
     rules
 }

@@ -1,14 +1,17 @@
 //! Simulator-speed table: pins host events-per-second the way Tables
 //! 1/2 pin simulated results.
 //!
-//! Five rows land in `BENCH_simspeed.json`:
+//! Six rows land in `BENCH_simspeed.json`:
 //!
 //! * `callout_churn` — schedule/cancel/expire mix against 100k pending
 //!   callouts on the hierarchical timing wheel.
 //! * `event_churn` — schedule/cancel/pop mix against 100k live events
 //!   in the slab-backed [`ksim::EventQueue`].
-//! * `event_mix` — the kernel's own pop/schedule shape, 2–6 live events,
-//!   which the queue's near set serves without touching its heap.
+//! * `event_mix` — a pop/schedule mix of 2–6 live events, which the
+//!   queue's near set serves without touching its heap.
+//! * `cpu_bound_e2e` — host ns per kernel run-loop iteration of a lone
+//!   CPU-bound program over 500 simulated seconds: chunk completions,
+//!   re-arms and ticks, which fire from registers beside the queue.
 //! * `scp_ram_e2e` — wall-clock blocks/sec of repeated cold-cache
 //!   `scp` copies across the RAM-disk machine, the end-to-end number
 //!   the fast path exists to move.
@@ -27,6 +30,8 @@ use bench::{bench_doc, write_table};
 use ksim::Json;
 
 const PENDING: usize = 100_000;
+/// Simulated CPU seconds of the `cpu_bound_e2e` row.
+const CPU_BOUND_SECS: u64 = 500;
 
 fn rate_row(name: &str, pending: usize, r: &simspeed::Rate) -> Json {
     Json::obj()
@@ -58,6 +63,14 @@ fn main() {
     let mix = simspeed::event_mix(4_000_000);
     println!("event_mix: {:.0} ops/sec", mix.ops_per_sec());
 
+    let cpu = simspeed::cpu_bound_e2e(CPU_BOUND_SECS);
+    println!(
+        "cpu_bound_e2e: {:.1} ns/iteration ({} iterations in {:.3}s)",
+        cpu.ns_per_op(),
+        cpu.ops,
+        cpu.secs
+    );
+
     // End-to-end: 2 warmup + 40 measured cold-cache 8 MB scp copies so
     // the window is long enough for a stable blocks/sec figure.
     let e2e = simspeed::scp_ram_e2e(2, 40, 8 << 20);
@@ -79,6 +92,12 @@ fn main() {
         rate_row("callout_churn", PENDING, &wheel),
         rate_row("event_churn", PENDING, &event),
         rate_row("event_mix", simspeed::EVENT_MIX_PEAK, &mix),
+        Json::obj()
+            .with("bench", Json::Str("cpu_bound_e2e".into()))
+            .with("sim_secs", Json::Num(CPU_BOUND_SECS as f64))
+            .with("iters", Json::Num(cpu.ops as f64))
+            .with("secs", Json::Num(cpu.secs))
+            .with("ns_per_iter", Json::Num(cpu.ns_per_op())),
         e2e_row("scp_ram_e2e", &e2e),
         e2e_row("cp_ram_e2e", &cp_e2e),
     ]);

@@ -2,7 +2,8 @@
 //!
 //! These measure *host* events-per-second of the simulator itself — the
 //! quantity the timing-wheel callout, the slab event queue and its near
-//! set, and copy-on-write buffer areas exist to improve. The `simspeed`
+//! set, the kernel's chunk and hardclock registers, and copy-on-write
+//! buffer areas exist to improve. The `simspeed`
 //! binary pins their numbers into `BENCH_simspeed.json`.
 //!
 //! The churn loops keep a large pending population (the regime where the
@@ -15,19 +16,26 @@ use std::time::Instant;
 
 use ksim::{Callout, Dur, EventQueue, SimTime};
 
-/// One measured loop: mutation count over wall-clock seconds.
+/// One measured loop: operation count over wall-clock seconds.
 #[derive(Clone, Copy, Debug)]
 pub struct Rate {
-    /// Mutations performed (schedule + cancel + expire passes).
+    /// Operations performed: mutations (schedule + cancel + expire
+    /// passes) in the churn loops, run-loop iterations in
+    /// [`cpu_bound_e2e`].
     pub ops: u64,
     /// Wall-clock seconds for the measured window.
     pub secs: f64,
 }
 
 impl Rate {
-    /// Mutations per wall-clock second.
+    /// Operations per wall-clock second.
     pub fn ops_per_sec(&self) -> f64 {
         self.ops as f64 / self.secs
+    }
+
+    /// Host nanoseconds per operation.
+    pub fn ns_per_op(&self) -> f64 {
+        self.secs * 1e9 / self.ops as f64
     }
 }
 
@@ -91,10 +99,13 @@ pub fn event_churn(pending: usize, ops: u64) -> Rate {
 /// tick and up to four applies.
 pub const EVENT_MIX_PEAK: usize = 6;
 
-/// The kernel's own event shape: a chunk completion every 1 ms that
-/// queues 0–4 short apply events behind it, and a clock tick every
-/// 3.906 ms (256 Hz), so 2–6 events are live at once. Runs until `pops`
-/// events have fired; every pop and every schedule counts as one op.
+/// A small-population queue mix: a periodic 1 ms event that queues 0–4
+/// short apply events behind it, and a periodic 3.906 ms (256 Hz) event,
+/// so 2–6 events are live at once. It exercises the near set alone; it
+/// is not the kernel's queue shape, since the kernel holds its chunk
+/// completions and hardclock in registers beside the queue (see
+/// [`cpu_bound_e2e`]). Runs until `pops` events have fired; every pop
+/// and every schedule counts as one op.
 pub fn event_mix(pops: u64) -> Rate {
     #[derive(Clone, Copy)]
     enum Ev {
@@ -134,6 +145,36 @@ pub fn event_mix(pops: u64) -> Rate {
         ops,
         secs: start.elapsed().as_secs_f64(),
     }
+}
+
+/// A [`kproc::programs::CpuBound`] running alone for `sim_secs` of
+/// simulated CPU in 1 ms operations on the paper's RAM-disk machine:
+/// chunk completions, their hardclock re-arms and ticks, the events the
+/// kernel fires from its registers rather than its queue. Counts
+/// run-loop iterations (`run_until` predicate polls: every fired event
+/// plus one per call).
+///
+/// # Panics
+///
+/// Panics if the program fails to exit cleanly.
+pub fn cpu_bound_e2e(sim_secs: u64) -> Rate {
+    let mut k = splice::KernelBuilder::paper_machine_ram().build();
+    let pid = k.spawn(Box::new(kproc::programs::CpuBound::with_total(
+        Dur::from_secs(sim_secs),
+    )));
+    let horizon = k.horizon(2 * sim_secs);
+    let mut iters = 0u64;
+    let start = Instant::now();
+    k.run_until(horizon, |k| {
+        iters += 1;
+        k.procs().all_exited()
+    });
+    let secs = start.elapsed().as_secs_f64();
+    assert!(
+        matches!(k.procs().must(pid).state, kproc::ProcState::Exited(0)),
+        "CPU-bound speed run failed to exit cleanly"
+    );
+    Rate { ops: iters, secs }
 }
 
 /// One end-to-end measurement: simulated blocks copied per wall-clock

@@ -2,9 +2,10 @@
 //!
 //! Two layers exist:
 //!
-//! * [`Event`] — entries in the global event queue: clock ticks, device
-//!   interrupts, user-chunk completions, datagram deliveries, and the
-//!   application points of admitted kernel work.
+//! * [`Event`] — entries in the global event queue: device interrupts,
+//!   datagram deliveries, and the application points of admitted kernel
+//!   work. The hardclock and the running chunk's completion are not
+//!   queued: the kernel holds each in a register beside the queue.
 //! * [`KWork`] — units of kernel work. Each is *admitted* to the CPU
 //!   engine (charging its cost, possibly deferring it under the softwork
 //!   budget) and then *applied* at the end of its execution window via
@@ -157,9 +158,6 @@ pub enum KWork {
 /// Entries in the global event queue.
 #[derive(Debug)]
 pub enum Event {
-    /// Hardclock: advance the tick, reset the softwork budget, run
-    /// softclock over the callout table.
-    Tick,
     /// A SCSI disk raised its completion interrupt for the active request.
     DiskIntr {
         /// Disk index.
@@ -170,13 +168,10 @@ pub enum Event {
     },
     /// Apply a unit of kernel work whose execution window ended now.
     Apply(KWork),
-    /// The current user chunk's nominal completion.
-    UserDone {
-        /// Process.
-        pid: Pid,
-        /// Run generation (stale guards).
-        gen: u64,
-    },
+    /// A preempted chunk's completion instant. The kernel moves the
+    /// chunk's completion key here from its register so the clock still
+    /// stops at that instant; it does nothing when it fires.
+    UserDone,
     /// A timed block (metadata I/O) expired.
     TimedWake {
         /// Process.

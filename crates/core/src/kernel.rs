@@ -3,7 +3,10 @@
 //!
 //! # Execution model
 //!
-//! One [`ksim::EventQueue`] drives everything. CPU time is arbitrated by
+//! One [`ksim::EventQueue`] drives everything, beside two registers that
+//! hold the two keys the CPU itself re-arms: the running chunk's
+//! completion and the next hardclock (see [`Kernel::run_until`]). CPU
+//! time is arbitrated by
 //! [`kproc::CpuEngine`]: kernel work (interrupt bottom halves, softclock
 //! callout payloads, splice handler chains, RAM-disk strategy copies) is
 //! *admitted* — charged and serialised — and its state changes are
@@ -26,7 +29,7 @@ use kproc::{
     Admit, Chan, ChanSpace, CpuEngine, Itimer, Pid, PidMap, ProcState, ProcTable, Program, RunKind,
     Scheduler, Sig, Step, WorkClass,
 };
-use ksim::{Callout, Dur, EventQueue, IdMap, IdSet, SimTime, Trace, TraceEvent};
+use ksim::{Callout, Dur, EventKey, EventQueue, IdMap, IdSet, SimTime, Trace, TraceEvent};
 
 use crate::event::{Event, KWork};
 use crate::objects::{CharDev, CharDevUnit, DiskUnit, DiskUnitKind, FileTable};
@@ -79,6 +82,15 @@ pub enum IoCtx {
 pub struct Kernel {
     pub(crate) cfg: KernelConfig,
     pub(crate) q: EventQueue<Event>,
+    /// The running chunk's completion key, held beside the queue: BSD's
+    /// hardclock charges `curproc` directly rather than queueing its
+    /// slice. Set by `start_chunk` and a penalty re-arm, cleared when it
+    /// fires; a preemption moves it into the queue as an
+    /// [`Event::UserDone`] no-op.
+    pub(crate) chunk_due: Option<EventKey>,
+    /// The next hardclock's key: the clock always runs, so it is always
+    /// set.
+    pub(crate) tick_due: EventKey,
     pub(crate) callout: Callout<KWork>,
     /// Scratch for `on_tick`'s callout drain, reused so softclock does
     /// not allocate per tick in steady state.
@@ -149,6 +161,17 @@ pub struct Kernel {
     pub(crate) source: Option<Box<crate::traffic::TrafficSource>>,
 }
 
+/// Where the next event comes from (see [`Kernel::run_until`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Due {
+    /// The event queue's top.
+    Queue,
+    /// The running chunk's completion register.
+    Chunk,
+    /// The hardclock register.
+    Tick,
+}
+
 /// A device transfer in flight for one busy buffer.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Transfer {
@@ -170,12 +193,17 @@ impl Kernel {
     /// Builds a kernel with no disks or devices (the builder adds them).
     pub(crate) fn new(cfg: KernelConfig) -> Kernel {
         let nbufs = cfg.cache_bytes / cfg.block_size as usize;
+        // Boot the clock.
+        let mut q = EventQueue::new();
+        let tick_due = (SimTime::ZERO + cfg.machine.tick(), q.take_seq());
         let mut k = Kernel {
             cpu: CpuEngine::new(cfg.machine.softwork_budget_per_tick),
             sched: Scheduler::new(cfg.machine.quantum),
             cache: Cache::new(nbufs.max(8), cfg.block_size as usize),
             cfg,
-            q: EventQueue::new(),
+            q,
+            chunk_due: None,
+            tick_due,
             callout: Callout::new(),
             callout_due: Vec::new(),
             tick: 0,
@@ -205,9 +233,8 @@ impl Kernel {
             trace: Trace::new(DEFAULT_TRACE_CAPACITY),
             source: None,
         };
-        // Boot the clock and the update daemon.
+        // Boot the update daemon.
         let tick = k.cfg.machine.tick();
-        k.q.schedule(SimTime::ZERO + tick, Event::Tick);
         if let Some(period) = k.cfg.update_interval {
             let ticks = (period.as_ns() / tick.as_ns()).max(1);
             k.callout.schedule(0, ticks, KWork::UpdateFlush);
@@ -350,10 +377,15 @@ impl Kernel {
     /// events. The cache has no clock, so the kernel drains its log
     /// after each dispatched event; simulated time cannot advance inside
     /// one event, so the stamp is exact.
+    #[inline]
     fn drain_cache_trace(&mut self) {
-        if !self.trace.enabled() {
-            return;
+        if self.trace.enabled() {
+            self.record_cache_events();
         }
+    }
+
+    #[inline(never)]
+    fn record_cache_events(&mut self) {
         let now = self.q.now();
         for e in self.cache.take_events() {
             self.trace.emit(now, || match e {
@@ -412,10 +444,14 @@ impl Kernel {
     }
 
     /// Preempts the current (user-mode) chunk: the unexecuted remainder is
-    /// saved as pending compute and the process requeued.
+    /// saved as pending compute and the process requeued. The chunk's
+    /// completion key moves into the queue as a no-op, so the clock still
+    /// stops at that instant.
     fn preempt_current(&mut self) {
         let now = self.q.now();
         let cur = self.sched.stop_current().expect("preempt without current");
+        let key = self.chunk_due.take().expect("running chunk without a key");
+        self.q.schedule_keyed(key, Event::UserDone);
         let RunKind::Compute { remaining } = cur.kind else {
             panic!("preempt of non-preemptible chunk");
         };
@@ -495,10 +531,15 @@ impl Kernel {
     }
 
     /// Runs deferred soft work when the CPU would otherwise idle.
+    #[inline]
     pub(crate) fn maybe_pump(&mut self) {
-        if self.deferred.is_empty() {
-            return;
+        if !self.deferred.is_empty() {
+            self.pump_deferred();
         }
+    }
+
+    #[inline(never)]
+    fn pump_deferred(&mut self) {
         if self.procs.any_user_demand() || self.dispatch_pending {
             return;
         }
@@ -726,7 +767,7 @@ impl Kernel {
         self.ctr.sched.ctx_switches += 1;
     }
 
-    /// Starts a run chunk for `pid` and schedules its completion.
+    /// Starts a run chunk for `pid` and arms its completion register.
     fn start_chunk(&mut self, pid: Pid, kind: RunKind, dur: Dur, quantum_left: Dur) {
         let now = self.q.now();
         self.trace.emit(now, || TraceEvent::SchedRun {
@@ -738,9 +779,10 @@ impl Kernel {
         } else {
             self.cpu.busy_until()
         };
-        let gen = self.sched.start_run(pid, kind, start, dur, quantum_left);
+        self.sched.start_run(pid, kind, start, dur, quantum_left);
         self.procs.set_state(pid, ProcState::Running);
-        self.q.schedule(start + dur, Event::UserDone { pid, gen });
+        debug_assert!(self.chunk_due.is_none(), "two chunk completions armed");
+        self.chunk_due = Some((start + dur, self.q.take_seq()));
     }
 
     /// Advances a process: resume a pending syscall continuation, finish a
@@ -880,16 +922,18 @@ impl Kernel {
 
     // ----- event dispatch -----------------------------------------------------
 
-    fn on_user_done(&mut self, pid: Pid, gen: u64) {
-        if !self.sched.is_current(pid, gen) {
-            return; // stale
-        }
-        let cur = *self.sched.current().unwrap();
+    /// The running chunk's completion register fired.
+    fn on_user_done(&mut self) {
+        let cur = *self
+            .sched
+            .current()
+            .expect("chunk completion without a run");
+        let pid = cur.pid;
         if !cur.penalty.is_zero() {
             // Kernel work stole time from this chunk; push it out.
             let end = cur.chunk_end + cur.penalty;
-            let g2 = self.sched.rearm_current(end);
-            self.q.schedule(end, Event::UserDone { pid, gen: g2 });
+            self.sched.rearm_current(end);
+            self.chunk_due = Some((end, self.q.take_seq()));
             return;
         }
         let run = self.sched.stop_current().unwrap();
@@ -993,7 +1037,7 @@ impl Kernel {
             self.enqueue_kwork(WorkClass::Soft, cost, work);
         }
         self.callout_due = due;
-        self.q.schedule(now + self.cfg.machine.tick(), Event::Tick);
+        self.tick_due = (now + self.cfg.machine.tick(), self.q.take_seq());
     }
 
     /// Base CPU cost of applying a kernel work item (excluding transfer
@@ -1117,7 +1161,6 @@ impl Kernel {
 
     fn dispatch_event(&mut self, ev: Event) {
         match ev {
-            Event::Tick => self.on_tick(),
             Event::DiskIntr { disk, buf } => {
                 let now = self.q.now();
                 self.trace.emit(now, || TraceEvent::DiskIntr {
@@ -1162,7 +1205,8 @@ impl Kernel {
                 );
             }
             Event::Apply(work) => self.on_apply(work),
-            Event::UserDone { pid, gen } => self.on_user_done(pid, gen),
+            // A preempted chunk's completion instant: nothing runs.
+            Event::UserDone => {}
             Event::TimedWake { pid } => self.on_timed_wake(pid),
             // Replies to the traffic source are consumed at the link;
             // everything else pays the protocol's soft work.
@@ -1215,13 +1259,32 @@ impl Kernel {
 
     // ----- run loop -------------------------------------------------------------
 
-    /// Runs until `pred` is true (checked between events) or the horizon
-    /// passes. Returns the reached time.
+    /// The earliest of the queue top and the two registers.
+    #[inline]
+    fn next_due(&mut self) -> (Due, EventKey) {
+        let mut next = (Due::Tick, self.tick_due);
+        if let Some(chunk) = self.chunk_due {
+            if chunk < next.1 {
+                next = (Due::Chunk, chunk);
+            }
+        }
+        if let Some(top) = self.q.peek_key() {
+            if top < next.1 {
+                next = (Due::Queue, top);
+            }
+        }
+        next
+    }
+
+    /// Runs until `pred` is true (checked between events) or the next
+    /// event lies past the horizon. Returns the reached time: the instant
+    /// of the last event fired.
     ///
-    /// # Panics
-    ///
-    /// Panics if the event queue drains (the clock keeps it populated, so
-    /// this indicates a broken kernel).
+    /// Each step fires the earliest key among the event queue's top, the
+    /// running chunk's completion register and the hardclock register, in
+    /// exact `(time, seq)` order: the registers take their sequence
+    /// numbers from the queue's counter where the events they replace
+    /// were scheduled, so every tie breaks as if they were queued.
     pub fn run_until(
         &mut self,
         horizon: SimTime,
@@ -1231,13 +1294,25 @@ impl Kernel {
             if pred(self) {
                 return self.q.now();
             }
-            match self.q.peek_time() {
-                None => panic!("event queue drained at {}", self.q.now()),
-                Some(next) if next > horizon => return self.q.now(),
-                Some(_) => {}
+            let (due, (at, _)) = self.next_due();
+            if at > horizon {
+                return self.q.now();
             }
-            let (_, ev) = self.q.pop().unwrap();
-            self.dispatch_event(ev);
+            match due {
+                Due::Queue => {
+                    let (_, ev) = self.q.pop().expect("peeked event vanished");
+                    self.dispatch_event(ev);
+                }
+                Due::Chunk => {
+                    self.chunk_due = None;
+                    self.q.advance_to(at);
+                    self.on_user_done();
+                }
+                Due::Tick => {
+                    self.q.advance_to(at);
+                    self.on_tick();
+                }
+            }
             self.maybe_pump();
             self.drain_cache_trace();
         }
@@ -1305,10 +1380,106 @@ mod tests {
     use std::rc::Rc;
 
     use khw::{FaultOp, FaultPlan};
+    use kproc::programs::CpuBound;
+    use kproc::{SyscallReq, UserCtx};
 
     use super::*;
+    use crate::KernelBuilder;
 
     const BS: usize = 8192;
+
+    /// Fires exactly one event and says where it came from.
+    fn step(k: &mut Kernel) -> (Due, EventKey) {
+        let next = k.next_due();
+        let mut polls = 0;
+        k.run_until(SimTime::from_ns(u64::MAX), |_| {
+            polls += 1;
+            polls > 1
+        });
+        assert_eq!(k.now(), next.1 .0);
+        next
+    }
+
+    fn hog() -> Kernel {
+        let mut k = KernelBuilder::new().build();
+        k.spawn(Box::new(CpuBound::new(1_000, Dur::from_ms(1))));
+        k
+    }
+
+    /// Plays a fixed list of steps, then exits.
+    struct Steps(std::vec::IntoIter<Step>);
+
+    impl Program for Steps {
+        fn step(&mut self, _ctx: &mut UserCtx) -> Step {
+            self.0.next().unwrap_or(Step::Exit(0))
+        }
+    }
+
+    #[test]
+    fn a_wakeup_preempted_chunk_leaves_one_no_op_at_its_old_end() {
+        // A pausing process with a 20 ms interval timer wakes on SIGALRM
+        // with far less decayed CPU than the hog, so it preempts the
+        // hog's compute chunk.
+        let mut k = hog();
+        k.spawn(Box::new(Steps(
+            vec![
+                Step::Syscall(SyscallReq::Sigaction {
+                    sig: Sig::Alrm,
+                    catch: true,
+                }),
+                Step::Syscall(SyscallReq::SetItimer {
+                    interval: Dur::from_ms(20),
+                }),
+                Step::Syscall(SyscallReq::Pause),
+            ]
+            .into_iter(),
+        )));
+        let orphan = loop {
+            assert!(k.now() < SimTime::ZERO + Dur::from_secs(1), "no preemption");
+            let armed = k.chunk_due;
+            step(&mut k);
+            if k.ctr.sched.preemptions == 1 {
+                break armed.expect("the preempted chunk had a key");
+            }
+        };
+        assert_ne!(k.chunk_due, Some(orphan), "the register let the key go");
+        assert!(orphan.0 > k.now(), "the chunk was cut short");
+        // Everything queued now: exactly one completion no-op, under the
+        // chunk's own key.
+        let mut no_ops = Vec::new();
+        while let Some(key) = k.q.peek_key() {
+            if let (_, Event::UserDone) = k.q.pop().unwrap() {
+                no_ops.push(key);
+            }
+        }
+        assert_eq!(no_ops, vec![orphan]);
+    }
+
+    #[test]
+    fn run_until_stops_at_the_last_register_instant_within_the_horizon() {
+        // The instants a lone hog's first 30 ms fire at, by source.
+        let mut k = hog();
+        let mut fired = Vec::new();
+        while k.now() < SimTime::ZERO + Dur::from_ms(30) {
+            let (due, (at, _)) = step(&mut k);
+            let rearm = due == Due::Chunk && k.sched.current().is_some_and(|c| c.started < at);
+            fired.push((due, rearm, at));
+        }
+        let has = |due, rearm| fired.iter().any(|f| (f.0, f.1) == (due, rearm));
+        assert!(has(Due::Chunk, false) && has(Due::Chunk, true) && has(Due::Tick, false));
+        for &(due, _, at) in &fired {
+            if due == Due::Queue {
+                continue;
+            }
+            for h in [at, SimTime::from_ns(at.as_ns() - 1)] {
+                let expect = fired.iter().map(|f| f.2).filter(|t| *t <= h).max();
+                let mut k = hog();
+                // The predicate only ends a run that overshot the horizon.
+                let reached = k.run_until(h, |k| k.now() > h);
+                assert_eq!(Some(reached), expect, "horizon {h}");
+            }
+        }
+    }
 
     #[test]
     fn ram_transfer_shares_blocks_and_a_failed_read_lands_nothing() {

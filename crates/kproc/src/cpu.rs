@@ -43,6 +43,7 @@ pub struct KernelRun {
 
 impl KernelRun {
     /// The window's length.
+    #[inline]
     pub fn cost(&self) -> Dur {
         self.end.since(self.start)
     }
@@ -97,11 +98,13 @@ impl CpuEngine {
     }
 
     /// The instant the kernel becomes free.
+    #[inline]
     pub fn busy_until(&self) -> SimTime {
         self.busy_until
     }
 
     /// Remaining soft budget in the current tick.
+    #[inline]
     pub fn soft_budget_left(&self) -> Dur {
         self.soft_budget.saturating_sub(self.tick_soft_used)
     }
@@ -112,10 +115,12 @@ impl CpuEngine {
     }
 
     /// Resets the soft budget; call from the hardclock handler each tick.
+    #[inline]
     pub fn new_tick(&mut self) {
         self.tick_soft_used = Dur::ZERO;
     }
 
+    #[inline]
     fn run(&mut self, now: SimTime, cost: Dur) -> KernelRun {
         let start = if now > self.busy_until {
             now
@@ -128,6 +133,7 @@ impl CpuEngine {
     }
 
     /// Admits kernel work of `class` at `now` costing `cost`.
+    #[inline]
     pub fn admit(&mut self, now: SimTime, cost: Dur, class: WorkClass) -> Admit {
         match class {
             WorkClass::Intr => {
@@ -154,6 +160,7 @@ impl CpuEngine {
 
     /// Admits deferred soft work while the CPU is otherwise idle: no
     /// budget is charged, because nobody is being starved.
+    #[inline]
     pub fn admit_idle(&mut self, now: SimTime, cost: Dur) -> KernelRun {
         self.ctr.idle_soft_items += 1;
         self.ctr.idle_soft_time += cost;

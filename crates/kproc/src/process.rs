@@ -144,12 +144,14 @@ impl Process {
     }
 
     /// True if the process has exited.
+    #[inline]
     pub fn exited(&self) -> bool {
         matches!(self.state, ProcState::Exited(_))
     }
 
     /// `recent_cpu` at decay epoch `epoch`: `epoch - cpu_epoch`
     /// floor-halvings, which is a right shift.
+    #[inline]
     fn decayed_cpu(&self, epoch: u64) -> Dur {
         let halvings = epoch - self.cpu_epoch;
         let ns = self.recent_cpu.as_ns();
@@ -157,6 +159,7 @@ impl Process {
     }
 
     /// Brings `recent_cpu` up to `epoch` and returns it for update.
+    #[inline]
     fn settle_cpu(&mut self, epoch: u64) -> &mut Dur {
         self.recent_cpu = self.decayed_cpu(epoch);
         self.cpu_epoch = epoch;
@@ -221,6 +224,7 @@ impl ProcTable {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn set_state(&mut self, pid: Pid, state: ProcState) {
         let p = self.must_mut(pid);
         let old = p.state;
@@ -250,11 +254,13 @@ impl ProcTable {
     }
 
     /// Looks up a process.
+    #[inline]
     pub fn get(&self, pid: Pid) -> Option<&Process> {
         self.procs.get(pid.0.checked_sub(1)? as usize)
     }
 
     /// Looks up a process mutably.
+    #[inline]
     pub fn get_mut(&mut self, pid: Pid) -> Option<&mut Process> {
         self.procs.get_mut(pid.0.checked_sub(1)? as usize)
     }
@@ -264,6 +270,7 @@ impl ProcTable {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn must(&self, pid: Pid) -> &Process {
         self.get(pid).unwrap_or_else(|| panic!("no {pid:?}"))
     }
@@ -273,6 +280,7 @@ impl ProcTable {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn must_mut(&mut self, pid: Pid) -> &mut Process {
         self.get_mut(pid).unwrap_or_else(|| panic!("no {pid:?}"))
     }
@@ -294,6 +302,7 @@ impl ProcTable {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn recent_cpu(&self, pid: Pid) -> Dur {
         self.must(pid).decayed_cpu(self.decay_epoch)
     }
@@ -303,6 +312,7 @@ impl ProcTable {
     /// # Panics
     ///
     /// Panics if the pid is unknown.
+    #[inline]
     pub fn charge_cpu(&mut self, pid: Pid, d: Dur) {
         let epoch = self.decay_epoch;
         *self.must_mut(pid).settle_cpu(epoch) += d;
@@ -332,12 +342,14 @@ impl ProcTable {
     }
 
     /// True when every process has exited.
+    #[inline]
     pub fn all_exited(&self) -> bool {
         self.live == 0
     }
 
     /// True if any process is runnable or running (used to decide whether
     /// deferred kernel work may monopolise the CPU).
+    #[inline]
     pub fn any_user_demand(&self) -> bool {
         self.demand > 0
     }

@@ -5,14 +5,17 @@
 //! transitions; this module keeps the bookkeeping honest:
 //!
 //! * a process is never queued twice,
-//! * there is at most one current run,
-//! * every run chunk carries a generation so stale completion events can
-//!   be recognised after a preemption or penalty reschedule.
+//! * there is at most one current run.
+//!
+//! The kernel holds the current run's completion instant in a register
+//! beside its event queue, not as a queued event, so a completion always
+//! belongs to the run on the CPU: a preemption moves the key out of the
+//! register, and nothing fired from the register can be stale.
 //!
 //! Kernel work that preempts the running process does not generate
 //! explicit preemption events; instead its duration accumulates in
-//! [`CurrentRun::penalty`], and the chunk-completion event re-arms itself
-//! for the remaining time (see the event loop). This models "interrupts
+//! [`CurrentRun::penalty`], and the chunk completion re-arms itself for
+//! the remaining time (see the event loop). This models "interrupts
 //! steal cycles from whoever is running", which is exactly the effect the
 //! paper's CPU-availability experiment measures.
 
@@ -41,8 +44,6 @@ pub enum RunKind {
 pub struct CurrentRun {
     /// Who is running.
     pub pid: Pid,
-    /// Generation of the scheduled completion event.
-    pub gen: u64,
     /// What kind of execution this is.
     pub kind: RunKind,
     /// When the chunk began executing.
@@ -87,7 +88,6 @@ pub struct Scheduler {
     queued_set: PidMap<()>,
     current: Option<CurrentRun>,
     quantum: Dur,
-    next_gen: u64,
 }
 
 impl Scheduler {
@@ -98,11 +98,11 @@ impl Scheduler {
             queued_set: PidMap::default(),
             current: None,
             quantum,
-            next_gen: 0,
         }
     }
 
     /// The configured quantum.
+    #[inline]
     pub fn quantum(&self) -> Dur {
         self.quantum
     }
@@ -125,6 +125,7 @@ impl Scheduler {
     }
 
     /// Removes and returns the process at the head of the run queue.
+    #[inline]
     pub fn take_next(&mut self) -> Option<Pid> {
         let pid = self.runq.pop_front();
         if let Some(pid) = pid {
@@ -152,21 +153,24 @@ impl Scheduler {
     }
 
     /// The run queue length.
+    #[inline]
     pub fn queued(&self) -> usize {
         self.runq.len()
     }
 
     /// The current run record, if a process is on the CPU.
+    #[inline]
     pub fn current(&self) -> Option<&CurrentRun> {
         self.current.as_ref()
     }
 
     /// Mutable access to the current run (penalty accumulation).
+    #[inline]
     pub fn current_mut(&mut self) -> Option<&mut CurrentRun> {
         self.current.as_mut()
     }
 
-    /// Installs a new current run, allocating its generation.
+    /// Installs a new current run.
     ///
     /// # Panics
     ///
@@ -178,13 +182,10 @@ impl Scheduler {
         started: SimTime,
         nominal: Dur,
         quantum_left: Dur,
-    ) -> u64 {
+    ) {
         assert!(self.current.is_none(), "CPU already occupied");
-        let gen = self.next_gen;
-        self.next_gen += 1;
         self.current = Some(CurrentRun {
             pid,
-            gen,
             kind,
             started,
             nominal,
@@ -193,38 +194,26 @@ impl Scheduler {
             stolen: Dur::ZERO,
             quantum_left,
         });
-        gen
     }
 
     /// Replaces the completion target of the current run (penalty
-    /// reschedule), allocating a fresh generation.
+    /// reschedule), folding the penalty into the stolen total.
     ///
     /// # Panics
     ///
     /// Panics if nothing is running.
-    pub fn rearm_current(&mut self, chunk_end: SimTime) -> u64 {
-        let gen = self.next_gen;
-        self.next_gen += 1;
+    pub fn rearm_current(&mut self, chunk_end: SimTime) {
         let cur = self.current.as_mut().expect("no current run to re-arm");
-        cur.gen = gen;
         cur.chunk_end = chunk_end;
         cur.stolen += cur.penalty;
         cur.penalty = Dur::ZERO;
-        gen
     }
 
     /// Removes and returns the current run (the chunk finished, the
     /// process blocked, was preempted, or exited).
+    #[inline]
     pub fn stop_current(&mut self) -> Option<CurrentRun> {
         self.current.take()
-    }
-
-    /// True if `gen` matches the current run's generation for `pid` —
-    /// i.e. the completion event that fired is not stale.
-    pub fn is_current(&self, pid: Pid, gen: u64) -> bool {
-        self.current
-            .as_ref()
-            .is_some_and(|c| c.pid == pid && c.gen == gen)
     }
 }
 
@@ -255,23 +244,21 @@ mod tests {
     }
 
     #[test]
-    fn run_lifecycle_and_generations() {
+    fn run_lifecycle_and_rearm() {
         let mut s = Scheduler::new(Dur::from_ms(40));
-        let g1 = s.start_run(
+        s.start_run(
             Pid(1),
             RunKind::SyscallCpu,
             t(0),
             Dur::from_us(100),
             Dur::from_ms(40),
         );
-        assert!(s.is_current(Pid(1), g1));
-        assert!(!s.is_current(Pid(1), g1 + 1));
-        assert!(!s.is_current(Pid(2), g1));
-        // Penalty reschedule invalidates the old generation.
+        let cur = s.current().unwrap();
+        assert_eq!((cur.pid, cur.chunk_end), (Pid(1), t(100)));
+        // A penalty reschedule moves the end and keeps the run.
         s.current_mut().unwrap().penalty = Dur::from_us(50);
-        let g2 = s.rearm_current(t(150));
-        assert!(!s.is_current(Pid(1), g1));
-        assert!(s.is_current(Pid(1), g2));
+        s.rearm_current(t(150));
+        assert_eq!(s.current().unwrap().penalty, Dur::ZERO);
         let run = s.stop_current().unwrap();
         assert_eq!(run.chunk_end, t(150));
         assert_eq!(run.stolen, Dur::from_us(50), "rearm folds penalty in");

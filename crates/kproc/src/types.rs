@@ -131,6 +131,7 @@ impl<T> Default for PidMap<T> {
 
 impl<T> PidMap<T> {
     /// Stores `v` for `pid`, returning what was there.
+    #[inline]
     pub fn insert(&mut self, pid: Pid, v: T) -> Option<T> {
         let i = pid.0 as usize;
         while self.slots.len() <= i {
@@ -140,6 +141,7 @@ impl<T> PidMap<T> {
     }
 
     /// Takes `pid`'s value out.
+    #[inline]
     pub fn remove(&mut self, pid: Pid) -> Option<T> {
         self.slots.get_mut(pid.0 as usize)?.take()
     }

@@ -168,29 +168,28 @@ proptest! {
     }
 
     #[test]
-    fn run_generations_are_unique_and_current(
+    fn rearm_folds_every_penalty_into_stolen(
         chunks in prop::collection::vec((1u64..10_000, 0u64..500), 1..60)
     ) {
         let mut s = Scheduler::new(Dur::from_ms(40));
-        let mut seen = std::collections::HashSet::new();
         let mut now = SimTime::ZERO;
         for (dur_us, penalty_us) in chunks {
-            let g = s.start_run(
+            s.start_run(
                 Pid(1),
                 RunKind::SyscallCpu,
                 now,
                 Dur::from_us(dur_us),
                 Dur::from_ms(40),
             );
-            prop_assert!(seen.insert(g), "generation reuse");
-            prop_assert!(s.is_current(Pid(1), g));
+            prop_assert_eq!(s.current().unwrap().chunk_end, now + Dur::from_us(dur_us));
             if penalty_us > 0 {
                 s.current_mut().unwrap().penalty = Dur::from_us(penalty_us);
                 let end = s.current().unwrap().chunk_end + Dur::from_us(penalty_us);
-                let g2 = s.rearm_current(end);
-                prop_assert!(seen.insert(g2), "generation reuse after rearm");
-                prop_assert!(!s.is_current(Pid(1), g), "old generation stays stale");
-                prop_assert!(s.is_current(Pid(1), g2));
+                s.rearm_current(end);
+                let cur = s.current().unwrap();
+                prop_assert_eq!(cur.chunk_end, end);
+                prop_assert_eq!(cur.penalty, Dur::ZERO);
+                prop_assert_eq!(cur.pid, Pid(1));
             }
             let run: CurrentRun = s.stop_current().unwrap();
             // Total stolen time is what was folded in by rearm.

@@ -40,6 +40,7 @@ impl<T> ChunkVec<T> {
     }
 
     /// Number of elements.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
@@ -59,6 +60,7 @@ impl<T> ChunkVec<T> {
     }
 
     /// The element at `i` mutably, if `i < len()`.
+    #[inline]
     pub fn get_mut(&mut self, i: usize) -> Option<&mut T> {
         self.chunks
             .get_mut(i >> CHUNK_BITS)?
@@ -69,12 +71,14 @@ impl<T> ChunkVec<T> {
 impl<T> Index<usize> for ChunkVec<T> {
     type Output = T;
 
+    #[inline]
     fn index(&self, i: usize) -> &T {
         &self.chunks[i >> CHUNK_BITS][i & (CHUNK - 1)]
     }
 }
 
 impl<T> IndexMut<usize> for ChunkVec<T> {
+    #[inline]
     fn index_mut(&mut self, i: usize) -> &mut T {
         &mut self.chunks[i >> CHUNK_BITS][i & (CHUNK - 1)]
     }

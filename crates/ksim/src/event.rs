@@ -16,13 +16,22 @@
 //! `HashSet` pair grew without bound until the dead keys happened to reach
 //! the top.
 //!
-//! The kernel keeps only a handful of events live at once (a chunk
-//! completion, the clock tick, an occasional apply), so the earliest 16
-//! keys live in a small sorted *near set* beside the heap. Every near key
-//! is earlier than every heap key: scheduling an event that beats the heap
-//! top is a short insertion, and popping takes the near set's earliest key
-//! without touching the heap. Order is exactly `(time, sequence)` either
-//! way.
+//! The kernel keeps few events live at once (an apply or two, a device
+//! interrupt, a dispatch, the traffic source's next arrival), so the
+//! earliest 16 keys live in a small sorted *near set* beside the heap.
+//! Every near key is earlier than every heap key: scheduling an event
+//! that beats the heap top is a short insertion, and popping takes the
+//! near set's earliest key without touching the heap. Order is exactly
+//! `(time, sequence)` either way.
+//!
+//! A caller may also hold an [`EventKey`] *outside* the queue: it
+//! reserves the key's sequence number with [`EventQueue::take_seq`] where
+//! it would have called [`EventQueue::schedule`], compares the key with
+//! [`EventQueue::peek_key`], and when its own key is earliest fires it
+//! itself after [`EventQueue::advance_to`]. Sequence numbers come from
+//! one counter, so keys held outside interleave with queued ones in the
+//! same exact order as if they had been queued;
+//! [`EventQueue::schedule_keyed`] queues such a key after all.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -35,6 +44,10 @@ use crate::time::SimTime;
 /// or cancelled events are recognized as stale in O(1).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct EventId(u64);
+
+/// A firing position: the time, then the sequence number that breaks
+/// ties in schedule order. Orders exactly as the queue pops.
+pub type EventKey = (SimTime, u64);
 
 impl EventId {
     fn new(slot: u32, generation: u32) -> Self {
@@ -104,8 +117,9 @@ struct Slot<E> {
 
 /// A priority queue of future events plus the simulation clock.
 ///
-/// The clock (`now`) only advances when an event is popped; scheduling in
-/// the past is a harness bug and panics.
+/// The clock (`now`) only advances when an event is popped or a key held
+/// outside is fired ([`EventQueue::advance_to`]); scheduling in the past
+/// is a harness bug and panics.
 pub struct EventQueue<E> {
     /// The earliest keys, sorted latest-first so the next event is at the
     /// end. Every key here is earlier than every key in `heap`.
@@ -140,6 +154,7 @@ impl<E> EventQueue<E> {
     }
 
     /// The current simulated time.
+    #[inline]
     pub fn now(&self) -> SimTime {
         self.now
     }
@@ -150,11 +165,33 @@ impl<E> EventQueue<E> {
     ///
     /// Panics if `at` is earlier than the current time.
     pub fn schedule(&mut self, at: SimTime, ev: E) -> EventId {
+        let seq = self.take_seq();
+        self.schedule_keyed((at, seq), ev)
+    }
+
+    /// Reserves the next sequence number for a key the caller holds
+    /// outside the queue (see the module docs).
+    #[inline]
+    pub fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Queues `ev` under a key whose sequence number was reserved with
+    /// [`EventQueue::take_seq`]: it fires exactly where an event
+    /// scheduled at the reservation would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key's time is earlier than the current time.
+    pub fn schedule_keyed(&mut self, (at, seq): EventKey, ev: E) -> EventId {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < {}",
             self.now
         );
+        debug_assert!(seq < self.next_seq, "sequence {seq} was never reserved");
         let slot = if self.free_head != NIL {
             let slot = self.free_head;
             self.free_head = self.slots[slot as usize].next_free;
@@ -170,8 +207,6 @@ impl<E> EventQueue<E> {
             (self.slots.len() - 1) as u32
         };
         let id = EventId::new(slot, self.slots[slot as usize].generation);
-        let seq = self.next_seq;
-        self.next_seq += 1;
         self.live += 1;
         let entry = Entry {
             key: Key { time: at, seq },
@@ -193,6 +228,18 @@ impl<E> EventQueue<E> {
             }
         }
         id
+    }
+
+    /// Advances the clock to `at`, where the caller fires a key it holds
+    /// outside the queue.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is earlier than the current time.
+    #[inline]
+    pub fn advance_to(&mut self, at: SimTime) {
+        assert!(at >= self.now, "clock moved backwards: {at} < {}", self.now);
+        self.now = at;
     }
 
     /// Cancels a scheduled event. Returns `true` if the event had not yet
@@ -230,17 +277,17 @@ impl<E> EventQueue<E> {
         None
     }
 
-    /// The firing time of the next live event, if any, without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// The key of the next live event, if any, without popping it.
+    pub fn peek_key(&mut self) -> Option<EventKey> {
         while let Some(entry) = self.near.last() {
             if is_live(&self.slots, entry.id) {
-                return Some(entry.key.time);
+                return Some((entry.key.time, entry.key.seq));
             }
             self.near.pop();
         }
         while let Some(Reverse(entry)) = self.heap.peek() {
             if is_live(&self.slots, entry.id) {
-                return Some(entry.key.time);
+                return Some((entry.key.time, entry.key.seq));
             }
             self.heap.pop();
         }
@@ -372,12 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn peek_key_skips_cancelled() {
         let mut q = EventQueue::new();
         let a = q.schedule(t(1), "a");
         q.schedule(t(2), "b");
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(t(2)));
+        assert_eq!(q.peek_key(), Some((t(2), 1)));
         assert_eq!(q.pop(), Some((t(2), "b")));
     }
 
@@ -389,6 +436,79 @@ mod tests {
         // Scheduling exactly at `now` is legal (zero-latency kernel work).
         q.schedule(t(1), 2);
         assert_eq!(q.pop(), Some((t(1), 2)));
+    }
+
+    /// Fires the earliest of the queue top and the keys held outside,
+    /// as a caller holding keys beside the queue does; returns the fired
+    /// keys in order.
+    fn fire_all(q: &mut EventQueue<u64>, mut held: Vec<EventKey>) -> Vec<EventKey> {
+        let mut fired = Vec::new();
+        loop {
+            held.sort_unstable_by(|a, b| b.cmp(a));
+            let outside = held.last().copied();
+            let top = q.peek_key();
+            if top.is_none() && outside.is_none() {
+                return fired;
+            }
+            match top.filter(|k| outside.is_none_or(|o| *k < o)) {
+                Some(top) => {
+                    assert_eq!(q.pop(), Some(top), "payload is the reserved seq");
+                    fired.push(top);
+                }
+                None => {
+                    let o = held.pop().unwrap();
+                    q.advance_to(o.0);
+                    fired.push(o);
+                }
+            }
+            assert_eq!(q.now(), fired.last().unwrap().0);
+        }
+    }
+
+    #[test]
+    fn held_keys_interleave_with_queued_keys_in_exact_order() {
+        let mut q = EventQueue::new();
+        let mut held = Vec::new();
+        let mut all = Vec::new();
+        // 40 keys, most at one instant (ties break by reservation order
+        // across the two homes) and enough queued ones to overflow the
+        // near set into the heap.
+        for i in 0..40u64 {
+            let at = if i % 5 == 4 { t(3 + i) } else { t(7) };
+            if i % 3 == 0 {
+                let key = (at, q.take_seq());
+                held.push(key);
+                all.push(key);
+            } else {
+                let seq = q.take_seq();
+                q.schedule_keyed((at, seq), seq);
+                all.push((at, seq));
+            }
+        }
+        assert!(q.len() > NEAR_CAP, "the near set overflowed");
+        all.sort_unstable();
+        assert_eq!(fire_all(&mut q, held), all);
+    }
+
+    #[test]
+    fn a_held_key_queued_late_keeps_its_reserved_place() {
+        let mut q = EventQueue::new();
+        let early = q.take_seq();
+        for seq in 1..=20 {
+            q.schedule(t(4), seq);
+        }
+        q.schedule_keyed((t(4), early), early);
+        for seq in 0..=20 {
+            assert_eq!(q.pop(), Some((t(4), seq)), "reservation order");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "clock moved backwards")]
+    fn advance_to_cannot_move_backwards() {
+        let mut q: EventQueue<()> = EventQueue::new();
+        q.advance_to(t(10));
+        q.advance_to(t(9));
     }
 
     #[test]

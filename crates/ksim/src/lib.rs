@@ -36,7 +36,7 @@ pub use bytes::Bytes;
 pub use callout::BTreeCallout;
 pub use callout::{Callout, CalloutId};
 pub use chunked::ChunkVec;
-pub use event::{EventId, EventQueue};
+pub use event::{EventId, EventKey, EventQueue};
 pub use hash::{IdMap, IdSet};
 pub use hist::{Exemplar, Hist};
 pub use json::Json;

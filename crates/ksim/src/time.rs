@@ -22,11 +22,13 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Builds an instant from raw nanoseconds since boot.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         SimTime(ns)
     }
 
     /// Raw nanoseconds since boot.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
@@ -42,6 +44,7 @@ impl SimTime {
     ///
     /// Panics if `earlier` is later than `self`; the simulation clock never
     /// runs backwards, so this indicates a harness bug.
+    #[inline]
     pub fn since(self, earlier: SimTime) -> Dur {
         assert!(
             earlier.0 <= self.0,
@@ -51,6 +54,7 @@ impl SimTime {
     }
 
     /// Saturating difference; zero if `earlier` is in the future.
+    #[inline]
     pub fn saturating_since(self, earlier: SimTime) -> Dur {
         Dur(self.0.saturating_sub(earlier.0))
     }
@@ -61,21 +65,25 @@ impl Dur {
     pub const ZERO: Dur = Dur(0);
 
     /// Builds a duration from nanoseconds.
+    #[inline]
     pub const fn from_ns(ns: u64) -> Self {
         Dur(ns)
     }
 
     /// Builds a duration from microseconds.
+    #[inline]
     pub const fn from_us(us: u64) -> Self {
         Dur(us * 1_000)
     }
 
     /// Builds a duration from milliseconds.
+    #[inline]
     pub const fn from_ms(ms: u64) -> Self {
         Dur(ms * 1_000_000)
     }
 
     /// Builds a duration from whole seconds.
+    #[inline]
     pub const fn from_secs(s: u64) -> Self {
         Dur(s * 1_000_000_000)
     }
@@ -91,11 +99,13 @@ impl Dur {
     }
 
     /// Raw nanoseconds.
+    #[inline]
     pub const fn as_ns(self) -> u64 {
         self.0
     }
 
     /// Microseconds, truncating.
+    #[inline]
     pub const fn as_us(self) -> u64 {
         self.0 / 1_000
     }
@@ -106,21 +116,25 @@ impl Dur {
     }
 
     /// True if this duration is zero.
+    #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
     }
 
     /// The larger of two durations.
+    #[inline]
     pub fn max(self, other: Dur) -> Dur {
         Dur(self.0.max(other.0))
     }
 
     /// The smaller of two durations.
+    #[inline]
     pub fn min(self, other: Dur) -> Dur {
         Dur(self.0.min(other.0))
     }
 
     /// Saturating subtraction.
+    #[inline]
     pub fn saturating_sub(self, other: Dur) -> Dur {
         Dur(self.0.saturating_sub(other.0))
     }
@@ -133,6 +147,7 @@ impl Dur {
     /// # Panics
     ///
     /// Panics if `bytes_per_sec` is zero.
+    #[inline]
     pub fn for_bytes(bytes: u64, bytes_per_sec: u64) -> Dur {
         assert!(bytes_per_sec > 0, "zero bandwidth");
         // Round up: a transfer always costs at least the exact wire time.
@@ -143,12 +158,14 @@ impl Dur {
 
 impl Add<Dur> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, d: Dur) -> SimTime {
         SimTime(self.0 + d.0)
     }
 }
 
 impl AddAssign<Dur> for SimTime {
+    #[inline]
     fn add_assign(&mut self, d: Dur) {
         self.0 += d.0;
     }
@@ -156,6 +173,7 @@ impl AddAssign<Dur> for SimTime {
 
 impl Sub<Dur> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn sub(self, d: Dur) -> SimTime {
         SimTime(self.0.checked_sub(d.0).expect("SimTime underflow"))
     }
@@ -163,12 +181,14 @@ impl Sub<Dur> for SimTime {
 
 impl Add for Dur {
     type Output = Dur;
+    #[inline]
     fn add(self, d: Dur) -> Dur {
         Dur(self.0 + d.0)
     }
 }
 
 impl AddAssign for Dur {
+    #[inline]
     fn add_assign(&mut self, d: Dur) {
         self.0 += d.0;
     }
@@ -176,12 +196,14 @@ impl AddAssign for Dur {
 
 impl Sub for Dur {
     type Output = Dur;
+    #[inline]
     fn sub(self, d: Dur) -> Dur {
         Dur(self.0.checked_sub(d.0).expect("Dur underflow"))
     }
 }
 
 impl SubAssign for Dur {
+    #[inline]
     fn sub_assign(&mut self, d: Dur) {
         self.0 = self.0.checked_sub(d.0).expect("Dur underflow");
     }
@@ -189,6 +211,7 @@ impl SubAssign for Dur {
 
 impl Mul<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn mul(self, k: u64) -> Dur {
         Dur(self.0 * k)
     }
@@ -196,6 +219,7 @@ impl Mul<u64> for Dur {
 
 impl Div<u64> for Dur {
     type Output = Dur;
+    #[inline]
     fn div(self, k: u64) -> Dur {
         Dur(self.0 / k)
     }

@@ -474,6 +474,7 @@ impl Trace {
     }
 
     /// True when records are being captured.
+    #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
     }

@@ -167,7 +167,7 @@ proptest! {
                 }
                 NOp::Pop(n) => {
                     for _ in 0..n {
-                        prop_assert_eq!(q.peek_time(), model.first().map(|e| e.0));
+                        prop_assert_eq!(q.peek_key(), model.first().map(|e| (e.0, e.1)));
                         let expect = (!model.is_empty()).then(|| model.remove(0));
                         match (expect, q.pop()) {
                             (None, None) => {}

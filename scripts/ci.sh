@@ -3,7 +3,8 @@
 # and lints (every target, props suites and the benchmark package too) and
 # rustdoc links as errors, every example binary, randomized-seed replays,
 # every property suite, the mutation catalog (scripts/mutants.sh), the
-# end-to-end benchmark's contract tests, and
+# end-to-end benchmark's contract tests and its simulated-metric digests
+# (baselines/perfbench_digests.txt), and
 # every seeded bench producer run twice with byte-identical output.
 # Each producer asserts its own paper claims and panics when one fails;
 # benchdiff then gates every artifact value against the committed
@@ -62,6 +63,15 @@ scripts/mutants.sh
 
 echo "== end-to-end benchmark contract (perfbench, its own package) =="
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== end-to-end benchmark: the modelled machine is unchanged (sim_digest, seed 1) =="
+grep -v '^#' baselines/perfbench_digests.txt | while read -r workload want; do
+    got=$(python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 0.1 --trace 0 |
+        grep -o '"sim_digest":"[0-9a-f]*"' | cut -d'"' -f4)
+    echo "-- $workload: $got"
+    [ "$got" = "$want" ] ||
+        { echo "perfbench $workload sim_digest $got differs from the committed $want"; exit 1; }
+done
 
 echo "== bench artifacts: every seeded producer, run twice, emits identical bytes =="
 # shellcheck source=scripts/producers.sh
